@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -65,6 +66,14 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Resolve the pool defaults here so the startup log reports the sizes
+	// in force rather than the zero "use the default" sentinels.
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
+	if *queue <= 0 {
+		*queue = 4 * *workers
 	}
 
 	srv := server.New(server.Config{

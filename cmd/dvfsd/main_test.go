@@ -68,6 +68,12 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// The startup line reports the resolved pool sizes: -queue is unset,
+	// so it defaults to 4× the two workers.
+	if !strings.Contains(capt.String(), "workers=2 queue=8 ") {
+		t.Fatalf("startup line does not report the resolved pool sizes:\n%s", capt.String())
+	}
+
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatalf("healthz: %v", err)

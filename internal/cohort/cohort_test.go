@@ -26,10 +26,10 @@ func shortBase() experiments.RunConfig {
 	return cfg
 }
 
-// An N=1 cohort must reproduce a standalone Run bit for bit: the viewer
-// is wired in Session.Reset's exact construction order and collected by
-// the same collectResult path, so DeepEqual — not tolerances — is the
-// bar. Invariants ride both sides (Strict), per the PR contract.
+// An N=1 cohort must reproduce a standalone Run bit for bit: the cohort
+// viewer and Run's Session are wired by the same Viewer.reset and
+// collected by the same collect path, so DeepEqual — not tolerances — is
+// the bar. Invariants ride both sides (Strict).
 func TestSingleViewerEquivalentToRun(t *testing.T) {
 	base := shortBase()
 	base.Strict = true

@@ -184,11 +184,6 @@ type Governor struct {
 	frames     []float64
 	flatTarget int
 	flatQCap   int
-
-	// legacy routes DecodeStart through the pre-flattening decision path.
-	// Test-only hook: the flat-vs-legacy property tests use it as the
-	// oracle, so decodeStartLegacy must stay semantically frozen.
-	legacy bool
 }
 
 // New returns an energy-aware governor with the given tuning.
@@ -306,17 +301,6 @@ func (g *Governor) PredStats() PredictionStats { return g.predStats }
 // (startup, cold predictor, or missed slack).
 func (g *Governor) BoostFrames() int { return g.boostFrames }
 
-func (g *Governor) minOPP() int {
-	if g.core == nil {
-		return g.cfg.MinOPP
-	}
-	m := g.cfg.MinOPP
-	if max := g.core.Model().MaxIdx(); m > max {
-		m = max
-	}
-	return m
-}
-
 // StreamInfo implements player.SessionHooks: learn the frame period and
 // pre-size the per-frame error log so the decode loop never regrows it.
 func (g *Governor) StreamInfo(fps float64, totalFrames int) {
@@ -331,16 +315,11 @@ func (g *Governor) StreamInfo(fps float64, totalFrames int) {
 }
 
 // DecodeStart implements decode.Hooks: pick the lowest OPP whose frequency
-// retires the predicted demand inside the frame's budget. The default path
-// is the flat one — every per-config quantity comes from the precomputed
-// tables, leaving a single branch ladder plus one linear scan over the
-// frequency column.
+// retires the predicted demand inside the frame's budget. Every per-config
+// quantity comes from the precomputed flat tables, leaving a single branch
+// ladder plus one linear scan over the frequency column.
 func (g *Governor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
 	if g.core == nil {
-		return
-	}
-	if g.legacy {
-		g.decodeStartLegacy(now, f, deadline, ready, queueCap)
 		return
 	}
 	if g.cfg.StartupBoost && !g.playing {
@@ -387,56 +366,6 @@ func (g *Governor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, r
 		idx = g.flatMinIdx
 	}
 	if idx == g.flatMinIdx {
-		g.lowFrames++
-	}
-	g.core.SetOPP(idx)
-	if g.tracer != nil {
-		g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
-			PredCycles: pred, Slack: slack, Budget: budget, OPP: idx})
-	}
-}
-
-// decodeStartLegacy is the pre-flattening decision path, retained verbatim
-// as the oracle for the flat-table equivalence property tests. It must stay
-// semantically frozen: any change here invalidates the tests' ground truth.
-func (g *Governor) decodeStartLegacy(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
-	model := g.core.Model()
-	if g.cfg.StartupBoost && !g.playing {
-		g.boostFrames++
-		g.core.SetOPP(model.MaxIdx())
-		if g.tracer != nil {
-			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type, OPP: model.MaxIdx(), Boost: true})
-		}
-		return
-	}
-	pred, ok := g.pred.Predict(f.Type)
-	if !ok {
-		// Cold predictor: be safe, learn fast.
-		g.boostFrames++
-		g.core.SetOPP(model.MaxIdx())
-		if g.tracer != nil {
-			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type, OPP: model.MaxIdx(), Boost: true})
-		}
-		return
-	}
-	g.predIdx, g.predVal, g.predOK = f.Index, pred, true
-	slack := deadline - now - g.cfg.Guard
-	if slack <= 0 {
-		g.boostFrames++
-		g.core.SetOPP(model.MaxIdx())
-		if g.tracer != nil {
-			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
-				PredCycles: pred, Slack: slack, OPP: model.MaxIdx(), Boost: true})
-		}
-		return
-	}
-	budget := budgetFor(slack, ready, queueCap, g.period, g.cfg.TargetQueueFrac, g.cfg.SprintFrames)
-	need := pred * (1 + g.cfg.Margin) / budget.Seconds()
-	idx := model.IdxForFreq(need)
-	if min := g.minOPP(); idx < min {
-		idx = min
-	}
-	if idx == g.minOPP() {
 		g.lowFrames++
 	}
 	g.core.SetOPP(idx)

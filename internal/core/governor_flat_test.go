@@ -16,11 +16,67 @@ import (
 // The flat decision path (precomputed frequency column + budget table) must
 // be pointwise equivalent to the original predict → slack → OPP pick it
 // replaced. decodeStartLegacy is that original path, kept semantically
-// frozen behind the test-only `legacy` flag as the oracle; the property
-// tests below drive both paths through identical randomized scenarios —
-// random device tables, predictor states, buffer depths, slack values,
-// playback-state interleavings — and require bit-identical decisions,
-// trace events, and counters.
+// frozen here as the oracle; the property tests below drive both paths
+// through identical randomized scenarios — random device tables, predictor
+// states, buffer depths, slack values, playback-state interleavings — and
+// require bit-identical decisions, trace events, and counters.
+
+// decodeStartLegacy is the pre-flattening DecodeStart, retained verbatim
+// as the oracle for the flat-table equivalence property tests. It must stay
+// semantically frozen: any change here invalidates the tests' ground truth.
+func decodeStartLegacy(g *Governor, now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
+	if g.core == nil {
+		return
+	}
+	model := g.core.Model()
+	if g.cfg.StartupBoost && !g.playing {
+		g.boostFrames++
+		g.core.SetOPP(model.MaxIdx())
+		if g.tracer != nil {
+			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type, OPP: model.MaxIdx(), Boost: true})
+		}
+		return
+	}
+	pred, ok := g.pred.Predict(f.Type)
+	if !ok {
+		// Cold predictor: be safe, learn fast.
+		g.boostFrames++
+		g.core.SetOPP(model.MaxIdx())
+		if g.tracer != nil {
+			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type, OPP: model.MaxIdx(), Boost: true})
+		}
+		return
+	}
+	g.predIdx, g.predVal, g.predOK = f.Index, pred, true
+	slack := deadline - now - g.cfg.Guard
+	if slack <= 0 {
+		g.boostFrames++
+		g.core.SetOPP(model.MaxIdx())
+		if g.tracer != nil {
+			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
+				PredCycles: pred, Slack: slack, OPP: model.MaxIdx(), Boost: true})
+		}
+		return
+	}
+	budget := budgetFor(slack, ready, queueCap, g.period, g.cfg.TargetQueueFrac, g.cfg.SprintFrames)
+	need := pred * (1 + g.cfg.Margin) / budget.Seconds()
+	idx := model.IdxForFreq(need)
+	minIdx := g.cfg.MinOPP
+	if max := model.MaxIdx(); minIdx > max {
+		minIdx = max
+	}
+	if idx < minIdx {
+		idx = minIdx
+	}
+	if idx == minIdx {
+		g.lowFrames++
+	}
+	g.core.SetOPP(idx)
+	if g.tracer != nil {
+		g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
+			PredCycles: pred, Slack: slack, Budget: budget, OPP: idx})
+	}
+}
 
 // recordScaler logs every SetOPP so two governors' decision sequences can
 // be compared verbatim.
@@ -59,8 +115,8 @@ type flatStep struct {
 	ready    int
 	queueCap int
 	cycles   float64 // measured demand fed back via DecodeEnd
-	endFirst bool     // score DecodeEnd for the PREVIOUS frame before this start
-	flag     bool     // playing / downloading argument
+	endFirst bool    // score DecodeEnd for the PREVIOUS frame before this start
+	flag     bool    // playing / downloading argument
 }
 
 // Generate implements quick.Generator.
@@ -97,7 +153,7 @@ func (flatScenario) Generate(r *rand.Rand, _ int) reflect.Value {
 			op:       r.Intn(8), // DecodeStart-heavy mix
 			ftype:    video.FrameType(1 + r.Intn(3)),
 			slack:    sim.Time((r.Float64()*80 - 10) * float64(sim.Millisecond)), // negatives force the slack≤0 boost
-			ready:    r.Intn(12) - 1,                                            // −1 exercises the out-of-table fallback
+			ready:    r.Intn(12) - 1,                                             // −1 exercises the out-of-table fallback
 			queueCap: 1 + r.Intn(12),
 			cycles:   1e6 + r.Float64()*5e8,
 			endFirst: r.Intn(4) > 0, // sometimes skip scoring: stale-slot handling
@@ -119,7 +175,6 @@ func playScenario(t *testing.T, sc flatScenario, legacy bool) (*recordScaler, *r
 	if err != nil {
 		t.Fatalf("New(%+v): %v", sc.cfg, err)
 	}
-	g.legacy = legacy
 	scaler := &recordScaler{model: sc.model}
 	if err := g.AttachScaler(nil, scaler); err != nil {
 		t.Fatal(err)
@@ -142,7 +197,11 @@ func playScenario(t *testing.T, sc flatScenario, legacy bool) (*recordScaler, *r
 			}
 			f := video.Frame{Index: frame, Type: st.ftype}
 			frame++
-			g.DecodeStart(now, f, now+st.slack, st.ready, st.queueCap)
+			if legacy {
+				decodeStartLegacy(g, now, f, now+st.slack, st.ready, st.queueCap)
+			} else {
+				g.DecodeStart(now, f, now+st.slack, st.ready, st.queueCap)
+			}
 			prev, havePrev = f, true
 		case 1:
 			g.PlaybackState(now, st.flag)
@@ -277,7 +336,6 @@ func TestGovernorResetEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Dirty the governor thoroughly with the first scenario…
-		recycled.legacy = false
 		scaler := &recordScaler{model: first.model}
 		if err := recycled.AttachScaler(nil, scaler); err != nil {
 			t.Fatal(err)

@@ -3,9 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"videodvfs/internal/cpu"
-	"videodvfs/internal/energy"
-	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
 )
@@ -21,47 +18,13 @@ type allocBudgetRig struct {
 func buildAllocBudgetRig(t *testing.T, cfg RunConfig) *allocBudgetRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	meter := energy.NewMeter(eng)
-	coreCPU, err := cpu.NewCore(eng, cfg.Device)
+	v, err := NewViewer(eng, cfg, ViewerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreCPU.OnPower(meter.Listener(energy.ComponentCPU))
-	gov, hooks, _, err := buildGovernor(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gov.Attach(eng, coreCPU); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gov.Detach)
-	bw, rrcCfg, err := buildBandwidth(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	radio, err := netsim.NewRadio(eng, rrcCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	radio.OnPower(meter.Listener(energy.ComponentRadio))
-	dl, err := netsim.NewDownloader(eng, bw, radio, coreCPU, netsim.DefaultDownloaderConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	renditions, algo, err := buildRenditions(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := player.DefaultConfig()
-	pcfg.ABR = algo
-	pcfg.Hooks = hooks
-	pcfg.Meter = meter
-	sess, err := player.NewSession(eng, coreCPU, dl, renditions, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Start()
-	return &allocBudgetRig{eng: eng, sess: sess}
+	t.Cleanup(v.teardown)
+	v.Start()
+	return &allocBudgetRig{eng: eng, sess: v.ps}
 }
 
 // TestRunLoopAllocBudget is the tentpole's hard budget: once the session

@@ -145,6 +145,46 @@ func TestSessionResetDifferential(t *testing.T) {
 	}
 }
 
+// TestViewerMatchesSessionAcrossResetConfigs pins the cohort path to the
+// Run path across the whole gauntlet, with invariants armed (Strict in
+// each config): a Viewer on its own fresh engine — started at t=0,
+// finished in OnDone, run to its Deadline — must reproduce a fresh
+// Session's result under reflect.DeepEqual. Thermal, C-states, fast
+// dormancy, ladder ABRs, low-latency, background-off and segment-duration
+// variants all ride through the viewer's wiring here.
+func TestViewerMatchesSessionAcrossResetConfigs(t *testing.T) {
+	for i, cfg := range resetConfigs() {
+		want := runFresh(t, cfg)
+
+		eng := sim.NewEngine()
+		var (
+			v        *Viewer
+			got      RunResult
+			finished bool
+			ferr     error
+		)
+		v, err := NewViewer(eng, cfg, ViewerOptions{OnDone: func() {
+			finished = true
+			ferr = v.Finish(&got)
+		}})
+		if err != nil {
+			t.Fatalf("config %d: NewViewer: %v", i, err)
+		}
+		v.Start()
+		eng.RunUntil(v.Deadline())
+		if !finished {
+			t.Fatalf("config %d (%s/%s): viewer never finished by its deadline", i, cfg.Governor, cfg.Net)
+		}
+		if ferr != nil {
+			t.Fatalf("config %d (%s/%s): viewer Finish: %v", i, cfg.Governor, cfg.Net, ferr)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("config %d (%s/%s): viewer result diverges from Session\nsession: %+v\nviewer:  %+v",
+				i, cfg.Governor, cfg.Net, want, got)
+		}
+	}
+}
+
 // TestSessionResetSameConfigRepeat pins the tightest reuse contract: the
 // same config rerun on one arena is bit-identical run after run (the
 // dvfsd/campaign steady state), including the recycled-result-struct path.

@@ -13,7 +13,6 @@ import (
 	"videodvfs/internal/abr"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
-	"videodvfs/internal/governor"
 	"videodvfs/internal/invariant"
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
@@ -327,38 +326,6 @@ func (cfg RunConfig) Validate() error {
 		}
 	}
 	return nil
-}
-
-// buildGovernor returns the governor plus, when video-aware, its session
-// hooks; a non-nil tracer is attached to the video-aware policies.
-func buildGovernor(cfg RunConfig, tr trace.Tracer) (governor.Governor, player.SessionHooks, *core.Governor, error) {
-	switch cfg.Governor {
-	case GovEnergyAware:
-		pol := cfg.Policy
-		if pol == (core.Config{}) {
-			pol = core.DefaultConfig()
-		}
-		g, err := core.New(pol)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if tr != nil {
-			g.SetTracer(tr)
-		}
-		return g, g, g, nil
-	case GovOracle:
-		o := core.NewOracle()
-		if tr != nil {
-			o.SetTracer(tr)
-		}
-		return o, o, nil, nil
-	default:
-		g, err := governor.New(string(cfg.Governor))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return g, nil, nil, nil
-	}
 }
 
 // Shared bandwidth values for the constant profiles: both are immutable

@@ -6,86 +6,54 @@ import (
 	"sync/atomic"
 
 	"videodvfs/internal/abr"
-	"videodvfs/internal/core"
-	"videodvfs/internal/cpu"
-	"videodvfs/internal/energy"
-	"videodvfs/internal/governor"
-	"videodvfs/internal/invariant"
 	"videodvfs/internal/netsim"
-	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/trace"
 	"videodvfs/internal/video"
 )
 
-// Session is a reusable simulation arena: one full simulator instance —
-// engine event slab, CPU core with its job pools, radio, downloader,
-// player, energy meter, background load generator, and the energy-aware
-// governor — whose parts are rewound in place by Reset instead of being
-// reconstructed per run. Stream and bandwidth tables are shared immutably
-// across resets (and across arenas, via the package caches).
+// Session is a reusable simulation arena: an owned engine plus one
+// Viewer — the full per-device simulator (CPU core with its job pools,
+// radio, downloader, player, energy meter, background load generator,
+// energy-aware governor) — whose parts are rewound in place by Reset
+// instead of being reconstructed per run. Stream and bandwidth tables are
+// shared immutably across resets (and across arenas, via the package
+// caches). On top of the viewer, a Session adds only what a standalone run
+// has and a cohort viewer does not: the tracer chain (factory, checker
+// tee, batcher), the OnSample and Cancel tickers, and stopping the engine
+// when the session completes.
 //
 // A Session is single-goroutine: drive it with Reset+Finish or RunInto.
 // The package-level Run draws Sessions from an internal pool, so campaign
 // workers and dvfsd recycle arenas without holding one explicitly.
 //
-// Determinism: a reset arena replays the exact construction order of a
+// Determinism: Viewer.reset replays the exact construction order of a
 // fresh run — component wiring, event scheduling, and RNG derivation — so
 // results and traces are byte-identical to a fresh simulator's. The
 // differential tests in reset_test.go pin that equivalence across the whole
 // experiment registry, including cross-config recycling.
 type Session struct {
-	eng   *sim.Engine
-	meter *energy.Meter
-
-	core  *cpu.Core
-	radio *netsim.Radio
-	dl    *netsim.Downloader
-	ps    *player.Session
-	ea    *core.Governor
-	bg    *cpu.LoadGen
-	bgRNG *sim.RNG
+	// v is held by value but not embedded, so the Viewer's Start, Cut
+	// and Deadline stay off the public arena's method set.
+	v     Viewer
+	memo  inputMemo // v.memo points here
 	batch *trace.Batcher
 
-	// Pre-bound untraced power listeners and the session-done callback:
-	// constructed once so the reset path re-registers closures without
-	// allocating them.
-	cpuPowerFn   func(now sim.Time, watts float64)
-	radioPowerFn func(now sim.Time, watts float64)
-	stopFn       func()
-
-	bgActive   bool
+	// stopFn is the viewer's pre-bound OnDone: stop the tickers and the
+	// engine once the session completes.
+	stopFn     func()
 	probe      *sim.Ticker
 	cancelTick *sim.Ticker
-
-	// Arena-local memos for the package caches: sync.Map lookups box
-	// their struct keys (an allocation per call), so same-config reruns
-	// short-circuit here.
-	lastBWNet   NetKind
-	lastBWDur   sim.Time
-	lastBWSeed  int64
-	lastBW      netsim.Bandwidth
-	lastRRC     netsim.RRCConfig
-	lastRendKey streamKey
-	lastRends   []*video.Stream
-	traceRends  []*video.Stream
 
 	run runState
 }
 
-// runState is the per-run wiring established by Reset and consumed by
-// Finish.
+// runState is the per-run trace and lifecycle state established by Reset
+// and consumed by Finish.
 type runState struct {
-	cfg        RunConfig // defaults applied
-	gov        governor.Governor
-	eaGov      *core.Governor
-	chk        *invariant.Checker
-	tr         trace.Tracer
-	batch      *trace.Batcher
+	batch      *trace.Batcher // the arena's batcher while this run is traced
 	closeTrace func() error
 	closed     bool
-	thermal    *cpu.Thermal
-	horizon    sim.Time
 	armed      bool
 	canceled   bool
 }
@@ -94,21 +62,16 @@ type runState struct {
 // first Reset (they need a config) and recycled by every later one.
 func NewSession() *Session {
 	s := &Session{}
-	s.eng = sim.NewEngine()
-	s.meter = energy.NewMeter(s.eng)
-	s.cpuPowerFn = s.meter.Listener(energy.ComponentCPU)
-	s.radioPowerFn = s.meter.Listener(energy.ComponentRadio)
+	s.v.eng = sim.NewEngine()
+	s.v.memo = &s.memo
 	s.stopFn = func() {
-		if s.bgActive {
-			s.bg.Stop()
-		}
 		if s.probe != nil {
 			s.probe.Stop()
 		}
 		if s.cancelTick != nil {
 			s.cancelTick.Stop()
 		}
-		s.eng.Stop()
+		s.v.eng.Stop()
 	}
 	return s
 }
@@ -146,27 +109,15 @@ func (s *Session) RunInto(cfg RunConfig, res *RunResult) error {
 // invalidates everything scheduled by the previous run — including one cut
 // short by an error or horizon — via the engine's generation bump.
 func (s *Session) Reset(cfg RunConfig) (err error) {
-	if cfg.Trace != nil && cfg.Duration <= 0 {
-		cfg.Duration = cfg.Trace.Duration()
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err = cfg.withDefaults()
+	if err != nil {
 		return err
-	}
-	if cfg.Device.Name == "" {
-		cfg.Device = cpu.DeviceFlagship()
-	}
-	if cfg.Title.Name == "" {
-		cfg.Title = video.TitleSports
-	}
-	if cfg.Rung.Name == "" {
-		cfg.Rung = video.R720p
 	}
 	if s.run.armed {
 		// A previous Reset was abandoned without Finish: tear down its
 		// per-run wiring (thermal sampler, trace sink) before rearming.
 		s.release()
 	}
-	s.run = runState{cfg: cfg}
 	defer func() {
 		if err != nil {
 			s.release()
@@ -179,14 +130,14 @@ func (s *Session) Reset(cfg RunConfig) (err error) {
 			tr, s.run.closeTrace = f(cfg)
 		}
 	}
-	s.run.chk = buildChecker(cfg)
-	if s.run.chk != nil {
+	chk := buildChecker(cfg)
+	if chk != nil {
 		// The checker rides first in the tee; it only observes, so every
 		// downstream tracer sees the identical stream.
 		if tr == nil {
-			tr = s.run.chk
+			tr = chk
 		} else {
-			tr = trace.Tee{s.run.chk, tr}
+			tr = trace.Tee{chk, tr}
 		}
 	}
 	if tr != nil {
@@ -201,146 +152,18 @@ func (s *Session) Reset(cfg RunConfig) (err error) {
 		s.run.batch = s.batch
 		tr = s.batch
 	}
-	s.run.tr = tr
 
-	s.eng.Reset()
-	s.meter.Reset()
+	s.v.eng.Reset()
 	s.probe = nil
 	s.cancelTick = nil
-	s.bgActive = false
-
-	if s.core == nil {
-		s.core, err = cpu.NewCore(s.eng, cfg.Device)
-		if err != nil {
-			return err
-		}
-	} else if err := s.core.Reset(cfg.Device); err != nil {
-		return err
-	}
-	if cfg.CStates {
-		if err := s.core.EnableCStates(cpu.DefaultCStates()); err != nil {
-			return err
-		}
-	}
-	if tr != nil {
-		s.core.SetTracer(tr)
-	}
-	if tr != nil {
-		s.core.OnPower(tracedListener(s.meter, energy.ComponentCPU, tr))
-	} else {
-		s.core.OnPower(s.cpuPowerFn)
-	}
-
-	gov, hooks, eaGov, err := s.governorFor(cfg, tr)
-	if err != nil {
-		return err
-	}
-	if err := gov.Attach(s.eng, s.core); err != nil {
-		return err
-	}
-	s.run.gov = gov
-	s.run.eaGov = eaGov
-
-	bw, rrcCfg, err := s.bandwidthFor(cfg)
-	if err != nil {
-		return err
-	}
-	if s.radio == nil {
-		s.radio, err = netsim.NewRadio(s.eng, rrcCfg)
-		if err != nil {
-			return err
-		}
-	} else if err := s.radio.Reset(rrcCfg); err != nil {
-		return err
-	}
-	if tr != nil {
-		s.radio.SetTracer(tr)
-	}
-	if tr != nil {
-		s.radio.OnPower(tracedListener(s.meter, energy.ComponentRadio, tr))
-	} else {
-		s.radio.OnPower(s.radioPowerFn)
-	}
-
-	if s.dl == nil {
-		s.dl, err = netsim.NewDownloader(s.eng, bw, s.radio, s.core, netsim.DefaultDownloaderConfig())
-		if err != nil {
-			return err
-		}
-	} else if err := s.dl.Reset(bw, netsim.DefaultDownloaderConfig()); err != nil {
-		return err
-	}
-
-	if cfg.Thermal != nil {
-		s.run.thermal, err = cpu.StartThermal(s.eng, s.core, *cfg.Thermal)
-		if err != nil {
-			return err
-		}
-	}
-
-	if cfg.Background {
-		bgSeed := cfg.Seed
-		if cfg.BGSeed != 0 {
-			bgSeed = cfg.BGSeed
-		}
-		if s.bg == nil {
-			s.bgRNG = sim.Stream(bgSeed, "bgload")
-			s.bg, err = cpu.StartLoadGen(s.eng, s.core, s.bgRNG, cpu.DefaultLoadGenConfig())
-			if err != nil {
-				return err
-			}
-		} else {
-			// Reseeding reproduces the exact stream a fresh
-			// sim.Stream(seed, "bgload") would draw.
-			s.bgRNG.Reseed(sim.ChildSeed(bgSeed, "bgload"))
-			if err := s.bg.Restart(cpu.DefaultLoadGenConfig()); err != nil {
-				return err
-			}
-		}
-		s.bgActive = true
-	}
-
-	renditions, algo, err := s.renditionsFor(cfg)
-	if err != nil {
-		return err
-	}
-
-	pcfg := player.DefaultConfig()
-	if cfg.SegmentDur > 0 {
-		pcfg.SegmentDur = cfg.SegmentDur
-	}
-	pcfg.ABR = algo
-	pcfg.Hooks = hooks
-	pcfg.Meter = s.meter
-	pcfg.Tracer = tr
-	if cfg.LowLatency {
-		pcfg.StartupSec = 1
-		pcfg.ResumeSec = 0.5
-		pcfg.MaxBufferSec = 4
-		pcfg.DecodedQueueCap = 3
-	}
-	if cfg.DecodedQueueCap > 0 {
-		pcfg.DecodedQueueCap = cfg.DecodedQueueCap
-	}
-	pcfg.LowWaterSec = cfg.LowWaterSec
-	fc, err := buildForecast(cfg, bw)
-	if err != nil {
-		return err
-	}
-	pcfg.Forecast = fc
-	if s.ps == nil {
-		s.ps, err = player.NewSession(s.eng, s.core, s.dl, renditions, pcfg)
-		if err != nil {
-			return err
-		}
-	} else if err := s.ps.Reset(renditions, pcfg); err != nil {
+	if err := s.v.reset(cfg, chk, tr, ViewerOptions{OnDone: s.stopFn}); err != nil {
 		return err
 	}
 
 	if cfg.OnSample != nil {
 		onSample := cfg.OnSample
-		s.probe = sim.NewTicker(s.eng, 100*sim.Millisecond, func(now sim.Time) {
-			onSample(now, s.core.FreqHz()/1e9, s.core.Power(), s.ps.BufferSec())
+		s.probe = sim.NewTicker(s.v.eng, 100*sim.Millisecond, func(now sim.Time) {
+			onSample(now, s.v.core.FreqHz()/1e9, s.v.core.Power(), s.v.ps.BufferSec())
 		})
 	}
 	if cfg.Cancel != nil {
@@ -349,20 +172,14 @@ func (s *Session) Reset(cfg RunConfig) (err error) {
 		// observes the closed channel within one event batch of wall time
 		// and stops instead of simulating on to the horizon.
 		cancel := cfg.Cancel
-		s.cancelTick = sim.NewTicker(s.eng, 100*sim.Millisecond, func(now sim.Time) {
+		s.cancelTick = sim.NewTicker(s.v.eng, 100*sim.Millisecond, func(now sim.Time) {
 			select {
 			case <-cancel:
 				s.run.canceled = true
-				s.eng.Stop()
+				s.v.eng.Stop()
 			default:
 			}
 		})
-	}
-	s.ps.OnDone(s.stopFn)
-
-	s.run.horizon = cfg.Duration*6 + 60*sim.Second
-	if cfg.Horizon > 0 {
-		s.run.horizon = cfg.Horizon
 	}
 	s.run.armed = true
 	return nil
@@ -375,12 +192,11 @@ func (s *Session) Finish(res *RunResult) error {
 		return fmt.Errorf("experiments: session not armed; call Reset first")
 	}
 	s.run.armed = false
-	cfg := s.run.cfg
 	defer s.release()
 
-	s.ps.Start()
-	end := s.eng.RunUntil(s.run.horizon)
-	s.meter.Finish()
+	s.v.Start()
+	s.v.eng.RunUntil(s.v.horizon)
+	s.v.meter.Finish()
 	if s.run.batch != nil {
 		s.run.batch.Flush()
 	}
@@ -393,231 +209,86 @@ func (s *Session) Finish(res *RunResult) error {
 	}
 
 	if s.run.canceled {
-		return fmt.Errorf("experiments: %w at %v", ErrCanceled, s.eng.Now())
+		return fmt.Errorf("experiments: %w at %v", ErrCanceled, s.v.eng.Now())
 	}
-	if err := s.ps.Err(); err != nil {
-		return fmt.Errorf("experiments: session: %w", err)
-	}
-	p := resultParts{
-		cfg:     cfg,
-		gov:     s.run.gov,
-		eaGov:   s.run.eaGov,
-		eng:     s.eng,
-		meter:   s.meter,
-		core:    s.core,
-		radio:   s.radio,
-		dl:      s.dl,
-		ps:      s.ps,
-		thermal: s.run.thermal,
-	}
-	if err := finalizeChecker(s.run.chk, p); err != nil {
-		return err
-	}
-	if m := s.ps.Metrics(); !m.Completed && end >= s.run.horizon {
-		return fmt.Errorf("experiments: %w: session at %d/%d frames when the %v horizon hit",
-			ErrHorizonExceeded, m.DisplayedFrames+m.DroppedFrames, m.TotalFrames, s.run.horizon)
-	}
-	if s.dl.Err() != nil {
-		return fmt.Errorf("experiments: downloader: %w", s.dl.Err())
-	}
-	if s.bgActive && s.bg.Err() != nil {
-		return fmt.Errorf("experiments: background load: %w", s.bg.Err())
-	}
-
-	collectResult(p, res)
-	return nil
+	return s.v.collect(res)
 }
 
-// resultParts is the component set a finished run's outcome is read from.
-// Session.Finish and cohort viewers both fill one, so single-run and
-// cohort results are assembled by the identical code path — the N=1
-// cohort ≡ Run equivalence holds by construction, not by parallel
-// maintenance of two collectors.
-type resultParts struct {
-	cfg     RunConfig // defaults applied
-	gov     governor.Governor
-	eaGov   *core.Governor
-	eng     *sim.Engine
-	meter   *energy.Meter
-	core    *cpu.Core
-	radio   *netsim.Radio
-	dl      *netsim.Downloader
-	ps      *player.Session
-	thermal *cpu.Thermal
-}
-
-// finalizeChecker closes out an armed invariant checker against the
-// run's final ground truth; a nil checker is a no-op. Any violation is
-// returned wrapped exactly as strict Run reports it.
-func finalizeChecker(chk *invariant.Checker, p resultParts) error {
-	if chk == nil {
-		return nil
-	}
-	m := p.ps.Metrics()
-	counts := p.ps.Decoder().Counts()
-	rrcRes := make(map[string]sim.Time, 4)
-	for state, d := range p.radio.Residency() {
-		rrcRes[state.String()] = d
-	}
-	if v := chk.Finalize(invariant.Final{
-		End:           p.eng.Now(),
-		CPUJ:          p.meter.ComponentJ(energy.ComponentCPU),
-		RadioJ:        p.meter.ComponentJ(energy.ComponentRadio),
-		DisplayJ:      p.meter.ComponentJ(energy.ComponentDisplay),
-		FreqResidency: p.core.FreqResidency(),
-		RRCResidency:  rrcRes,
-		IdleResidency: p.core.IdleStateResidency(),
-		Displayed:     m.DisplayedFrames,
-		Dropped:       m.DroppedFrames,
-		Total:         m.TotalFrames,
-		Decoded:       counts.Decoded,
-		Discarded:     counts.Discarded,
-		ReadyLeft:     p.ps.Decoder().ReadyLen(),
-		Completed:     m.Completed,
-	}); v != nil {
-		return fmt.Errorf("experiments: strict: %w", v)
-	}
-	return nil
-}
-
-// collectResult gathers a finished simulation's outcome into res, reusing
-// res's maps and slices when present.
-func collectResult(p resultParts, res *RunResult) {
-	res.Governor = p.gov.Name()
-	res.CPUJ = p.meter.ComponentJ(energy.ComponentCPU)
-	res.RadioJ = p.meter.ComponentJ(energy.ComponentRadio)
-	res.DisplayJ = p.meter.ComponentJ(energy.ComponentDisplay)
-	res.QoE = p.ps.Metrics()
-	if res.FreqResidency == nil {
-		res.FreqResidency = make(map[int]sim.Time, len(p.cfg.Device.OPPs))
-	}
-	p.core.FreqResidencyInto(res.FreqResidency)
-	if res.RadioResidency == nil {
-		res.RadioResidency = make(map[netsim.RRCState]sim.Time, 4)
-	}
-	p.radio.ResidencyInto(res.RadioResidency)
-	res.RadioPromotions = p.radio.Promotions()
-	res.Fetches = p.dl.Fetches()
-	res.SimEnd = p.eng.Now()
-	res.MeanFreqGHz = meanFreqGHz(p.cfg.Device, res.FreqResidency)
-	if p.cfg.CStates {
-		if res.IdleResidency == nil {
-			res.IdleResidency = make(map[string]sim.Time, 4)
-		}
-		p.core.IdleStateResidencyInto(res.IdleResidency)
-	} else {
-		// A nil map, not an emptied one: it must compare equal to a fresh
-		// run's result, which never allocates the map without C-states.
-		res.IdleResidency = nil
-	}
-	res.OPPTransitions = p.core.Transitions()
-	res.MaxTempC, res.ThrottleEvents, res.ThrottledS = 0, 0, 0
-	if p.thermal != nil {
-		res.MaxTempC = p.thermal.MaxTempC()
-		res.ThrottleEvents = p.thermal.ThrottleEvents()
-		res.ThrottledS = p.thermal.ThrottledTime().Seconds()
-	}
-	if p.eaGov != nil {
-		// Copy the stats out: the governor's RelErr backing array is
-		// recycled by the next Reset, so the result must own its slice.
-		st := p.eaGov.PredStats()
-		if res.Pred == nil {
-			res.Pred = new(core.PredictionStats)
-		}
-		res.Pred.N = st.N
-		res.Pred.Underestimates = st.Underestimates
-		res.Pred.RelErr = append(res.Pred.RelErr[:0], st.RelErr...)
-	} else {
-		res.Pred = nil
-	}
-}
-
-// release tears down the per-run wiring: thermal sampler, governor ticker,
-// and (on error paths) the trace sink, after a best-effort flush.
+// release tears down the per-run wiring: the trace sink (on error paths,
+// after a best-effort flush), then the viewer's thermal sampler and
+// governor ticker. It drops the run's config and checker so a pooled
+// arena does not pin them.
 func (s *Session) release() {
-	if s.run.batch != nil && s.run.closeTrace != nil && !s.run.closed {
-		s.run.batch.Flush()
-	}
 	if s.run.closeTrace != nil && !s.run.closed {
+		if s.run.batch != nil {
+			s.run.batch.Flush()
+		}
 		s.run.closeTrace() // error path: best-effort flush
 	}
-	if s.run.thermal != nil {
-		s.run.thermal.Stop()
-	}
-	if s.run.gov != nil {
-		s.run.gov.Detach()
-	}
+	s.v.teardown()
+	s.v.cfg, s.v.chk = RunConfig{}, nil
 	s.run = runState{}
 }
 
-// governorFor resolves the run's governor, recycling the arena's
-// energy-aware instance (predictor state and decision tables rewound in
-// place); the oracle and the stock baselines are constructed fresh — they
-// are allocation-light and keep per-run sampling state.
-func (s *Session) governorFor(cfg RunConfig, tr trace.Tracer) (governor.Governor, player.SessionHooks, *core.Governor, error) {
-	if cfg.Governor != GovEnergyAware {
-		return buildGovernor(cfg, tr)
-	}
-	pol := cfg.Policy
-	if pol == (core.Config{}) {
-		pol = core.DefaultConfig()
-	}
-	if s.ea == nil {
-		g, err := core.New(pol)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s.ea = g
-	} else if err := s.ea.Reset(pol); err != nil {
-		return nil, nil, nil, err
-	}
-	if tr != nil {
-		s.ea.SetTracer(tr)
-	}
-	return s.ea, s.ea, s.ea, nil
+// inputMemo is a Session's arena-local memo in front of the package
+// caches: sync.Map lookups box their struct keys (an allocation per call),
+// so same-config reruns short-circuit here. Its methods accept a nil memo
+// — a cohort viewer's — and then go straight to the caches.
+type inputMemo struct {
+	bwNet      NetKind
+	bwDur      sim.Time
+	bwSeed     int64
+	bw         netsim.Bandwidth
+	rrc        netsim.RRCConfig
+	rendKey    streamKey
+	rends      []*video.Stream
+	traceRends []*video.Stream
 }
 
-// bandwidthFor resolves the run's bandwidth model and RRC profile through
-// the arena-local memo, falling back to the package caches.
-func (s *Session) bandwidthFor(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
+// bandwidth resolves the run's bandwidth model and RRC profile through
+// the memo, falling back to the package caches.
+func (m *inputMemo) bandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
 	// Trace-backed runs bypass the memo: its (net, duration, seed) key
 	// cannot tell two different recorded traces apart, and the trace is
 	// the caller's — nothing to generate or cache.
-	if cfg.Net == NetTrace {
+	if m == nil || cfg.Net == NetTrace {
 		return buildBandwidth(cfg)
 	}
-	if s.lastBW != nil && cfg.Net == s.lastBWNet && cfg.Duration == s.lastBWDur && cfg.Seed == s.lastBWSeed {
-		rrc := s.lastRRC
+	if m.bw != nil && cfg.Net == m.bwNet && cfg.Duration == m.bwDur && cfg.Seed == m.bwSeed {
+		rrc := m.rrc
 		if cfg.RRC != nil {
 			rrc = *cfg.RRC
 		}
-		return s.lastBW, rrc, nil
+		return m.bw, rrc, nil
 	}
 	bw, rrc, err := buildBandwidthBase(cfg)
 	if err != nil {
 		return nil, rrc, err
 	}
-	s.lastBWNet, s.lastBWDur, s.lastBWSeed = cfg.Net, cfg.Duration, cfg.Seed
-	s.lastBW, s.lastRRC = bw, rrc
+	m.bwNet, m.bwDur, m.bwSeed = cfg.Net, cfg.Duration, cfg.Seed
+	m.bw, m.rrc = bw, rrc
 	if cfg.RRC != nil {
 		rrc = *cfg.RRC
 	}
 	return bw, rrc, nil
 }
 
-// renditionsFor resolves the run's rendition set through the arena-local
-// memo (fixed-rung runs only; ladder runs keep a fresh stateful ABR
-// instance and hit the package cache for their streams).
-func (s *Session) renditionsFor(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
+// renditions resolves the run's rendition set through the memo (fixed-rung
+// runs only; ladder runs keep a fresh stateful ABR instance and hit the
+// package cache for their streams).
+func (m *inputMemo) renditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
+	if m == nil {
+		return buildRenditions(cfg)
+	}
 	if cfg.Trace != nil {
 		if len(cfg.Trace.Frames) == 0 {
 			return nil, nil, fmt.Errorf("experiments: empty frame trace")
 		}
-		if s.traceRends == nil {
-			s.traceRends = make([]*video.Stream, 1)
+		if m.traceRends == nil {
+			m.traceRends = make([]*video.Stream, 1)
 		}
-		s.traceRends[0] = cfg.Trace
-		return s.traceRends, abrFixed0, nil
+		m.traceRends[0] = cfg.Trace
+		return m.traceRends, abrFixed0, nil
 	}
 	switch cfg.ABR {
 	case "", ABRFixed:
@@ -633,14 +304,14 @@ func (s *Session) renditionsFor(cfg RunConfig) ([]*video.Stream, abr.Algorithm, 
 			dur:   cfg.Duration,
 			seed:  cfg.Seed,
 		}
-		if s.lastRends != nil && key == s.lastRendKey {
-			return s.lastRends, abrFixed0, nil
+		if m.rends != nil && key == m.rendKey {
+			return m.rends, abrFixed0, nil
 		}
 		streams, algo, err := buildRenditions(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.lastRendKey, s.lastRends = key, streams
+		m.rendKey, m.rends = key, streams
 		return streams, algo, nil
 	default:
 		return buildRenditions(cfg)

@@ -36,19 +36,20 @@ type ViewerOptions struct {
 	OnDone func()
 }
 
-// Viewer is one streaming session wired into a SHARED virtual-time
-// engine: the full per-device component set of a Run — meter, CPU core,
-// governor, radio, downloader, player, background load, optional thermal
-// model — scheduling into an engine it does not own and never stops.
-// N viewers over one engine is the cohort substrate: one event slab, one
-// clock, shared immutable stream/bandwidth tables (the package caches),
-// per-viewer everything else.
+// Viewer is one streaming session's full per-device component set —
+// meter, CPU core, governor, radio, downloader, player, background load,
+// optional thermal model — wired into a virtual-time engine. It is the
+// only place that stack is wired: a Session owns an engine and rewinds
+// one Viewer over it run after run, while a cohort shard multiplexes
+// thousands of viewers over one SHARED engine that no viewer owns or
+// stops. N viewers over one engine is the cohort substrate: one event
+// slab, one clock, shared immutable stream/bandwidth tables (the package
+// caches), per-viewer everything else.
 //
-// Construction mirrors Session.Reset's fresh path component for
-// component, in the same order, with the same RNG derivations — so a
-// single viewer started at t=0 replays a standalone Run's event sequence
-// exactly, and the N=1 cohort ≡ Run equivalence test can compare results
-// with DeepEqual rather than tolerances.
+// Because both paths run the same reset, a single viewer started at t=0
+// replays a standalone Run's event sequence exactly, and the N=1 cohort ≡
+// Run equivalence holds by construction (results compare with DeepEqual,
+// not tolerances).
 type Viewer struct {
 	cfg  RunConfig // defaults applied
 	opts ViewerOptions
@@ -59,18 +60,29 @@ type Viewer struct {
 	radio   *netsim.Radio
 	dl      *netsim.Downloader
 	ps      *player.Session
+	ea      *core.Governor // the energy-aware instance, rewound across resets
 	bg      *cpu.LoadGen
+	bgRNG   *sim.RNG
 	thermal *cpu.Thermal
 	gov     governor.Governor
-	eaGov   *core.Governor
 	chk     *invariant.Checker
 
+	// Pre-bound untraced power listeners and completion callback: built
+	// on first use so every later reset re-registers them without
+	// allocating.
+	cpuPowerFn   func(now sim.Time, watts float64)
+	radioPowerFn func(now sim.Time, watts float64)
+	doneFn       func()
+
+	// memo fronts the package caches for same-config reruns. Only
+	// NewSession sets it: a cohort viewer is built once and dropped, and
+	// inlined memo fields would grow every one of them.
+	memo *inputMemo
+
 	bgActive bool
+	done     bool
 	horizon  sim.Time // relative to join, same default as Run
 	join     sim.Time
-	started  bool
-	done     bool
-	cutOff   bool
 }
 
 // activityHooks decorates SessionHooks with a second download-activity
@@ -89,21 +101,15 @@ func (h activityHooks) DownloadActivity(now sim.Time, active bool) {
 	h.SessionHooks.DownloadActivity(now, active)
 }
 
-// NewViewer builds a viewer over the shared engine, validating cfg the
-// same way Run does. Per-viewer OnSample and Tracer are rejected: a
-// shared engine multiplexes thousands of sessions, and per-viewer
-// callbacks are exactly the O(viewers) output the cohort design replaces
-// with online aggregation.
-func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, error) {
+// withDefaults validates cfg the way Run does and fills the defaults Run
+// documents: a frame trace's own length as the duration, then the
+// flagship device and sports content at 720p.
+func (cfg RunConfig) withDefaults() (RunConfig, error) {
 	if cfg.Trace != nil && cfg.Duration <= 0 {
 		cfg.Duration = cfg.Trace.Duration()
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.OnSample != nil || cfg.Tracer != nil {
-		return nil, fmt.Errorf("experiments: %w: per-viewer OnSample/Tracer not supported in a cohort (aggregate via rollups)",
-			ErrInvalidConfig)
+		return cfg, err
 	}
 	if cfg.Device.Name == "" {
 		cfg.Device = cpu.DeviceFlagship()
@@ -114,82 +120,122 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 	if cfg.Rung.Name == "" {
 		cfg.Rung = video.R720p
 	}
+	return cfg, nil
+}
 
-	v := &Viewer{cfg: cfg, opts: opts, eng: eng}
-	// An attached governor or thermal sampler keeps scheduling into the
-	// SHARED engine; a half-built viewer must detach on every error path
-	// or it would haunt the whole cohort.
-	ok := false
-	defer func() {
-		if !ok {
-			v.teardown()
-		}
-	}()
-
-	v.chk = buildChecker(cfg)
-	var tr trace.Tracer
-	if v.chk != nil {
-		// The checker rides as the tracer, exactly as in Session.Reset;
-		// no batcher — order (and therefore every verdict) is unchanged,
-		// and viewers have no downstream sink to amortize for.
-		tr = v.chk
-	}
-
-	v.meter = energy.NewMeter(eng)
-
-	var err error
-	v.core, err = cpu.NewCore(eng, cfg.Device)
+// NewViewer builds a viewer over the shared engine, validating cfg the
+// same way Run does. Per-viewer OnSample and Tracer are rejected: a
+// shared engine multiplexes thousands of sessions, and per-viewer
+// callbacks are exactly the O(viewers) output the cohort design replaces
+// with online aggregation.
+func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, error) {
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.OnSample != nil || cfg.Tracer != nil {
+		return nil, fmt.Errorf("experiments: %w: per-viewer OnSample/Tracer not supported in a cohort (aggregate via rollups)",
+			ErrInvalidConfig)
+	}
+	// The checker is a strict viewer's whole tracer chain: no batcher
+	// (order, and therefore every verdict, is unchanged) and no sink to
+	// amortize for.
+	chk := buildChecker(cfg)
+	var tr trace.Tracer
+	if chk != nil {
+		tr = chk
+	}
+	v := &Viewer{eng: eng}
+	if err := v.reset(cfg, chk, tr, opts); err != nil {
+		// An attached governor or thermal sampler keeps scheduling into
+		// the SHARED engine; a half-built viewer would haunt the cohort.
+		v.teardown()
+		return nil, err
+	}
+	return v, nil
+}
+
+// reset wires the viewer for cfg (defaults applied): each component is
+// built on first use and rewound in place on every later call, always in
+// this order — the engine hands out event slots and the RNGs child seeds
+// in call order, so wiring in any other sequence would diverge bit for
+// bit. tr is the tracer every component emits into (nil = untraced); an
+// armed chk must already ride in tr's chain, and collect finalizes it. On
+// error the caller tears the viewer down.
+func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, opts ViewerOptions) error {
+	v.cfg, v.chk, v.opts = cfg, chk, opts
+	v.done, v.bgActive = false, false
+
+	if v.meter == nil {
+		v.meter = energy.NewMeter(v.eng)
+		v.cpuPowerFn = v.meter.Listener(energy.ComponentCPU)
+		v.radioPowerFn = v.meter.Listener(energy.ComponentRadio)
+		v.doneFn = v.handleDone
+	} else {
+		v.meter.Reset()
+	}
+
+	var err error
+	if v.core == nil {
+		if v.core, err = cpu.NewCore(v.eng, cfg.Device); err != nil {
+			return err
+		}
+	} else if err := v.core.Reset(cfg.Device); err != nil {
+		return err
+	}
 	if cfg.CStates {
 		if err := v.core.EnableCStates(cpu.DefaultCStates()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if tr != nil {
 		v.core.SetTracer(tr)
 		v.core.OnPower(tracedListener(v.meter, energy.ComponentCPU, tr))
 	} else {
-		v.core.OnPower(v.meter.Listener(energy.ComponentCPU))
+		v.core.OnPower(v.cpuPowerFn)
 	}
 
-	gov, hooks, eaGov, err := buildGovernor(cfg, tr)
+	gov, hooks, err := v.governorFor(cfg, tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := gov.Attach(eng, v.core); err != nil {
-		return nil, err
+	if err := gov.Attach(v.eng, v.core); err != nil {
+		return err
 	}
-	v.gov, v.eaGov = gov, eaGov
+	v.gov = gov
 
-	bw, rrcCfg, err := buildBandwidth(cfg)
+	bw, rrcCfg, err := v.memo.bandwidth(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if opts.WrapBandwidth != nil {
 		bw = opts.WrapBandwidth(bw)
 	}
-	v.radio, err = netsim.NewRadio(eng, rrcCfg)
-	if err != nil {
-		return nil, err
+	if v.radio == nil {
+		if v.radio, err = netsim.NewRadio(v.eng, rrcCfg); err != nil {
+			return err
+		}
+	} else if err := v.radio.Reset(rrcCfg); err != nil {
+		return err
 	}
 	if tr != nil {
 		v.radio.SetTracer(tr)
 		v.radio.OnPower(tracedListener(v.meter, energy.ComponentRadio, tr))
 	} else {
-		v.radio.OnPower(v.meter.Listener(energy.ComponentRadio))
+		v.radio.OnPower(v.radioPowerFn)
 	}
 
-	v.dl, err = netsim.NewDownloader(eng, bw, v.radio, v.core, netsim.DefaultDownloaderConfig())
-	if err != nil {
-		return nil, err
+	if v.dl == nil {
+		if v.dl, err = netsim.NewDownloader(v.eng, bw, v.radio, v.core, netsim.DefaultDownloaderConfig()); err != nil {
+			return err
+		}
+	} else if err := v.dl.Reset(bw, netsim.DefaultDownloaderConfig()); err != nil {
+		return err
 	}
 
 	if cfg.Thermal != nil {
-		v.thermal, err = cpu.StartThermal(eng, v.core, *cfg.Thermal)
-		if err != nil {
-			return nil, err
+		if v.thermal, err = cpu.StartThermal(v.eng, v.core, *cfg.Thermal); err != nil {
+			return err
 		}
 	}
 
@@ -198,16 +244,25 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 		if cfg.BGSeed != 0 {
 			bgSeed = cfg.BGSeed
 		}
-		v.bg, err = cpu.StartLoadGen(eng, v.core, sim.Stream(bgSeed, "bgload"), cpu.DefaultLoadGenConfig())
-		if err != nil {
-			return nil, err
+		if v.bg == nil {
+			v.bgRNG = sim.Stream(bgSeed, "bgload")
+			if v.bg, err = cpu.StartLoadGen(v.eng, v.core, v.bgRNG, cpu.DefaultLoadGenConfig()); err != nil {
+				return err
+			}
+		} else {
+			// Reseeding reproduces the exact stream a fresh
+			// sim.Stream(seed, "bgload") would draw.
+			v.bgRNG.Reseed(sim.ChildSeed(bgSeed, "bgload"))
+			if err := v.bg.Restart(cpu.DefaultLoadGenConfig()); err != nil {
+				return err
+			}
 		}
 		v.bgActive = true
 	}
 
-	renditions, algo, err := buildRenditions(cfg)
+	renditions, algo, err := v.memo.renditions(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	pcfg := player.DefaultConfig()
@@ -235,26 +290,69 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 		pcfg.DecodedQueueCap = cfg.DecodedQueueCap
 	}
 	pcfg.LowWaterSec = cfg.LowWaterSec
-	// The forecast observes the wrapped bandwidth — the cell-congested
-	// view this viewer's downloader actually integrates — so cohort
-	// oracles predict contended rates, not the pristine sector input.
+	// The forecast observes the wrapped bandwidth — in a cohort, the
+	// cell-congested view this viewer's downloader actually integrates —
+	// so oracles predict contended rates, not the pristine sector input.
 	fc, err := buildForecast(cfg, bw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pcfg.Forecast = fc
-	v.ps, err = player.NewSession(eng, v.core, v.dl, renditions, pcfg)
-	if err != nil {
-		return nil, err
+	if v.ps == nil {
+		if v.ps, err = player.NewSession(v.eng, v.core, v.dl, renditions, pcfg); err != nil {
+			return err
+		}
+	} else if err := v.ps.Reset(renditions, pcfg); err != nil {
+		return err
 	}
-	v.ps.OnDone(v.handleDone)
+	v.ps.OnDone(v.doneFn)
 
 	v.horizon = cfg.Duration*6 + 60*sim.Second
 	if cfg.Horizon > 0 {
 		v.horizon = cfg.Horizon
 	}
-	ok = true
-	return v, nil
+	return nil
+}
+
+// governorFor resolves the run's governor plus, when video-aware, its
+// session hooks; a non-nil tracer is attached to the video-aware
+// policies. The energy-aware instance is rewound in place across resets
+// (predictor state and decision tables); the oracle and the stock
+// baselines are built fresh — they are allocation-light and keep per-run
+// sampling state.
+func (v *Viewer) governorFor(cfg RunConfig, tr trace.Tracer) (governor.Governor, player.SessionHooks, error) {
+	switch cfg.Governor {
+	case GovEnergyAware:
+		pol := cfg.Policy
+		if pol == (core.Config{}) {
+			pol = core.DefaultConfig()
+		}
+		if v.ea == nil {
+			g, err := core.New(pol)
+			if err != nil {
+				return nil, nil, err
+			}
+			v.ea = g
+		} else if err := v.ea.Reset(pol); err != nil {
+			return nil, nil, err
+		}
+		if tr != nil {
+			v.ea.SetTracer(tr)
+		}
+		return v.ea, v.ea, nil
+	case GovOracle:
+		o := core.NewOracle()
+		if tr != nil {
+			o.SetTracer(tr)
+		}
+		return o, o, nil
+	default:
+		g, err := governor.New(string(cfg.Governor))
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, nil, nil
+	}
 }
 
 // Start begins the viewer's playback at the engine's current time — its
@@ -263,23 +361,18 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 // events for later ones.
 func (v *Viewer) Start() {
 	v.join = v.eng.Now()
-	v.started = true
 	v.ps.Start()
 }
-
-// Done reports whether the viewer finished (completed, failed, or was
-// cut at its horizon).
-func (v *Viewer) Done() bool { return v.done }
 
 // Deadline returns the absolute virtual time of the viewer's horizon
 // cap; valid after Start.
 func (v *Viewer) Deadline() sim.Time { return v.join + v.horizon }
 
-// handleDone runs inside the player's completion event: stop the
-// background load at the viewer's own end time (exactly what Run's stop
-// callback does), then hand off to the cohort — which collects now,
-// while the engine clock reads this viewer's end — WITHOUT stopping the
-// shared engine.
+// handleDone runs inside the player's completion event, or the cohort's
+// horizon cut: stop the background load at the viewer's own end time,
+// then hand off to OnDone — where a Session stops its engine and a
+// cohort shard collects while the shared clock still reads this viewer's
+// end.
 func (v *Viewer) handleDone() {
 	if v.done {
 		return
@@ -305,44 +398,34 @@ func (v *Viewer) Cut() bool {
 	if v.done {
 		return false
 	}
-	v.done = true
-	v.cutOff = true
-	if v.bgActive {
-		v.bg.Stop()
-	}
-	if v.opts.OnDone != nil {
-		v.opts.OnDone()
-	}
+	v.handleDone()
 	return true
 }
 
-// Finish closes out a done viewer: energy accounting, the error and
-// invariant checks of Session.Finish in the same order, and the shared
-// collectResult path into res (reusing res's maps — the cohort passes
-// one scratch RunResult per shard, never one per viewer). Call it from
-// OnDone, while the engine clock still reads the viewer's end time.
+// Finish closes out a done viewer: energy accounting, then collect into
+// res (reusing res's maps — the cohort passes one scratch RunResult per
+// shard, never one per viewer). Call it from OnDone, while the engine
+// clock still reads the viewer's end time.
 func (v *Viewer) Finish(res *RunResult) error {
 	if !v.done {
 		return fmt.Errorf("experiments: viewer still streaming; Finish belongs in OnDone")
 	}
 	defer v.teardown()
 	v.meter.Finish()
+	return v.collect(res)
+}
+
+// collect is the close-out both Finish methods share: the session error,
+// the invariant finalize, the horizon check, downloader and background
+// errors, then the outcome into res (reusing res's maps and slices when
+// present). A session neither failed nor completed was cut at its
+// horizon: a Session's engine only stops early on completion or Cancel,
+// and a viewer's only on completion or Cut.
+func (v *Viewer) collect(res *RunResult) error {
 	if err := v.ps.Err(); err != nil {
 		return fmt.Errorf("experiments: session: %w", err)
 	}
-	p := resultParts{
-		cfg:     v.cfg,
-		gov:     v.gov,
-		eaGov:   v.eaGov,
-		eng:     v.eng,
-		meter:   v.meter,
-		core:    v.core,
-		radio:   v.radio,
-		dl:      v.dl,
-		ps:      v.ps,
-		thermal: v.thermal,
-	}
-	if err := finalizeChecker(v.chk, p); err != nil {
+	if err := v.finalizeChecker(); err != nil {
 		return err
 	}
 	if m := v.ps.Metrics(); !m.Completed {
@@ -355,14 +438,101 @@ func (v *Viewer) Finish(res *RunResult) error {
 	if v.bgActive && v.bg.Err() != nil {
 		return fmt.Errorf("experiments: background load: %w", v.bg.Err())
 	}
-	collectResult(p, res)
+	v.collectResult(res)
 	return nil
 }
 
-// teardown quiesces the viewer's recurring machinery in the shared
-// engine — thermal sampler, governor ticker — and detaches the checker
-// from the component tracers so post-finalize radio-tail events (which a
-// standalone Run's stopped engine never fires) cannot reach it.
+// finalizeChecker closes out an armed invariant checker against the
+// run's final ground truth; no checker is a no-op. Any violation is
+// returned wrapped exactly as strict Run reports it.
+func (v *Viewer) finalizeChecker() error {
+	if v.chk == nil {
+		return nil
+	}
+	m := v.ps.Metrics()
+	counts := v.ps.Decoder().Counts()
+	rrcRes := make(map[string]sim.Time, 4)
+	for state, d := range v.radio.Residency() {
+		rrcRes[state.String()] = d
+	}
+	if viol := v.chk.Finalize(invariant.Final{
+		End:           v.eng.Now(),
+		CPUJ:          v.meter.ComponentJ(energy.ComponentCPU),
+		RadioJ:        v.meter.ComponentJ(energy.ComponentRadio),
+		DisplayJ:      v.meter.ComponentJ(energy.ComponentDisplay),
+		FreqResidency: v.core.FreqResidency(),
+		RRCResidency:  rrcRes,
+		IdleResidency: v.core.IdleStateResidency(),
+		Displayed:     m.DisplayedFrames,
+		Dropped:       m.DroppedFrames,
+		Total:         m.TotalFrames,
+		Decoded:       counts.Decoded,
+		Discarded:     counts.Discarded,
+		ReadyLeft:     v.ps.Decoder().ReadyLen(),
+		Completed:     m.Completed,
+	}); viol != nil {
+		return fmt.Errorf("experiments: strict: %w", viol)
+	}
+	return nil
+}
+
+// collectResult gathers a finished simulation's outcome into res, reusing
+// res's maps and slices when present.
+func (v *Viewer) collectResult(res *RunResult) {
+	res.Governor = v.gov.Name()
+	res.CPUJ = v.meter.ComponentJ(energy.ComponentCPU)
+	res.RadioJ = v.meter.ComponentJ(energy.ComponentRadio)
+	res.DisplayJ = v.meter.ComponentJ(energy.ComponentDisplay)
+	res.QoE = v.ps.Metrics()
+	if res.FreqResidency == nil {
+		res.FreqResidency = make(map[int]sim.Time, len(v.cfg.Device.OPPs))
+	}
+	v.core.FreqResidencyInto(res.FreqResidency)
+	if res.RadioResidency == nil {
+		res.RadioResidency = make(map[netsim.RRCState]sim.Time, 4)
+	}
+	v.radio.ResidencyInto(res.RadioResidency)
+	res.RadioPromotions = v.radio.Promotions()
+	res.Fetches = v.dl.Fetches()
+	res.SimEnd = v.eng.Now()
+	res.MeanFreqGHz = meanFreqGHz(v.cfg.Device, res.FreqResidency)
+	if v.cfg.CStates {
+		if res.IdleResidency == nil {
+			res.IdleResidency = make(map[string]sim.Time, 4)
+		}
+		v.core.IdleStateResidencyInto(res.IdleResidency)
+	} else {
+		// A nil map, not an emptied one: it must compare equal to a fresh
+		// run's result, which never allocates the map without C-states.
+		res.IdleResidency = nil
+	}
+	res.OPPTransitions = v.core.Transitions()
+	res.MaxTempC, res.ThrottleEvents, res.ThrottledS = 0, 0, 0
+	if v.thermal != nil {
+		res.MaxTempC = v.thermal.MaxTempC()
+		res.ThrottleEvents = v.thermal.ThrottleEvents()
+		res.ThrottledS = v.thermal.ThrottledTime().Seconds()
+	}
+	if v.cfg.Governor == GovEnergyAware {
+		// Copy the stats out: the governor's RelErr backing array is
+		// recycled by the next reset, so the result must own its slice.
+		st := v.ea.PredStats()
+		if res.Pred == nil {
+			res.Pred = new(core.PredictionStats)
+		}
+		res.Pred.N = st.N
+		res.Pred.Underestimates = st.Underestimates
+		res.Pred.RelErr = append(res.Pred.RelErr[:0], st.RelErr...)
+	} else {
+		res.Pred = nil
+	}
+}
+
+// teardown quiesces the viewer's per-run machinery — thermal sampler,
+// governor ticker — and detaches the checker from the component tracers,
+// so events a shared engine fires after the viewer finished (radio
+// tails, which a standalone Run's stopped engine never fires) cannot
+// reach it.
 func (v *Viewer) teardown() {
 	if v.thermal != nil {
 		v.thermal.Stop()

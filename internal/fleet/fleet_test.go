@@ -78,10 +78,10 @@ func slowRunner(d time.Duration) func(experiments.RunConfig) (experiments.RunRes
 }
 
 // testFleet boots n real dvfsd workers plus a controller over them and
-// returns the controller's base URL, the worker httptest servers (for
-// killing), and the single-node reference dvfsd every merged answer is
-// compared against.
-func testFleet(t *testing.T, n int, workerCfg server.Config, fcfg Config) (string, []*httptest.Server, string) {
+// returns the controller and its base URL, the worker httptest servers
+// (for killing), and the single-node reference dvfsd every merged answer
+// is compared against.
+func testFleet(t *testing.T, n int, workerCfg server.Config, fcfg Config) (*Controller, string, []*httptest.Server, string) {
 	t.Helper()
 	var urls []string
 	var wts []*httptest.Server
@@ -119,7 +119,7 @@ func testFleet(t *testing.T, n int, workerCfg server.Config, fcfg Config) (strin
 		defer cancel()
 		ctl.Shutdown(ctx)
 	})
-	return cts.URL, wts, refTS.URL
+	return ctl, cts.URL, wts, refTS.URL
 }
 
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -141,7 +141,7 @@ const sweepReq = `{"base": {"duration_s": 6}, "governors": ["ondemand", "energya
 // A fleet-merged sweep must be byte-identical to a single node's: same
 // expansion order, same per-point run bodies, same envelope.
 func TestFleetSweepMatchesSingleNode(t *testing.T) {
-	ctlURL, _, refURL := testFleet(t, 3, server.Config{}, Config{
+	_, ctlURL, _, refURL := testFleet(t, 3, server.Config{}, Config{
 		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
 	})
 
@@ -186,17 +186,20 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // ejects it, rehashes its in-flight points onto the survivors, and the
 // merged response still matches the single-node bytes.
 func TestFleetSweepSurvivesWorkerKill(t *testing.T) {
-	ctlURL, workers, refURL := testFleet(t, 3,
+	ctl, ctlURL, workers, refURL := testFleet(t, 3,
 		server.Config{Runner: slowRunner(60 * time.Millisecond), Workers: 2},
 		Config{Retries: 3, Backoff: 5 * time.Millisecond, EjectAfter: 1, ProbeInterval: time.Hour})
 
-	// Kill one worker while the sweep's first wave is still sleeping in
-	// the scripted runner.
+	// Kill a worker the sweep is dispatched to, while the sweep's first
+	// wave is still sleeping in the scripted runner. The ring hashes the
+	// workers' random httptest ports, so a fixed index may own none of the
+	// sweep's points — and a worker never dispatched to is never ejected.
+	victim := workers[sweepOwner(t, ctl, sweepReq)]
 	killed := make(chan struct{})
 	go func() {
 		time.Sleep(25 * time.Millisecond)
-		workers[0].CloseClientConnections()
-		workers[0].Close()
+		victim.CloseClientConnections()
+		victim.Close()
 		close(killed)
 	}()
 
@@ -215,9 +218,29 @@ func TestFleetSweepSurvivesWorkerKill(t *testing.T) {
 
 	// The dead worker must be gone from routing.
 	_, met := getBody(t, ctlURL+"/metrics")
-	if !strings.Contains(string(met), fmt.Sprintf("dvfsctl_worker_up{worker=%q} 0", workers[0].URL)) {
+	if !strings.Contains(string(met), fmt.Sprintf("dvfsctl_worker_up{worker=%q} 0", victim.URL)) {
 		t.Fatalf("killed worker still marked up:\n%s", met)
 	}
+}
+
+// sweepOwner returns the index of the worker the controller's ring
+// routes the sweep's first point to while every worker is alive.
+func sweepOwner(t *testing.T, ctl *Controller, body string) int {
+	t.Helper()
+	req, err := server.DecodeSweepRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := req.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := experiments.ConfigKey(cfgs[0])
+	wi, ok := ctl.ring.pick(key, func(int) bool { return true })
+	if !ok {
+		t.Fatal("ring routed the sweep's first point nowhere")
+	}
+	return wi
 }
 
 const cohortReq = `{"base": {"duration_s": 6}, "viewers": 24, "shards": 6, "rollup_s": 5, "seed": 7}`
@@ -241,7 +264,7 @@ func summaryOf(t *testing.T, raw []byte) (string, cohort.Result) {
 // with all workers healthy, and again with one worker already dead (its
 // shards rehash onto the survivors via ejection).
 func TestFleetCohortMatchesSingleNode(t *testing.T) {
-	ctlURL, workers, refURL := testFleet(t, 3, server.Config{}, Config{
+	_, ctlURL, workers, refURL := testFleet(t, 3, server.Config{}, Config{
 		Retries: 2, Backoff: 5 * time.Millisecond, EjectAfter: 1, ProbeInterval: time.Hour,
 	})
 

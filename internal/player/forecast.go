@@ -233,7 +233,7 @@ func (s *Session) shouldStartBurst() bool {
 	}
 	segBits := s.planSeg[:nSegs]
 	for j := range nSegs {
-		segBits[j] = s.segments[rung][s.nextSeg+j].Bits
+		segBits[j] = s.segments[rung].segs[s.nextSeg+j].Bits
 	}
 	// While playing, the buffer drains at 1 s/s: it crosses low water at
 	// lowT and runs dry at tDry — the deadline for the burst's first

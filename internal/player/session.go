@@ -31,20 +31,11 @@ type Session struct {
 	hooks SessionHooks
 
 	renditions []*video.Stream
-	segments   [][]video.Segment
-	rates      []float64
-	// segSrc/segDurs record which stream (by pointer) and segment duration
-	// each segments entry was computed from, so Reset can keep segment
-	// tables when a recycled session replays the same immutable streams.
-	// The duration stamp is per rendition, not session-wide: the rendition
-	// count can shrink and grow back across resets, and a stale entry
-	// resurfacing from the slice's backing array must not pass the check
-	// on the strength of a stamp some other rendition earned.
-	segSrc  []*video.Stream
-	segDurs []sim.Time
-	fps     float64
-	numSegs int
-	total   int
+	segments   []segTable // per rendition, parallel to renditions
+	rates      []float64  // per-rendition bitrates, handed to the ABR
+	fps        float64
+	numSegs    int
+	total      int
 
 	dec *decode.Decoder
 
@@ -89,6 +80,19 @@ type Session struct {
 	// s.hooks at call time, so re-registering it after a fetcher reset
 	// routes to whatever hooks the current run installed.
 	activityFn func(now sim.Time, active bool)
+}
+
+// segTable is one rendition's segment table plus the stream (by pointer)
+// and segment duration it was cut from, so Reset can keep the table when a
+// recycled session replays the same immutable stream. The stamp lives with
+// the table it describes: the rendition count can shrink and grow back
+// across resets, and a stale entry resurfacing from the slice's backing
+// array must not pass the check on the strength of a stamp some other
+// rendition earned.
+type segTable struct {
+	segs []video.Segment
+	src  *video.Stream
+	dur  sim.Time
 }
 
 // NewSession builds a session over scene-aligned renditions (one per
@@ -159,30 +163,25 @@ func (s *Session) configure(renditions []*video.Stream, cfg Config) error {
 	s.total = len(base.Frames)
 	if cap(s.rates) < len(renditions) {
 		s.rates = make([]float64, len(renditions))
-		s.segments = make([][]video.Segment, len(renditions))
-		s.segSrc = make([]*video.Stream, len(renditions))
-		s.segDurs = make([]sim.Time, len(renditions))
+		s.segments = make([]segTable, len(renditions))
 	} else {
 		s.rates = s.rates[:len(renditions)]
 		s.segments = s.segments[:len(renditions)]
-		s.segSrc = s.segSrc[:len(renditions)]
-		s.segDurs = s.segDurs[:len(renditions)]
 	}
 	for i, r := range renditions {
 		s.rates[i] = r.Spec.BitrateBps
-		if s.segSrc[i] == r && s.segDurs[i] == cfg.SegmentDur {
+		t := &s.segments[i]
+		if t.src == r && t.dur == cfg.SegmentDur {
 			continue
 		}
 		segs, err := video.Segmentize(r, cfg.SegmentDur)
 		if err != nil {
-			s.segSrc[i] = nil
+			t.src = nil
 			return fmt.Errorf("player: rendition %d: %w", i, err)
 		}
-		s.segments[i] = segs
-		s.segSrc[i] = r
-		s.segDurs[i] = cfg.SegmentDur
+		*t = segTable{segs: segs, src: r, dur: cfg.SegmentDur}
 	}
-	s.numSegs = len(s.segments[0])
+	s.numSegs = len(s.segments[0].segs)
 	return nil
 }
 
@@ -326,7 +325,7 @@ func (s *Session) maybeFetch() {
 		s.cfg.Tracer.ABR(trace.ABREvent{T: s.eng.Now(), Segment: s.nextSeg,
 			FromRung: s.lastRung, ToRung: rung, RateBps: s.rates[rung]})
 	}
-	seg := s.segments[rung][s.nextSeg]
+	seg := s.segments[rung].segs[s.nextSeg]
 	s.fetching = true
 	s.fetchRung = rung
 	s.fetchSeg = seg

@@ -468,7 +468,7 @@ func TestResetSegmentTableNoResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s.segments {
-		if got := len(s.segments[i]); got != s.numSegs {
+		if got := len(s.segments[i].segs); got != s.numSegs {
 			t.Fatalf("rung %d has %d segments, want %d: stale table resurrected across Reset", i, got, s.numSegs)
 		}
 	}

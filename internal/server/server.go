@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,8 +78,12 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	// Workers resolves first: the queue default scales with it.
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	if c.Queue <= 0 {
-		c.Queue = 4 * max(c.Workers, 1)
+		c.Queue = 4 * c.Workers
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -738,6 +739,23 @@ func TestMetricsShape(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// The default admission queue is 4× the resolved worker count. Workers
+// defaults to GOMAXPROCS, so the queue must be sized after that
+// resolution, not from the unresolved zero.
+func TestDefaultQueueIsFourTimesWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := string(readAll(t, mustGet(t, ts.URL+"/metrics")))
+	workers := runtime.GOMAXPROCS(0)
+	for _, want := range []string{
+		fmt.Sprintf("dvfsd_workers %d\n", workers),
+		fmt.Sprintf("dvfsd_queue_capacity %d\n", 4*workers),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("New(Config{}) metrics missing %q:\n%s", want, body)
 		}
 	}
 }
