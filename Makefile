@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test alloc-budget fleet-e2e stress-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
+.PHONY: check fmt vet build test alloc-budget fleet-e2e stress-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
 
-# The full gate: vet, build, race-enabled tests (includes the golden
-# regression suite and the parallel/serial equivalence test), the
+# The full gate: formatting, vet, build, race-enabled tests (includes the
+# golden regression suite and the parallel/serial equivalence test), the
 # zero-allocation budget for the steady-state run loop, and the fleet
 # and wire-level stress end-to-end batteries.
-check: vet build test alloc-budget fleet-e2e stress-e2e
+check: fmt vet build test alloc-budget fleet-e2e stress-e2e
+
+# Fails, naming the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -41,9 +45,10 @@ stress-e2e:
 	$(GO) test -race -count 1 ./internal/stress ./cmd/dvfsstress
 	$(GO) test -race -count 1 ./cmd/dvfsim -run 'TestBWTraceFileReplay'
 
-# Ten seconds of coverage-guided fuzzing per untrusted-input parser
-# (checked-in seeds live under */testdata/fuzz). Native fuzzing allows
-# one -fuzz target per invocation, hence the separate runs.
+# Ten seconds of coverage-guided fuzzing per untrusted-input parser, plus
+# the event engine against its reference model (checked-in seeds live
+# under */testdata/fuzz). Native fuzzing allows one -fuzz target per
+# invocation, hence the separate runs.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzParseGovernorID$$' -fuzztime $(FUZZTIME)
@@ -54,6 +59,7 @@ fuzz-short:
 	$(GO) test ./internal/player -run '^$$' -fuzz '^FuzzForecastSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime $(FUZZTIME)
 
 # Rebuild the full 30-experiment evaluation with the invariant checker
 # riding every simulation (DESIGN.md §10). Exits non-zero on the first
@@ -79,9 +85,12 @@ bench:
 
 # The pinned hot-path benchmarks the gate and the baseline agree on.
 # 2 s samples keep the best-of-run minimum (what benchgate compares)
-# inside ~3% run-to-run on a shared box; 1 s samples do not.
+# inside ~3% run-to-run on a shared box; 1 s samples do not. Pin and gate
+# both run at one CPU: above one, the cohort step's per-step worker
+# goroutines make its allocs/op vary by a few between processes, and the
+# gate allows no allocs/op increase.
 GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$
-GATE_FLAGS = -benchmem -benchtime 2s -count 5
+GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
 # Re-pin the hot-path baseline (bench/baseline.txt). Run on the seed (or
 # after an intended perf change), then commit the new numbers.

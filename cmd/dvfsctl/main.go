@@ -73,6 +73,11 @@ func run(args []string) error {
 	if len(urls) == 0 {
 		return fmt.Errorf("no workers: pass -workers with at least one dvfsd base URL")
 	}
+	// Resolve the default here so the startup log reports the bound in
+	// force rather than the zero "use the default" sentinel.
+	if *concurrency <= 0 {
+		*concurrency = 4 * len(urls)
+	}
 
 	ctl, err := fleet.New(fleet.Config{
 		Workers:       urls,

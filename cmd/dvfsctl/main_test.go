@@ -129,6 +129,11 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 	if !strings.Contains(capt.String(), "drained") {
 		t.Fatalf("drain line missing from log:\n%s", capt.String())
 	}
+	// The default concurrency (4 per worker) is resolved before logging,
+	// so the startup line reports the bound in force, not the 0 sentinel.
+	if !strings.Contains(capt.String(), "workers=1 concurrency=4 ") {
+		t.Fatalf("startup line does not report the resolved concurrency:\n%s", capt.String())
+	}
 }
 
 func TestRunFlagErrors(t *testing.T) {

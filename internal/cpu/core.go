@@ -94,6 +94,12 @@ func (q *jobQueue) pop() *Job {
 
 func (q *jobQueue) len() int { return len(q.buf) - q.head }
 
+// tagCycles is one job tag's completed-cycle total.
+type tagCycles struct {
+	tag    string
+	cycles float64
+}
+
 type runningJob struct {
 	job       *Job
 	remaining float64
@@ -119,10 +125,13 @@ type Core struct {
 	// stallUntil is the end of an in-flight DVFS transition stall.
 	stallUntil sim.Time
 
-	totalBusy   sim.Time
-	busySince   sim.Time
-	busy        bool
-	cyclesByTag map[string]float64
+	totalBusy sim.Time
+	busySince sim.Time
+	busy      bool
+	// cyclesByTag is per-tag completed cycles in first-seen order (hot
+	// path), sized for the pipeline's four tags: decode, net, background
+	// and audio. CyclesByTag converts to a map at the reporting boundary.
+	cyclesByTag []tagCycles
 
 	onPower func(now sim.Time, watts float64)
 	onOPP   func(now sim.Time, idx int)
@@ -152,7 +161,7 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 		eng:         eng,
 		model:       model,
 		capIdx:      model.MaxIdx(),
-		cyclesByTag: make(map[string]float64),
+		cyclesByTag: make([]tagCycles, 0, 4),
 		freqDwell:   make([]sim.Time, len(model.OPPs)),
 	}
 	c.completeFn = c.complete
@@ -161,7 +170,7 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 
 // Reset rewinds the core to the state NewCore would construct for model,
 // keeping its allocations: queue backing arrays, the dwell table (when the
-// OPP count matches), the per-tag accounting map, and the pre-bound
+// OPP count matches), the per-tag accounting table, and the pre-bound
 // completion callback all survive. Queued and in-flight jobs are returned
 // to their pools so recycled submitters find them again; listeners and the
 // tracer are dropped (the next run re-registers its own); the cpuidle
@@ -196,7 +205,7 @@ func (c *Core) Reset(model Model) error {
 	c.totalBusy = 0
 	c.busySince = 0
 	c.busy = false
-	clear(c.cyclesByTag)
+	c.cyclesByTag = c.cyclesByTag[:0]
 	c.onPower = nil
 	c.onOPP = nil
 	c.onBusy = nil
@@ -285,8 +294,8 @@ func (c *Core) BusyTime() sim.Time {
 // CyclesByTag returns cumulative completed cycles grouped by job tag.
 func (c *Core) CyclesByTag() map[string]float64 {
 	out := make(map[string]float64, len(c.cyclesByTag))
-	for k, v := range c.cyclesByTag {
-		out[k] = v
+	for _, tc := range c.cyclesByTag {
+		out[tc.tag] = tc.cycles
 	}
 	return out
 }
@@ -483,7 +492,7 @@ func (c *Core) dispatch() {
 
 func (c *Core) complete() {
 	job := c.current.job
-	c.cyclesByTag[job.Tag] += job.Cycles
+	c.addCycles(job.Tag, job.Cycles)
 	c.current = runningJob{}
 	c.running = false
 	c.doneEv = sim.Event{}
@@ -494,6 +503,18 @@ func (c *Core) complete() {
 		job.pool.put(job)
 	}
 	c.dispatch()
+}
+
+// addCycles credits completed cycles to a tag, appending the tag the
+// first time it is seen.
+func (c *Core) addCycles(tag string, cycles float64) {
+	for i := range c.cyclesByTag {
+		if c.cyclesByTag[i].tag == tag {
+			c.cyclesByTag[i].cycles += cycles
+			return
+		}
+	}
+	c.cyclesByTag = append(c.cyclesByTag, tagCycles{tag: tag, cycles: cycles})
 }
 
 // UtilSampler computes windowed utilization the way cpufreq samplers do:

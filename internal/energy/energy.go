@@ -32,20 +32,29 @@ func NewMeter(eng *sim.Engine) *Meter {
 	return &Meter{eng: eng, comps: make(map[string]*stats.TimeWeighted)}
 }
 
-// Set records that a component draws watts from now on.
+// Set records that a component draws watts from now on. It finds the
+// component by name on every call; per-event power hooks use Listener.
 func (m *Meter) Set(component string, watts float64) {
-	tw, ok := m.comps[component]
-	if !ok {
-		tw = &stats.TimeWeighted{}
-		m.comps[component] = tw
-	}
-	tw.Set(m.eng.Now().Seconds(), watts)
+	m.component(component).Set(m.eng.Now().Seconds(), watts)
 }
 
 // Listener returns a callback suitable for power-change hooks (e.g.
-// cpu.Core.OnPower) that feeds this meter.
+// cpu.Core.OnPower) that feeds this meter. Binding registers the component
+// and looks up its accumulator once, so each power step is a direct
+// update with no map access.
 func (m *Meter) Listener(component string) func(now sim.Time, watts float64) {
-	return func(_ sim.Time, watts float64) { m.Set(component, watts) }
+	tw := m.component(component)
+	return func(_ sim.Time, watts float64) { tw.Set(m.eng.Now().Seconds(), watts) }
+}
+
+// component returns a component's accumulator, creating it on first use.
+func (m *Meter) component(name string) *stats.TimeWeighted {
+	tw, ok := m.comps[name]
+	if !ok {
+		tw = &stats.TimeWeighted{}
+		m.comps[name] = tw
+	}
+	return tw
 }
 
 // Reset forgets every component's accumulated signal while keeping the

@@ -54,10 +54,10 @@ func fuzzResetVariants() []RunConfig {
 // use-after-reset hazards.
 func FuzzSessionReset(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x05})          // cut every variant, then full run
-	f.Add([]byte{0x20, 0x20, 0x00})                            // abandon, abandon, run
-	f.Add([]byte{0x13, 0x03, 0x13, 0x03})                      // alternate cut/full on one config
-	f.Add([]byte{0x35, 0x24, 0x13, 0x02, 0x11, 0x30, 0x00})    // all modes mixed
+	f.Add([]byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x05})       // cut every variant, then full run
+	f.Add([]byte{0x20, 0x20, 0x00})                         // abandon, abandon, run
+	f.Add([]byte{0x13, 0x03, 0x13, 0x03})                   // alternate cut/full on one config
+	f.Add([]byte{0x35, 0x24, 0x13, 0x02, 0x11, 0x30, 0x00}) // all modes mixed
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 12 {
 			script = script[:12] // bound per-case work

@@ -81,8 +81,10 @@ type Config struct {
 	// VNodes is the consistent-hash ring's virtual nodes per worker
 	// (≤0 = 64).
 	VNodes int
-	// Client issues the worker requests (nil = a fresh http.Client; the
-	// per-attempt timeout comes from Timeout either way).
+	// Client issues the worker requests and health probes (nil = a client
+	// whose transport keeps Concurrency connections per worker, with the
+	// probes on a pool of their own; the per-attempt timeout comes from
+	// Timeout either way).
 	Client *http.Client
 }
 
@@ -115,7 +117,18 @@ func (c Config) withDefaults() Config {
 		c.VNodes = 64
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{}
+		// DefaultTransport keeps only 2 idle connections per host, so with
+		// up to Concurrency dispatches in flight to one worker, every
+		// burst would close and redial the rest. Capping the pool at
+		// Concurrency too stops a dial that loses the race to a returning
+		// idle connection from opening one more.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = c.Concurrency
+		tr.MaxConnsPerHost = c.Concurrency
+		if tr.MaxIdleConns < c.Concurrency {
+			tr.MaxIdleConns = c.Concurrency
+		}
+		c.Client = &http.Client{Transport: tr}
 	}
 	return c
 }
@@ -132,6 +145,7 @@ type Controller struct {
 	draining atomic.Bool
 	stop     chan struct{}
 	probed   chan struct{} // closed when the probe loop exits
+	probes   *http.Client  // issues the /healthz probes
 }
 
 // New builds a Controller over cfg.Workers (all initially alive) and
@@ -139,6 +153,13 @@ type Controller struct {
 func New(cfg Config) (*Controller, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
+	}
+	probes := cfg.Client
+	if probes == nil {
+		// The default dispatch pool can have all of a worker's
+		// connections busy with slow runs; a probe waiting there would
+		// stall the sequential probe loop for every worker.
+		probes = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	cfg = cfg.withDefaults()
 	c := &Controller{
@@ -148,6 +169,7 @@ func New(cfg Config) (*Controller, error) {
 		met:    newMetrics(),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
+		probes: probes,
 	}
 	for _, u := range cfg.Workers {
 		w := &worker{url: strings.TrimRight(u, "/")}
@@ -407,7 +429,7 @@ func (c *Controller) probe(w *worker) {
 	if err != nil {
 		return
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.probes.Do(req)
 	if err != nil {
 		w.fail(int64(c.cfg.EjectAfter))
 		return

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -418,5 +420,135 @@ func TestFleetNoWorkersAndRevival(t *testing.T) {
 	}
 	if resp, raw := post(t, cts.URL+"/v1/cohort", cohortReq); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cohort after revival: status %d: %s", resp.StatusCode, raw)
+	}
+}
+
+// The default worker client must keep a connection per concurrent
+// dispatch alive between sweeps: with net/http's default of 2 idle
+// connections per host, every burst of Concurrency dispatches to one
+// worker closed and redialed the rest.
+func TestDefaultClientReusesWorkerConnections(t *testing.T) {
+	var dials atomic.Int64
+	s := server.New(server.Config{})
+	wts := httptest.NewUnstartedServer(s.Handler())
+	wts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	wts.Start()
+	t.Cleanup(func() {
+		wts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+
+	ctl, err := New(Config{Workers: []string{wts.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	t.Cleanup(func() {
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+
+	const sweep = `{"base": {"duration_s": 2}, "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]}`
+	for i := 0; i < 20; i++ {
+		if resp, raw := post(t, cts.URL+"/v1/sweep", sweep); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+	}
+	if n, limit := dials.Load(), int64(ctl.cfg.Concurrency); n > limit {
+		t.Fatalf("20 sweeps opened %d worker connections, want at most Concurrency = %d", n, limit)
+	}
+}
+
+// Health probes must not queue behind dispatches. The default client caps
+// each worker at Concurrency connections, so with every one of them held
+// by a slow run on worker A, a probe sharing that pool would wait for a
+// run to finish (up to Timeout) and stall the probe loop for every
+// worker behind A: here, an ejected worker B that has come back.
+func TestProbeNotBlockedBySaturatedWorker(t *testing.T) {
+	sa, sb := server.New(server.Config{}), server.New(server.Config{})
+	var held atomic.Int64
+	release := make(chan struct{})
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			held.Add(1)
+			<-release
+		}
+		sa.Handler().ServeHTTP(w, r)
+	}))
+	var bDown atomic.Bool
+	bDown.Store(true)
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if bDown.Load() {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		sb.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		sa.Shutdown(ctx)
+		sb.Shutdown(ctx)
+	})
+
+	const interval = 50 * time.Millisecond
+	ctl, err := New(Config{Workers: []string{a.URL, b.URL}, EjectAfter: 1, ProbeInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	var freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(release) }) }
+	t.Cleanup(func() {
+		free()
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+	waitFor := func(what string, d time.Duration, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(d); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within %v", what, d)
+			}
+		}
+	}
+	waitFor("worker B ejected by its failing probe", 10*time.Second, func() bool { return !ctl.workers[1].alive.Load() })
+
+	// With B ejected, every point of the sweep routes to A.
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(cts.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"base": {"duration_s": 2}, "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]}`))
+		if err != nil {
+			status <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	limit := int64(ctl.cfg.Concurrency)
+	waitFor("Concurrency dispatches held on worker A", 10*time.Second, func() bool { return held.Load() == limit })
+
+	bDown.Store(false)
+	waitFor("worker B revived by the probe loop", 40*interval, func() bool { return ctl.workers[1].alive.Load() })
+	if n := held.Load(); n != limit {
+		t.Fatalf("worker A saw %d dispatches while saturated, want %d", n, limit)
+	}
+	free()
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("sweep after release: status %d", code)
 	}
 }

@@ -30,8 +30,8 @@ func feedClean(c *Checker) {
 // cleanFinal is the engine-side accounting matching feedClean at end=10.
 func cleanFinal() Final {
 	return Final{
-		End:  10,
-		CPUJ: 0.1*1 + 0.2*9, // 0.1 W over [0,1), 0.2 W over [1,10]
+		End:           10,
+		CPUJ:          0.1*1 + 0.2*9, // 0.1 W over [0,1), 0.2 W over [1,10]
 		FreqResidency: map[int]sim.Time{0: 1, 1: 9},
 		RRCResidency:  map[string]sim.Time{"IDLE": 10},
 		Displayed:     1, Dropped: 0, Total: 1,
@@ -246,8 +246,8 @@ func TestRuleCatalog(t *testing.T) {
 // not the fallout that follows it.
 func TestFirstViolationWins(t *testing.T) {
 	c := New(cleanConfig())
-	c.OPP(trace.OPPEvent{T: 1, From: 0, To: 7, FreqHz: 9e9})       // first: opp-table
-	c.Power(trace.PowerEvent{T: 2, Component: "cpu", Watts: -1})   // fallout
+	c.OPP(trace.OPPEvent{T: 1, From: 0, To: 7, FreqHz: 9e9})     // first: opp-table
+	c.Power(trace.PowerEvent{T: 2, Component: "cpu", Watts: -1}) // fallout
 	v := c.Err()
 	if v == nil || v.Rule != "opp-table" {
 		t.Fatalf("first violation = %v, want opp-table", v)

@@ -65,13 +65,20 @@ type Event struct {
 // present); the zero Event is invalid.
 func (e Event) Valid() bool { return e.gen != 0 }
 
-// eventSlot is one pooled event in the engine's slab.
+// eventSlot is one pooled event in the engine's slab. The ordering key
+// lives in the heap entry, not here, so sifts never read through the slab.
 type eventSlot struct {
-	at  Time
-	seq uint64
 	fn  func()
 	gen uint32
 	pos int32 // position in the heap; -1 when free
+}
+
+// heapEntry is one pending event's ordering key, stored inline in the heap
+// array, plus the slab index of its callback.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // Engine is a discrete-event simulator instance.
@@ -81,11 +88,15 @@ type Engine struct {
 	now   Time
 	slots []eventSlot
 	free  []int32
-	heap  []int32 // slot indices ordered by (at, seq)
+	heap  []heapEntry // ordered by (at, seq)
 	seq   uint64
 	// executed counts callbacks run, for tests and runaway detection.
 	executed uint64
 	stopped  bool
+	// spent is set while the firing event's entry still occupies heap[0]
+	// (see RunUntil): the callback's first At overwrites it in place, and
+	// RunUntil pops it only if the callback scheduled nothing.
+	spent bool
 }
 
 // NewEngine returns an engine with the clock at zero and an empty heap.
@@ -100,12 +111,17 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.spent {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // Schedule runs fn after delay (relative to Now). A negative delay is
 // clamped to zero so causality is preserved. A non-finite delay panics,
 // naming the call site: NaN would slip past the clamp (every comparison
-// against NaN is false), enter the heap, and poison every heapLess
+// against NaN is false), enter the heap, and poison every heap
 // comparison, while ±Inf enters as an event that can never fire and turns
 // subsequent time arithmetic into Inf/NaN — the same silent corruption.
 // It returns a handle usable with Cancel.
@@ -140,11 +156,19 @@ func (e *Engine) At(t Time, fn func()) Event {
 		idx = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
 	s.fn = fn
+	ent := heapEntry{at: t, seq: e.seq, idx: idx}
 	e.seq++
-	e.heapPush(idx)
+	if e.spent {
+		// Re-arm in place: the new event takes the firing event's root
+		// entry, which every pending event follows, so one sift-down
+		// restores the order a pop-then-push would have.
+		e.spent = false
+		e.heapDown(0, ent)
+	} else {
+		e.heap = append(e.heap, ent)
+		e.heapUp(len(e.heap)-1, ent)
+	}
 	return Event{idx: idx, gen: s.gen}
 }
 
@@ -206,8 +230,6 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Reset() {
 	for i := range e.slots {
 		s := &e.slots[i]
-		s.at = 0
-		s.seq = 0
 		s.fn = nil
 		s.gen++
 		s.pos = -1
@@ -222,6 +244,7 @@ func (e *Engine) Reset() {
 		e.free = append(e.free, int32(i))
 	}
 	e.heap = e.heap[:0]
+	e.spent = false
 	e.now = 0
 	e.seq = 0
 	e.executed = 0
@@ -237,20 +260,23 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // heap empties earlier than horizon only when horizon is finite.
 func (e *Engine) RunUntil(horizon Time) Time {
 	e.stopped = false
+	// A callback that panicked left its spent entry at the root.
+	e.dropSpent()
 	for len(e.heap) > 0 && !e.stopped {
-		idx := e.heap[0]
-		s := &e.slots[idx]
-		if s.at > horizon {
+		root := e.heap[0]
+		if root.at > horizon {
 			break
 		}
-		fn := s.fn
-		e.now = s.at
-		e.heapRemove(0)
+		fn := e.slots[root.idx].fn
+		e.now = root.at
 		// Release before the callback so fn can recycle the slot; the
-		// generation bump keeps any retained handle from matching it.
-		e.release(idx)
+		// generation bump keeps any retained handle from matching it. The
+		// spent entry stays at the root for the callback's first At.
+		e.release(root.idx)
+		e.spent = true
 		e.executed++
 		fn()
+		e.dropSpent()
 	}
 	if horizon != Forever && e.now < horizon && !e.stopped {
 		e.now = horizon
@@ -258,72 +284,77 @@ func (e *Engine) RunUntil(horizon Time) Time {
 	return e.now
 }
 
-// heapLess orders slots by (at, seq) so equal-time events run FIFO.
-func (e *Engine) heapLess(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+// dropSpent pops the firing event's root entry if no At overwrote it.
+func (e *Engine) dropSpent() {
+	if e.spent {
+		e.spent = false
+		e.heapRemove(0)
 	}
-	return sa.seq < sb.seq
 }
 
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	pos := len(e.heap) - 1
-	e.slots[idx].pos = int32(pos)
-	e.heapUp(pos)
+// less orders entries by (at, seq) so equal-time events run FIFO.
+func (a heapEntry) less(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
-// heapRemove deletes the element at heap position pos.
+// heapRemove deletes the entry at heap position pos. The removed slot's
+// pos is left for release to clear.
 func (e *Engine) heapRemove(pos int) {
 	last := len(e.heap) - 1
-	if pos != last {
-		e.heapSwap(pos, last)
-	}
-	e.slots[e.heap[last]].pos = -1
+	ent := e.heap[last]
 	e.heap = e.heap[:last]
-	if pos != last {
-		if !e.heapDown(pos) {
-			e.heapUp(pos)
-		}
+	if pos == last {
+		return
+	}
+	if pos > 0 && ent.less(e.heap[(pos-1)/2]) {
+		e.heapUp(pos, ent)
+	} else {
+		e.heapDown(pos, ent)
 	}
 }
 
-func (e *Engine) heapSwap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.slots[e.heap[i]].pos = int32(i)
-	e.slots[e.heap[j]].pos = int32(j)
-}
-
-func (e *Engine) heapUp(pos int) {
+// heapUp places ent, moving the hole at pos toward the root past every
+// parent that ent precedes: one store and one pos update per level.
+func (e *Engine) heapUp(pos int, ent heapEntry) {
+	h, slots := e.heap, e.slots
 	for pos > 0 {
 		parent := (pos - 1) / 2
-		if !e.heapLess(e.heap[pos], e.heap[parent]) {
+		p := h[parent]
+		if !ent.less(p) {
 			break
 		}
-		e.heapSwap(pos, parent)
+		h[pos] = p
+		slots[p.idx].pos = int32(pos)
 		pos = parent
 	}
+	h[pos] = ent
+	slots[ent.idx].pos = int32(pos)
 }
 
-// heapDown sifts the element at pos toward the leaves; it reports whether
-// the element moved.
-func (e *Engine) heapDown(pos int) bool {
-	start := pos
-	n := len(e.heap)
+// heapDown places ent, moving the hole at pos toward the leaves past every
+// smaller child.
+func (e *Engine) heapDown(pos int, ent heapEntry) {
+	h, slots := e.heap, e.slots
+	n := len(h)
 	for {
 		child := 2*pos + 1
 		if child >= n {
 			break
 		}
-		if right := child + 1; right < n && e.heapLess(e.heap[right], e.heap[child]) {
+		if right := child + 1; right < n && h[right].less(h[child]) {
 			child = right
 		}
-		if !e.heapLess(e.heap[child], e.heap[pos]) {
+		c := h[child]
+		if !c.less(ent) {
 			break
 		}
-		e.heapSwap(pos, child)
+		h[pos] = c
+		slots[c.idx].pos = int32(pos)
 		pos = child
 	}
-	return pos > start
+	h[pos] = ent
+	slots[ent.idx].pos = int32(pos)
 }

@@ -200,6 +200,31 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// A callback that panics leaves its spent root entry behind; the engine
+// must neither count it as pending nor fire anything twice when Run is
+// called again after the panic is recovered.
+func TestEngineRunAfterRecoveredPanic(t *testing.T) {
+	eng := NewEngine()
+	var fired []int
+	eng.Schedule(Second, func() { fired = append(fired, 1); panic("model bug") })
+	eng.Schedule(2*Second, func() { fired = append(fired, 2) })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("callback panic did not propagate")
+			}
+		}()
+		eng.Run()
+	}()
+	if eng.Pending() != 1 {
+		t.Fatalf("pending after recovered panic = %d, want 1", eng.Pending())
+	}
+	eng.Run()
+	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 || eng.Pending() != 0 {
+		t.Fatalf("fired %v, pending %d; want [1 2] and 0", fired, eng.Pending())
+	}
+}
+
 func TestEngineExecutedCounter(t *testing.T) {
 	eng := NewEngine()
 	for i := 0; i < 7; i++ {
@@ -500,7 +525,7 @@ func TestPickTreatsNonFiniteWeightsAsZero(t *testing.T) {
 
 // TestScheduleRejectsNonFinite pins the non-finite guard on the event
 // heap: NaN slips past the t < now clamp (every NaN comparison is false)
-// and poisons every heapLess comparison, while ±Inf enters as an event
+// and poisons every heap comparison, while ±Inf enters as an event
 // that can never fire and turns later time arithmetic into Inf/NaN — so
 // the engine refuses both loudly, naming the call site.
 func TestScheduleRejectsNonFinite(t *testing.T) {

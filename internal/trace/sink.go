@@ -265,7 +265,7 @@ func (s *CSVSink) row(ev string, t float64) {
 	s.w.line(b)
 }
 
-func cInt(v int) string      { return strconv.Itoa(v) }
+func cInt(v int) string       { return strconv.Itoa(v) }
 func cFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Decision implements Tracer.
