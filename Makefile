@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test alloc-budget fleet-e2e stress-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
+.PHONY: check fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
 
 # The full gate: formatting, vet, build, race-enabled tests (includes the
 # golden regression suite and the parallel/serial equivalence test), the
-# zero-allocation budget for the steady-state run loop, and the fleet
-# and wire-level stress end-to-end batteries.
-check: fmt vet build test alloc-budget fleet-e2e stress-e2e
+# zero-allocation budget for the steady-state run loop, the fleet and
+# wire-level stress end-to-end batteries, and the benchmark module.
+check: fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e
 
 # Fails, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -45,6 +45,13 @@ stress-e2e:
 	$(GO) test -race -count 1 ./internal/stress ./cmd/dvfsstress
 	$(GO) test -race -count 1 ./cmd/dvfsim -run 'TestBWTraceFileReplay'
 
+# Vet and test the end-to-end benchmark (bench/e2e): a module of its own,
+# so the root vet, build and test never compile it, yet it calls the
+# server and fleet APIs. Its tests include a one-second smoke run of
+# every workload with the output checks armed.
+bench-e2e:
+	cd bench/e2e && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
+
 # Ten seconds of coverage-guided fuzzing per untrusted-input parser, plus
 # the event engine against its reference model (checked-in seeds live
 # under */testdata/fuzz). Native fuzzing allows one -fuzz target per
@@ -58,6 +65,7 @@ fuzz-short:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzSessionReset$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/player -run '^$$' -fuzz '^FuzzForecastSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime $(FUZZTIME)
 

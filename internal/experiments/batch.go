@@ -94,9 +94,11 @@ func SeedRange(lo, hi int64) []int64 {
 	if hi < lo {
 		return nil
 	}
-	out := make([]int64, 0, hi-lo+1)
-	for s := lo; s <= hi; s++ {
-		out = append(out, s)
+	// Counted, not compared against hi: s <= hi holds for every int64
+	// when hi is MaxInt64, so a seed loop would wrap and never end.
+	out := make([]int64, hi-lo+1)
+	for i := range out {
+		out[i] = lo + int64(i)
 	}
 	return out
 }

@@ -98,6 +98,10 @@ func TestSeedRange(t *testing.T) {
 	if got := SeedRange(7, 2); got != nil {
 		t.Errorf("SeedRange(7,2) = %v, want nil", got)
 	}
+	// The top of the seed space: a loop on s <= hi never ends here.
+	if got := SeedRange(math.MaxInt64-1, math.MaxInt64); !reflect.DeepEqual(got, []int64{math.MaxInt64 - 1, math.MaxInt64}) {
+		t.Errorf("SeedRange(MaxInt64-1, MaxInt64) = %v", got)
+	}
 }
 
 // TestSweepExpand pins the expansion order (declaration-major,

@@ -10,15 +10,7 @@ import (
 
 	"videodvfs/internal/cohort"
 	"videodvfs/internal/server"
-	"videodvfs/internal/sim"
 )
-
-// cohortSummaryFrame mirrors dvfsd's cohort summary NDJSON line.
-type cohortSummaryFrame struct {
-	Ev     string        `json:"ev"`
-	Key    string        `json:"key,omitempty"`
-	Result cohort.Result `json:"result"`
-}
 
 // handleCohort shards one cohort across the fleet. The shard layout is a
 // pure function of the cohort config, so the controller derives it
@@ -30,43 +22,39 @@ type cohortSummaryFrame struct {
 // cohort stream with. (Rollup frames require the whole-cohort barrier
 // state no part can see, so a fleet cohort answers with the summary
 // only.)
+//
+// The controller routes by the key of the request as decoded, but labels
+// the summary with the key the workers computed after applying their own
+// bounds, which every part body carries: the label is a single node's
+// without the controller copying the workers' settings. Parts that
+// disagree on the key ran under different settings and merge into no
+// single node's answer, so the controller refuses them with a 500.
 func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 	c.met.request("cohort")
 	if c.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, server.CodeDraining, "controller draining, not admitting new work")
+		server.WriteJSON(w, http.StatusServiceUnavailable,
+			server.NewEnvelope(server.CodeDraining, "controller draining, not admitting new work"))
 		return
 	}
 	req, err := server.DecodeCohortRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if len(r.URL.Query()) != 0 {
 		// ?stream=1 and ?strict=1 need single-engine context a sharded
 		// cohort does not have; reject rather than silently degrade.
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest,
-			"fleet: /v1/cohort accepts no query parameters (stream/strict are single-node features)")
+		server.WriteJSON(w, http.StatusBadRequest, server.NewEnvelope(server.CodeBadRequest,
+			"fleet: /v1/cohort accepts no query parameters (stream/strict are single-node features)"))
 		return
 	}
 	cfg, err := req.Config()
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	// Pin the horizon exactly like a worker's admission step does before
-	// it computes the cohort key: the canonical key covers every config
-	// field, so the controller must resolve defaults identically or the
-	// key it echoes (and routes by) diverges from the single-node one.
-	if cfg.Base.Horizon <= 0 {
-		cfg.Base.Horizon = cfg.Base.Duration*6 + 60*sim.Second
-	}
-	if cfg.Base.Horizon > c.cfg.MaxHorizon {
-		cfg.Base.Horizon = c.cfg.MaxHorizon
-	}
-	nShards := cohort.ShardCount(cfg)
 	key, _ := cohort.Key(cfg)
-
-	shards := make([]int, nShards)
+	shards := make([]int, cohort.ShardCount(cfg))
 	for i := range shards {
 		shards[i] = i
 	}
@@ -75,22 +63,28 @@ func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 		c.writeDispatchError(w, resp, err)
 		return
 	}
-	merged, err := cohort.MergeParts(parts)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
-		return
+	partials := make([]cohort.Partial, len(parts))
+	for i, p := range parts {
+		if p.Key != parts[0].Key {
+			server.WriteJSON(w, http.StatusInternalServerError, server.NewEnvelope(server.CodeInternal,
+				fmt.Sprintf("fleet: workers disagree on the cohort key (%s vs %s); their settings differ", parts[0].Key, p.Key)))
+			return
+		}
+		partials[i] = p.Partial
 	}
-	body, err := json.Marshal(cohortSummaryFrame{Ev: "summary", Key: key, Result: merged})
+	merged, err := cohort.MergeParts(partials)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+		server.WriteJSON(w, http.StatusInternalServerError, server.NewEnvelope(server.CodeInternal, err.Error()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Write(append(body, '\n'))
+	if err := json.NewEncoder(w).Encode(server.CohortSummaryFrame{Ev: "summary", Key: parts[0].Key, Result: merged}); err != nil {
+		server.WriteJSON(w, http.StatusInternalServerError, server.NewEnvelope(server.CodeInternal, err.Error()))
+	}
 }
 
 // runShards dispatches the named shard indexes across the fleet and
-// collects their partials. Shards group per owning worker (one
+// collects the workers' part bodies. Shards group per owning worker (one
 // /v1/cohort/part per worker per round, so a worker's part cache key is
 // stable across identical cohorts); when a worker is ejected
 // mid-dispatch its group rehashes onto the survivors in the next round.
@@ -102,8 +96,8 @@ func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 // Failures return either a non-nil error (fleet-level) or a wresp with a
 // non-zero status (worker envelope to pass through); success returns
 // resp.status == 0.
-func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, key string, shards []int) ([]cohort.Partial, wresp, error) {
-	var parts []cohort.Partial
+func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, key string, shards []int) ([]server.CohortPartBody, wresp, error) {
+	var parts []server.CohortPartBody
 	pending := shards
 	for round := 0; len(pending) > 0; round++ {
 		if round > len(c.workers) {
@@ -138,16 +132,14 @@ func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, ke
 				defer mu.Unlock()
 				switch {
 				case err == nil && resp.status == http.StatusOK:
-					var pb struct {
-						Partial cohort.Partial `json:"partial"`
-					}
+					var pb server.CohortPartBody
 					if uerr := json.Unmarshal(resp.body, &pb); uerr != nil {
 						if !failed {
 							failed, failErr = true, fmt.Errorf("fleet: worker %s: undecodable part: %w", wk.url, uerr)
 						}
 						return
 					}
-					parts = append(parts, pb.Partial)
+					parts = append(parts, pb)
 				case err != nil && !wk.alive.Load():
 					// Ejected mid-dispatch: rehash this group's shards onto
 					// the survivors next round.

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"videodvfs/internal/server"
-	"videodvfs/internal/sim"
 )
 
 // CodeNoWorkers is the fleet-specific envelope code for a request that
@@ -72,12 +71,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// MaxSweepRuns mirrors the workers' sweep-expansion cap (≤0 = 1024).
 	MaxSweepRuns int
-	// MaxHorizon mirrors the workers' per-run virtual-time cap
-	// (≤0 = 1 virtual hour). It must match the workers' setting: the
-	// controller pins each cohort's horizon exactly like a worker's
-	// prepare step does, so the cohort key it reports (and routes by)
-	// equals the one a single node would.
-	MaxHorizon sim.Time
 	// VNodes is the consistent-hash ring's virtual nodes per worker
 	// (≤0 = 64).
 	VNodes int
@@ -109,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepRuns <= 0 {
 		c.MaxSweepRuns = 1024
-	}
-	if c.MaxHorizon <= 0 {
-		c.MaxHorizon = sim.Time(3600) * sim.Second
 	}
 	if c.VNodes <= 0 {
 		c.VNodes = 64
@@ -353,12 +343,7 @@ func (c *Controller) exchange(ctx context.Context, w *worker, path, query string
 	}
 	out := wresp{status: resp.StatusCode, body: data}
 	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
+		var env server.Envelope
 		if json.Unmarshal(data, &env) == nil {
 			out.code, out.message = env.Error.Code, env.Error.Message
 		}
@@ -445,41 +430,16 @@ func (c *Controller) probe(w *worker) {
 
 // ---- response plumbing ----
 
-type errorBody struct {
-	Error errorDetail `json:"error"`
-}
-
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"encoding failure"}}`,
-			http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
-func writeErr(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: message}})
-}
-
 // writeDispatchError renders a failed dispatch: worker envelopes pass
 // through status, code, and (clamped) Retry-After; fleet-level failures
 // get their own codes.
 func (c *Controller) writeDispatchError(w http.ResponseWriter, resp wresp, err error) {
 	if errors.Is(err, errNoWorkers) {
-		writeErr(w, http.StatusServiceUnavailable, CodeNoWorkers, err.Error())
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.NewEnvelope(CodeNoWorkers, err.Error()))
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+		server.WriteJSON(w, http.StatusInternalServerError, server.NewEnvelope(server.CodeInternal, err.Error()))
 		return
 	}
 	if resp.status == http.StatusTooManyRequests {
@@ -489,12 +449,12 @@ func (c *Controller) writeDispatchError(w http.ResponseWriter, resp wresp, err e
 	if code == "" {
 		code = server.CodeInternal
 	}
-	writeErr(w, resp.status, code, resp.message)
+	server.WriteJSON(w, resp.status, server.NewEnvelope(code, resp.message))
 }
 
 func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, struct {
+		server.WriteJSON(w, http.StatusServiceUnavailable, struct {
 			Status string `json:"status"`
 		}{"draining"})
 		return
@@ -510,7 +470,7 @@ func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if alive == 0 {
 		status, state = http.StatusServiceUnavailable, "no_workers"
 	}
-	writeJSON(w, status, struct {
+	server.WriteJSON(w, status, struct {
 		Status  string `json:"status"`
 		Workers int    `json:"workers"`
 		Alive   int    `json:"alive"`

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"videodvfs/internal/cohort"
 	"videodvfs/internal/experiments"
 	"videodvfs/internal/server"
+	"videodvfs/internal/sim"
 )
 
 // ---- ring ----
@@ -551,4 +553,159 @@ func TestProbeNotBlockedBySaturatedWorker(t *testing.T) {
 	if code := <-status; code != http.StatusOK {
 		t.Fatalf("sweep after release: status %d", code)
 	}
+}
+
+// serveWorker serves one dvfsd over httptest, shut down with the test.
+func serveWorker(t *testing.T, cfg server.Config) *httptest.Server {
+	t.Helper()
+	s := server.New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	return ts
+}
+
+// Sweep bodies at the edges of the wire form. The controller must answer
+// each exactly as a single node does, except for a seed 0, which the
+// per-run wire form cannot express and the controller refuses whether it
+// is listed or spanned by a seed_range. The two wide ranges overflowed
+// the sweep's size count and then exhausted memory or panicked in the
+// expansion; the top pair made the seed loop wrap and never end; an
+// empty nets entry, wifi to a single node, ran the default net.
+func TestFleetSweepWireEdges(t *testing.T) {
+	_, ctlURL, _, refURL := testFleet(t, 2, server.Config{}, Config{
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	cases := []struct {
+		name, body string
+		wantStatus int
+		wantRuns   int
+	}{
+		{"whole seed space", `{"base": {"duration_s": 2}, "seed_range": [-9223372036854775808, 9223372036854775807]}`, http.StatusBadRequest, 0},
+		{"half the seed space", `{"base": {"duration_s": 2}, "seed_range": [-4611686018427387904, 4611686018427387904]}`, http.StatusBadRequest, 0},
+		{"top of the seed space", `{"base": {"duration_s": 2}, "seed_range": [9223372036854775806, 9223372036854775807]}`, http.StatusOK, 2},
+		{"seed_range from 0", `{"base": {"duration_s": 2}, "seed_range": [0, 1]}`, http.StatusBadRequest, 0},
+		{"seed_range across 0", `{"base": {"duration_s": 2}, "seed_range": [-1, 1]}`, http.StatusBadRequest, 0},
+		{"listed seed 0", `{"base": {"duration_s": 2}, "seeds": [0, 1]}`, http.StatusBadRequest, 0},
+		{"empty nets entry", `{"base": {"duration_s": 2}, "nets": ["", "lte"]}`, http.StatusOK, 2},
+	}
+	for _, tc := range cases {
+		resp, raw := post(t, ctlURL+"/v1/sweep", tc.body)
+		if resp.StatusCode != tc.wantStatus {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.wantStatus, raw)
+		}
+		if tc.wantStatus != http.StatusOK {
+			var env server.Envelope
+			if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != server.CodeInvalidConfig {
+				t.Fatalf("%s: body is not an %q envelope: %s", tc.name, server.CodeInvalidConfig, raw)
+			}
+			continue
+		}
+		var sw server.SweepBody
+		if err := json.Unmarshal(raw, &sw); err != nil || sw.Count != tc.wantRuns {
+			t.Fatalf("%s: want %d outcomes: %v %s", tc.name, tc.wantRuns, err, raw)
+		}
+		if _, ref := post(t, refURL+"/v1/sweep", tc.body); !bytes.Equal(raw, ref) {
+			t.Fatalf("%s: fleet sweep differs from single node:\nfleet: %s\nref:   %s", tc.name, raw, ref)
+		}
+	}
+}
+
+// The summary key is the one the workers computed under their own
+// bounds. With every node capping horizons at 30 s — below cohortReq's
+// 96 s default — the fleet's summary line must equal a single node's,
+// key included, though the controller knows nothing of the cap.
+func TestFleetCohortKeyFromWorkers(t *testing.T) {
+	capped := server.Config{MaxHorizon: 30 * sim.Second}
+	_, ctlURL, _, _ := testFleet(t, 3, capped, Config{
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	ref := serveWorker(t, capped)
+
+	refResp, refBody := post(t, ref.URL+"/v1/cohort", cohortReq)
+	if refResp.StatusCode != http.StatusOK {
+		t.Fatalf("ref cohort status %d: %s", refResp.StatusCode, refBody)
+	}
+	resp, fleetBody := post(t, ctlURL+"/v1/cohort", cohortReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fleet cohort status %d: %s", resp.StatusCode, fleetBody)
+	}
+	refLines := bytes.Split(bytes.TrimSpace(refBody), []byte("\n"))
+	if got, want := bytes.TrimSpace(fleetBody), refLines[len(refLines)-1]; !bytes.Equal(got, want) {
+		t.Fatalf("fleet summary differs from single node:\nfleet: %s\nref:   %s", got, want)
+	}
+}
+
+// Workers that bound a cohort differently compute different keys for it
+// and cut its viewers at different horizons, so their parts merge into
+// no single node's answer: the controller must refuse with a 500, never
+// answer 200 with a mixed merge.
+func TestFleetCohortRefusesMixedWorkerKeys(t *testing.T) {
+	short := serveWorker(t, server.Config{MaxHorizon: 20 * sim.Second})
+	long := serveWorker(t, server.Config{MaxHorizon: 3600 * sim.Second})
+	ctl, err := New(Config{
+		Workers: []string{short.URL, long.URL},
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	t.Cleanup(func() {
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+
+	// The ring hashes the workers' random ports, so search for a cohort
+	// seed whose shards route to both workers. Shard keys differing in
+	// their last byte alone land on one ring point, so the cohort needs
+	// two-digit shard indexes to split at all.
+	body := ""
+	for seed := 1; body == ""; seed++ {
+		if seed > 64 {
+			t.Fatal("no cohort seed routed shards to both workers")
+		}
+		b := fmt.Sprintf(`{"base": {"duration_s": 30}, "viewers": 24, "shards": 12, "rollup_s": 5, "seed": %d}`, seed)
+		if len(cohortOwners(t, ctl, b)) == 2 {
+			body = b
+		}
+	}
+	resp, raw := post(t, cts.URL+"/v1/cohort", body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d with workers at 20 s and 3600 s horizon caps, want 500: %s", resp.StatusCode, raw)
+	}
+	var env server.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != server.CodeInternal {
+		t.Fatalf("body is not an %q envelope: %s", server.CodeInternal, raw)
+	}
+}
+
+// cohortOwners returns the workers the controller's ring routes a
+// cohort's shards to while every worker is alive.
+func cohortOwners(t *testing.T, ctl *Controller, body string) map[int]bool {
+	t.Helper()
+	req, err := server.DecodeCohortRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := cohort.Key(cfg)
+	owners := map[int]bool{}
+	for i := 0; i < cohort.ShardCount(cfg); i++ {
+		wi, ok := ctl.ring.pick(key+"/shard/"+strconv.Itoa(i), func(int) bool { return true })
+		if !ok {
+			t.Fatal("ring routed a shard nowhere")
+		}
+		owners[wi] = true
+	}
+	return owners
 }

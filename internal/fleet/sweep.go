@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -14,72 +13,57 @@ import (
 // maxBodyBytes bounds controller request bodies, mirroring dvfsd.
 const maxBodyBytes = 1 << 20
 
-// sweepBody mirrors dvfsd's /v1/sweep response: per-point outcomes in
-// expansion order, each either the worker's raw run body (byte-identical
-// to a single node's, since both are the same content-addressed marshal)
-// or an error string.
-type sweepBody struct {
-	Count    int            `json:"count"`
-	Outcomes []sweepOutcome `json:"outcomes"`
-}
-
-type sweepOutcome struct {
-	Index int             `json:"index"`
-	Run   json.RawMessage `json:"run,omitempty"`
-	Error string          `json:"error,omitempty"`
-}
-
 // handleSweep shards one sweep across the fleet: the request expands to
-// wire-level points in exactly dvfsd's expansion order, each point
-// routes to the worker owning its ConfigKey on the ring (keeping the
-// workers' caches hot and disjoint), and the outcomes merge back in
-// expansion order — the same response a single dvfsd would build.
+// wire-level points in exactly dvfsd's expansion order
+// (server.SweepRequest.Points), each point routes to the worker owning
+// its ConfigKey on the ring (keeping the workers' caches hot and
+// disjoint), and the outcomes merge back in expansion order into the
+// server.SweepBody a single dvfsd would build. Each outcome is the
+// worker's raw run body, byte-identical to a single node's since both
+// are the same content-addressed marshal.
 func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	c.met.request("sweep")
 	if c.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, server.CodeDraining, "controller draining, not admitting new work")
+		server.WriteJSON(w, http.StatusServiceUnavailable,
+			server.NewEnvelope(server.CodeDraining, "controller draining, not admitting new work"))
 		return
 	}
 	req, err := server.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if size := req.Size(); size > int64(c.cfg.MaxSweepRuns) {
-		writeErr(w, http.StatusBadRequest, server.CodeInvalidConfig,
-			fmt.Sprintf("fleet: sweep expands to %d runs, cap is %d", size, c.cfg.MaxSweepRuns))
+		server.WriteJSON(w, http.StatusBadRequest, server.NewEnvelope(server.CodeInvalidConfig,
+			fmt.Sprintf("fleet: sweep expands to %d runs, cap is %d", size, c.cfg.MaxSweepRuns)))
 		return
 	}
 	// Configs both validates every point and yields the content-addressed
 	// routing keys, in the exact expansion order the wire points use.
 	cfgs, err := req.Configs()
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	for _, s := range req.Seeds {
-		if s == 0 {
+	for i := range cfgs {
+		if cfgs[i].Seed == 0 {
 			// The per-run wire form cannot express seed 0 (zero means
 			// "default"), so a fleet-dispatched point would silently run a
-			// different seed than a single node. Reject rather than diverge.
-			writeErr(w, http.StatusBadRequest, server.CodeInvalidConfig,
-				"fleet: explicit seed 0 is not expressible in dispatched runs")
+			// different seed than a single node. Reject rather than diverge,
+			// whether the 0 is listed in seeds or spanned by seed_range.
+			server.WriteJSON(w, http.StatusBadRequest, server.NewEnvelope(server.CodeInvalidConfig,
+				"fleet: explicit seed 0 is not expressible in dispatched runs"))
 			return
 		}
 	}
 	query, err := passthroughQuery(r)
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	points := expandSweepWire(req)
-	if len(points) != len(cfgs) { // defensive: the two expansions must mirror
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal,
-			fmt.Sprintf("fleet: wire expansion yielded %d points for %d configs", len(points), len(cfgs)))
-		return
-	}
+	points := req.Points()
 
-	outcomes := make([]sweepOutcome, len(points))
+	outcomes := make([]server.SweepOutcome, len(points))
 	resps := make([]wresp, len(points))
 	errs := make([]error, len(points))
 	var wg sync.WaitGroup
@@ -103,16 +87,16 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i := range points {
 		switch {
 		case errs[i] != nil:
-			outcomes[i] = sweepOutcome{Index: i, Error: errs[i].Error()}
+			outcomes[i] = server.SweepOutcome{Index: i, Error: errs[i].Error()}
 			failed++
 		case resps[i].status == http.StatusOK:
-			outcomes[i] = sweepOutcome{Index: i, Run: resps[i].body}
+			outcomes[i] = server.SweepOutcome{Index: i, Run: resps[i].body}
 		default:
 			msg := resps[i].message
 			if msg == "" {
 				msg = fmt.Sprintf("worker status %d", resps[i].status)
 			}
-			outcomes[i] = sweepOutcome{Index: i, Error: msg}
+			outcomes[i] = server.SweepOutcome{Index: i, Error: msg}
 			failed++
 			if resps[i].status == http.StatusTooManyRequests {
 				overloaded++
@@ -127,97 +111,26 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// (clamped ≥ 1 like dvfsd's own Retry-After).
 	if failed == len(points) && overloaded == failed && failed > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", maxRetryAfter))
-		writeErr(w, http.StatusTooManyRequests, server.CodeOverloaded,
-			"fleet: every worker is overloaded; retry after the hint")
+		server.WriteJSON(w, http.StatusTooManyRequests, server.NewEnvelope(server.CodeOverloaded,
+			"fleet: every worker is overloaded; retry after the hint"))
 		return
 	}
-	writeJSON(w, http.StatusOK, sweepBody{Count: len(outcomes), Outcomes: outcomes})
+	server.WriteJSON(w, http.StatusOK, server.SweepBody{Count: len(outcomes), Outcomes: outcomes})
 }
 
 // passthroughQuery validates and forwards the query parameters dvfsd's
-// /v1/run understands from a sweep (?strict); unknown parameters are a
-// client error rather than a silent drop.
+// /v1/run understands from a sweep (?strict, parsed exactly as dvfsd
+// parses it); unknown parameters are a client error rather than a
+// silent drop.
 func passthroughQuery(r *http.Request) (string, error) {
-	q := r.URL.Query()
-	for k := range q {
+	for k := range r.URL.Query() {
 		if k != "strict" {
 			return "", fmt.Errorf("fleet: %w: unknown query parameter %q", server.ErrBadRequest, k)
 		}
 	}
-	switch v := q.Get("strict"); v {
-	case "", "0", "false":
-		return "", nil
-	case "1", "true":
-		return "?strict=1", nil
-	default:
-		return "", fmt.Errorf("fleet: %w: unknown strict value %q (1)", server.ErrBadRequest, v)
+	strict, err := server.QueryBool(r, "strict")
+	if err != nil || !strict {
+		return "", err
 	}
-}
-
-// expandSweepWire expands a sweep request into per-point run requests in
-// exactly experiments.Sweep.Expand's order (governor-major, seed-minor):
-// the cross product of the axes in declaration order, axes left empty
-// pinned to the base value. Point i here resolves to the same RunConfig
-// as Configs()[i], so the ConfigKey list indexes both expansions.
-func expandSweepWire(req server.SweepRequest) []server.RunRequest {
-	govs := axisOr(req.Governors, req.Base.Governor)
-	nets := axisOr(req.Nets, req.Base.Net)
-	devs := axisOr(req.Devices, req.Base.Device)
-	titles := axisOr(req.Titles, req.Base.Title)
-	rungs := axisOr(req.Rungs, req.Base.Rung)
-	seeds := req.Seeds
-	if req.SeedRange != nil {
-		seeds = experiments.SeedRange(req.SeedRange[0], req.SeedRange[1])
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{req.Base.Seed}
-	}
-	out := make([]server.RunRequest, 0, len(govs)*len(nets)*len(devs)*len(titles)*len(rungs)*len(seeds))
-	for _, gov := range govs {
-		for _, net := range nets {
-			for _, dev := range devs {
-				for _, title := range titles {
-					for _, rung := range rungs {
-						for _, seed := range seeds {
-							rr := req.Base
-							rr.Governor = gov
-							rr.Net = net
-							rr.Device = dev
-							rr.Title = title
-							rr.Rung = rung
-							rr.Seed = seed
-							out = append(out, rr)
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// axisOr returns the axis values, or the base value alone when the axis
-// is empty (possibly "", meaning the catalog default — the same
-// semantics the worker applies).
-func axisOr(axis []string, base string) []string {
-	if len(axis) == 0 {
-		return []string{base}
-	}
-	return axis
-}
-
-// writeRequestError maps request decoding/validation failures onto
-// dvfsd's envelope taxonomy.
-func (c *Controller) writeRequestError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeErr(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, err.Error())
-	case errors.Is(err, server.ErrBadRequest):
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-	case errors.Is(err, experiments.ErrInvalidConfig):
-		writeErr(w, http.StatusBadRequest, server.CodeInvalidConfig, err.Error())
-	default:
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
-	}
+	return "?strict=1", nil
 }

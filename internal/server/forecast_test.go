@@ -72,7 +72,7 @@ func TestRunForecastEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown forecast: status %d, want 400: %s", resp.StatusCode, b)
 	}
-	var eb errorBody
+	var eb Envelope
 	if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Code != CodeInvalidConfig {
 		t.Fatalf("unknown forecast: not an invalid-config envelope: %s", b)
 	}

@@ -55,3 +55,60 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSweepRequest pins the sweep expansion's counting contract: Size,
+// which the handlers check against the cap before anything is
+// materialised, counts exactly the points Points and Configs produce, and
+// each wire point resolves to the same config as the direct expansion —
+// the property the dvfsctl controller's byte-identical sweeps rest on.
+// Points and Configs materialise every point, so like the handlers the
+// target only calls them under a cap.
+func FuzzSweepRequest(f *testing.F) {
+	f.Add([]byte(`{"base": {}, "seed_range": [-9223372036854775808, 9223372036854775807]}`))
+	f.Add([]byte(`{"base": {}, "seed_range": [-4611686018427387904, 4611686018427387904]}`))
+	f.Add([]byte(`{"base": {}, "seed_range": [9223372036854775806, 9223372036854775807]}`))
+	f.Add([]byte(`{"base": {"duration_s": 5}, "governors": ["ondemand", "energyaware"], "nets": ["wifi", "lte"],
+		"devices": ["flagship", "midrange"], "titles": ["news", "sports"], "rungs": ["360p", "720p"], "seeds": [1, 2, 3]}`))
+	f.Add([]byte(`{"base": {}, "seeds": [1, 2, 3], "seed_range": [5, 4]}`))
+	f.Add([]byte(`{"base": {"net": "trace", "bw_trace": ` + validTraceJSON + `, "duration_s": 1}, "seeds": [1, 2]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := DecodeSweepRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		size := req.Size()
+		if size < 1 {
+			t.Fatalf("Size() = %d, want ≥ 1", size)
+		}
+		if size > 4096 {
+			return
+		}
+		points := req.Points()
+		if int64(len(points)) != size {
+			t.Fatalf("Size() = %d but Points() yields %d", size, len(points))
+		}
+		cfgs, err := req.Configs()
+		if err != nil {
+			return
+		}
+		if int64(len(cfgs)) != size {
+			t.Fatalf("Size() = %d but Configs() yields %d", size, len(cfgs))
+		}
+		for i := range cfgs {
+			if cfgs[i].Seed == 0 {
+				return // the wire form reads seed 0 as the default seed
+			}
+		}
+		for i, p := range points {
+			cfg, err := p.Config()
+			if err != nil {
+				t.Fatalf("point %d does not resolve though Configs() does: %v", i, err)
+			}
+			got, _ := experiments.ConfigKey(cfg)
+			want, _ := experiments.ConfigKey(cfgs[i])
+			if got != want {
+				t.Fatalf("point %d resolves to key %s, Configs()[%d] to %s", i, got, i, want)
+			}
+		}
+	})
+}

@@ -172,9 +172,9 @@ func (s *Server) CacheStats() (hits, misses, coalesced int64) {
 // ---- response plumbing ----
 
 // Machine-readable error codes: every non-2xx response from a /v1/*
-// endpoint carries exactly one envelope {"error":{"code","message"}},
-// where code is one of these and message is human-readable detail.
-// Clients branch on the code (or the status), never on message text.
+// endpoint carries exactly one Envelope, whose code is one of these and
+// whose message is human-readable detail. Clients branch on the code (or
+// the status), never on message text.
 const (
 	// CodeBadRequest: the body or query string could not be decoded
 	// (malformed JSON, unknown fields, bad parameter values). HTTP 400.
@@ -201,21 +201,27 @@ const (
 	CodeInternal = "internal"
 )
 
-// errorBody is the uniform error envelope.
-type errorBody struct {
-	Error errorDetail `json:"error"`
+// Envelope is the uniform error body of the service's wire contract,
+// {"error":{"code","message"}}. dvfsd answers every /v1/* failure with
+// one, and the dvfsctl controller both parses its workers' envelopes and
+// answers with its own through the same type.
+type Envelope struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
 }
 
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+// NewEnvelope returns the envelope carrying code and message.
+func NewEnvelope(code, message string) Envelope {
+	var e Envelope
+	e.Error.Code, e.Error.Message = code, message
+	return e
 }
 
-func errBody(code, message string) errorBody {
-	return errorBody{Error: errorDetail{Code: code, Message: message}}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v marshalled as one JSON line under status: the
+// writer of every JSON body and envelope dvfsd and dvfsctl send.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":{"code":"internal","message":"encoding failure"}}`,
@@ -227,13 +233,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(body, '\n'))
 }
 
-// codeStatus maps the service's error taxonomy onto an envelope code and
-// HTTP status: decode failures and invalid configs are the client's
-// fault (400), admission bounces are 429, a horizon-exceeded run is a
-// well-formed request whose scenario cannot complete (422), and anything
-// else is a server-side 500.
-func codeStatus(err error) (code string, status int) {
+// WriteError answers with err's envelope, at the code and status
+// CodeStatus maps it to.
+func WriteError(w http.ResponseWriter, err error) {
+	code, status := CodeStatus(err)
+	WriteJSON(w, status, NewEnvelope(code, err.Error()))
+}
+
+// CodeStatus maps the service's error taxonomy onto an envelope code and
+// HTTP status: an oversized body is 413, decode failures and invalid
+// configs are the client's fault (400), admission bounces are 429, a
+// horizon-exceeded run is a well-formed request whose scenario cannot
+// complete (422), and anything else is a server-side 500.
+func CodeStatus(err error) (code string, status int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	// Checked first: the decoder wraps the byte cap's error in
+	// ErrBadRequest.
+	case errors.As(err, &tooLarge):
+		return CodeTooLarge, http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest):
 		return CodeBadRequest, http.StatusBadRequest
 	case errors.Is(err, experiments.ErrInvalidConfig):
@@ -247,15 +265,44 @@ func codeStatus(err error) (code string, status int) {
 	}
 }
 
-// writeError renders err as the uniform envelope, with the Retry-After
-// estimate on admission bounces.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	code, status := codeStatus(err)
-	if code == CodeOverloaded {
+// fail answers with err's envelope, counting admission bounces and
+// adding their Retry-After estimate.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	if code, _ := CodeStatus(err); code == CodeOverloaded {
 		s.met.reject()
 		w.Header().Set("Retry-After", s.retryAfter())
 	}
-	writeJSON(w, status, errBody(code, err.Error()))
+	WriteError(w, err)
+}
+
+// accept counts one request against endpoint and, while the server
+// drains, refuses it with 503. It reports whether the handler goes on.
+func (s *Server) accept(w http.ResponseWriter, endpoint string) bool {
+	s.met.request(endpoint)
+	if s.draining.Load() {
+		WriteJSON(w, http.StatusServiceUnavailable, NewEnvelope(CodeDraining, "server draining, not admitting new work"))
+		return false
+	}
+	return true
+}
+
+// writeBody answers with a computed body, or with err's envelope when
+// computing it failed.
+func (s *Server) writeBody(w http.ResponseWriter, contentType string, body []byte, outcome cacheOutcome, err error) {
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	s.stamp(w, contentType, outcome)
+	w.Write(body)
+}
+
+// stamp sets a body's headers before its first byte: the worker's load,
+// the content type, and how the result cache served it.
+func (s *Server) stamp(w http.ResponseWriter, contentType string, outcome cacheOutcome) {
+	s.loadHeaders(w)
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("X-Dvfsd-Cache", string(outcome))
 }
 
 // retryAfter estimates seconds until queue space frees: the backlog
@@ -319,50 +366,55 @@ func (s *Server) prepare(cfg *experiments.RunConfig) error {
 	return nil
 }
 
-// execute runs one simulation through the admission-controlled pool and
-// blocks for its result. A full queue fails fast with ErrOverloaded; an
-// accepted run always completes (results feed the cache even if the
-// client has gone away).
-func (s *Server) execute(cfg experiments.RunConfig) (experiments.RunResult, error) {
-	return s.submit(cfg, func(task func()) error {
-		if !s.pool.TrySubmit(task) {
-			return ErrOverloaded
-		}
-		return nil
-	})
-}
-
-// executeQueued is execute with blocking admission, for sweep items whose
-// admission was decided once for the whole batch.
-func (s *Server) executeQueued(ctx context.Context, cfg experiments.RunConfig) (experiments.RunResult, error) {
-	return s.submit(cfg, func(task func()) error {
-		return s.pool.SubmitCtx(ctx, task)
-	})
-}
-
-func (s *Server) submit(cfg experiments.RunConfig, admit func(func()) error) (experiments.RunResult, error) {
+// onPool runs fn as one task on the worker pool and blocks for its
+// result: the one path every simulation the service runs takes. admit
+// enqueues the task — tryAdmit for a request admitted on its own, a
+// blocking submit for sweep points whose admission was decided once for
+// the whole batch. An accepted task always completes, so its result
+// feeds the cache even if the client has gone away.
+func onPool[T any](s *Server, admit func(task func()) error, fn func() (T, error)) (T, error) {
 	type outcome struct {
-		res experiments.RunResult
+		res T
 		err error
 	}
 	ch := make(chan outcome, 1)
 	seq := int(s.runSeq.Add(1))
 	task := func() {
 		t0 := time.Now()
-		var res experiments.RunResult
+		var res T
 		err := campaign.Protect(seq, func() error {
 			var rerr error
-			res, rerr = s.cfg.Runner(cfg)
+			res, rerr = fn()
 			return rerr
 		})
 		s.met.observeRun(time.Since(t0), err)
 		ch <- outcome{res, err}
 	}
 	if err := admit(task); err != nil {
-		return experiments.RunResult{}, err
+		var zero T
+		return zero, err
 	}
 	out := <-ch
 	return out.res, out.err
+}
+
+// tryAdmit is the non-blocking admission: a full queue fails fast with
+// ErrOverloaded.
+func (s *Server) tryAdmit(task func()) error {
+	if !s.pool.TrySubmit(task) {
+		return ErrOverloaded
+	}
+	return nil
+}
+
+// cached serves key's body from the result cache, computing it on a
+// miss; an uncacheable request computes straight through as a bypass.
+func (s *Server) cached(key string, cacheable bool, compute func() ([]byte, error)) ([]byte, cacheOutcome, error) {
+	if !cacheable {
+		body, err := compute()
+		return body, cacheBypass, err
+	}
+	return s.cache.Do(key, compute)
 }
 
 // runBody is the cached response body of one run: the content-addressed
@@ -375,86 +427,70 @@ type runBody struct {
 
 // runCached executes cfg through the cache (hit → stored bytes,
 // miss → simulate + store, concurrent identical requests coalesce).
-func (s *Server) runCached(cfg experiments.RunConfig) ([]byte, cacheOutcome, error) {
+func (s *Server) runCached(cfg experiments.RunConfig, admit func(func()) error) ([]byte, cacheOutcome, error) {
 	key, cacheable := experiments.ConfigKey(cfg)
-	compute := func() ([]byte, error) {
-		res, err := s.execute(cfg)
+	return s.cached(key, cacheable, func() ([]byte, error) {
+		res, err := onPool(s, admit, func() (experiments.RunResult, error) { return s.cfg.Runner(cfg) })
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(runBody{Key: key, Result: res})
-	}
-	if !cacheable {
-		body, err := compute()
-		return body, cacheBypass, err
-	}
-	return s.cache.Do(key, compute)
+	})
 }
 
 // ---- handlers ----
 
-// strictParam parses the ?strict= query parameter shared by /run and
-// /sweep. Absent or "0"/"false" means off; "1"/"true" arms the invariant
-// checker; anything else is a client error.
-func strictParam(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("strict"); v {
+// QueryBool parses the boolean query parameter name (?strict on /run,
+// /sweep and /cohort, ?stream on /cohort). Absent or "0"/"false" means
+// off, "1"/"true" on, and anything else is a client error.
+func QueryBool(r *http.Request, name string) (bool, error) {
+	switch v := r.URL.Query().Get(name); v {
 	case "", "0", "false":
 		return false, nil
 	case "1", "true":
 		return true, nil
 	default:
-		return false, fmt.Errorf("%w: unknown strict value %q (1)", ErrBadRequest, v)
+		return false, fmt.Errorf("%w: unknown %s value %q (1)", ErrBadRequest, name, v)
 	}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.met.request("run")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	if !s.accept(w, "run") {
 		return
 	}
 	req, err := DecodeRunRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeDecodeError(w, err)
+		s.fail(w, err)
 		return
 	}
 	cfg, err := req.Config()
 	if err != nil {
-		s.writeError(w, err)
+		s.fail(w, err)
 		return
 	}
 	if err := s.prepare(&cfg); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	strict, err := strictParam(r)
-	if err != nil {
-		s.writeError(w, err)
+		s.fail(w, err)
 		return
 	}
 	// Strict configs are uncacheable by construction (ConfigKey returns
 	// not-cacheable), so runCached re-executes with the checker armed and
 	// answers with X-Dvfsd-Cache: bypass — a strict response always
 	// reflects an audited run, never a pinned body.
-	cfg.Strict = strict
+	if cfg.Strict, err = QueryBool(r, "strict"); err != nil {
+		s.fail(w, err)
+		return
+	}
 	switch mode := r.URL.Query().Get("trace"); mode {
 	case "":
 	case "jsonl":
 		s.handleRunTraced(w, r, cfg)
 		return
 	default:
-		s.writeError(w, fmt.Errorf("%w: unknown trace mode %q (jsonl)", ErrBadRequest, mode))
+		s.fail(w, fmt.Errorf("%w: unknown trace mode %q (jsonl)", ErrBadRequest, mode))
 		return
 	}
-	body, outcome, err := s.runCached(cfg)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
-	w.Write(body)
+	body, outcome, err := s.runCached(cfg, s.tryAdmit)
+	s.writeBody(w, "application/json", body, outcome, err)
 }
 
 // flushWriter forwards writes and flushes after each one when the
@@ -488,13 +524,11 @@ func (f flushWriter) Write(p []byte) (int, error) {
 // abandoned stream frees its pool worker within one event batch instead
 // of simulating on to the horizon.
 func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg experiments.RunConfig) {
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Dvfsd-Cache", string(cacheBypass))
+	s.stamp(w, "application/x-ndjson", cacheBypass)
 	sink := trace.NewJSONL(newFlushWriter(w))
 	cfg.Tracer = sink
 	cfg.Cancel = r.Context().Done()
-	res, err := s.execute(cfg)
+	res, err := onPool(s, s.tryAdmit, func() (experiments.RunResult, error) { return s.cfg.Runner(cfg) })
 	if errors.Is(err, experiments.ErrCanceled) {
 		sink.Close()
 		return // client went away; nobody is reading
@@ -502,66 +536,61 @@ func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg exp
 	if cerr := sink.Close(); cerr != nil && err == nil {
 		return // client went away mid-stream; nothing left to say
 	}
+	enc := json.NewEncoder(w)
 	if err != nil {
 		// Headers are gone; surface the failure in-band as a final line.
-		if body, merr := json.Marshal(errBody(CodeInternal, err.Error())); merr == nil {
-			w.Write(append(body, '\n'))
-		}
+		enc.Encode(NewEnvelope(CodeInternal, err.Error()))
 		return
 	}
-	final, err := json.Marshal(struct {
+	enc.Encode(struct {
 		T  float64               `json:"t"`
 		Ev string                `json:"ev"`
 		R  experiments.RunResult `json:"result"`
 	}{res.SimEnd.Seconds(), "result", res})
-	if err == nil {
-		w.Write(append(final, '\n'))
-	}
 }
 
-// sweepBody is the response of one sweep: per-point outcomes in
-// expansion order, each either a run body (shared with the single-run
-// cache) or an error string.
-type sweepBody struct {
+// SweepBody is the response of one sweep, from dvfsd or the dvfsctl
+// controller alike: per-point outcomes in expansion order, each either a
+// run body (shared with the single-run cache) or an error string.
+type SweepBody struct {
 	Count    int            `json:"count"`
-	Outcomes []sweepOutcome `json:"outcomes"`
+	Outcomes []SweepOutcome `json:"outcomes"`
 }
 
-type sweepOutcome struct {
+// SweepOutcome is one point of a SweepBody.
+type SweepOutcome struct {
 	Index int             `json:"index"`
 	Run   json.RawMessage `json:"run,omitempty"`
 	Error string          `json:"error,omitempty"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.request("sweep")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	if !s.accept(w, "sweep") {
 		return
 	}
 	req, err := DecodeSweepRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeDecodeError(w, err)
+		s.fail(w, err)
 		return
 	}
 	if size := req.Size(); size > int64(s.cfg.MaxSweepRuns) {
-		s.writeError(w, fmt.Errorf("server: %w: sweep expands to %d runs, cap is %d",
+		s.fail(w, fmt.Errorf("server: %w: sweep expands to %d runs, cap is %d",
 			experiments.ErrInvalidConfig, size, s.cfg.MaxSweepRuns))
 		return
 	}
 	cfgs, err := req.Configs()
 	if err != nil {
-		s.writeError(w, err)
+		s.fail(w, err)
 		return
 	}
-	strict, err := strictParam(r)
+	strict, err := QueryBool(r, "strict")
 	if err != nil {
-		s.writeError(w, err)
+		s.fail(w, err)
 		return
 	}
 	for i := range cfgs {
 		if err := s.prepare(&cfgs[i]); err != nil {
-			s.writeError(w, err)
+			s.fail(w, err)
 			return
 		}
 		// Strict points are uncacheable (ConfigKey), so each one below
@@ -571,83 +600,58 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Admission is decided once for the whole sweep: if the queue is
 	// already full, bounce now rather than half-queueing a batch.
 	if s.pool.QueueDepth() >= s.pool.Capacity() {
-		s.writeError(w, ErrOverloaded)
+		s.fail(w, ErrOverloaded)
 		return
 	}
-	outcomes := make([]sweepOutcome, len(cfgs))
+	queued := func(task func()) error { return s.pool.SubmitCtx(r.Context(), task) }
+	outcomes := make([]SweepOutcome, len(cfgs))
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			key, cacheable := experiments.ConfigKey(cfg)
-			compute := func() ([]byte, error) {
-				res, err := s.executeQueued(r.Context(), cfg)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(runBody{Key: key, Result: res})
-			}
-			var body []byte
-			var err error
-			if cacheable {
-				body, _, err = s.cache.Do(key, compute)
+			if body, _, err := s.runCached(cfg, queued); err != nil {
+				outcomes[i] = SweepOutcome{Index: i, Error: err.Error()}
 			} else {
-				body, err = compute()
+				outcomes[i] = SweepOutcome{Index: i, Run: body}
 			}
-			if err != nil {
-				outcomes[i] = sweepOutcome{Index: i, Error: err.Error()}
-				return
-			}
-			outcomes[i] = sweepOutcome{Index: i, Run: body}
 		}()
 	}
 	wg.Wait()
 	s.loadHeaders(w)
-	writeJSON(w, http.StatusOK, sweepBody{Count: len(outcomes), Outcomes: outcomes})
+	WriteJSON(w, http.StatusOK, SweepBody{Count: len(outcomes), Outcomes: outcomes})
 }
 
 // ---- cohort endpoint ----
 
-// cohortRollupFrame and cohortSummaryFrame are the NDJSON lines of a
+// cohortRollupFrame and CohortSummaryFrame are the NDJSON lines of a
 // /v1/cohort response: periodic rollup frames followed by one summary.
+// The dvfsctl controller answers a sharded cohort with the summary line
+// alone.
 type cohortRollupFrame struct {
 	Ev     string        `json:"ev"`
 	Rollup cohort.Rollup `json:"rollup"`
 }
 
-type cohortSummaryFrame struct {
+// CohortSummaryFrame is the closing line of a /v1/cohort response.
+type CohortSummaryFrame struct {
 	Ev     string        `json:"ev"`
 	Key    string        `json:"key,omitempty"`
 	Result cohort.Result `json:"result"`
 }
 
-// executeCohort runs one cohort through the admission-controlled pool as
-// a single task (the cohort fans its shards over its own workers) and
-// blocks for its result.
-func (s *Server) executeCohort(cfg cohort.Config) (cohort.Result, error) {
-	type outcome struct {
-		res cohort.Result
-		err error
+// cohortConfig resolves a cohort request under the service's bounds: the
+// viewer cap, then the per-run bounds on its base session.
+func (s *Server) cohortConfig(req CohortRequest) (cohort.Config, error) {
+	cfg, err := req.Config()
+	if err != nil {
+		return cfg, err
 	}
-	ch := make(chan outcome, 1)
-	seq := int(s.runSeq.Add(1))
-	task := func() {
-		t0 := time.Now()
-		var res cohort.Result
-		err := campaign.Protect(seq, func() error {
-			var rerr error
-			res, rerr = cohort.Run(cfg)
-			return rerr
-		})
-		s.met.observeRun(time.Since(t0), err)
-		ch <- outcome{res, err}
+	if cfg.Viewers > s.cfg.MaxCohortViewers {
+		return cfg, fmt.Errorf("server: %w: cohort of %d viewers exceeds the service cap %d",
+			experiments.ErrInvalidConfig, cfg.Viewers, s.cfg.MaxCohortViewers)
 	}
-	if !s.pool.TrySubmit(task) {
-		return cohort.Result{}, ErrOverloaded
-	}
-	out := <-ch
-	return out.res, out.err
+	return cfg, s.prepare(&cfg.Base)
 }
 
 // handleCohort runs a whole viewer population in cohort mode and answers
@@ -660,43 +664,26 @@ func (s *Server) executeCohort(cfg cohort.Config) (cohort.Result, error) {
 // flushes each frame as its barrier completes. Strict cohorts
 // (?strict=1) are uncacheable by construction, exactly like strict runs.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
-	s.met.request("cohort")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	if !s.accept(w, "cohort") {
 		return
 	}
 	req, err := DecodeCohortRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeDecodeError(w, err)
+		s.fail(w, err)
 		return
 	}
-	cfg, err := req.Config()
+	cfg, err := s.cohortConfig(req)
 	if err != nil {
-		s.writeError(w, err)
+		s.fail(w, err)
 		return
 	}
-	if cfg.Viewers > s.cfg.MaxCohortViewers {
-		s.writeError(w, fmt.Errorf("server: %w: cohort of %d viewers exceeds the service cap %d",
-			experiments.ErrInvalidConfig, cfg.Viewers, s.cfg.MaxCohortViewers))
+	if cfg.Base.Strict, err = QueryBool(r, "strict"); err != nil {
+		s.fail(w, err)
 		return
 	}
-	if err := s.prepare(&cfg.Base); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	strict, err := strictParam(r)
+	stream, err := QueryBool(r, "stream")
 	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	cfg.Base.Strict = strict
-	stream := false
-	switch v := r.URL.Query().Get("stream"); v {
-	case "", "0", "false":
-	case "1", "true":
-		stream = true
-	default:
-		s.writeError(w, fmt.Errorf("%w: unknown stream value %q (1)", ErrBadRequest, v))
+		s.fail(w, err)
 		return
 	}
 	key, cacheable := cohort.Key(cfg)
@@ -704,37 +691,23 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		s.handleCohortStream(w, r, key, cfg)
 		return
 	}
-	compute := func() ([]byte, error) {
+	body, outcome, err := s.cached("cohort/"+key, cacheable, func() ([]byte, error) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		runCfg := cfg
 		runCfg.OnRollup = func(ru cohort.Rollup) {
 			enc.Encode(cohortRollupFrame{Ev: "rollup", Rollup: ru})
 		}
-		res, err := s.executeCohort(runCfg)
+		res, err := onPool(s, s.tryAdmit, func() (cohort.Result, error) { return cohort.Run(runCfg) })
 		if err != nil {
 			return nil, err
 		}
-		if err := enc.Encode(cohortSummaryFrame{Ev: "summary", Key: key, Result: res}); err != nil {
+		if err := enc.Encode(CohortSummaryFrame{Ev: "summary", Key: key, Result: res}); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
-	}
-	var body []byte
-	outcome := cacheBypass
-	if cacheable {
-		body, outcome, err = s.cache.Do("cohort/"+key, compute)
-	} else {
-		body, err = compute()
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
-	w.Write(body)
+	})
+	s.writeBody(w, "application/x-ndjson", body, outcome, err)
 }
 
 // handleCohortStream is the live-streaming variant: frames go out as
@@ -749,72 +722,41 @@ func (s *Server) handleCohortStream(w http.ResponseWriter, r *http.Request, key 
 	wrote := false
 	cfg.OnRollup = func(ru cohort.Rollup) {
 		if !wrote {
-			s.loadHeaders(w)
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Dvfsd-Cache", string(cacheBypass))
+			s.stamp(w, "application/x-ndjson", cacheBypass)
 			wrote = true
 		}
 		enc.Encode(cohortRollupFrame{Ev: "rollup", Rollup: ru})
 	}
 	cfg.Cancel = r.Context().Done()
-	res, err := s.executeCohort(cfg)
+	res, err := onPool(s, s.tryAdmit, func() (cohort.Result, error) { return cohort.Run(cfg) })
 	if errors.Is(err, experiments.ErrCanceled) {
 		return // client went away; nobody is reading
 	}
 	if err != nil {
 		if !wrote {
-			s.writeError(w, err) // nothing sent yet: a proper status is still possible
+			s.fail(w, err) // nothing sent yet: a proper status is still possible
 			return
 		}
-		code, _ := codeStatus(err)
-		if body, merr := json.Marshal(errBody(code, err.Error())); merr == nil {
-			w.Write(append(body, '\n'))
-		}
+		code, _ := CodeStatus(err)
+		enc.Encode(NewEnvelope(code, err.Error()))
 		return
 	}
 	if !wrote {
-		s.loadHeaders(w)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Dvfsd-Cache", string(cacheBypass))
+		s.stamp(w, "application/x-ndjson", cacheBypass)
 	}
-	enc.Encode(cohortSummaryFrame{Ev: "summary", Key: key, Result: res})
+	enc.Encode(CohortSummaryFrame{Ev: "summary", Key: key, Result: res})
 }
 
 // ---- cohort part endpoint (the fleet's worker-side seam) ----
 
-// cohortPartBody is the response of one partial cohort run: the cohort's
+// CohortPartBody is the response of one partial cohort run: the cohort's
 // content-addressed key (empty when uncacheable) plus the executed
-// shards' serialized aggregation states.
-type cohortPartBody struct {
+// shards' serialized aggregation states. The key is the one the worker
+// computed after applying its own bounds, so the controller labels a
+// merged summary with it.
+type CohortPartBody struct {
 	Key     string         `json:"key,omitempty"`
 	Partial cohort.Partial `json:"partial"`
-}
-
-// executeCohortPart runs a shard subset through the admission-controlled
-// pool as one task, exactly like executeCohort.
-func (s *Server) executeCohortPart(cfg cohort.Config, shards []int) (cohort.Partial, error) {
-	type outcome struct {
-		res cohort.Partial
-		err error
-	}
-	ch := make(chan outcome, 1)
-	seq := int(s.runSeq.Add(1))
-	task := func() {
-		t0 := time.Now()
-		var res cohort.Partial
-		err := campaign.Protect(seq, func() error {
-			var rerr error
-			res, rerr = cohort.RunPart(cfg, shards)
-			return rerr
-		})
-		s.met.observeRun(time.Since(t0), err)
-		ch <- outcome{res, err}
-	}
-	if !s.pool.TrySubmit(task) {
-		return cohort.Partial{}, ErrOverloaded
-	}
-	out := <-ch
-	return out.res, out.err
 }
 
 // handleCohortPart executes only the named shards of a cohort and
@@ -826,53 +768,28 @@ func (s *Server) executeCohortPart(cfg cohort.Config, shards []int) (cohort.Part
 // shard set): re-dispatch after a controller retry or worker restart is
 // a cache hit.
 func (s *Server) handleCohortPart(w http.ResponseWriter, r *http.Request) {
-	s.met.request("cohort-part")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	if !s.accept(w, "cohort-part") {
 		return
 	}
 	req, err := DecodeCohortPartRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeDecodeError(w, err)
+		s.fail(w, err)
 		return
 	}
-	cfg, err := req.Config()
+	cfg, err := s.cohortConfig(req.Cohort)
 	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if cfg.Viewers > s.cfg.MaxCohortViewers {
-		s.writeError(w, fmt.Errorf("server: %w: cohort of %d viewers exceeds the service cap %d",
-			experiments.ErrInvalidConfig, cfg.Viewers, s.cfg.MaxCohortViewers))
-		return
-	}
-	if err := s.prepare(&cfg.Base); err != nil {
-		s.writeError(w, err)
+		s.fail(w, err)
 		return
 	}
 	key, cacheable := cohort.Key(cfg)
-	compute := func() ([]byte, error) {
-		res, err := s.executeCohortPart(cfg, req.Shards)
+	body, outcome, err := s.cached("cohortpart/"+key+"/"+shardSetKey(req.Shards), cacheable, func() ([]byte, error) {
+		part, err := onPool(s, s.tryAdmit, func() (cohort.Partial, error) { return cohort.RunPart(cfg, req.Shards) })
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(cohortPartBody{Key: key, Partial: res})
-	}
-	var body []byte
-	outcome := cacheBypass
-	if cacheable {
-		body, outcome, err = s.cache.Do("cohortpart/"+key+"/"+shardSetKey(req.Shards), compute)
-	} else {
-		body, err = compute()
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
-	w.Write(body)
+		return json.Marshal(CohortPartBody{Key: key, Partial: part})
+	})
+	s.writeBody(w, "application/json", body, outcome, err)
 }
 
 // shardSetKey renders a shard set as a canonical cache-key suffix
@@ -901,57 +818,30 @@ type experimentBody struct {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	s.met.request("experiment")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	if !s.accept(w, "experiment") {
 		return
 	}
 	id := r.PathValue("id")
 	builder, err := experiments.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody(CodeNotFound, err.Error()))
+		WriteJSON(w, http.StatusNotFound, NewEnvelope(CodeNotFound, err.Error()))
 		return
 	}
 	// Experiments are identified by ID, not content: the table is a pure
 	// function of the ID for the lifetime of the process.
 	body, outcome, err := s.cache.Do("experiment/"+id, func() ([]byte, error) {
-		type out struct {
-			tab experiments.Table
-			err error
+		tab, err := onPool(s, s.tryAdmit, builder)
+		if err != nil {
+			return nil, err
 		}
-		ch := make(chan out, 1)
-		task := func() {
-			t0 := time.Now()
-			var o out
-			o.err = campaign.Protect(int(s.runSeq.Add(1)), func() error {
-				var err error
-				o.tab, err = builder()
-				return err
-			})
-			s.met.observeRun(time.Since(t0), o.err)
-			ch <- o
-		}
-		if !s.pool.TrySubmit(task) {
-			return nil, ErrOverloaded
-		}
-		o := <-ch
-		if o.err != nil {
-			return nil, o.err
-		}
-		return json.Marshal(experimentBody{ID: id, Table: o.tab})
+		return json.Marshal(experimentBody{ID: id, Table: tab})
 	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
-	w.Write(body)
+	s.writeBody(w, "application/json", body, outcome, err)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	s.met.request("experiment-list")
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		IDs []string `json:"ids"`
 	}{experiments.IDs()})
 }
@@ -987,19 +877,17 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	for _, n := range experiments.NetKinds() {
 		c.Nets = append(c.Nets, string(n))
 	}
-	writeJSON(w, http.StatusOK, c)
+	WriteJSON(w, http.StatusOK, c)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	status, state := http.StatusOK, "ok"
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, struct {
-			Status string `json:"status"`
-		}{"draining"})
-		return
+		status, state = http.StatusServiceUnavailable, "draining"
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, status, struct {
 		Status string `json:"status"`
-	}{"ok"})
+	}{state})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1007,15 +895,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.render(&b, s.pool.QueueDepth(), s.pool.Capacity(), s.pool.Active(), s.pool.Workers(), s.cache.Stats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(b.String()))
-}
-
-// writeDecodeError distinguishes an oversized body (413) from a
-// malformed one (400).
-func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errBody(CodeTooLarge, err.Error()))
-		return
-	}
-	s.writeError(w, err)
 }

@@ -245,7 +245,7 @@ func TestQueueFull429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var eb errorBody
+	var eb Envelope
 	if err := json.Unmarshal(readAll(t, resp), &eb); err != nil || eb.Error.Code != CodeOverloaded {
 		t.Fatalf("429 body is not an %q envelope: %v %+v", CodeOverloaded, err, eb)
 	}
@@ -295,7 +295,7 @@ func TestShutdownDrains(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/v1/run", `{"duration_s": 5, "seed": 2}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain got %d, want 503", resp.StatusCode)
 	} else {
-		var eb errorBody
+		var eb Envelope
 		if err := json.Unmarshal(readAll(t, resp), &eb); err != nil || eb.Error.Code != CodeDraining {
 			t.Fatalf("503 body is not a %q envelope: %+v", CodeDraining, eb)
 		}
@@ -663,7 +663,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.wantStatus, b)
 			continue
 		}
-		var eb errorBody
+		var eb Envelope
 		if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Code != tc.wantCode {
 			t.Errorf("%s: body is not an %q envelope: %s", tc.name, tc.wantCode, b)
 			continue
@@ -683,7 +683,7 @@ func TestHorizonExceeded422(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %s", resp.StatusCode, b)
 	}
-	var eb errorBody
+	var eb Envelope
 	if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Code != CodeHorizonExceeded {
 		t.Fatalf("422 body is not a %q envelope: %s", CodeHorizonExceeded, b)
 	}
@@ -898,7 +898,7 @@ func TestStrictSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, readAll(t, resp))
 	}
-	var sw sweepBody
+	var sw SweepBody
 	if err := json.Unmarshal(readAll(t, resp), &sw); err != nil {
 		t.Fatal(err)
 	}
@@ -912,5 +912,47 @@ func TestStrictSweep(t *testing.T) {
 	}
 	if _, misses, _ := s.CacheStats(); misses != 0 {
 		t.Fatalf("strict sweep populated the cache: %d misses recorded", misses)
+	}
+}
+
+// seedRangeEdges are one-line sweep bodies at the ends of the seed
+// space. The two wide ranges overflow an int64 count of hi-lo+1 (to 1
+// and to a negative size), which slipped under the sweep cap and then
+// exhausted memory or panicked in the expansion; the top pair made the
+// seed loop wrap past MaxInt64 and never end.
+var seedRangeEdges = []struct {
+	name, body string
+	wantStatus int
+	wantRuns   int
+}{
+	{"whole seed space", `{"base": {"duration_s": 2}, "seed_range": [-9223372036854775808, 9223372036854775807]}`, http.StatusBadRequest, 0},
+	{"half the seed space", `{"base": {"duration_s": 2}, "seed_range": [-4611686018427387904, 4611686018427387904]}`, http.StatusBadRequest, 0},
+	{"top of the seed space", `{"base": {"duration_s": 2}, "seed_range": [9223372036854775806, 9223372036854775807]}`, http.StatusOK, 2},
+}
+
+func TestSweepSeedRangeEdges(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range seedRangeEdges {
+		resp := postJSON(t, ts.URL+"/v1/sweep", tc.body)
+		b := readAll(t, resp)
+		if resp.StatusCode != tc.wantStatus {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.wantStatus, b)
+		}
+		if tc.wantStatus != http.StatusOK {
+			var eb Envelope
+			if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Code != CodeInvalidConfig {
+				t.Fatalf("%s: body is not an %q envelope: %s", tc.name, CodeInvalidConfig, b)
+			}
+			continue
+		}
+		var sw SweepBody
+		if err := json.Unmarshal(b, &sw); err != nil || sw.Count != tc.wantRuns || len(sw.Outcomes) != tc.wantRuns {
+			t.Fatalf("%s: want %d outcomes: %v %s", tc.name, tc.wantRuns, err, b)
+		}
+		for _, o := range sw.Outcomes {
+			if o.Error != "" {
+				t.Fatalf("%s: point %d failed: %s", tc.name, o.Index, o.Error)
+			}
+		}
 	}
 }
