@@ -52,8 +52,9 @@ stress-e2e:
 bench-e2e:
 	cd bench/e2e && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
-# Ten seconds of coverage-guided fuzzing per untrusted-input parser, plus
-# the event engine against its reference model (checked-in seeds live
+# Ten seconds of coverage-guided fuzzing per untrusted-input parser and
+# the fleet's cohort-part merge, plus the event engine against its
+# reference model (checked-in seeds live
 # under */testdata/fuzz). Native fuzzing allows one -fuzz target per
 # invocation, hence the separate runs.
 FUZZTIME ?= 10s
@@ -66,15 +67,19 @@ fuzz-short:
 	$(GO) test ./internal/player -run '^$$' -fuzz '^FuzzForecastSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cohort -run '^$$' -fuzz '^FuzzMergeParts$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime $(FUZZTIME)
 
 # Rebuild the full 30-experiment evaluation with the invariant checker
-# riding every simulation (DESIGN.md §10). Exits non-zero on the first
-# conservation-law breach; output is discarded — the audit is the point.
+# riding every simulation that goes through experiments.Run (DESIGN.md
+# §10): 27 of the 30 experiments. F15, F21 and T7 wire their own engines
+# (RunCluster, RunSMP, RunPlaylist), so the checker never rides them.
+# Exits non-zero on the first conservation-law breach; output is
+# discarded — the audit is the point.
 strict:
 	$(GO) run ./cmd/exprun -strict > /dev/null
-	@echo "strict: all experiments passed with invariants armed"
+	@echo "strict: 27 of 30 experiments passed with invariants armed (F15, F21, T7 are not audited)"
 
 # Regenerate the pinned experiment outputs after an intended model
 # change, then review the diff like any other code change.

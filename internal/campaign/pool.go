@@ -134,6 +134,14 @@ func (p *Pool) SubmitCtx(ctx context.Context, task func()) error {
 	if p.submitGate != nil {
 		p.submitGate()
 	}
+	// A Close that began while this sender was registering must win: the
+	// select below picks uniformly among ready cases, and a worker can
+	// claim a sent task before the retraction there runs.
+	select {
+	case <-p.closing:
+		return ErrPoolClosed
+	default:
+	}
 	s := &submission{task: task}
 	select {
 	case p.tasks <- s:

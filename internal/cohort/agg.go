@@ -99,8 +99,8 @@ type Result struct {
 }
 
 // agg is one shard's online aggregation state, mutated only from inside
-// that shard's engine events. One scratch RunResult per SHARD — not per
-// viewer — is the whole memory story of result collection.
+// that shard's engine events. The same type is the running total a fold
+// builds: merge adds one shard's state into it.
 type agg struct {
 	started    int
 	finished   int
@@ -115,8 +115,6 @@ type agg struct {
 
 	cpuJ, radioJ, displayJ float64
 	maxEnd                 sim.Time
-
-	scratch experiments.RunResult
 }
 
 func newAgg() agg {
@@ -127,7 +125,7 @@ func newAgg() agg {
 	}
 }
 
-// fold accumulates one completed viewer's scratch result.
+// fold accumulates one completed viewer's result.
 func (a *agg) fold(res *experiments.RunResult) {
 	a.completed++
 	a.energy.Add(res.TotalJ())
@@ -138,35 +136,71 @@ func (a *agg) fold(res *experiments.RunResult) {
 	a.displayJ += res.DisplayJ
 }
 
-// mergedSketches folds every shard's sketches into fresh ones, in shard
-// order.
-func mergedSketches(shards []*shard) (energy, rebuffer, startup *stats.Sketch) {
-	energy = stats.NewSketch(sketchAlpha)
-	rebuffer = stats.NewSketch(sketchAlpha)
-	startup = stats.NewSketch(sketchAlpha)
-	for _, sh := range shards {
-		// Same-alpha merges cannot fail; the sketches are all built here.
-		_ = energy.Merge(sh.agg.energy)
-		_ = rebuffer.Merge(sh.agg.rebuffer)
-		_ = startup.Merge(sh.agg.startup)
+// merge folds one shard's aggregation state into the running total a. It
+// is the only place shard aggregates combine: Run's Result, every rollup
+// frame and MergeParts all fold their shards through it in shard-index
+// order, so the float sums — and the bytes — agree wherever the shards
+// ran. Every sketch is built at sketchAlpha (aggOf refuses wire states
+// at any other accuracy), so the sketch merges cannot fail.
+func (a *agg) merge(o *agg) {
+	a.started += o.started
+	a.finished += o.finished
+	a.completed += o.completed
+	a.horizonCut += o.horizonCut
+	a.errors += o.errors
+	if a.firstErr == "" {
+		a.firstErr = o.firstErr
 	}
-	return energy, rebuffer, startup
+	a.cpuJ += o.cpuJ
+	a.radioJ += o.radioJ
+	a.displayJ += o.displayJ
+	if o.maxEnd > a.maxEnd {
+		a.maxEnd = o.maxEnd
+	}
+	_ = a.energy.Merge(o.energy)
+	_ = a.rebuffer.Merge(o.rebuffer)
+	_ = a.startup.Merge(o.startup)
 }
 
-// snapshotRollup merges every shard's aggregation state at a barrier, in
-// shard-index order.
-func snapshotRollup(t sim.Time, shards []*shard) Rollup {
-	r := Rollup{T: t}
+// totalOf folds live shards into a fresh total.
+func totalOf(shards []*shard) agg {
+	total := newAgg()
 	for _, sh := range shards {
-		r.Joined += sh.agg.started
-		r.Active += sh.agg.started - sh.agg.finished
-		r.Completed += sh.agg.completed
-		r.HorizonCut += sh.agg.horizonCut
-		r.Errors += sh.agg.errors
+		total.merge(&sh.agg)
 	}
-	energy, rebuffer, startup := mergedSketches(shards)
-	r.EnergyJ = distOf(energy)
-	r.RebufferRatio = distOf(rebuffer)
-	r.StartupDelayS = distOf(startup)
-	return r
+	return total
+}
+
+// rollup reads a barrier snapshot out of a total.
+func (a *agg) rollup(t sim.Time) Rollup {
+	return Rollup{
+		T:             t,
+		Joined:        a.started,
+		Active:        a.started - a.finished,
+		Completed:     a.completed,
+		HorizonCut:    a.horizonCut,
+		Errors:        a.errors,
+		EnergyJ:       distOf(a.energy),
+		RebufferRatio: distOf(a.rebuffer),
+		StartupDelayS: distOf(a.startup),
+	}
+}
+
+// result reads the cohort's final outcome out of a total.
+func (a *agg) result(viewers, shards int) Result {
+	return Result{
+		Viewers:       viewers,
+		Completed:     a.completed,
+		HorizonCut:    a.horizonCut,
+		Errors:        a.errors,
+		FirstError:    a.firstErr,
+		EnergyJ:       distOf(a.energy),
+		RebufferRatio: distOf(a.rebuffer),
+		StartupDelayS: distOf(a.startup),
+		CPUJ:          a.cpuJ,
+		RadioJ:        a.radioJ,
+		DisplayJ:      a.displayJ,
+		SimEnd:        a.maxEnd,
+		Shards:        shards,
+	}
 }

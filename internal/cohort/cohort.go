@@ -260,19 +260,6 @@ func (c Config) shardCount() int {
 	return s
 }
 
-// viewerHorizon mirrors Run's default horizon: the per-viewer virtual
-// budget from join to forced cut.
-func (c Config) viewerHorizon() sim.Time {
-	if c.Base.Horizon > 0 {
-		return c.Base.Horizon
-	}
-	d := c.Base.Duration
-	if c.Base.Trace != nil && d <= 0 {
-		d = c.Base.Trace.Duration()
-	}
-	return d*6 + 60*sim.Second
-}
-
 // computeJoins materializes every viewer's absolute join time, centrally
 // and in index order from one derived RNG stream — so the assignment is
 // identical no matter how the cohort is sharded or stepped.

@@ -2,7 +2,7 @@ package cohort
 
 import (
 	"fmt"
-	"runtime"
+	"math"
 	"sort"
 
 	"videodvfs/internal/experiments"
@@ -93,74 +93,48 @@ func RunPart(cfg Config, shardSet []int) (Partial, error) {
 		}
 	}
 
-	joins := computeJoins(cfg)
-	shards := make([]*shard, len(set))
-	for i, idx := range set {
-		shards[i] = newShard(&cfg, idx, nShards, joins)
+	shards, err := runShards(&cfg, set)
+	if err != nil {
+		return Partial{}, err
 	}
-
-	var maxJoin sim.Time
-	for _, j := range joins {
-		if j > maxJoin {
-			maxJoin = j
-		}
-	}
-	step := cfg.rollup()
-	bound := maxJoin + cfg.viewerHorizon() + step
-	workers := runtime.GOMAXPROCS(0)
-
-	for t := step; ; t += step {
-		stepAll(shards, t, workers)
-		if err := canceled(cfg); err != nil {
-			return Partial{}, err
-		}
-		if allDone(shards) || t > bound {
-			break
-		}
-	}
-
 	p := Partial{Viewers: cfg.Viewers, Shards: nShards, States: make([]ShardState, len(shards))}
 	for i, sh := range shards {
-		p.States[i] = ShardState{
-			Shard:      sh.idx,
-			Started:    sh.agg.started,
-			Finished:   sh.agg.finished,
-			Completed:  sh.agg.completed,
-			HorizonCut: sh.agg.horizonCut,
-			Errors:     sh.agg.errors,
-			FirstError: sh.agg.firstErr,
-			CPUJ:       sh.agg.cpuJ,
-			RadioJ:     sh.agg.radioJ,
-			DisplayJ:   sh.agg.displayJ,
-			MaxEnd:     sh.agg.maxEnd,
-			Energy:     sh.agg.energy.State(),
-			Rebuffer:   sh.agg.rebuffer.State(),
-			Startup:    sh.agg.startup.State(),
-		}
+		p.States[i] = sh.agg.state(sh.idx)
 	}
 	return p, nil
 }
 
 // MergeParts reassembles a whole cohort's Result from partial runs. The
-// parts must agree on the cohort layout (Viewers, Shards) and together
-// cover every shard exactly once. All merging happens in global
-// shard-index order — counter sums, energy sums, sketch merges — which is
-// precisely the order a single-node Run folds its shards in, so the
-// merged Result is bit-identical to the single-node one.
+// parts must agree on the cohort layout (Viewers, Shards), together cover
+// every shard exactly once, and start no more viewers than the cohort has;
+// each shard state must be one a run could produce (see aggOf). Every
+// state is rebuilt into the aggregate a single-node Run folds its live
+// shards into and folded by the same merge, in global shard-index order,
+// so the merged Result is bit-identical to the single-node one.
 func MergeParts(parts []Partial) (Result, error) {
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("cohort: no parts to merge")
 	}
 	viewers, nShards := parts[0].Viewers, parts[0].Shards
-	states := make([]*ShardState, nShards)
+	count := 0
 	for pi := range parts {
 		p := &parts[pi]
 		if p.Viewers != viewers || p.Shards != nShards {
 			return Result{}, fmt.Errorf("cohort: merging mismatched layouts: %d viewers/%d shards vs %d/%d",
 				p.Viewers, p.Shards, viewers, nShards)
 		}
-		for si := range p.States {
-			st := &p.States[si]
+		count += len(p.States)
+	}
+	// A layout has one shard to one per viewer, and the parts name each
+	// shard once: checked before sizing anything by a count off the wire.
+	if nShards < 1 || nShards > viewers || count != nShards {
+		return Result{}, fmt.Errorf("cohort: %d shard states for a layout of %d shards over %d viewers",
+			count, nShards, viewers)
+	}
+	states := make([]*ShardState, nShards)
+	for pi := range parts {
+		for si := range parts[pi].States {
+			st := &parts[pi].States[si]
 			if st.Shard < 0 || st.Shard >= nShards {
 				return Result{}, fmt.Errorf("cohort: shard %d outside [0, %d)", st.Shard, nShards)
 			}
@@ -170,50 +144,76 @@ func MergeParts(parts []Partial) (Result, error) {
 			states[st.Shard] = st
 		}
 	}
-	for i, st := range states {
-		if st == nil {
-			return Result{}, fmt.Errorf("cohort: shard %d missing from every part", i)
-		}
-	}
 
-	r := Result{Viewers: viewers, Shards: nShards}
-	energy := stats.NewSketch(sketchAlpha)
-	rebuffer := stats.NewSketch(sketchAlpha)
-	startup := stats.NewSketch(sketchAlpha)
+	total := newAgg()
 	for _, st := range states {
-		r.Completed += st.Completed
-		r.HorizonCut += st.HorizonCut
-		r.Errors += st.Errors
-		if r.FirstError == "" {
-			r.FirstError = st.FirstError
+		a, err := aggOf(st)
+		if err != nil {
+			return Result{}, fmt.Errorf("cohort: shard %d: %w", st.Shard, err)
 		}
-		r.CPUJ += st.CPUJ
-		r.RadioJ += st.RadioJ
-		r.DisplayJ += st.DisplayJ
-		if st.MaxEnd > r.SimEnd {
-			r.SimEnd = st.MaxEnd
+		if a.started > viewers-total.started {
+			return Result{}, fmt.Errorf("cohort: parts start more than %d viewers", viewers)
 		}
-		if err := mergeState(energy, st.Energy); err != nil {
-			return Result{}, fmt.Errorf("cohort: shard %d energy sketch: %w", st.Shard, err)
-		}
-		if err := mergeState(rebuffer, st.Rebuffer); err != nil {
-			return Result{}, fmt.Errorf("cohort: shard %d rebuffer sketch: %w", st.Shard, err)
-		}
-		if err := mergeState(startup, st.Startup); err != nil {
-			return Result{}, fmt.Errorf("cohort: shard %d startup sketch: %w", st.Shard, err)
-		}
+		total.merge(&a)
 	}
-	r.EnergyJ = distOf(energy)
-	r.RebufferRatio = distOf(rebuffer)
-	r.StartupDelayS = distOf(startup)
-	return r, nil
+	return total.result(viewers, nShards), nil
 }
 
-// mergeState reconstructs a wire sketch state and folds it into dst.
-func mergeState(dst *stats.Sketch, st stats.SketchState) error {
-	sk, err := stats.SketchFromState(st)
-	if err != nil {
-		return err
+// state serializes a shard's aggregation state for the wire.
+func (a *agg) state(shard int) ShardState {
+	return ShardState{
+		Shard:      shard,
+		Started:    a.started,
+		Finished:   a.finished,
+		Completed:  a.completed,
+		HorizonCut: a.horizonCut,
+		Errors:     a.errors,
+		FirstError: a.firstErr,
+		CPUJ:       a.cpuJ,
+		RadioJ:     a.radioJ,
+		DisplayJ:   a.displayJ,
+		MaxEnd:     a.maxEnd,
+		Energy:     a.energy.State(),
+		Rebuffer:   a.rebuffer.State(),
+		Startup:    a.startup.State(),
 	}
-	return dst.Merge(sk)
+}
+
+// sketchGamma is the bin ratio of every sketch built at sketchAlpha.
+var sketchGamma = stats.NewSketch(sketchAlpha).State().Gamma
+
+// aggOf rebuilds a wire ShardState into the aggregate merge folds,
+// refusing a state no run could produce. A shard's accounting closes —
+// every finished viewer completed or failed, horizon cuts among the
+// failures, none finished unstarted — and each sketch holds at most one
+// observation per completed viewer (Sketch.Add drops non-finite values,
+// so n can fall short but never exceed). Energy sums and the last end
+// are finite and non-negative.
+func aggOf(st *ShardState) (agg, error) {
+	if min(st.Started, st.Finished, st.Completed, st.HorizonCut, st.Errors) < 0 || st.Finished > st.Started ||
+		st.Completed > st.Finished || st.Errors != st.Finished-st.Completed || st.HorizonCut > st.Errors {
+		return agg{}, fmt.Errorf("accounting does not close: %d started, %d finished, %d completed, %d errors, %d cut",
+			st.Started, st.Finished, st.Completed, st.Errors, st.HorizonCut)
+	}
+	for _, v := range [...]float64{st.CPUJ, st.RadioJ, st.DisplayJ, float64(st.MaxEnd)} {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return agg{}, fmt.Errorf("energy sum or end %v not finite and non-negative", v)
+		}
+	}
+	a := agg{started: st.Started, finished: st.Finished, completed: st.Completed, horizonCut: st.HorizonCut,
+		errors: st.Errors, firstErr: st.FirstError, cpuJ: st.CPUJ, radioJ: st.RadioJ, displayJ: st.DisplayJ,
+		maxEnd: st.MaxEnd}
+	names := [...]string{"energy", "rebuffer", "startup"}
+	dst := [...]**stats.Sketch{&a.energy, &a.rebuffer, &a.startup}
+	for i, sk := range [...]stats.SketchState{st.Energy, st.Rebuffer, st.Startup} {
+		s, err := stats.SketchFromState(sk)
+		if err == nil && (sk.Gamma != sketchGamma || sk.N > uint64(st.Completed)) {
+			err = fmt.Errorf("gamma %v, n %d over %d completed", sk.Gamma, sk.N, st.Completed)
+		}
+		if err != nil {
+			return agg{}, fmt.Errorf("%s sketch: %w", names[i], err)
+		}
+		*dst[i] = s
+	}
+	return a, nil
 }

@@ -25,11 +25,33 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	joins := computeJoins(cfg)
+	shards, err := runShards(&cfg, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	total := totalOf(shards)
+	return total.result(cfg.Viewers, len(shards)), nil
+}
+
+// runShards builds the named shards of a validated cohort (nil names
+// every shard) and steps them in lockstep rollup barriers until all
+// their viewers have finished: the one stepping loop Run and RunPart
+// share. At each barrier it checks for cancellation and hands OnRollup,
+// which only whole cohorts may set, the merged snapshot.
+func runShards(cfg *Config, set []int) ([]*shard, error) {
+	joins := computeJoins(*cfg)
 	nShards := cfg.shardCount()
-	shards := make([]*shard, nShards)
+	n := len(set)
+	if set == nil {
+		n = nShards
+	}
+	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = newShard(&cfg, i, nShards, joins)
+		idx := i
+		if set != nil {
+			idx = set[i]
+		}
+		shards[i] = newShard(cfg, idx, nShards, joins)
 	}
 
 	var maxJoin sim.Time
@@ -42,28 +64,28 @@ func Run(cfg Config) (Result, error) {
 	// The horizon cuts guarantee every viewer is finished by
 	// maxJoin+horizon; the bound below is a pure safety net against a
 	// model bug, not a control-flow path.
-	bound := maxJoin + cfg.viewerHorizon() + step
+	bound := maxJoin + cfg.Base.EffectiveHorizon() + step
 	workers := runtime.GOMAXPROCS(0)
 
 	for t := step; ; t += step {
 		stepAll(shards, t, workers)
 		if err := canceled(cfg); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if cfg.OnRollup != nil {
-			cfg.OnRollup(snapshotRollup(t, shards))
+			total := totalOf(shards)
+			cfg.OnRollup(total.rollup(t))
 		}
 		if allDone(shards) || t > bound {
-			break
+			return shards, nil
 		}
 	}
-	return buildResult(cfg, nShards, shards), nil
 }
 
 // canceled reports whether the cohort's cancel channel has closed,
 // wrapping experiments.ErrCanceled so callers branch on it exactly like a
 // canceled single run.
-func canceled(cfg Config) error {
+func canceled(cfg *Config) error {
 	if cfg.Cancel == nil {
 		return nil
 	}
@@ -113,29 +135,4 @@ func allDone(shards []*shard) bool {
 		}
 	}
 	return true
-}
-
-// buildResult merges the shards' final aggregation state, in shard-index
-// order.
-func buildResult(cfg Config, nShards int, shards []*shard) Result {
-	r := Result{Viewers: cfg.Viewers, Shards: nShards}
-	for _, sh := range shards {
-		r.Completed += sh.agg.completed
-		r.HorizonCut += sh.agg.horizonCut
-		r.Errors += sh.agg.errors
-		if r.FirstError == "" {
-			r.FirstError = sh.agg.firstErr
-		}
-		r.CPUJ += sh.agg.cpuJ
-		r.RadioJ += sh.agg.radioJ
-		r.DisplayJ += sh.agg.displayJ
-		if sh.agg.maxEnd > r.SimEnd {
-			r.SimEnd = sh.agg.maxEnd
-		}
-	}
-	energy, rebuffer, startup := mergedSketches(shards)
-	r.EnergyJ = distOf(energy)
-	r.RebufferRatio = distOf(rebuffer)
-	r.StartupDelayS = distOf(startup)
-	return r
 }

@@ -14,14 +14,18 @@ import (
 // barriers; all viewer state mutation happens inside its engine's
 // events, single-threaded as always.
 type shard struct {
-	idx     int
-	cfg     *Config
-	eng     *sim.Engine
-	horizon sim.Time
-	total   int
-	cells   map[int]*cellState // sector index -> state, sectors owned whole
-	agg     agg
-	done    bool
+	idx   int
+	cfg   *Config
+	eng   *sim.Engine
+	total int
+	cells map[int]*cellState // sector index -> state, sectors owned whole
+	agg   agg
+	done  bool
+
+	// scratch is the one result every viewer of the shard collects into:
+	// one per SHARD, not per viewer, is the whole memory story of result
+	// collection.
+	scratch experiments.RunResult
 }
 
 // newShard builds shard idx of shards: constructs every t=0 viewer (in
@@ -30,11 +34,10 @@ type shard struct {
 // starts the t=0 crowd and arms per-viewer horizon cuts.
 func newShard(cfg *Config, idx, shards int, joins []sim.Time) *shard {
 	sh := &shard{
-		idx:     idx,
-		cfg:     cfg,
-		eng:     sim.NewEngine(),
-		horizon: cfg.viewerHorizon(),
-		agg:     newAgg(),
+		idx: idx,
+		cfg: cfg,
+		eng: sim.NewEngine(),
+		agg: newAgg(),
 	}
 	if cfg.Cell != nil {
 		sh.cells = make(map[int]*cellState)
@@ -115,7 +118,7 @@ func (sh *shard) collect(i int, v *experiments.Viewer) {
 	if now := sh.eng.Now(); now > sh.agg.maxEnd {
 		sh.agg.maxEnd = now
 	}
-	res := &sh.agg.scratch
+	res := &sh.scratch
 	if err := v.Finish(res); err != nil {
 		sh.agg.errors++
 		if errors.Is(err, experiments.ErrHorizonExceeded) {

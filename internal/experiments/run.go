@@ -128,9 +128,9 @@ type RunConfig struct {
 	// Background enables the UI/OS load generator (default on via
 	// DefaultRunConfig).
 	Background bool
-	// Horizon caps virtual time (0 = Duration*6 + 60 s; starved runs
-	// terminate, radio tails need the +60 s). A session still incomplete
-	// at the cap makes Run fail with ErrHorizonExceeded.
+	// Horizon caps virtual time (0 = the default EffectiveHorizon
+	// derives from the content length). A session still incomplete at
+	// the cap makes Run fail with ErrHorizonExceeded.
 	Horizon sim.Time
 	// FPS overrides the frame rate (0 = 30).
 	FPS float64
@@ -178,6 +178,22 @@ func DefaultRunConfig() RunConfig {
 		Seed:       1,
 		Background: true,
 	}
+}
+
+// EffectiveHorizon returns the virtual-time budget a run gets from its
+// start to a forced cut: Horizon when set, otherwise six times the content
+// length plus 60 s, so starved runs terminate and radio tails still fit.
+// The content length is a frame trace's own when Duration is unset. A
+// standalone run, a cohort viewer and dvfsd's clamp all read it here.
+func (cfg RunConfig) EffectiveHorizon() sim.Time {
+	if cfg.Horizon > 0 {
+		return cfg.Horizon
+	}
+	d := cfg.Duration
+	if cfg.Trace != nil && d <= 0 {
+		d = cfg.Trace.Duration()
+	}
+	return d*6 + 60*sim.Second
 }
 
 // RunResult is the outcome of one simulation.
@@ -348,23 +364,36 @@ type bwKey struct {
 // bwCache memoizes generated Markov traces across runs, mirroring
 // streamCache: traces are immutable after generation (Rate only reads), so
 // sharing them between concurrent runs is safe and changes no output.
-var bwCache sync.Map // bwKey -> netsim.Bandwidth
+var bwCache inputCache[bwKey, netsim.Bandwidth]
 
-func buildBandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
-	bw, rrc, err := buildBandwidthBase(cfg)
-	if err != nil {
-		return nil, rrc, err
-	}
-	if cfg.RRC != nil {
-		rrc = *cfg.RRC
-	}
-	return bw, rrc, nil
+// inputCache is a package-wide memo of generated run inputs: a typed map
+// behind a read-write lock, so a hit boxes no key and asserts no type.
+// Generation is a pure function of the key, so when two runs race on the
+// same miss both values are identical and either may be kept.
+type inputCache[K comparable, V any] struct {
+	mu sync.RWMutex
+	m  map[K]V
 }
 
-// buildBandwidthBase resolves the bandwidth model and the network's default
-// RRC profile, before any RunConfig.RRC override (the arena memoizes the
-// base pair and applies the override per run).
-func buildBandwidthBase(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
+func (c *inputCache[K, V]) load(key K) (V, bool) {
+	c.mu.RLock()
+	v, ok := c.m[key]
+	c.mu.RUnlock()
+	return v, ok
+}
+
+func (c *inputCache[K, V]) store(key K, v V) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[K]V)
+	}
+	c.m[key] = v
+	c.mu.Unlock()
+}
+
+// buildBandwidth resolves the run's bandwidth model and RRC profile: the
+// network's default profile unless RunConfig.RRC overrides it.
+func buildBandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
 	rrc := netsim.DefaultLTE()
 	var bw netsim.Bandwidth
 	switch cfg.Net {
@@ -372,31 +401,23 @@ func buildBandwidthBase(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, erro
 		bw = bwWiFi
 	case NetConst8:
 		bw = bwConst8
-	case NetLTE:
-		key := bwKey{net: NetLTE, dur: cfg.Duration, seed: cfg.Seed}
-		if cached, ok := bwCache.Load(key); ok {
-			bw = cached.(netsim.Bandwidth)
+	case NetLTE, NetUMTS:
+		states, name := netsim.LTEStates, "bw/lte"
+		if cfg.Net == NetUMTS {
+			rrc = netsim.DefaultUMTS()
+			states, name = netsim.UMTSStates, "bw/umts"
+		}
+		key := bwKey{net: cfg.Net, dur: cfg.Duration, seed: cfg.Seed}
+		if cached, ok := bwCache.load(key); ok {
+			bw = cached
 			break
 		}
-		tr, err := netsim.GenMarkovTrace(netsim.LTEStates(), cfg.Duration*4, sim.Stream(cfg.Seed, "bw/lte"))
+		tr, err := netsim.GenMarkovTrace(states(), cfg.Duration*4, sim.Stream(cfg.Seed, name))
 		if err != nil {
 			return nil, rrc, err
 		}
 		bw = tr
-		bwCache.Store(key, bw)
-	case NetUMTS:
-		rrc = netsim.DefaultUMTS()
-		key := bwKey{net: NetUMTS, dur: cfg.Duration, seed: cfg.Seed}
-		if cached, ok := bwCache.Load(key); ok {
-			bw = cached.(netsim.Bandwidth)
-			break
-		}
-		tr, err := netsim.GenMarkovTrace(netsim.UMTSStates(), cfg.Duration*4, sim.Stream(cfg.Seed, "bw/umts"))
-		if err != nil {
-			return nil, rrc, err
-		}
-		bw = tr
-		bwCache.Store(key, bw)
+		bwCache.store(key, bw)
 	case NetTrace:
 		if cfg.BWTrace == nil {
 			return nil, rrc, fmt.Errorf("experiments: net %q requires a bandwidth trace", NetTrace)
@@ -407,6 +428,9 @@ func buildBandwidthBase(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, erro
 		bw = *cfg.BWTrace
 	default:
 		return nil, rrc, fmt.Errorf("experiments: unknown network kind %q", cfg.Net)
+	}
+	if cfg.RRC != nil {
+		rrc = *cfg.RRC
 	}
 	return bw, rrc, nil
 }
@@ -455,7 +479,7 @@ type streamKey struct {
 // immutable after Generate (sessions segmentize and copy frames by value),
 // so sharing them between concurrent campaign runs is safe and changes no
 // output — it only removes the dominant setup cost of repeated runs.
-var streamCache sync.Map // streamKey -> []*video.Stream
+var streamCache inputCache[streamKey, []*video.Stream]
 
 // abrFixed0 is the shared fixed-rung adaptation value: abr.Fixed is a
 // stateless value type, and a package-level interface value keeps the
@@ -473,63 +497,46 @@ func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
 		}
 		return []*video.Stream{cfg.Trace}, abrFixed0, nil
 	}
-	// Codec resolution is deferred into the cache-miss branches: the
-	// default codec's construction allocates, and a bad codec name can
-	// never have been cached (generation would have failed), so cache hits
-	// lose nothing by skipping it.
-	key := streamKey{
-		title: cfg.Title,
-		codec: cfg.Codec,
-		fps:   fps,
-		dur:   cfg.Duration,
-		seed:  cfg.Seed,
-	}
-	switch cfg.ABR {
-	case "", ABRFixed:
+	algo, key := abrFixed0, streamKey{title: cfg.Title, codec: cfg.Codec, fps: fps, dur: cfg.Duration, seed: cfg.Seed}
+	if cfg.ABR == "" || cfg.ABR == ABRFixed {
 		key.rung = cfg.Rung
-		if cached, ok := streamCache.Load(key); ok {
-			return cached.([]*video.Stream), abrFixed0, nil
-		}
-		codec := video.DefaultCodec()
-		if cfg.Codec != "" {
-			var err error
-			codec, err = video.CodecByName(cfg.Codec)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		spec := video.DefaultSpec(cfg.Title, cfg.Rung).WithCodec(codec)
-		spec.FPS = fps
-		s, err := video.Generate(spec, cfg.Duration, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		streams := []*video.Stream{s}
-		streamCache.Store(key, streams)
-		return streams, abrFixed0, nil
-	default:
-		algo, err := abr.New(string(cfg.ABR))
-		if err != nil {
+	} else {
+		var err error
+		if algo, err = abr.New(string(cfg.ABR)); err != nil {
 			return nil, nil, err
 		}
 		key.ladder = true
-		if cached, ok := streamCache.Load(key); ok {
-			return cached.([]*video.Stream), algo, nil
-		}
-		// The ladder generator ignores the codec, but a bad codec name
-		// must still fail the run as it always has.
-		if cfg.Codec != "" {
-			if _, err := video.CodecByName(cfg.Codec); err != nil {
-				return nil, nil, err
-			}
-		}
-		streams, err := video.GenerateLadder(cfg.Title, fps, video.DefaultLadder(), cfg.Duration, cfg.Seed)
-		if err != nil {
+	}
+	if cached, ok := streamCache.load(key); ok {
+		return cached, algo, nil
+	}
+	// Codec resolution waits for a miss: the default codec's construction
+	// allocates, and a bad codec name can never have been cached
+	// (generation would have failed). The ladder generator ignores the
+	// codec, but a bad name must still fail the run as it always has.
+	codec := video.DefaultCodec()
+	if cfg.Codec != "" {
+		var err error
+		if codec, err = video.CodecByName(cfg.Codec); err != nil {
 			return nil, nil, err
 		}
-		streamCache.Store(key, streams)
-		return streams, algo, nil
 	}
+	var streams []*video.Stream
+	var err error
+	if key.ladder {
+		streams, err = video.GenerateLadder(cfg.Title, fps, video.DefaultLadder(), cfg.Duration, cfg.Seed)
+	} else {
+		spec := video.DefaultSpec(cfg.Title, cfg.Rung).WithCodec(codec)
+		spec.FPS = fps
+		var s *video.Stream
+		s, err = video.Generate(spec, cfg.Duration, cfg.Seed)
+		streams = []*video.Stream{s}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	streamCache.store(key, streams)
+	return streams, algo, nil
 }
 
 // ErrCanceled reports a run aborted because its RunConfig.Cancel channel
@@ -538,10 +545,10 @@ func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
 // distinguish it with errors.Is.
 var ErrCanceled = errors.New("run canceled")
 
-// ErrHorizonExceeded reports that a session was still incomplete when the
-// simulation horizon (RunConfig.Horizon, default Duration*6 + 60 s) cut
-// the run off — the link could not sustain the stream within the cap.
-// Callers distinguish it with errors.Is.
+// ErrHorizonExceeded reports that a session was still incomplete when its
+// horizon (RunConfig.EffectiveHorizon) cut the run off — the link could
+// not sustain the stream within the cap. Callers distinguish it with
+// errors.Is.
 var ErrHorizonExceeded = errors.New("simulation horizon exceeded")
 
 // newChecker builds the invariant checker; a test hook so the typed

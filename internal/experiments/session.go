@@ -5,11 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"videodvfs/internal/abr"
-	"videodvfs/internal/netsim"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/trace"
-	"videodvfs/internal/video"
 )
 
 // Session is a reusable simulation arena: an owned engine plus one
@@ -36,7 +33,6 @@ type Session struct {
 	// v is held by value but not embedded, so the Viewer's Start, Cut
 	// and Deadline stay off the public arena's method set.
 	v     Viewer
-	memo  inputMemo // v.memo points here
 	batch *trace.Batcher
 
 	// stopFn is the viewer's pre-bound OnDone: stop the tickers and the
@@ -63,7 +59,6 @@ type runState struct {
 func NewSession() *Session {
 	s := &Session{}
 	s.v.eng = sim.NewEngine()
-	s.v.memo = &s.memo
 	s.stopFn = func() {
 		if s.probe != nil {
 			s.probe.Stop()
@@ -228,92 +223,4 @@ func (s *Session) release() {
 	s.v.teardown()
 	s.v.cfg, s.v.chk = RunConfig{}, nil
 	s.run = runState{}
-}
-
-// inputMemo is a Session's arena-local memo in front of the package
-// caches: sync.Map lookups box their struct keys (an allocation per call),
-// so same-config reruns short-circuit here. Its methods accept a nil memo
-// — a cohort viewer's — and then go straight to the caches.
-type inputMemo struct {
-	bwNet      NetKind
-	bwDur      sim.Time
-	bwSeed     int64
-	bw         netsim.Bandwidth
-	rrc        netsim.RRCConfig
-	rendKey    streamKey
-	rends      []*video.Stream
-	traceRends []*video.Stream
-}
-
-// bandwidth resolves the run's bandwidth model and RRC profile through
-// the memo, falling back to the package caches.
-func (m *inputMemo) bandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
-	// Trace-backed runs bypass the memo: its (net, duration, seed) key
-	// cannot tell two different recorded traces apart, and the trace is
-	// the caller's — nothing to generate or cache.
-	if m == nil || cfg.Net == NetTrace {
-		return buildBandwidth(cfg)
-	}
-	if m.bw != nil && cfg.Net == m.bwNet && cfg.Duration == m.bwDur && cfg.Seed == m.bwSeed {
-		rrc := m.rrc
-		if cfg.RRC != nil {
-			rrc = *cfg.RRC
-		}
-		return m.bw, rrc, nil
-	}
-	bw, rrc, err := buildBandwidthBase(cfg)
-	if err != nil {
-		return nil, rrc, err
-	}
-	m.bwNet, m.bwDur, m.bwSeed = cfg.Net, cfg.Duration, cfg.Seed
-	m.bw, m.rrc = bw, rrc
-	if cfg.RRC != nil {
-		rrc = *cfg.RRC
-	}
-	return bw, rrc, nil
-}
-
-// renditions resolves the run's rendition set through the memo (fixed-rung
-// runs only; ladder runs keep a fresh stateful ABR instance and hit the
-// package cache for their streams).
-func (m *inputMemo) renditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
-	if m == nil {
-		return buildRenditions(cfg)
-	}
-	if cfg.Trace != nil {
-		if len(cfg.Trace.Frames) == 0 {
-			return nil, nil, fmt.Errorf("experiments: empty frame trace")
-		}
-		if m.traceRends == nil {
-			m.traceRends = make([]*video.Stream, 1)
-		}
-		m.traceRends[0] = cfg.Trace
-		return m.traceRends, abrFixed0, nil
-	}
-	switch cfg.ABR {
-	case "", ABRFixed:
-		fps := cfg.FPS
-		if fps == 0 {
-			fps = 30
-		}
-		key := streamKey{
-			title: cfg.Title,
-			rung:  cfg.Rung,
-			codec: cfg.Codec,
-			fps:   fps,
-			dur:   cfg.Duration,
-			seed:  cfg.Seed,
-		}
-		if m.rends != nil && key == m.rendKey {
-			return m.rends, abrFixed0, nil
-		}
-		streams, algo, err := buildRenditions(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.rendKey, m.rends = key, streams
-		return streams, algo, nil
-	default:
-		return buildRenditions(cfg)
-	}
 }

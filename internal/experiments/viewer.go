@@ -74,11 +74,6 @@ type Viewer struct {
 	radioPowerFn func(now sim.Time, watts float64)
 	doneFn       func()
 
-	// memo fronts the package caches for same-config reruns. Only
-	// NewSession sets it: a cohort viewer is built once and dropped, and
-	// inlined memo fields would grow every one of them.
-	memo *inputMemo
-
 	bgActive bool
 	done     bool
 	horizon  sim.Time // relative to join, same default as Run
@@ -204,7 +199,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	}
 	v.gov = gov
 
-	bw, rrcCfg, err := v.memo.bandwidth(cfg)
+	bw, rrcCfg, err := buildBandwidth(cfg)
 	if err != nil {
 		return err
 	}
@@ -260,7 +255,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		v.bgActive = true
 	}
 
-	renditions, algo, err := v.memo.renditions(cfg)
+	renditions, algo, err := buildRenditions(cfg)
 	if err != nil {
 		return err
 	}
@@ -307,10 +302,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	}
 	v.ps.OnDone(v.doneFn)
 
-	v.horizon = cfg.Duration*6 + 60*sim.Second
-	if cfg.Horizon > 0 {
-		v.horizon = cfg.Horizon
-	}
+	v.horizon = cfg.EffectiveHorizon()
 	return nil
 }
 

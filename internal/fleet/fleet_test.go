@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,6 +69,61 @@ func TestRingSpreadAndMinimalDisruption(t *testing.T) {
 
 	if _, ok := r.pick("anything", func(int) bool { return false }); ok {
 		t.Fatal("pick succeeded with no alive workers")
+	}
+}
+
+// The ring must spread structured keys, not just random ones. A cohort's
+// shards are routed by "key/shard/i" and each worker's vnodes are labelled
+// "url#v": keys that differ only in a short suffix. Without a finalized
+// hash they cluster, and every shard of a cohort lands on one worker.
+func TestRingSpreadsSuffixKeys(t *testing.T) {
+	rng := sim.Stream(16, "ring-test")
+	seq := 0
+	hexKey := func() string { // shaped like a content-addressed config key
+		seq++
+		sum := sha256.Sum256([]byte(strconv.Itoa(seq)))
+		return hex.EncodeToString(sum[:])
+	}
+	ringOf := func(n int) *ring {
+		labels := make([]string, n)
+		for i := range labels {
+			labels[i] = fmt.Sprintf("http://127.0.0.1:%d", 32768+rng.Intn(28232))
+		}
+		return newRing(labels, 64)
+	}
+	allAlive := func(int) bool { return true }
+
+	// (a) 8-shard cohorts over 4 workers touch at least 3 of them.
+	r := ringOf(4)
+	spread := 0
+	for k := 0; k < 1000; k++ {
+		key := hexKey()
+		owners := map[int]bool{}
+		for i := 0; i < 8; i++ {
+			wi, _ := r.pick(key+"/shard/"+strconv.Itoa(i), allAlive)
+			owners[wi] = true
+		}
+		if len(owners) >= 3 {
+			spread++
+		}
+	}
+	if spread < 900 {
+		t.Errorf("8-shard cohorts over 4 workers reached ≥ 3 workers for %d/1000 keys, want ≥ 900", spread)
+	}
+
+	// (b) Every worker's share of plain keys is near even.
+	for _, n := range []int{2, 3, 4, 8} {
+		r := ringOf(n)
+		counts := make([]int, n)
+		for k := 0; k < 10000; k++ {
+			wi, _ := r.pick(hexKey(), allAlive)
+			counts[wi]++
+		}
+		for wi, c := range counts {
+			if share := float64(c) * float64(n) / 10000; share < 0.6 || share > 1.4 {
+				t.Errorf("%d workers: worker %d owns %d/10000 keys (%.2f× even), want within [0.6, 1.4]×", n, wi, c, share)
+			}
+		}
 	}
 }
 
@@ -268,17 +325,31 @@ func summaryOf(t *testing.T, raw []byte) (string, cohort.Result) {
 // with all workers healthy, and again with one worker already dead (its
 // shards rehash onto the survivors via ejection).
 func TestFleetCohortMatchesSingleNode(t *testing.T) {
-	_, ctlURL, workers, refURL := testFleet(t, 3, server.Config{}, Config{
+	ctl, ctlURL, workers, refURL := testFleet(t, 3, server.Config{}, Config{
 		Retries: 2, Backoff: 5 * time.Millisecond, EjectAfter: 1, ProbeInterval: time.Hour,
 	})
 
-	refResp, refBody := post(t, refURL+"/v1/cohort", cohortReq)
+	// The ring hashes the workers' random ports, so search for a cohort
+	// seed whose shards reach at least two workers: the merge must fold
+	// parts computed on different workers, not one worker's whole cohort.
+	body := ""
+	for seed := 7; body == ""; seed++ {
+		if seed > 7+64 {
+			t.Fatal("no cohort seed routed shards to two workers")
+		}
+		b := fmt.Sprintf(`{"base": {"duration_s": 6}, "viewers": 24, "shards": 6, "rollup_s": 5, "seed": %d}`, seed)
+		if len(cohortOwners(t, ctl, b)) >= 2 {
+			body = b
+		}
+	}
+
+	refResp, refBody := post(t, refURL+"/v1/cohort", body)
 	if refResp.StatusCode != http.StatusOK {
 		t.Fatalf("ref cohort status %d: %s", refResp.StatusCode, refBody)
 	}
 	refKey, refResult := summaryOf(t, refBody)
 
-	resp, fleetBody := post(t, ctlURL+"/v1/cohort", cohortReq)
+	resp, fleetBody := post(t, ctlURL+"/v1/cohort", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet cohort status %d: %s", resp.StatusCode, fleetBody)
 	}
@@ -294,7 +365,7 @@ func TestFleetCohortMatchesSingleNode(t *testing.T) {
 	// merged result must not change.
 	workers[1].CloseClientConnections()
 	workers[1].Close()
-	resp, fleetBody = post(t, ctlURL+"/v1/cohort", cohortReq)
+	resp, fleetBody = post(t, ctlURL+"/v1/cohort", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet cohort status %d after kill: %s", resp.StatusCode, fleetBody)
 	}
@@ -663,15 +734,13 @@ func TestFleetCohortRefusesMixedWorkerKeys(t *testing.T) {
 	})
 
 	// The ring hashes the workers' random ports, so search for a cohort
-	// seed whose shards route to both workers. Shard keys differing in
-	// their last byte alone land on one ring point, so the cohort needs
-	// two-digit shard indexes to split at all.
+	// seed whose shards route to both workers.
 	body := ""
 	for seed := 1; body == ""; seed++ {
 		if seed > 64 {
 			t.Fatal("no cohort seed routed shards to both workers")
 		}
-		b := fmt.Sprintf(`{"base": {"duration_s": 30}, "viewers": 24, "shards": 12, "rollup_s": 5, "seed": %d}`, seed)
+		b := fmt.Sprintf(`{"base": {"duration_s": 30}, "viewers": 24, "shards": 6, "rollup_s": 5, "seed": %d}`, seed)
 		if len(cohortOwners(t, ctl, b)) == 2 {
 			body = b
 		}

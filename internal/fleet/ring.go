@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"videodvfs/internal/sim"
 )
 
 // ring is a consistent-hash ring mapping content-addressed keys onto
@@ -63,8 +65,12 @@ func (r *ring) pick(key string, alive func(int) bool) (int, bool) {
 	return 0, false
 }
 
+// hashKey places a key on the ring: FNV-1a, finalized with SplitMix64.
+// FNV-1a alone folds a key's last byte in with one multiply, so keys that
+// differ only in a short suffix — a cohort's "key/shard/i", a worker's
+// "url#v" vnode labels — land next to each other and share one owner.
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	return sim.Mix64(h.Sum64())
 }

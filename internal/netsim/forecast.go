@@ -70,23 +70,15 @@ func NewNoisy(base Forecast, relErr float64, seed int64) (*Noisy, error) {
 	return &Noisy{base: base, relErr: relErr, seed: seed, rng: sim.NewRNG(seed)}, nil
 }
 
-// splitmix64 finalizes a piece key into a well-mixed seed (the standard
-// SplitMix64 avalanche), so adjacent piece horizons draw uncorrelated
-// multipliers.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Predict implements Forecast.
 func (n *Noisy) Predict(t sim.Time) (float64, sim.Time) {
 	bps, until := n.base.Predict(t)
 	if n.relErr == 0 || bps <= 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
 		return bps, until
 	}
-	key := splitmix64(math.Float64bits(float64(until)) ^ uint64(n.seed))
+	// Mixing the piece key gives adjacent piece horizons uncorrelated
+	// multipliers.
+	key := sim.Mix64(math.Float64bits(float64(until)) ^ uint64(n.seed))
 	n.rng.Reseed(int64(key))
 	return bps * n.rng.LognormalMeanCV(1, n.relErr), until
 }

@@ -355,14 +355,7 @@ func (s *Server) prepare(cfg *experiments.RunConfig) error {
 		return fmt.Errorf("server: %w: duration %v exceeds the service cap %v",
 			experiments.ErrInvalidConfig, cfg.Duration, s.cfg.MaxDuration)
 	}
-	h := cfg.Horizon
-	if h <= 0 {
-		h = cfg.Duration*6 + 60*sim.Second // Run's own default
-	}
-	if h > s.cfg.MaxHorizon {
-		h = s.cfg.MaxHorizon
-	}
-	cfg.Horizon = h
+	cfg.Horizon = min(cfg.EffectiveHorizon(), s.cfg.MaxHorizon)
 	return nil
 }
 

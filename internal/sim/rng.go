@@ -64,6 +64,18 @@ func ChildSeedN(seed int64, name string, n int) int64 {
 	return int64(h)
 }
 
+// Mix64 is the SplitMix64 finalizer: a bijection on 64-bit words under
+// which inputs differing in a few bits map to unrelated outputs. It turns
+// structured keys into well-mixed seeds or hash values: noisy forecasts
+// key each piece's draw with it, and the fleet ring finalizes its FNV-1a
+// key hashes with it.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Reseed rewinds the stream to the state NewRNG(seed) would start in,
 // reusing the underlying source. Combined with ChildSeed it recycles a
 // component stream across simulation runs without reconstructing it.

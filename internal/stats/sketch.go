@@ -267,12 +267,12 @@ func SketchFromState(st SketchState) (*Sketch, error) {
 	}
 	var binned uint64
 	for k, c := range st.Bins {
-		if c == 0 {
-			return nil, fmt.Errorf("stats: sketch state bin %d has zero count", k)
+		if c == 0 || binned+c < binned {
+			return nil, fmt.Errorf("stats: sketch state bin %d count %d is zero or overflows the total", k, c)
 		}
 		binned += c
 	}
-	if st.Zero+binned != st.N {
+	if binned > st.N || st.Zero != st.N-binned {
 		return nil, fmt.Errorf("stats: sketch state counts inconsistent: zero %d + binned %d != n %d",
 			st.Zero, binned, st.N)
 	}
