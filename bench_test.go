@@ -254,9 +254,9 @@ func benchRegistry(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkRegistrySerial rebuilds all 28 experiments on one worker.
+// BenchmarkRegistrySerial rebuilds all 30 experiments on one worker.
 func BenchmarkRegistrySerial(b *testing.B) { benchRegistry(b, 1) }
 
-// BenchmarkRegistryParallel rebuilds all 28 experiments across
+// BenchmarkRegistryParallel rebuilds all 30 experiments across
 // GOMAXPROCS workers (identical output, less wall-clock on multicore).
 func BenchmarkRegistryParallel(b *testing.B) { benchRegistry(b, 0) }

@@ -49,6 +49,8 @@ func TestRejectsBadArgs(t *testing.T) {
 		{"-kind", "video", "-title", "nature"},
 		{"-kind", "video", "-res", "9000p"},
 		{"-kind", "bandwidth", "-net", "pigeon"},
+		{"-kind", "video", "-duration", "NaN"},
+		{"-kind", "bandwidth", "-duration", "NaN"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

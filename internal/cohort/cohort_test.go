@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"videodvfs/internal/experiments"
 	"videodvfs/internal/sim"
@@ -233,6 +234,55 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+}
+
+// A cohort steps one rollup barrier after another until its last viewer
+// finishes, so a tiny rollup or a late last join asked for any number of
+// barriers. Run refuses a worst-case count, (latest join + horizon) ÷
+// rollup, above maxBarriers before stepping; the default and golden shapes
+// and a cohort exactly at the cap still run. Each case has a deadline, so
+// a cohort that is stepped instead of refused fails with ErrCanceled
+// rather than hanging.
+func TestRunRefusesUnboundedBarriers(t *testing.T) {
+	small := DefaultConfig()
+	small.Viewers = 4
+	// 1/64 s rollups over a 156.25 s horizon: exactly maxBarriers.
+	atCap := Config{Base: shortBase(), Viewers: 1, Rollup: sim.Second / 64}
+	atCap.Base.Horizon = sim.Time(maxBarriers) / 64
+	pastCap := atCap
+	pastCap.Base.Horizon += sim.Second / 64
+	cases := []struct {
+		name    string
+		cfg     Config
+		refused bool
+	}{
+		{"tiny rollup", Config{Base: shortBase(), Viewers: 2, Rollup: 100 * sim.Microsecond}, true},
+		{"slow poisson", Config{Base: shortBase(), Viewers: 2,
+			Arrival: Arrival{Kind: ArrivalPoisson, RatePerSec: 1e-7}}, true},
+		{"wide uniform window", Config{Base: shortBase(), Viewers: 2,
+			Arrival: Arrival{Kind: ArrivalUniform, Window: 1e9 * sim.Second}}, true},
+		{"one past the cap", pastCap, true},
+		{"at the cap", atCap, false},
+		{"default", small, false},
+		{"golden", goldenConfig(nil), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cancel := make(chan struct{})
+			deadline := time.AfterFunc(10*time.Second, func() { close(cancel) })
+			defer deadline.Stop()
+			tc.cfg.Cancel = cancel
+			res, err := Run(tc.cfg)
+			switch {
+			case tc.refused && !errors.Is(err, experiments.ErrInvalidConfig):
+				t.Fatalf("err = %v, want ErrInvalidConfig", err)
+			case !tc.refused && err != nil:
+				t.Fatalf("err = %v, want a run", err)
+			case !tc.refused && res.Completed != tc.cfg.Viewers:
+				t.Fatalf("completed %d of %d viewers (%s)", res.Completed, tc.cfg.Viewers, res.FirstError)
+			}
+		})
 	}
 }
 

@@ -33,6 +33,13 @@ func Run(cfg Config) (Result, error) {
 	return total.result(cfg.Viewers, len(shards)), nil
 }
 
+// maxBarriers caps a cohort's worst-case rollup barrier count, (latest
+// join + horizon) ÷ rollup period, a pure function of the config. Each
+// barrier is one stepping round over every shard and one NDJSON frame of
+// 350–570 B on the wire, so the cap bounds a /v1/cohort body below ~6 MB
+// (DESIGN.md §12).
+const maxBarriers = 10000
+
 // runShards builds the named shards of a validated cohort (nil names
 // every shard) and steps them in lockstep rollup barriers until all
 // their viewers have finished: the one stepping loop Run and RunPart
@@ -40,6 +47,20 @@ func Run(cfg Config) (Result, error) {
 // which only whole cohorts may set, the merged snapshot.
 func runShards(cfg *Config, set []int) ([]*shard, error) {
 	joins := computeJoins(*cfg)
+	var maxJoin sim.Time
+	for _, j := range joins {
+		if j > maxJoin {
+			maxJoin = j
+		}
+	}
+	step := cfg.rollup()
+	// Every viewer is finished by maxJoin+horizon, so that span bounds
+	// the barriers before any shard is built.
+	span := maxJoin + cfg.Base.EffectiveHorizon()
+	if n := float64(span / step); !(n <= maxBarriers) {
+		return nil, fmt.Errorf("cohort: %w: %.3g rollup barriers (latest join %gs + horizon %gs, one per %gs) exceed the cap of %d; raise the rollup period or narrow the arrivals",
+			experiments.ErrInvalidConfig, n, maxJoin.Seconds(), cfg.Base.EffectiveHorizon().Seconds(), step.Seconds(), maxBarriers)
+	}
 	nShards := cfg.shardCount()
 	n := len(set)
 	if set == nil {
@@ -54,19 +75,10 @@ func runShards(cfg *Config, set []int) ([]*shard, error) {
 		shards[i] = newShard(cfg, idx, nShards, joins)
 	}
 
-	var maxJoin sim.Time
-	for _, j := range joins {
-		if j > maxJoin {
-			maxJoin = j
-		}
-	}
-	step := cfg.rollup()
-	// The horizon cuts guarantee every viewer is finished by
-	// maxJoin+horizon; the bound below is a pure safety net against a
-	// model bug, not a control-flow path.
-	bound := maxJoin + cfg.Base.EffectiveHorizon() + step
 	workers := runtime.GOMAXPROCS(0)
-
+	// The horizon cuts guarantee every viewer is finished by span; the
+	// exit past it is a pure safety net against a model bug, not a
+	// control-flow path.
 	for t := step; ; t += step {
 		stepAll(shards, t, workers)
 		if err := canceled(cfg); err != nil {
@@ -76,7 +88,7 @@ func runShards(cfg *Config, set []int) ([]*shard, error) {
 			total := totalOf(shards)
 			cfg.OnRollup(total.rollup(t))
 		}
-		if allDone(shards) || t > bound {
+		if allDone(shards) || t > span+step {
 			return shards, nil
 		}
 	}

@@ -39,24 +39,20 @@ func (c ClusterConfig) Validate() error {
 }
 
 // ClusterGovernor is the big.LITTLE-aware extension of the energy-aware
-// policy: per frame it computes the required frequency exactly as the
-// single-core governor does, then places the decode job on the little
-// cluster whenever that frequency fits there — the little core's
-// energy-per-cycle is several times lower. Network and background jobs
-// always run little; the big cluster parks at its floor when unused.
+// policy: a placement step on top of the single-core governor's own
+// per-frame rule. It places the decode job on the little cluster whenever
+// the rule's frequency fits there — the little core's energy-per-cycle is
+// several times lower. Network and background jobs always run little; the
+// big cluster parks at its floor when unused.
 //
 // It implements decode.Submitter (the session's job router) alongside
 // player.SessionHooks.
 type ClusterGovernor struct {
 	cfg    ClusterConfig
-	pred   Predictor
+	pol    *Governor // the per-frame rule; never attached to a scaler
 	big    *cpu.Core
 	little *cpu.Core
-
-	route       *cpu.Core
-	playing     bool
-	downloading bool
-	period      sim.Time
+	route  *cpu.Core
 
 	framesOnLittle int
 	framesOnBig    int
@@ -74,11 +70,11 @@ func NewClusterGovernor(big, little *cpu.Core, cfg ClusterConfig) (*ClusterGover
 		return nil, fmt.Errorf("cluster: big fmax %v must exceed little fmax %v",
 			big.Model().Fmax(), little.Model().Fmax())
 	}
-	pred, err := NewPredictor(cfg.Policy.Predictor, cfg.Policy.Alpha, cfg.Policy.SigmaK)
+	pol, err := New(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
-	g := &ClusterGovernor{cfg: cfg, pred: pred, big: big, little: little, route: big}
+	g := &ClusterGovernor{cfg: cfg, pol: pol, big: big, little: little, route: big}
 	big.SetOPP(0)
 	little.SetOPP(0)
 	return g, nil
@@ -104,36 +100,22 @@ func (g *ClusterGovernor) Submit(j *cpu.Job) error {
 }
 
 // StreamInfo implements player.SessionHooks.
-func (g *ClusterGovernor) StreamInfo(fps float64, _ int) {
-	if fps > 0 {
-		g.period = sim.Time(1 / fps)
-	}
+func (g *ClusterGovernor) StreamInfo(fps float64, totalFrames int) {
+	g.pol.StreamInfo(fps, totalFrames)
 }
 
-// DecodeStart implements decode.Hooks: choose cluster and OPP.
+// DecodeStart implements decode.Hooks: take the per-frame rule's need and
+// choose the cluster and OPP that meet it. A boost runs big at the top.
 func (g *ClusterGovernor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
-	pol := g.cfg.Policy
-	if pol.StartupBoost && !g.playing {
+	hz, _, _, _, boost := g.pol.need(now, f, deadline, ready, queueCap)
+	switch {
+	case boost:
 		g.placeBig(g.big.Model().MaxIdx())
-		return
+	case hz <= g.cfg.LittleBias*g.little.Model().Fmax():
+		g.placeLittle(g.little.Model().IdxForFreq(hz))
+	default:
+		g.placeBig(g.big.Model().IdxForFreq(hz))
 	}
-	pred, ok := g.pred.Predict(f.Type)
-	if !ok {
-		g.placeBig(g.big.Model().MaxIdx())
-		return
-	}
-	slack := deadline - now - pol.Guard
-	if slack <= 0 {
-		g.placeBig(g.big.Model().MaxIdx())
-		return
-	}
-	budget := budgetFor(slack, ready, queueCap, g.period, pol.TargetQueueFrac, pol.SprintFrames)
-	need := pred * (1 + pol.Margin) / budget.Seconds()
-	if need <= g.cfg.LittleBias*g.little.Model().Fmax() {
-		g.placeLittle(g.little.Model().IdxForFreq(need))
-		return
-	}
-	g.placeBig(g.big.Model().IdxForFreq(need))
 }
 
 func (g *ClusterGovernor) placeBig(opp int) {
@@ -153,25 +135,21 @@ func (g *ClusterGovernor) placeLittle(opp int) {
 }
 
 // DecodeEnd implements decode.Hooks.
-func (g *ClusterGovernor) DecodeEnd(_ sim.Time, f video.Frame, _ sim.Time, measuredCycles float64) {
-	g.pred.Observe(f.Type, measuredCycles)
+func (g *ClusterGovernor) DecodeEnd(now sim.Time, f video.Frame, deadline sim.Time, measuredCycles float64) {
+	g.pol.DecodeEnd(now, f, deadline, measuredCycles)
 }
 
 // DecoderIdle implements decode.Hooks.
 func (g *ClusterGovernor) DecoderIdle(sim.Time) {
-	if !g.cfg.Policy.RaceToIdle {
-		return
+	if g.pol.parksOnIdle() {
+		g.big.SetOPP(0)
+		g.little.SetOPP(0)
 	}
-	if g.cfg.Policy.StartupBoost && !g.playing && g.downloading {
-		return
-	}
-	g.big.SetOPP(0)
-	g.little.SetOPP(0)
 }
 
 // PlaybackState implements player.SessionHooks.
-func (g *ClusterGovernor) PlaybackState(_ sim.Time, playing bool) {
-	g.playing = playing
+func (g *ClusterGovernor) PlaybackState(now sim.Time, playing bool) {
+	g.pol.PlaybackState(now, playing)
 	if !playing && g.cfg.Policy.RaceToIdle {
 		g.big.SetOPP(0)
 		g.little.SetOPP(0)
@@ -179,7 +157,9 @@ func (g *ClusterGovernor) PlaybackState(_ sim.Time, playing bool) {
 }
 
 // DownloadActivity implements player.SessionHooks.
-func (g *ClusterGovernor) DownloadActivity(_ sim.Time, active bool) { g.downloading = active }
+func (g *ClusterGovernor) DownloadActivity(now sim.Time, active bool) {
+	g.pol.DownloadActivity(now, active)
+}
 
 // BufferState implements player.SessionHooks.
 func (*ClusterGovernor) BufferState(sim.Time, float64, int, int) {}

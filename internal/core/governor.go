@@ -152,6 +152,8 @@ type Governor struct {
 	cfg    Config
 	pred   Predictor
 	core   FreqScaler
+	model  cpu.Model // the scaler's OPP table, read at attach
+	minIdx int       // MinOPP clamped into model
 	tracer trace.Tracer
 
 	playing     bool
@@ -169,21 +171,6 @@ type Governor struct {
 	predStats   PredictionStats
 	boostFrames int
 	lowFrames   int
-
-	// Flat decision tables: the per-frame predict→slack→OPP pick reduced
-	// to precomputed lookups. flatFreqs/flatMaxIdx/flatMinIdx are built at
-	// attach from the scaler's model; marginF is (1 + Margin) hoisted out
-	// of the loop; frames[ready] is the budget rule's frame count for each
-	// decoded-queue depth, rebuilt lazily when the queue capacity changes.
-	// Every table entry is computed with the exact float operations of the
-	// unflattened path, so decisions are bit-identical.
-	flatFreqs  []float64
-	flatMaxIdx int
-	flatMinIdx int
-	marginF    float64
-	frames     []float64
-	flatTarget int
-	flatQCap   int
 }
 
 // New returns an energy-aware governor with the given tuning.
@@ -195,14 +182,14 @@ func New(cfg Config) (*Governor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Governor{cfg: cfg, pred: pred, marginF: 1 + cfg.Margin, flatQCap: -1}, nil
+	return &Governor{cfg: cfg, pred: pred}, nil
 }
 
 // Reset rewinds the governor to the state New(cfg) would construct,
-// keeping its allocations: the per-frame error log's backing array, the
-// flat decision tables, and — when the predictor family and parameters are
-// unchanged — the predictor itself, zeroed in place. The governor detaches
-// from its scaler and drops its tracer; the next run re-attaches.
+// keeping its allocations: the per-frame error log's backing array and —
+// when the predictor family and parameters are unchanged — the predictor
+// itself, zeroed in place. The governor detaches from its scaler and drops
+// its tracer; the next run re-attaches.
 func (g *Governor) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -225,8 +212,6 @@ func (g *Governor) Reset(cfg Config) error {
 	g.predStats = PredictionStats{RelErr: g.predStats.RelErr[:0]}
 	g.boostFrames = 0
 	g.lowFrames = 0
-	g.marginF = 1 + cfg.Margin
-	g.flatQCap = -1 // frames table depends on cfg: rebuild on first use
 	return nil
 }
 
@@ -269,20 +254,9 @@ func (g *Governor) AttachScaler(_ *sim.Engine, scaler FreqScaler) error {
 	}
 	g.attached = true
 	g.core = scaler
-	model := scaler.Model()
-	if cap(g.flatFreqs) < len(model.OPPs) {
-		g.flatFreqs = make([]float64, len(model.OPPs))
-	}
-	g.flatFreqs = g.flatFreqs[:len(model.OPPs)]
-	for i, o := range model.OPPs {
-		g.flatFreqs[i] = o.FreqHz
-	}
-	g.flatMaxIdx = model.MaxIdx()
-	g.flatMinIdx = g.cfg.MinOPP
-	if g.flatMinIdx > g.flatMaxIdx {
-		g.flatMinIdx = g.flatMaxIdx
-	}
-	scaler.SetOPP(g.flatMinIdx)
+	g.model = scaler.Model()
+	g.minIdx = min(g.cfg.MinOPP, g.model.MaxIdx())
+	scaler.SetOPP(g.minIdx)
 	return nil
 }
 
@@ -314,122 +288,53 @@ func (g *Governor) StreamInfo(fps float64, totalFrames int) {
 	}
 }
 
-// DecodeStart implements decode.Hooks: pick the lowest OPP whose frequency
-// retires the predicted demand inside the frame's budget. Every per-config
-// quantity comes from the precomputed flat tables, leaving a single branch
-// ladder plus one linear scan over the frequency column.
-func (g *Governor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
-	if g.core == nil {
-		return
-	}
+// need is the per-frame rule (DESIGN.md §1, steps 1–3): predict the
+// frame's decode demand, turn the decoded-queue slack into a time budget,
+// and return the frequency that retires the margin-inflated demand inside
+// it. boost reports the ladder's cases where the frame must run at the top
+// instead: startup or a stall, a cold predictor, no slack left. pred,
+// slack and budget are what the decision trace records; each is zero when
+// the ladder stopped before computing it.
+func (g *Governor) need(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) (hz, pred float64, slack, budget sim.Time, boost bool) {
 	if g.cfg.StartupBoost && !g.playing {
-		g.boostFrames++
-		g.core.SetOPP(g.flatMaxIdx)
-		if g.tracer != nil {
-			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type, OPP: g.flatMaxIdx, Boost: true})
-		}
-		return
+		return 0, 0, 0, 0, true
 	}
 	pred, ok := g.pred.Predict(f.Type)
 	if !ok {
 		// Cold predictor: be safe, learn fast.
-		g.boostFrames++
-		g.core.SetOPP(g.flatMaxIdx)
-		if g.tracer != nil {
-			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type, OPP: g.flatMaxIdx, Boost: true})
-		}
-		return
+		return 0, 0, 0, 0, true
 	}
 	g.predIdx, g.predVal, g.predOK = f.Index, pred, true
-	slack := deadline - now - g.cfg.Guard
+	slack = deadline - now - g.cfg.Guard
 	if slack <= 0 {
-		g.boostFrames++
-		g.core.SetOPP(g.flatMaxIdx)
-		if g.tracer != nil {
-			g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
-				PredCycles: pred, Slack: slack, OPP: g.flatMaxIdx, Boost: true})
-		}
+		return 0, pred, slack, 0, true
+	}
+	budget = budgetFor(slack, ready, queueCap, g.period, g.cfg.TargetQueueFrac, g.cfg.SprintFrames)
+	return pred * (1 + g.cfg.Margin) / budget.Seconds(), pred, slack, budget, false
+}
+
+// DecodeStart implements decode.Hooks: run the per-frame rule and set the
+// lowest OPP that meets its need, never below the MinOPP floor; a boost
+// pins the top OPP.
+func (g *Governor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
+	if g.core == nil {
 		return
 	}
-	budget := g.flatBudget(slack, ready, queueCap)
-	need := pred * g.marginF / budget.Seconds()
-	// Inline IdxForFreq over the flat frequency column: first OPP that
-	// meets the need, else the top (also the NaN fallthrough).
-	idx := g.flatMaxIdx
-	for i, hz := range g.flatFreqs {
-		if hz >= need {
-			idx = i
-			break
+	hz, pred, slack, budget, boost := g.need(now, f, deadline, ready, queueCap)
+	idx := g.model.MaxIdx()
+	if boost {
+		g.boostFrames++
+	} else {
+		idx = max(g.model.IdxForFreq(hz), g.minIdx)
+		if idx == g.minIdx {
+			g.lowFrames++
 		}
-	}
-	if idx < g.flatMinIdx {
-		idx = g.flatMinIdx
-	}
-	if idx == g.flatMinIdx {
-		g.lowFrames++
 	}
 	g.core.SetOPP(idx)
 	if g.tracer != nil {
 		g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
-			PredCycles: pred, Slack: slack, Budget: budget, OPP: idx})
+			PredCycles: pred, Slack: slack, Budget: budget, OPP: idx, Boost: boost})
 	}
-}
-
-// flatBudget is budgetFor with the per-config arithmetic lifted into the
-// frames table: frames[ready] is the clamped (ready − target + 1) count.
-// The table is rebuilt only when the decoded-queue capacity changes.
-func (g *Governor) flatBudget(slack sim.Time, ready, queueCap int) sim.Time {
-	if queueCap != g.flatQCap {
-		g.rebuildFrames(queueCap)
-	}
-	var frames float64
-	if ready >= 0 && ready < len(g.frames) {
-		frames = g.frames[ready]
-	} else {
-		// Out-of-table depth (never produced by the decoder, but the
-		// hooks are a public surface): compute the rule directly.
-		frames = float64(ready-g.flatTarget) + 1
-		if frames < g.cfg.SprintFrames {
-			frames = g.cfg.SprintFrames
-		}
-	}
-	period := g.period
-	if period <= 0 {
-		// Unknown frame rate: estimate the period from slack, which
-		// spans roughly ready+1 frame intervals at steady state.
-		period = slack / sim.Time(float64(ready+1))
-	}
-	budget := sim.Time(frames) * period
-	if budget > slack {
-		budget = slack
-	}
-	return budget
-}
-
-// rebuildFrames precomputes the budget rule's frame counts for every
-// decoded-queue depth 0..queueCap, using the exact arithmetic of budgetFor.
-func (g *Governor) rebuildFrames(queueCap int) {
-	target := int(g.cfg.TargetQueueFrac * float64(queueCap))
-	if target < 1 {
-		target = 1
-	}
-	n := queueCap + 1
-	if n < 1 {
-		n = 1
-	}
-	if cap(g.frames) < n {
-		g.frames = make([]float64, n)
-	}
-	g.frames = g.frames[:n]
-	for ready := range g.frames {
-		fr := float64(ready-target) + 1
-		if fr < g.cfg.SprintFrames {
-			fr = g.cfg.SprintFrames
-		}
-		g.frames[ready] = fr
-	}
-	g.flatTarget = target
-	g.flatQCap = queueCap
 }
 
 // DecodeEnd implements decode.Hooks: feed the predictor and score it.
@@ -454,15 +359,16 @@ func (g *Governor) DecodeEnd(_ sim.Time, f video.Frame, _ sim.Time, measuredCycl
 
 // DecoderIdle implements decode.Hooks: race to the floor.
 func (g *Governor) DecoderIdle(sim.Time) {
-	if g.core == nil || !g.cfg.RaceToIdle {
-		return
+	if g.core != nil && g.parksOnIdle() {
+		g.core.SetOPP(g.minIdx)
 	}
-	if g.cfg.StartupBoost && !g.playing && g.downloading {
-		// Keep the boost while prerolling: the decoder idles only
-		// momentarily between segment arrivals.
-		return
-	}
-	g.core.SetOPP(g.flatMinIdx)
+}
+
+// parksOnIdle reports whether an idle decoder drops the clock: race to
+// idle is on, and the startup boost is not prerolling — then the decoder
+// idles only momentarily between segment arrivals.
+func (g *Governor) parksOnIdle() bool {
+	return g.cfg.RaceToIdle && !(g.cfg.StartupBoost && !g.playing && g.downloading)
 }
 
 // PlaybackState implements player.SessionHooks.
@@ -473,7 +379,7 @@ func (g *Governor) PlaybackState(_ sim.Time, playing bool) {
 	}
 	if !playing && g.cfg.RaceToIdle {
 		// Stalls are network-bound; burning CPU does not help.
-		g.core.SetOPP(g.flatMinIdx)
+		g.core.SetOPP(g.minIdx)
 	}
 }
 

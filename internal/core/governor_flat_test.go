@@ -1,28 +1,29 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"videodvfs/internal/cpu"
+	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/trace"
 	"videodvfs/internal/video"
 )
 
-// The flat decision path (precomputed frequency column + budget table) must
-// be pointwise equivalent to the original predict → slack → OPP pick it
-// replaced. decodeStartLegacy is that original path, kept semantically
-// frozen here as the oracle; the property tests below drive both paths
-// through identical randomized scenarios — random device tables, predictor
-// states, buffer depths, slack values, playback-state interleavings — and
-// require bit-identical decisions, trace events, and counters.
+// The per-frame rule (Governor.need and DecodeStart) must be pointwise
+// equivalent to the original predict → slack → OPP pick, and the big.LITTLE
+// placement over it to the original ClusterGovernor. decodeStartLegacy and
+// clusterLegacy are those originals, kept semantically frozen here as
+// oracles; the property tests below drive both sides through identical
+// randomized scenarios — random device tables, predictor states, buffer
+// depths, slack values, playback-state interleavings — and require
+// bit-identical decisions, trace events, and counters.
 
 // decodeStartLegacy is the pre-flattening DecodeStart, retained verbatim
-// as the oracle for the flat-table equivalence property tests. It must stay
+// as the oracle for the equivalence property tests. It must stay
 // semantically frozen: any change here invalidates the tests' ground truth.
 func decodeStartLegacy(g *Governor, now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
 	if g.core == nil {
@@ -76,6 +77,110 @@ func decodeStartLegacy(g *Governor, now sim.Time, f video.Frame, deadline sim.Ti
 		g.tracer.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
 			PredCycles: pred, Slack: slack, Budget: budget, OPP: idx})
 	}
+}
+
+// clusterLegacy is the big.LITTLE policy as it stood before it became a
+// placement over Governor.need, with its own predictor, frame period,
+// playback state and copy of the boost ladder. It is the frozen oracle for
+// TestClusterGovernorEquivalence.
+type clusterLegacy struct {
+	player.NopSessionHooks
+	cfg         ClusterConfig
+	pred        Predictor
+	big         *cpu.Core
+	little      *cpu.Core
+	playing     bool
+	downloading bool
+	period      sim.Time
+
+	framesOnLittle int
+	framesOnBig    int
+}
+
+func newClusterLegacy(big, little *cpu.Core, cfg ClusterConfig) (*clusterLegacy, error) {
+	pred, err := NewPredictor(cfg.Policy.Predictor, cfg.Policy.Alpha, cfg.Policy.SigmaK)
+	if err != nil {
+		return nil, err
+	}
+	big.SetOPP(0)
+	little.SetOPP(0)
+	return &clusterLegacy{cfg: cfg, pred: pred, big: big, little: little}, nil
+}
+
+func (g *clusterLegacy) StreamInfo(fps float64, _ int) {
+	if fps > 0 {
+		g.period = sim.Time(1 / fps)
+	}
+}
+
+func (g *clusterLegacy) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
+	pol := g.cfg.Policy
+	if pol.StartupBoost && !g.playing {
+		g.placeBig(g.big.Model().MaxIdx())
+		return
+	}
+	pred, ok := g.pred.Predict(f.Type)
+	if !ok {
+		g.placeBig(g.big.Model().MaxIdx())
+		return
+	}
+	slack := deadline - now - pol.Guard
+	if slack <= 0 {
+		g.placeBig(g.big.Model().MaxIdx())
+		return
+	}
+	budget := budgetFor(slack, ready, queueCap, g.period, pol.TargetQueueFrac, pol.SprintFrames)
+	need := pred * (1 + pol.Margin) / budget.Seconds()
+	if need <= g.cfg.LittleBias*g.little.Model().Fmax() {
+		g.placeLittle(g.little.Model().IdxForFreq(need))
+		return
+	}
+	g.placeBig(g.big.Model().IdxForFreq(need))
+}
+
+func (g *clusterLegacy) placeBig(opp int) {
+	g.framesOnBig++
+	g.big.SetOPP(opp)
+}
+
+func (g *clusterLegacy) placeLittle(opp int) {
+	g.framesOnLittle++
+	g.little.SetOPP(opp)
+	if g.cfg.Policy.RaceToIdle {
+		g.big.SetOPP(0)
+	}
+}
+
+func (g *clusterLegacy) DecodeEnd(_ sim.Time, f video.Frame, _ sim.Time, measuredCycles float64) {
+	g.pred.Observe(f.Type, measuredCycles)
+}
+
+func (g *clusterLegacy) DecoderIdle(sim.Time) {
+	if !g.cfg.Policy.RaceToIdle {
+		return
+	}
+	if g.cfg.Policy.StartupBoost && !g.playing && g.downloading {
+		return
+	}
+	g.big.SetOPP(0)
+	g.little.SetOPP(0)
+}
+
+func (g *clusterLegacy) PlaybackState(_ sim.Time, playing bool) {
+	g.playing = playing
+	if !playing && g.cfg.Policy.RaceToIdle {
+		g.big.SetOPP(0)
+		g.little.SetOPP(0)
+	}
+}
+
+func (g *clusterLegacy) DownloadActivity(_ sim.Time, active bool) { g.downloading = active }
+
+// legacyGovernor routes a Governor's DecodeStart through decodeStartLegacy.
+type legacyGovernor struct{ *Governor }
+
+func (l legacyGovernor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
+	decodeStartLegacy(l.Governor, now, f, deadline, ready, queueCap)
 }
 
 // recordScaler logs every SetOPP so two governors' decision sequences can
@@ -153,7 +258,7 @@ func (flatScenario) Generate(r *rand.Rand, _ int) reflect.Value {
 			op:       r.Intn(8), // DecodeStart-heavy mix
 			ftype:    video.FrameType(1 + r.Intn(3)),
 			slack:    sim.Time((r.Float64()*80 - 10) * float64(sim.Millisecond)), // negatives force the slack≤0 boost
-			ready:    r.Intn(12) - 1,                                             // −1 exercises the out-of-table fallback
+			ready:    r.Intn(12) - 1,                                             // −1: a depth no decoder reports
 			queueCap: 1 + r.Intn(12),
 			cycles:   1e6 + r.Float64()*5e8,
 			endFirst: r.Intn(4) > 0, // sometimes skip scoring: stale-slot handling
@@ -181,8 +286,17 @@ func playScenario(t *testing.T, sc flatScenario, legacy bool) (*recordScaler, *r
 	}
 	tr := &recordTracer{}
 	g.SetTracer(tr)
-	g.StreamInfo(sc.fps, len(sc.steps))
+	if legacy {
+		playSteps(sc, legacyGovernor{g})
+	} else {
+		playSteps(sc, g)
+	}
+	return scaler, tr, g
+}
 
+// playSteps announces the stream and runs the scenario's hook script.
+func playSteps(sc flatScenario, h player.SessionHooks) {
+	h.StreamInfo(sc.fps, len(sc.steps))
 	now := sim.Time(0)
 	frame := 0
 	var prev video.Frame
@@ -192,26 +306,21 @@ func playScenario(t *testing.T, sc flatScenario, legacy bool) (*recordScaler, *r
 		switch st.op {
 		case 0:
 			if st.endFirst && havePrev {
-				g.DecodeEnd(now, prev, now, st.cycles)
+				h.DecodeEnd(now, prev, now, st.cycles)
 				havePrev = false
 			}
 			f := video.Frame{Index: frame, Type: st.ftype}
 			frame++
-			if legacy {
-				decodeStartLegacy(g, now, f, now+st.slack, st.ready, st.queueCap)
-			} else {
-				g.DecodeStart(now, f, now+st.slack, st.ready, st.queueCap)
-			}
+			h.DecodeStart(now, f, now+st.slack, st.ready, st.queueCap)
 			prev, havePrev = f, true
 		case 1:
-			g.PlaybackState(now, st.flag)
+			h.PlaybackState(now, st.flag)
 		case 2:
-			g.DownloadActivity(now, st.flag)
+			h.DownloadActivity(now, st.flag)
 		case 3:
-			g.DecoderIdle(now)
+			h.DecoderIdle(now)
 		}
 	}
-	return scaler, tr, g
 }
 
 // TestFlatGovernorEquivalence is the headline property: for random device
@@ -247,81 +356,69 @@ func TestFlatGovernorEquivalence(t *testing.T) {
 	}
 }
 
-// TestFlatBudgetEquivalence checks the budget stage alone, pointwise:
-// flatBudget (table lookup + fallbacks) must equal budgetFor for random
-// slack/ready/queueCap/period tuples, including queue-capacity changes that
-// force table rebuilds mid-sequence.
-func TestFlatBudgetEquivalence(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		cfg := DefaultConfig()
-		cfg.TargetQueueFrac = 0.05 + r.Float64()*0.95
-		cfg.SprintFrames = 0.05 + r.Float64()*0.95
-		g, err := New(cfg)
+// TestClusterGovernorEquivalence drives the big.LITTLE placement and the
+// frozen clusterLegacy through the same scripts on a flagship big and an
+// efficient little core, and requires identical OPP transitions on both
+// clusters and identical per-cluster frame counts.
+func TestClusterGovernorEquivalence(t *testing.T) {
+	type opp struct {
+		big bool
+		idx int
+	}
+	var onBig, onLittle int
+	play := func(sc flatScenario, cfg ClusterConfig, legacy bool) (opps []opp, big, little int) {
+		eng := sim.NewEngine()
+		bc, err := cpu.NewCore(eng, cpu.DeviceFlagship())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 200; i++ {
-			slack := sim.Time(r.Float64() * 0.2 * float64(sim.Second))
-			if slack == 0 {
-				slack = sim.Millisecond
-			}
-			ready := r.Intn(20) - 2
-			queueCap := r.Intn(16) // includes 0: the n<1 guard
-			if r.Intn(3) == 0 {
-				g.period = 0
-			} else {
-				g.period = sim.Time(1 / []float64{24, 30, 60}[r.Intn(3)])
-			}
-			got := g.flatBudget(slack, ready, queueCap)
-			want := budgetFor(slack, ready, queueCap, g.period, cfg.TargetQueueFrac, cfg.SprintFrames)
-			if got != want && !(math.IsNaN(float64(got)) && math.IsNaN(float64(want))) {
-				t.Logf("flatBudget(%v, %d, %d, period=%v) = %v, budgetFor = %v",
-					slack, ready, queueCap, g.period, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlatFreqScanEquivalence checks the OPP pick alone: the inline scan
-// over the flat frequency column must match Model.IdxForFreq for every
-// need value, including the non-finite ones a degenerate budget produces.
-func TestFlatFreqScanEquivalence(t *testing.T) {
-	prop := func(sc flatScenario) bool {
-		needs := []float64{0, -1, 1, math.NaN(), math.Inf(1), math.Inf(-1),
-			sc.model.Fmin(), sc.model.Fmax(), sc.model.Fmax() + 1, sc.model.Fmin() - 1}
-		for _, o := range sc.model.OPPs {
-			needs = append(needs, o.FreqHz, o.FreqHz*0.999, o.FreqHz*1.001)
-		}
-		g, err := New(sc.cfg)
+		lc, err := cpu.NewCore(eng, cpu.DeviceEfficient())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.AttachScaler(nil, &recordScaler{model: sc.model}); err != nil {
+		bc.OnOPPChange(func(_ sim.Time, idx int) { opps = append(opps, opp{true, idx}) })
+		lc.OnOPPChange(func(_ sim.Time, idx int) { opps = append(opps, opp{false, idx}) })
+		if legacy {
+			g, err := newClusterLegacy(bc, lc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			playSteps(sc, g)
+			return opps, g.framesOnBig, g.framesOnLittle
+		}
+		g, err := NewClusterGovernor(bc, lc, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, need := range needs {
-			idx := g.flatMaxIdx
-			for i, hz := range g.flatFreqs {
-				if hz >= need {
-					idx = i
-					break
-				}
-			}
-			if want := sc.model.IdxForFreq(need); idx != want {
-				t.Logf("flat scan(%v) = %d, IdxForFreq = %d", need, idx, want)
-				return false
-			}
+		playSteps(sc, g)
+		return opps, g.FramesOnBig(), g.FramesOnLittle()
+	}
+	prop := func(sc flatScenario, bias, shift uint8) bool {
+		// The scripts' demand is sized for one big core; scale it down by
+		// up to 128× so frames land on both clusters.
+		for i := range sc.steps {
+			sc.steps[i].cycles /= float64(int(1) << (shift % 8))
 		}
+		cfg := ClusterConfig{Policy: sc.cfg, LittleBias: (1 + float64(bias)) / 256}
+		gotOPPs, gotBig, gotLittle := play(sc, cfg, false)
+		wantOPPs, wantBig, wantLittle := play(sc, cfg, true)
+		if !reflect.DeepEqual(gotOPPs, wantOPPs) {
+			t.Logf("OPP transitions diverge:\ncluster: %v\nlegacy:  %v\ncfg: %+v", gotOPPs, wantOPPs, cfg)
+			return false
+		}
+		if gotBig != wantBig || gotLittle != wantLittle {
+			t.Logf("placements diverge: big %d/%d little %d/%d", gotBig, wantBig, gotLittle, wantLittle)
+			return false
+		}
+		onBig += gotBig
+		onLittle += gotLittle
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	if onBig == 0 || onLittle == 0 {
+		t.Fatalf("scripts placed %d frames big and %d little; both clusters must be exercised", onBig, onLittle)
 	}
 }
 

@@ -113,7 +113,7 @@ func RunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAware boo
 		eng.Stop()
 	})
 	sess.Start()
-	eng.RunUntil(dur*6 + 60*sim.Second)
+	eng.RunUntil(RunConfig{Duration: dur}.EffectiveHorizon())
 	meter.Finish()
 	if err := sess.Err(); err != nil {
 		return ClusterResult{}, err

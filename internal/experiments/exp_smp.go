@@ -80,7 +80,7 @@ func RunSMP(cores int, res video.Resolution, dur sim.Time, seed int64) (SMPResul
 		eng.Stop()
 	})
 	sess.Start()
-	eng.RunUntil(dur*6 + 60*sim.Second)
+	eng.RunUntil(RunConfig{Duration: dur}.EffectiveHorizon())
 	meter.Finish()
 	if err := sess.Err(); err != nil {
 		return SMPResult{}, err

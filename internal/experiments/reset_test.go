@@ -233,7 +233,7 @@ func TestSessionResetAfterError(t *testing.T) {
 	}
 }
 
-// TestDifferentialRegistry runs the entire 29-entry experiment registry
+// TestDifferentialRegistry runs the entire 30-entry experiment registry
 // twice — once with arena recycling disabled (every Run constructs a fresh
 // simulator) and once through the default recycled pool — and requires
 // byte-identical formatted tables. This is the broadest net: every device,

@@ -54,11 +54,8 @@ func (c ConservativeConfig) Validate() error {
 // up or down in fixed steps instead of jumping, trading responsiveness for
 // smoothness.
 type Conservative struct {
-	cfg      ConservativeConfig
-	core     *cpu.Core
-	sampler  *cpu.UtilSampler
-	ticker   *sim.Ticker
-	attached bool
+	sampling
+	cfg ConservativeConfig
 }
 
 // NewConservative returns a conservative governor with the given tunables.
@@ -66,29 +63,9 @@ func NewConservative(cfg ConservativeConfig) (*Conservative, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Conservative{cfg: cfg}, nil
-}
-
-// Name implements Governor.
-func (*Conservative) Name() string { return "conservative" }
-
-// Attach implements Governor.
-func (g *Conservative) Attach(eng *sim.Engine, core *cpu.Core) error {
-	if g.attached {
-		return errReattach(g.Name())
-	}
-	g.attached = true
-	g.core = core
-	g.sampler = cpu.NewUtilSampler(core)
-	g.ticker = sim.NewTicker(eng, g.cfg.SamplingRate, g.sample)
-	return nil
-}
-
-// Detach implements Governor.
-func (g *Conservative) Detach() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-	}
+	g := &Conservative{cfg: cfg}
+	g.sampling = sampling{name: "conservative", period: cfg.SamplingRate, tick: g.sample}
+	return g, nil
 }
 
 func (g *Conservative) sample(now sim.Time) {

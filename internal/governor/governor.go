@@ -1,7 +1,7 @@
 // Package governor implements the cpufreq governor framework and faithful
 // re-implementations of the stock Linux governors used as baselines in the
-// paper's evaluation: performance, powersave, userspace, ondemand,
-// conservative, interactive, and schedutil.
+// paper's evaluation: performance, powersave, ondemand, conservative,
+// interactive, and schedutil.
 //
 // Governors observe the simulated core exactly as kernel governors observe
 // hardware: a periodic sampling timer, windowed utilization, and the
@@ -32,79 +32,68 @@ func errReattach(name string) error {
 	return fmt.Errorf("governor %s: already attached", name)
 }
 
-// Performance pins the core at the highest OPP — the kernel `performance`
-// governor and the paper's QoE-reference baseline.
-type Performance struct {
+// pinned holds the core at one end of its OPP table: at the top, the
+// kernel `performance` governor and the paper's QoE-reference baseline; at
+// the floor, `powersave`, the paper's energy lower bound (which drops
+// frames on demanding content).
+type pinned struct {
+	name     string
+	top      bool
 	attached bool
 }
 
-// NewPerformance returns the performance governor.
-func NewPerformance() *Performance { return &Performance{} }
-
 // Name implements Governor.
-func (*Performance) Name() string { return "performance" }
+func (g *pinned) Name() string { return g.name }
 
 // Attach implements Governor.
-func (g *Performance) Attach(_ *sim.Engine, core *cpu.Core) error {
+func (g *pinned) Attach(_ *sim.Engine, core *cpu.Core) error {
 	if g.attached {
-		return errReattach(g.Name())
+		return errReattach(g.name)
 	}
 	g.attached = true
-	core.SetOPP(core.Model().MaxIdx())
+	idx := 0
+	if g.top {
+		idx = core.Model().MaxIdx()
+	}
+	core.SetOPP(idx)
 	return nil
 }
 
 // Detach implements Governor.
-func (*Performance) Detach() {}
+func (*pinned) Detach() {}
 
-// Powersave pins the core at the lowest OPP — the kernel `powersave`
-// governor and the paper's energy lower bound (which drops frames on
-// demanding content).
-type Powersave struct {
+// sampling is the scaffold the sampling governors embed: the core they
+// steer, its utilization sampler, the ticker that calls tick every
+// period, and the attach guard.
+type sampling struct {
+	name   string
+	period sim.Time
+	tick   func(now sim.Time)
+
+	core     *cpu.Core
+	sampler  *cpu.UtilSampler
+	ticker   *sim.Ticker
 	attached bool
 }
 
-// NewPowersave returns the powersave governor.
-func NewPowersave() *Powersave { return &Powersave{} }
-
 // Name implements Governor.
-func (*Powersave) Name() string { return "powersave" }
+func (s *sampling) Name() string { return s.name }
 
 // Attach implements Governor.
-func (g *Powersave) Attach(_ *sim.Engine, core *cpu.Core) error {
-	if g.attached {
-		return errReattach(g.Name())
+func (s *sampling) Attach(eng *sim.Engine, core *cpu.Core) error {
+	if s.attached {
+		return errReattach(s.name)
 	}
-	g.attached = true
-	core.SetOPP(0)
+	s.attached = true
+	s.core = core
+	s.sampler = cpu.NewUtilSampler(core)
+	s.ticker = sim.NewTicker(eng, s.period, s.tick)
 	return nil
 }
 
 // Detach implements Governor.
-func (*Powersave) Detach() {}
-
-// Userspace pins the core at a caller-chosen OPP index, like writing to
-// scaling_setspeed.
-type Userspace struct {
-	idx      int
-	attached bool
-}
-
-// NewUserspace returns a userspace governor pinned at OPP index idx.
-func NewUserspace(idx int) *Userspace { return &Userspace{idx: idx} }
-
-// Name implements Governor.
-func (*Userspace) Name() string { return "userspace" }
-
-// Attach implements Governor.
-func (g *Userspace) Attach(_ *sim.Engine, core *cpu.Core) error {
-	if g.attached {
-		return errReattach(g.Name())
+func (s *sampling) Detach() {
+	if s.ticker != nil {
+		s.ticker.Stop()
 	}
-	g.attached = true
-	core.SetOPP(g.idx)
-	return nil
 }
-
-// Detach implements Governor.
-func (*Userspace) Detach() {}

@@ -40,9 +40,19 @@ func (r *rig) periodicLoad(period sim.Time, cycles float64, n int) {
 	step(0)
 }
 
+// mustNew builds a registry governor by name.
+func mustNew(t *testing.T, name string) Governor {
+	t.Helper()
+	g, err := New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPerformancePinsMax(t *testing.T) {
 	r := newRig(t)
-	g := NewPerformance()
+	g := mustNew(t, "performance")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +70,7 @@ func TestPerformancePinsMax(t *testing.T) {
 func TestPowersavePinsMin(t *testing.T) {
 	r := newRig(t)
 	r.core.SetOPP(5)
-	g := NewPowersave()
+	g := mustNew(t, "powersave")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +82,9 @@ func TestPowersavePinsMin(t *testing.T) {
 	}
 }
 
-func TestUserspacePinsChosenIdx(t *testing.T) {
-	r := newRig(t)
-	g := NewUserspace(4)
-	if err := g.Attach(r.eng, r.core); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Detach()
-	if r.core.OPP() != 4 {
-		t.Fatalf("OPP = %d, want 4", r.core.OPP())
-	}
-}
-
 func TestDoubleAttachRejected(t *testing.T) {
 	r := newRig(t)
-	govs := []Governor{NewPerformance(), NewPowersave(), NewUserspace(1)}
+	govs := []Governor{mustNew(t, "performance"), mustNew(t, "powersave")}
 	od, err := NewOndemand(DefaultOndemandConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -318,25 +316,6 @@ func TestRegistryNewCoversBaselines(t *testing.T) {
 	}
 	if _, err := New("bogus"); err == nil {
 		t.Fatal("want error for unknown governor")
-	}
-}
-
-func TestBaselinesReturnsFreshInstances(t *testing.T) {
-	a, err := Baselines()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Baselines()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(BaselineNames()) {
-		t.Fatalf("got %d baselines", len(a))
-	}
-	for i := range a {
-		if a[i] == b[i] {
-			t.Fatalf("baseline %d shared between calls", i)
-		}
 	}
 }
 

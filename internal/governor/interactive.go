@@ -3,7 +3,6 @@ package governor
 import (
 	"fmt"
 
-	"videodvfs/internal/cpu"
 	"videodvfs/internal/sim"
 )
 
@@ -65,14 +64,11 @@ func (c InteractiveConfig) Validate() error {
 // hispeed frequency on load bursts, a target-load proportional controller
 // otherwise, and a minimum hold time before any down-step.
 type Interactive struct {
-	cfg     InteractiveConfig
-	core    *cpu.Core
-	sampler *cpu.UtilSampler
-	ticker  *sim.Ticker
+	sampling
+	cfg InteractiveConfig
 
 	raisedAt     sim.Time // when frequency was last raised
 	hispeedSince sim.Time // when we first sat at/above hispeed with high load
-	attached     bool
 }
 
 // NewInteractive returns an interactive governor with the given tunables.
@@ -80,30 +76,9 @@ func NewInteractive(cfg InteractiveConfig) (*Interactive, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Interactive{cfg: cfg}, nil
-}
-
-// Name implements Governor.
-func (*Interactive) Name() string { return "interactive" }
-
-// Attach implements Governor.
-func (g *Interactive) Attach(eng *sim.Engine, core *cpu.Core) error {
-	if g.attached {
-		return errReattach(g.Name())
-	}
-	g.attached = true
-	g.core = core
-	g.sampler = cpu.NewUtilSampler(core)
-	g.hispeedSince = -1
-	g.ticker = sim.NewTicker(eng, g.cfg.Timer, g.sample)
-	return nil
-}
-
-// Detach implements Governor.
-func (g *Interactive) Detach() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-	}
+	g := &Interactive{cfg: cfg, hispeedSince: -1}
+	g.sampling = sampling{name: "interactive", period: cfg.Timer, tick: g.sample}
+	return g, nil
 }
 
 func (g *Interactive) sample(now sim.Time) {

@@ -3,7 +3,6 @@ package governor
 import (
 	"fmt"
 
-	"videodvfs/internal/cpu"
 	"videodvfs/internal/sim"
 )
 
@@ -55,12 +54,9 @@ func (c OndemandConfig) Validate() error {
 // whose capacity covers the observed load (freq_next = load × fmax,
 // CPUFREQ_RELATION_L).
 type Ondemand struct {
+	sampling
 	cfg      OndemandConfig
-	core     *cpu.Core
-	sampler  *cpu.UtilSampler
-	ticker   *sim.Ticker
 	downSkip int
-	attached bool
 }
 
 // NewOndemand returns an ondemand governor with the given tunables.
@@ -68,29 +64,9 @@ func NewOndemand(cfg OndemandConfig) (*Ondemand, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Ondemand{cfg: cfg}, nil
-}
-
-// Name implements Governor.
-func (*Ondemand) Name() string { return "ondemand" }
-
-// Attach implements Governor.
-func (g *Ondemand) Attach(eng *sim.Engine, core *cpu.Core) error {
-	if g.attached {
-		return errReattach(g.Name())
-	}
-	g.attached = true
-	g.core = core
-	g.sampler = cpu.NewUtilSampler(core)
-	g.ticker = sim.NewTicker(eng, g.cfg.SamplingRate, g.sample)
-	return nil
-}
-
-// Detach implements Governor.
-func (g *Ondemand) Detach() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-	}
+	g := &Ondemand{cfg: cfg}
+	g.sampling = sampling{name: "ondemand", period: cfg.SamplingRate, tick: g.sample}
+	return g, nil
 }
 
 func (g *Ondemand) sample(now sim.Time) {

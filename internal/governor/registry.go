@@ -2,15 +2,13 @@ package governor
 
 import "fmt"
 
-// New returns a fresh default-configured governor by cpufreq name. The
-// userspace governor is not constructible here because it needs a pinned
-// OPP index; use NewUserspace directly.
+// New returns a fresh default-configured governor by cpufreq name.
 func New(name string) (Governor, error) {
 	switch name {
 	case "performance":
-		return NewPerformance(), nil
+		return &pinned{name: name, top: true}, nil
 	case "powersave":
-		return NewPowersave(), nil
+		return &pinned{name: name}, nil
 	case "ondemand":
 		return NewOndemand(DefaultOndemandConfig())
 	case "conservative":
@@ -28,18 +26,4 @@ func New(name string) (Governor, error) {
 // evaluation, in report order.
 func BaselineNames() []string {
 	return []string{"performance", "powersave", "ondemand", "conservative", "interactive", "schedutil"}
-}
-
-// Baselines returns fresh default instances of every baseline governor.
-func Baselines() ([]Governor, error) {
-	names := BaselineNames()
-	out := make([]Governor, 0, len(names))
-	for _, n := range names {
-		g, err := New(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package governor
 import (
 	"fmt"
 
-	"videodvfs/internal/cpu"
 	"videodvfs/internal/sim"
 )
 
@@ -46,12 +45,9 @@ func (c SchedutilConfig) Validate() error {
 // Schedutil approximates the kernel schedutil governor with windowed
 // utilization in place of PELT: f_next = 1.25 · util · fmax, rate limited.
 type Schedutil struct {
+	sampling
 	cfg        SchedutilConfig
-	core       *cpu.Core
-	sampler    *cpu.UtilSampler
-	ticker     *sim.Ticker
 	lastChange sim.Time
-	attached   bool
 }
 
 // NewSchedutil returns a schedutil governor with the given tunables.
@@ -59,30 +55,9 @@ func NewSchedutil(cfg SchedutilConfig) (*Schedutil, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Schedutil{cfg: cfg}, nil
-}
-
-// Name implements Governor.
-func (*Schedutil) Name() string { return "schedutil" }
-
-// Attach implements Governor.
-func (g *Schedutil) Attach(eng *sim.Engine, core *cpu.Core) error {
-	if g.attached {
-		return errReattach(g.Name())
-	}
-	g.attached = true
-	g.core = core
-	g.sampler = cpu.NewUtilSampler(core)
-	g.lastChange = -g.cfg.RateLimit
-	g.ticker = sim.NewTicker(eng, g.cfg.Sampling, g.sample)
-	return nil
-}
-
-// Detach implements Governor.
-func (g *Schedutil) Detach() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-	}
+	g := &Schedutil{cfg: cfg, lastChange: -cfg.RateLimit}
+	g.sampling = sampling{name: "schedutil", period: cfg.Sampling, tick: g.sample}
+	return g, nil
 }
 
 func (g *Schedutil) sample(now sim.Time) {

@@ -156,6 +156,9 @@ func GenMarkovTrace(states []MarkovState, dur sim.Time, rng *sim.RNG) (Steps, er
 	if len(states) == 0 {
 		return Steps{}, fmt.Errorf("netsim: no markov states")
 	}
+	if !(dur > 0) || math.IsInf(float64(dur), 1) {
+		return Steps{}, fmt.Errorf("netsim: markov trace duration %v s not finite and positive", float64(dur))
+	}
 	for i, st := range states {
 		if st.MeanBps < 0 || st.MeanHold <= 0 {
 			return Steps{}, fmt.Errorf("netsim: markov state %d (%s) invalid", i, st.Name)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"videodvfs/internal/sim"
 )
@@ -144,6 +145,27 @@ func TestGenMarkovTraceErrors(t *testing.T) {
 	mismatched := []MarkovState{{Name: "x", MeanBps: 1, MeanHold: sim.Second, Next: []float64{1, 2}}}
 	if _, err := GenMarkovTrace(mismatched, sim.Second, sim.Stream(1, "x")); err == nil {
 		t.Fatal("want error for weight arity mismatch")
+	}
+}
+
+// A non-finite duration passed GenMarkovTrace: NaN and zero produced an
+// empty trace, and +Inf looped forever. Each case runs under a deadline so
+// a hang fails the test instead of stalling the suite.
+func TestGenMarkovTraceRejectsNonFiniteDuration(t *testing.T) {
+	for _, dur := range []sim.Time{sim.Time(math.NaN()), sim.Time(math.Inf(1)), 0, -sim.Second} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := GenMarkovTrace(LTEStates(), dur, sim.Stream(1, "bw"))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("duration %v: want an error", float64(dur))
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("duration %v: still running after 2s", float64(dur))
+		}
 	}
 }
 

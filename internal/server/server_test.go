@@ -798,6 +798,29 @@ func TestStrictRunBypassesCache(t *testing.T) {
 	}
 }
 
+// A small cohort body could make dvfsd step and encode one NDJSON frame
+// per rollup barrier without limit: a 0.1 ms rollup asked for 36,535
+// frames (12.9 MB), a near-zero Poisson rate for 45,916 (26 MB). Both are
+// refused with one invalid_config envelope before any frame is written, on
+// the buffered and the live-streaming path alike.
+func TestCohortRefusesUnboundedBarriers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"base":{"duration_s":2},"viewers":2,"rollup_s":0.0001}`,
+		`{"base":{"duration_s":2},"viewers":2,"arrival":"poisson","arrival_rate_per_sec":0.00001}`,
+	} {
+		for _, path := range []string{"/v1/cohort", "/v1/cohort?stream=1"} {
+			resp := postJSON(t, ts.URL+path, body)
+			raw := readAll(t, resp)
+			var env Envelope
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil || env.Error.Code != "invalid_config" {
+				t.Errorf("%s %s: status %d with %d bytes (%.120s), want 400 and one invalid_config envelope",
+					path, body, resp.StatusCode, len(raw), raw)
+			}
+		}
+	}
+}
+
 // The cohort endpoint must stream rollup frames and a summary whose
 // result matches the direct library path, serve repeats byte-identically
 // from the cache, and produce the same bytes when live-streaming.

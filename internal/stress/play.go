@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"videodvfs/internal/cpu"
+	"videodvfs/internal/experiments"
 	"videodvfs/internal/governor"
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
@@ -139,7 +140,7 @@ func Play(cfg PlayConfig) (*PlayResult, error) {
 	}
 	ps.OnDone(eng.Stop)
 
-	horizon := cfg.Duration*6 + 60*sim.Second
+	horizon := experiments.RunConfig{Duration: cfg.Duration}.EffectiveHorizon()
 	wallStart := time.Now()
 	ps.Start()
 	end := eng.RunUntil(horizon)

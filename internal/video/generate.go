@@ -2,6 +2,7 @@ package video
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"videodvfs/internal/sim"
@@ -89,8 +90,8 @@ func (s Spec) WithCodec(c Codec) Spec {
 
 // Validate checks the spec.
 func (s Spec) Validate() error {
-	if s.FPS <= 0 {
-		return fmt.Errorf("spec: fps %v not positive", s.FPS)
+	if !(s.FPS > 0) || math.IsInf(s.FPS, 1) {
+		return fmt.Errorf("spec: fps %v not finite and positive", s.FPS)
 	}
 	if s.BitrateBps <= 0 {
 		return fmt.Errorf("spec: bitrate %v not positive", s.BitrateBps)
@@ -200,14 +201,21 @@ func Generate(spec Spec, dur sim.Time, seed int64) (*Stream, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if dur <= 0 {
-		return nil, fmt.Errorf("video: duration %v not positive", dur)
+	if !(dur > 0) || math.IsInf(float64(dur), 1) {
+		return nil, fmt.Errorf("video: duration %v s not finite and positive", float64(dur))
+	}
+	// float64(math.MaxInt) rounds up to 2^63, so any count below it
+	// converts to an int exactly.
+	count := dur.Seconds() * spec.FPS
+	if !(count < math.MaxInt) {
+		return nil, fmt.Errorf("video: %v s at %v fps is %v frames, more than an int holds",
+			dur.Seconds(), spec.FPS, count)
 	}
 	sceneRNG := sim.Stream(seed, "scenes/"+spec.Title.Name)
 	frameRNG := sim.Stream(seed, fmt.Sprintf("frames/%s/%s/%.0f", spec.Title.Name, spec.Res.Name, spec.BitrateBps))
 	scenes := newSceneTrack(spec.Title, dur, sceneRNG)
 
-	n := int(dur.Seconds() * spec.FPS)
+	n := int(count)
 	types := spec.gopTypes()
 	meanBits := spec.meanBitsTable(spec.Codec)
 	frames := make([]Frame, 0, n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"time"
 
 	"videodvfs/internal/sim"
 )
@@ -162,6 +163,8 @@ func TestSpecValidation(t *testing.T) {
 	}
 	cases := []func(*Spec){
 		func(s *Spec) { s.FPS = 0 },
+		func(s *Spec) { s.FPS = math.NaN() },
+		func(s *Spec) { s.FPS = math.Inf(1) },
 		func(s *Spec) { s.BitrateBps = -1 },
 		func(s *Spec) { s.Res.Width = 0 },
 		func(s *Spec) { s.GOP = "PBB" },
@@ -188,6 +191,54 @@ func TestGenerateRejectsBadInputs(t *testing.T) {
 	bad.FPS = -1
 	if _, err := Generate(bad, sim.Second, 1); err == nil {
 		t.Fatal("want error for invalid spec")
+	}
+}
+
+// within runs f on its own goroutine and fails the test if f has not
+// returned after d, so an input that hangs a generator fails the test
+// instead of stalling the suite.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v", d)
+	}
+}
+
+// Non-finite lengths passed Generate's positive-duration check: NaN
+// panicked in make, +Inf never left the scene track, and a finite frame
+// count past an int converted to garbage. Each is an error now.
+func TestGenerateRejectsNonFiniteLengths(t *testing.T) {
+	spec := func(fps float64) Spec {
+		s := DefaultSpec(TitleNews, R360p)
+		s.FPS = fps
+		return s
+	}
+	cases := []struct {
+		name string
+		spec Spec
+		dur  sim.Time
+	}{
+		{"NaN duration", spec(30), sim.Time(math.NaN())},
+		{"+Inf duration", spec(30), sim.Time(math.Inf(1))},
+		{"NaN fps", spec(math.NaN()), sim.Second},
+		{"+Inf fps", spec(math.Inf(1)), sim.Second},
+		{"frame count past int", spec(1e300), sim.Second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			within(t, 2*time.Second, func() { _, err = Generate(tc.spec, tc.dur, 1) })
+			if err == nil {
+				t.Fatal("want an error")
+			}
+		})
 	}
 }
 

@@ -343,7 +343,7 @@ func CanonicalConfig(cfg RunConfig) ([]byte, bool) { return experiments.Canonica
 // ExperimentIDs lists the reproducible tables and figures in report order.
 func ExperimentIDs() []string { return experiments.IDs() }
 
-// Experiment regenerates one table or figure by ID (t1, f1 … f13, t2, t3).
+// Experiment regenerates one table or figure by ID; ExperimentIDs lists them.
 func Experiment(id string) (Table, error) {
 	b, err := experiments.Get(id)
 	if err != nil {
