@@ -21,11 +21,13 @@ build:
 test:
 	$(GO) test -race ./...
 
-# The hot-path memory discipline gate (DESIGN.md §8): advancing the
-# untraced simulation in steady state must allocate nothing.
+# The memory discipline gate (DESIGN.md §8, §12): advancing the untraced
+# simulation in steady state must allocate nothing, and a cohort shard
+# must let go of each viewer as it finishes.
 alloc-budget:
 	$(GO) test ./internal/experiments -run TestRunLoopAllocBudget -count 1
 	$(GO) test ./internal/sim -run TestEngineScheduleFireAllocFree -count 1
+	$(GO) test ./internal/cohort -run TestShardReleasesFinishedViewers -count 1
 
 # The fleet end-to-end battery, -count 1 so it always re-executes: a
 # dvfsctl controller over real httptest dvfsd workers (byte-identical

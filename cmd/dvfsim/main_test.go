@@ -1,15 +1,49 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"videodvfs"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/video"
 )
+
+// TestMain runs the test binary as dvfsim itself when DVFSIM_AS_MAIN is
+// set, so a test can run the command in a child process it can kill.
+func TestMain(m *testing.M) {
+	if os.Getenv("DVFSIM_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A huge finite duration generated content until memory ran out; it must
+// fail at once. dvfsim runs in a child process under a deadline, so a
+// regression is killed instead of exhausting the machine.
+func TestRejectsHugeDurationFast(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-duration", "1e15")
+	cmd.Env = append(os.Environ(), "DVFSIM_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case ctx.Err() != nil:
+		t.Fatal("-duration 1e15: still running after 2 s")
+	case !errors.As(err, &exit) || exit.ExitCode() != 1:
+		t.Fatalf("-duration 1e15: err = %v, want exit status 1 (output %q)", err, out)
+	case !strings.Contains(string(out), "cap"):
+		t.Fatalf("-duration 1e15: output %q does not name the cap", out)
+	}
+}
 
 func TestRunDefaultFlags(t *testing.T) {
 	if err := run([]string{"-duration", "10"}); err != nil {

@@ -119,7 +119,7 @@ func WithOnViewer(fn func(viewer int, res *RunResult, err error)) CohortOption {
 // million-viewer live-event scale — inside shared virtual-time engines
 // on one node: per-viewer sessions schedule into shared event slabs,
 // stream and device tables are shared immutable state, memory stays
-// O(viewers) with no per-viewer result allocation, and aggregation is
+// O(active viewers) with no per-viewer result allocation, and aggregation is
 // online (streaming quantile sketches). Shards are stepped across
 // GOMAXPROCS workers in lockstep rollup barriers with deterministic
 // seed-splitting, so the CohortResult and the OnRollup stream are

@@ -8,7 +8,8 @@
 // one cell sector contend for real sector bandwidth. Results are
 // aggregated ONLINE — counters and mergeable quantile sketches
 // (stats.Sketch), never per-viewer result structs — so memory is
-// O(viewers) in simulation state and O(1) in results.
+// O(active viewers) in simulation state and O(1) in results: a finished
+// viewer is unreachable once its radio tail has drained.
 //
 // Determinism: every stochastic choice (per-viewer background seed, join
 // times) is a pure function of (Config, viewer index) via

@@ -286,6 +286,37 @@ func TestRunRefusesUnboundedBarriers(t *testing.T) {
 	}
 }
 
+// A shard lets go of a viewer as soon as it finishes: the completion
+// cancels the viewer's horizon cut, so after the shard's last collect its
+// engine holds only the radio tails of the last few finishers, not one
+// event per viewer. A cut left queued until join + horizon keeps the
+// viewer's whole device stack reachable, and the shard's heap would then
+// track every viewer that finished within the last horizon (DESIGN.md
+// §12).
+func TestShardReleasesFinishedViewers(t *testing.T) {
+	cfg := Config{
+		Base:    shortBase(),
+		Viewers: 60,
+		Arrival: Arrival{Kind: ArrivalUniform, Window: 120 * sim.Second},
+		Shards:  2,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := runShards(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range shards {
+		if sh.agg.completed != sh.total {
+			t.Fatalf("shard %d: %d of %d viewers completed (%s)", sh.idx, sh.agg.completed, sh.total, sh.agg.firstErr)
+		}
+		if p := sh.eng.Pending(); p >= sh.total {
+			t.Errorf("shard %d: %d events still pending after its last viewer finished, for %d viewers", sh.idx, p, sh.total)
+		}
+	}
+}
+
 func TestKeyIdentity(t *testing.T) {
 	base := shortBase()
 	a := Config{Base: base, Viewers: 100}

@@ -28,6 +28,13 @@ type shard struct {
 	scratch experiments.RunResult
 }
 
+// member is one admitted viewer of a shard and the handle of its horizon
+// cut, which the viewer's completion cancels.
+type member struct {
+	v   *experiments.Viewer
+	cut sim.Event
+}
+
 // newShard builds shard idx of shards: constructs every t=0 viewer (in
 // global index order — the deterministic analogue of Run's construct-
 // then-start ordering), schedules arrival events for later joins, then
@@ -47,27 +54,27 @@ func newShard(cfg *Config, idx, shards int, joins []sim.Time) *shard {
 			}
 		}
 	}
-	var startNow []*experiments.Viewer
+	var startNow []*member
 	for i, join := range joins {
 		if cfg.shardOf(i, shards) != idx {
 			continue
 		}
 		sh.total++
 		if join <= 0 {
-			if v := sh.admit(i); v != nil {
-				startNow = append(startNow, v)
+			if m := sh.admit(i); m != nil {
+				startNow = append(startNow, m)
 			}
 			continue
 		}
 		i := i
 		sh.eng.At(join, func() {
-			if v := sh.admit(i); v != nil {
-				sh.start(v)
+			if m := sh.admit(i); m != nil {
+				sh.start(m)
 			}
 		})
 	}
-	for _, v := range startNow {
-		sh.start(v)
+	for _, m := range startNow {
+		sh.start(m)
 	}
 	return sh
 }
@@ -76,13 +83,16 @@ func newShard(cfg *Config, idx, shards int, joins []sim.Time) *shard {
 // background seed and (when the cohort has a cell) its sector's
 // congestion wrapper. Construction failures are folded into the shard's
 // accounting as viewer errors; admit returns nil for them.
-func (sh *shard) admit(i int) *experiments.Viewer {
+func (sh *shard) admit(i int) *member {
 	sh.agg.started++
 	vcfg := sh.cfg.Base
 	vcfg.BGSeed = sim.ChildSeedN(sh.cfg.seed(), "cohort/bgload", i)
-	var v *experiments.Viewer
+	m := new(member)
 	opts := experiments.ViewerOptions{
-		OnDone: func() { sh.collect(i, v) },
+		OnDone: func() {
+			sh.eng.Cancel(m.cut)
+			sh.collect(i, m.v)
+		},
 	}
 	if cs := sh.cells[sh.cfg.sectorOf(i)]; cs != nil {
 		opts.WrapBandwidth = func(base netsim.Bandwidth) netsim.Bandwidth {
@@ -90,29 +100,32 @@ func (sh *shard) admit(i int) *experiments.Viewer {
 		}
 		opts.OnNetActivity = cs.activity
 	}
-	var err error
-	v, err = experiments.NewViewer(sh.eng, vcfg, opts)
+	v, err := experiments.NewViewer(sh.eng, vcfg, opts)
 	if err != nil {
 		sh.finishFailed(i, err)
 		return nil
 	}
-	return v
+	m.v = v
+	return m
 }
 
 // start begins a constructed viewer's playback at the engine's current
-// time and arms its horizon cut. The cut event is scheduled
-// unconditionally; for the (overwhelmingly common) completing viewer it
-// fires as a no-op long after the viewer collected.
-func (sh *shard) start(v *experiments.Viewer) {
-	v.Start()
-	sh.eng.At(v.Deadline(), func() { v.Cut() })
+// time and arms its horizon cut. The viewer's completion cancels the cut
+// (a no-op for a cut viewer, whose cut already fired), so once its radio
+// tail has drained, nothing in the engine keeps a finished viewer alive:
+// the shard's memory follows the viewers on air. The cancel moves no
+// result, because a completing viewer's cut could only ever fire as a
+// no-op.
+func (sh *shard) start(m *member) {
+	m.v.Start()
+	m.cut = sh.eng.At(m.v.Deadline(), func() { m.v.Cut() })
 }
 
 // collect runs inside a viewer's completion (or cut) event: finish the
 // viewer into the shard's ONE scratch result and fold it into the online
 // aggregates. When the last viewer of the shard finishes, the engine is
-// stopped — leftover radio-tail and cut events are never run, exactly as
-// a standalone Run leaves them.
+// stopped — leftover radio-tail events are never run, exactly as a
+// standalone Run leaves them.
 func (sh *shard) collect(i int, v *experiments.Viewer) {
 	sh.agg.finished++
 	if now := sh.eng.Now(); now > sh.agg.maxEnd {

@@ -2,6 +2,11 @@
 // frames in presentation order, runs each as a CPU job, and parks decoded
 // frames in a bounded output queue ahead of the display. The bounded queue
 // is the slack store the energy-aware DVFS policy exploits.
+//
+// The input holds no copies: it is a queue of spans over the pushed
+// segments' frame slices, which are shared and never written. The output
+// is a fixed ring of queue-capacity slots. A decoder's memory is thus a
+// few spans and one ring, whatever the buffer depth.
 package decode
 
 import (
@@ -63,31 +68,77 @@ type Counts struct {
 	Skipped int
 }
 
-// frameQueue is a FIFO of frames with a head cursor, so steady-state
-// push/pop reuses one backing array instead of re-slicing capacity away.
-type frameQueue struct {
-	buf  []video.Frame
-	head int
+// span is one pushed frame slice as decode input: frames[next:revealed]
+// are queued, frames[revealed:] are not yet revealed by Push. The slice
+// is shared with its owner (a segment of an immutable stream) and only
+// ever read.
+type span struct {
+	frames   []video.Frame
+	next     int
+	revealed int
 }
 
-func (q *frameQueue) push(f video.Frame) { q.buf = append(q.buf, f) }
-func (q *frameQueue) len() int           { return len(q.buf) - q.head }
-func (q *frameQueue) front() video.Frame { return q.buf[q.head] }
+// frameRing is the decoded-frame queue: a fixed ring of capacity slots.
+// It never needs more, because maybeStart issues a decode only while the
+// ring holds fewer frames than that and at most one decode is in flight.
+type frameRing struct {
+	buf  []video.Frame // len(buf) is the capacity
+	head int
+	n    int
+}
 
-func (q *frameQueue) pop() video.Frame {
-	f := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= 64 && q.head > len(q.buf)/2 {
-		// Compact: slide the live window to the front so append reuses
-		// the vacated capacity instead of growing the array forever.
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
+// reset empties the ring and sizes it to capacity, reusing the backing
+// array when it is large enough.
+func (r *frameRing) reset(capacity int) {
+	if cap(r.buf) < capacity {
+		r.buf = make([]video.Frame, capacity)
+	} else {
+		r.buf = r.buf[:capacity]
 	}
+	r.head, r.n = 0, 0
+}
+
+func (r *frameRing) len() int            { return r.n }
+func (r *frameRing) front() *video.Frame { return &r.buf[r.head] }
+
+// slot maps the k-th queued position to its index in buf.
+func (r *frameRing) slot(k int) int {
+	i := r.head + k
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
+func (r *frameRing) push(f video.Frame) {
+	if r.n == len(r.buf) {
+		panic("decode: decoded-frame ring overflow: a decode completed with the queue full")
+	}
+	r.buf[r.slot(r.n)] = f
+	r.n++
+}
+
+func (r *frameRing) pop() video.Frame {
+	f := r.buf[r.head]
+	r.head = r.slot(1)
+	r.n--
 	return f
+}
+
+// dropBelow removes, in place and keeping order, every frame with Index
+// below idx, and returns how many it removed.
+func (r *frameRing) dropBelow(idx int) int {
+	w := 0
+	for k := 0; k < r.n; k++ {
+		f := r.buf[r.slot(k)]
+		if f.Index >= idx {
+			r.buf[r.slot(w)] = f
+			w++
+		}
+	}
+	dropped := r.n - w
+	r.n = w
+	return dropped
 }
 
 // Decoder is the decode-ahead worker. It is driven entirely by the event
@@ -97,8 +148,10 @@ type Decoder struct {
 	core Submitter
 	cap  int
 
-	pending  frameQueue
-	ready    frameQueue
+	// pending is the coded input in presentation order; its spans are
+	// never empty, so no spans means no input.
+	pending  []span
+	ready    frameRing
 	inFlight bool
 
 	// In-flight frame state: at most one decode job runs at a time, so
@@ -132,19 +185,19 @@ func New(eng *sim.Engine, core Submitter, queueCap int, deadlineOf func(f video.
 		hooks = NopHooks{}
 	}
 	d := &Decoder{eng: eng, core: core, cap: queueCap, deadlineOf: deadlineOf, hooks: hooks}
-	d.ready.buf = make([]video.Frame, 0, queueCap+1)
+	d.ready.reset(queueCap)
 	d.doneFn = d.jobDone
 	return d, nil
 }
 
 // Reset rewinds the decoder to the state New would construct for
-// (queueCap, hooks), keeping its allocations: both frame-queue backing
-// arrays, the job pool, and the pre-bound completion callback survive, as
-// do the deadlineOf function and the OnReady callback wired at
-// construction (they belong to the owning player, which outlives the
-// reset). The owning engine and submitter must be reset alongside; an
-// in-flight decode job is simply forgotten here (its pooled CPU job is
-// returned by the core's own reset).
+// (queueCap, hooks), keeping its allocations: the span array (its frame
+// references dropped), the decoded ring, the job pool, and the pre-bound
+// completion callback survive, as do the deadlineOf function and the
+// OnReady callback wired at construction (they belong to the owning
+// player, which outlives the reset). The owning engine and submitter must
+// be reset alongside; an in-flight decode job is simply forgotten here
+// (its pooled CPU job is returned by the core's own reset).
 func (d *Decoder) Reset(queueCap int, hooks Hooks) error {
 	if queueCap < 1 {
 		return fmt.Errorf("decode: queue capacity %d < 1", queueCap)
@@ -154,14 +207,9 @@ func (d *Decoder) Reset(queueCap int, hooks Hooks) error {
 	}
 	d.cap = queueCap
 	d.hooks = hooks
-	d.pending.buf = d.pending.buf[:0]
-	d.pending.head = 0
-	if cap(d.ready.buf) < queueCap+1 {
-		d.ready.buf = make([]video.Frame, 0, queueCap+1)
-	} else {
-		d.ready.buf = d.ready.buf[:0]
-	}
-	d.ready.head = 0
+	clear(d.pending)
+	d.pending = d.pending[:0]
+	d.ready.reset(queueCap)
 	d.inFlight = false
 	d.curFrame = video.Frame{}
 	d.curDeadline = 0
@@ -175,17 +223,64 @@ func (d *Decoder) Reset(queueCap int, hooks Hooks) error {
 // queue (the display uses it to wake from stalls).
 func (d *Decoder) OnReady(fn func(f video.Frame)) { d.onReady = fn }
 
-// Push appends a coded frame to the decode input in presentation order.
-func (d *Decoder) Push(f video.Frame) {
-	d.pending.push(f)
-	d.maybeStart()
+// Push appends a slice of coded frames — a downloaded segment's — to the
+// decode input in presentation order. The decoder reads the frames in
+// place, so the caller must not write them afterwards. Frames are revealed
+// to the input one at a time with a decode attempt after each, so Push(fs)
+// acts exactly as one push per frame would: every hook fires in the same
+// order with the same arguments.
+func (d *Decoder) Push(frames []video.Frame) {
+	for i := range frames {
+		d.reveal(frames, i)
+		d.maybeStart()
+	}
+}
+
+// reveal appends frames[i] to the input: it extends the last span when
+// that span is frames revealed up to i, and opens a new span otherwise
+// (the first frame, a drained input, or a Push nested in a hook).
+func (d *Decoder) reveal(frames []video.Frame, i int) {
+	if n := len(d.pending); n > 0 {
+		t := &d.pending[n-1]
+		if t.revealed == i && len(t.frames) == len(frames) && &t.frames[0] == &frames[0] {
+			t.revealed++
+			return
+		}
+	}
+	d.pending = append(d.pending, span{frames: frames, next: i, revealed: i + 1})
+}
+
+// frontPending returns the next input frame; the input must not be empty.
+func (d *Decoder) frontPending() *video.Frame {
+	s := &d.pending[0]
+	return &s.frames[s.next]
+}
+
+// popPending removes and returns the next input frame, dropping its span
+// once every revealed frame of it is consumed.
+func (d *Decoder) popPending() video.Frame {
+	s := &d.pending[0]
+	f := s.frames[s.next]
+	s.next++
+	if s.next == s.revealed {
+		n := copy(d.pending, d.pending[1:])
+		d.pending[n] = span{}
+		d.pending = d.pending[:n]
+	}
+	return f
 }
 
 // ReadyLen returns the decoded-queue depth.
 func (d *Decoder) ReadyLen() int { return d.ready.len() }
 
 // PendingLen returns the coded input backlog.
-func (d *Decoder) PendingLen() int { return d.pending.len() }
+func (d *Decoder) PendingLen() int {
+	n := 0
+	for _, s := range d.pending {
+		n += s.revealed - s.next
+	}
+	return n
+}
 
 // InFlight reports whether a decode job is executing.
 func (d *Decoder) InFlight() bool { return d.inFlight }
@@ -223,18 +318,7 @@ func (d *Decoder) DiscardBelow(idx int) {
 		return
 	}
 	d.discardBelow = idx
-	w := 0
-	for i := d.ready.head; i < len(d.ready.buf); i++ {
-		f := d.ready.buf[i]
-		if f.Index >= idx {
-			d.ready.buf[w] = f
-			w++
-		} else {
-			d.counts.Discarded++
-		}
-	}
-	d.ready.buf = d.ready.buf[:w]
-	d.ready.head = 0
+	d.counts.Discarded += d.ready.dropBelow(idx)
 	d.maybeStart()
 }
 
@@ -243,15 +327,15 @@ func (d *Decoder) maybeStart() {
 		return
 	}
 	// Skip input frames whose slot already passed.
-	for d.pending.len() > 0 && d.pending.front().Index < d.discardBelow {
-		d.pending.pop()
+	for len(d.pending) > 0 && d.frontPending().Index < d.discardBelow {
+		d.popPending()
 		d.counts.Skipped++
 	}
-	if d.pending.len() == 0 || d.ready.len() >= d.cap {
+	if len(d.pending) == 0 || d.ready.len() >= d.cap {
 		d.hooks.DecoderIdle(d.eng.Now())
 		return
 	}
-	f := d.pending.pop()
+	f := d.popPending()
 	d.inFlight = true
 	d.curFrame = f
 	d.curDeadline = d.deadlineOf(f)

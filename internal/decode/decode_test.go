@@ -27,6 +27,15 @@ func frame(idx int, cycles float64) video.Frame {
 	return video.Frame{Index: idx, Type: video.FrameP, PTS: sim.Time(float64(idx) / 30), Cycles: cycles}
 }
 
+// frames returns frames [from, to) as one segment's slice.
+func frames(from, to int, cycles float64) []video.Frame {
+	fs := make([]video.Frame, 0, to-from)
+	for i := from; i < to; i++ {
+		fs = append(fs, frame(i, cycles))
+	}
+	return fs
+}
+
 func fixedDeadline(f video.Frame) sim.Time { return f.PTS + sim.Second }
 
 type recordingHooks struct {
@@ -60,9 +69,7 @@ func TestDecoderDecodesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.OnReady(func(f video.Frame) { got = append(got, f.Index) })
-	for i := 0; i < 5; i++ {
-		d.Push(frame(i, 1e6))
-	}
+	d.Push(frames(0, 5, 1e6))
 	eng.Run()
 	if len(got) != 5 {
 		t.Fatalf("decoded %d frames", len(got))
@@ -83,9 +90,7 @@ func TestDecoderRespectsQueueCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		d.Push(frame(i, 1e6))
-	}
+	d.Push(frames(0, 6, 1e6))
 	eng.Run()
 	if d.ReadyLen() != 2 {
 		t.Fatalf("ready = %d, want cap 2", d.ReadyLen())
@@ -109,8 +114,7 @@ func TestDecoderPopSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Push(frame(0, 1e6))
-	d.Push(frame(1, 1e6))
+	d.Push(frames(0, 2, 1e6))
 	eng.Run()
 	if _, ok := d.Pop(1); ok {
 		t.Fatal("Pop(1) should fail while 0 heads the queue")
@@ -133,9 +137,7 @@ func TestDecoderDiscardBelowDropsStaleReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		d.Push(frame(i, 1e6))
-	}
+	d.Push(frames(0, 4, 1e6))
 	eng.Run()
 	d.DiscardBelow(2)
 	if !d.Ready(2) {
@@ -159,10 +161,8 @@ func TestDecoderSkipsStalePendingWithoutDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill with one slow frame so the rest stay pending.
-	d.Push(frame(0, 1e9)) // 1 s decode
-	for i := 1; i < 5; i++ {
-		d.Push(frame(i, 1e6))
-	}
+	d.Push(frames(0, 1, 1e9)) // 1 s decode
+	d.Push(frames(1, 5, 1e6))
 	eng.Schedule(100*sim.Millisecond, func() { d.DiscardBelow(4) })
 	eng.Run()
 	c := d.Counts()
@@ -185,7 +185,7 @@ func TestDecoderInFlightDiscard(t *testing.T) {
 	}
 	ready := 0
 	d.OnReady(func(video.Frame) { ready++ })
-	d.Push(frame(0, 1e9))
+	d.Push(frames(0, 1, 1e9))
 	eng.Schedule(500*sim.Millisecond, func() { d.DiscardBelow(1) })
 	eng.Run()
 	if ready != 0 {
@@ -203,7 +203,7 @@ func TestDecoderHooksFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Push(frame(0, 2e6))
+	d.Push(frames(0, 1, 2e6))
 	eng.Run()
 	if h.starts != 1 || h.ends != 1 {
 		t.Fatalf("hooks: starts=%d ends=%d", h.starts, h.ends)
@@ -231,11 +231,11 @@ func TestDecoderDeadlineQueriedAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Push(frame(0, 1e6))
+	d.Push(frames(0, 1, 1e6))
 	eng.Run()
 	first := h.lastDeadline
 	shift = 5 * sim.Second // timeline shifted by a stall
-	d.Push(frame(1, 1e6))
+	d.Push(frames(1, 2, 1e6))
 	eng.Run()
 	if h.lastDeadline-first < 4*sim.Second {
 		t.Fatalf("deadline did not track the shift: %v then %v", first, h.lastDeadline)
@@ -259,9 +259,7 @@ func TestDecoderThroughputMatchesFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 frames × 10 M cycles at 1 GHz = 1 s total decode time.
-	for i := 0; i < 100; i++ {
-		d.Push(frame(i, 10e6))
-	}
+	d.Push(frames(0, 100, 10e6))
 	end := eng.Run()
 	if math.Abs(float64(end-sim.Second)) > 1e-9 {
 		t.Fatalf("drain time = %v, want 1s", end)

@@ -276,6 +276,11 @@ func (cfg RunConfig) Validate() error {
 	if math.IsNaN(float64(cfg.Duration)) || math.IsInf(float64(cfg.Duration), 0) {
 		return fmt.Errorf("experiments: %w: duration %v not finite", ErrInvalidConfig, cfg.Duration)
 	}
+	// A huge finite duration would generate frames and bandwidth steps
+	// until memory runs out.
+	if cfg.Duration > video.MaxDuration {
+		return fmt.Errorf("experiments: %w: duration %v longer than the %v cap", ErrInvalidConfig, cfg.Duration, video.MaxDuration)
+	}
 	if math.IsNaN(float64(cfg.Horizon)) || math.IsInf(float64(cfg.Horizon), 0) {
 		return fmt.Errorf("experiments: %w: horizon %v not finite", ErrInvalidConfig, cfg.Horizon)
 	}
@@ -476,9 +481,11 @@ type streamKey struct {
 }
 
 // streamCache memoizes generated rendition sets across runs. Streams are
-// immutable after Generate (sessions segmentize and copy frames by value),
-// so sharing them between concurrent campaign runs is safe and changes no
-// output — it only removes the dominant setup cost of repeated runs.
+// immutable after Generate: sessions segmentize them into subslices and
+// decoders read those frames in place, never writing them. Sharing them
+// between concurrent campaign runs and cohort viewers is therefore safe
+// and changes no output — it only removes the dominant setup cost of
+// repeated runs.
 var streamCache inputCache[streamKey, []*video.Stream]
 
 // abrFixed0 is the shared fixed-rung adaptation value: abr.Fixed is a

@@ -202,6 +202,28 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// Content past video.MaxDuration is refused up front: a huge finite
+// duration generated frames and bandwidth steps until memory ran out. The
+// cap itself is admitted, and so is its bandwidth trace, which a run draws
+// over four content lengths, within netsim's own cap.
+func TestRunConfigRefusesContentPastCap(t *testing.T) {
+	cfg := DefaultRunConfig()
+	cfg.Duration = video.MaxDuration + sim.Second
+	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("duration %v: err = %v, want ErrInvalidConfig", cfg.Duration, err)
+	}
+	cfg.Duration = video.MaxDuration
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("duration at the cap: %v", err)
+	}
+	for _, net := range []NetKind{NetLTE, NetUMTS} {
+		cfg.Net = net
+		if _, _, err := buildBandwidth(cfg); err != nil {
+			t.Errorf("%s bandwidth for content at the cap: %v", net, err)
+		}
+	}
+}
+
 func TestRunHorizonExceeded(t *testing.T) {
 	cfg := DefaultRunConfig()
 	// The base case needs ≈61 virtual seconds; a 10 s horizon cuts the

@@ -381,11 +381,10 @@ func (v *Viewer) handleDone() {
 // Cut force-finishes a viewer still streaming when its horizon hits —
 // the shared-engine analogue of RunUntil returning at the horizon with
 // the session incomplete. It reports false (and does nothing) when the
-// viewer already finished; the cohort schedules a cut event per viewer
-// unconditionally, so the common case is a no-op. A cut viewer's
-// leftover player events drain harmlessly in the shared engine (they
-// mirror the events a standalone Run leaves in the heap at its horizon);
-// its Finish reports ErrHorizonExceeded, matching Run.
+// viewer already finished. A cut viewer's leftover player events drain
+// harmlessly in the shared engine (they mirror the events a standalone
+// Run leaves in the heap at its horizon); its Finish reports
+// ErrHorizonExceeded, matching Run.
 func (v *Viewer) Cut() bool {
 	if v.done {
 		return false

@@ -150,6 +150,13 @@ type MarkovState struct {
 	Next []float64
 }
 
+// MaxTraceDuration is the longest trace GenMarkovTrace generates: 96 h.
+// A run draws its Markov trace over four times its content length, so
+// this admits the longest content the simulator accepts (24 h,
+// video.MaxDuration); a longer request fails at once instead of
+// generating until memory runs out.
+const MaxTraceDuration = 96 * 60 * sim.Minute
+
 // GenMarkovTrace pregenerates a Steps trace of the given duration from a
 // Markov bandwidth process, deterministically from rng.
 func GenMarkovTrace(states []MarkovState, dur sim.Time, rng *sim.RNG) (Steps, error) {
@@ -158,6 +165,9 @@ func GenMarkovTrace(states []MarkovState, dur sim.Time, rng *sim.RNG) (Steps, er
 	}
 	if !(dur > 0) || math.IsInf(float64(dur), 1) {
 		return Steps{}, fmt.Errorf("netsim: markov trace duration %v s not finite and positive", float64(dur))
+	}
+	if dur > MaxTraceDuration {
+		return Steps{}, fmt.Errorf("netsim: markov trace duration %v s longer than the %v s cap", dur.Seconds(), MaxTraceDuration.Seconds())
 	}
 	for i, st := range states {
 		if st.MeanBps < 0 || st.MeanHold <= 0 {

@@ -149,10 +149,11 @@ func TestGenMarkovTraceErrors(t *testing.T) {
 }
 
 // A non-finite duration passed GenMarkovTrace: NaN and zero produced an
-// empty trace, and +Inf looped forever. Each case runs under a deadline so
-// a hang fails the test instead of stalling the suite.
+// empty trace, and +Inf looped forever, as a huge finite one did until
+// memory ran out. Each case runs under a deadline so a hang fails the
+// test instead of stalling the suite.
 func TestGenMarkovTraceRejectsNonFiniteDuration(t *testing.T) {
-	for _, dur := range []sim.Time{sim.Time(math.NaN()), sim.Time(math.Inf(1)), 0, -sim.Second} {
+	for _, dur := range []sim.Time{sim.Time(math.NaN()), sim.Time(math.Inf(1)), 0, -sim.Second, MaxTraceDuration + sim.Second} {
 		done := make(chan error, 1)
 		go func() {
 			_, err := GenMarkovTrace(LTEStates(), dur, sim.Stream(1, "bw"))

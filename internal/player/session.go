@@ -351,9 +351,7 @@ func (s *Session) fetchDone(now sim.Time) {
 	s.nextSeg++
 	s.bitsSum += seg.Bits
 	s.segsSum++
-	for _, f := range seg.Frames {
-		s.dec.Push(f)
-	}
+	s.dec.Push(seg.Frames)
 	s.downLoade += len(seg.Frames)
 	s.hooks.BufferState(now, s.BufferSec(), s.dec.ReadyLen(), s.dec.Cap())
 	s.tryStartOrResume()

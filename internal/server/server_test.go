@@ -90,7 +90,7 @@ func TestRunRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(served, direct) {
 		t.Fatalf("served result drifted from direct Run:\nserved: %+v\ndirect: %+v", served, direct)
 	}
-	cfg.Horizon = cfg.Duration*6 + 60*sim.Second // the horizon the server pins
+	cfg.Horizon = cfg.EffectiveHorizon() // the horizon the server pins
 	wantKey, _ := experiments.ConfigKey(cfg)
 	if key != wantKey {
 		t.Fatalf("served key %s, want canonical %s", key, wantKey)
@@ -868,7 +868,7 @@ func TestCohortEndpoint(t *testing.T) {
 	// same horizon the server pins.
 	cfg := cohort.DefaultConfig()
 	cfg.Base.Duration = 6 * sim.Second
-	cfg.Base.Horizon = cfg.Base.Duration*6 + 60*sim.Second
+	cfg.Base.Horizon = cfg.Base.EffectiveHorizon()
 	cfg.Viewers = 8
 	cfg.Rollup = 5 * sim.Second
 	cfg.Seed = 4

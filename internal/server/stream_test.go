@@ -199,7 +199,7 @@ func TestCohortPartEndpoint(t *testing.T) {
 
 	cfg := cohort.DefaultConfig()
 	cfg.Base.Duration = 6 * sim.Second
-	cfg.Base.Horizon = cfg.Base.Duration*6 + 60*sim.Second
+	cfg.Base.Horizon = cfg.Base.EffectiveHorizon()
 	cfg.Viewers = 12
 	cfg.Shards = 4
 	cfg.Rollup = 5 * sim.Second

@@ -155,11 +155,19 @@ func (s Spec) meanBitsTable(c Codec) [FrameB + 1]float64 {
 	return out
 }
 
+// MaxDuration is the longest content Generate synthesizes, and so the
+// longest run the simulator accepts (experiments.RunConfig.Validate): 24 h,
+// against the 5 min the longest experiment simulates. A 24 h rendition at
+// 30 fps is 2.6 M frames, about 100 MB; a longer request fails at once
+// instead of generating until memory runs out.
+const MaxDuration = 24 * 60 * sim.Minute
+
 // sceneTrack precomputes per-scene complexity multipliers so that aligned
 // ladder renditions share identical scene structure.
 type sceneTrack struct {
 	ends  []sim.Time
 	mults []float64
+	cur   int // multAt's cursor: the scene the last query fell in
 }
 
 func newSceneTrack(title Title, dur sim.Time, rng *sim.RNG) sceneTrack {
@@ -183,11 +191,15 @@ func newSceneTrack(title Title, dur sim.Time, rng *sim.RNG) sceneTrack {
 	return tr
 }
 
-func (tr sceneTrack) multAt(t sim.Time) float64 {
-	for i, end := range tr.ends {
-		if t < end {
-			return tr.mults[i]
-		}
+// multAt returns the multiplier of the first scene ending after t. Queries
+// must come in non-decreasing t, as Generate's frame PTS do: the track
+// walks its scenes with a cursor, so a stream costs one pass over them.
+func (tr *sceneTrack) multAt(t sim.Time) float64 {
+	for tr.cur < len(tr.ends) && t >= tr.ends[tr.cur] {
+		tr.cur++
+	}
+	if tr.cur < len(tr.mults) {
+		return tr.mults[tr.cur]
 	}
 	if len(tr.mults) == 0 {
 		return 1
@@ -203,6 +215,9 @@ func Generate(spec Spec, dur sim.Time, seed int64) (*Stream, error) {
 	}
 	if !(dur > 0) || math.IsInf(float64(dur), 1) {
 		return nil, fmt.Errorf("video: duration %v s not finite and positive", float64(dur))
+	}
+	if dur > MaxDuration {
+		return nil, fmt.Errorf("video: duration %v s longer than the %v s cap", dur.Seconds(), MaxDuration.Seconds())
 	}
 	// float64(math.MaxInt) rounds up to 2^63, so any count below it
 	// converts to an int exactly.

@@ -213,7 +213,8 @@ func within(t *testing.T, d time.Duration, f func()) {
 
 // Non-finite lengths passed Generate's positive-duration check: NaN
 // panicked in make, +Inf never left the scene track, and a finite frame
-// count past an int converted to garbage. Each is an error now.
+// count past an int converted to garbage. A finite duration past
+// MaxDuration generated until memory ran out. Each is an error now.
 func TestGenerateRejectsNonFiniteLengths(t *testing.T) {
 	spec := func(fps float64) Spec {
 		s := DefaultSpec(TitleNews, R360p)
@@ -230,6 +231,7 @@ func TestGenerateRejectsNonFiniteLengths(t *testing.T) {
 		{"NaN fps", spec(math.NaN()), sim.Second},
 		{"+Inf fps", spec(math.Inf(1)), sim.Second},
 		{"frame count past int", spec(1e300), sim.Second},
+		{"one second past MaxDuration", spec(30), MaxDuration + sim.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,6 +241,37 @@ func TestGenerateRejectsNonFiniteLengths(t *testing.T) {
 				t.Fatal("want an error")
 			}
 		})
+	}
+}
+
+// multAt walks the scenes with a cursor, which relies on Generate's
+// monotone PTS; the rescan it replaced returned the multiplier of the
+// first scene ending after t. The two agree at every frame time, and past
+// the last scene, for each title at several lengths.
+func TestSceneCursorMatchesRescan(t *testing.T) {
+	rescan := func(tr sceneTrack, at sim.Time) float64 {
+		for i, end := range tr.ends {
+			if at < end {
+				return tr.mults[i]
+			}
+		}
+		if len(tr.mults) == 0 {
+			return 1
+		}
+		return tr.mults[len(tr.mults)-1]
+	}
+	for _, title := range Titles() {
+		for _, dur := range []sim.Time{400 * sim.Millisecond, 10 * sim.Second, 5 * sim.Minute, 30 * sim.Minute} {
+			tr := newSceneTrack(title, dur, sim.Stream(7, "scenes/"+title.Name))
+			ref := tr
+			n := int((tr.ends[len(tr.ends)-1] + sim.Second).Seconds() * 30) // one second past the last scene
+			for i := 0; i < n; i++ {
+				pts := sim.Time(float64(i) / 30)
+				if got, want := tr.multAt(pts), rescan(ref, pts); got != want {
+					t.Fatalf("%s, %v: multAt(%v) = %v, rescan %v", title.Name, dur, pts, got, want)
+				}
+			}
+		}
 	}
 }
 
