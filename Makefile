@@ -107,6 +107,15 @@ bench:
 GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$
 GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
+# The cohort step's gated allocs/op come from a second, fixed-iteration
+# run under GOGC=off. In the timed run, Go 1.24's unique-map cleanup adds
+# about two allocations per GC cycle, so a sample reads one or two over
+# the program's own count depending on how many cycles land in it; with
+# no GC the count repeats exactly. Time and B/op still come from the
+# timed run, and the pin in bench/baseline.txt stays the ceiling.
+EXACT_ALLOC_BENCH = BenchmarkCohortStep$$
+EXACT_ALLOC_FLAGS = -benchmem -benchtime 10x -count 1 -cpu 1
+
 # Re-pin the hot-path baseline (bench/baseline.txt). Run on the seed (or
 # after an intended perf change), then commit the new numbers.
 bench-baseline:
@@ -125,11 +134,13 @@ bench-compare:
 
 # The CI perf gate: run the pinned benchmarks and fail on >5% best-of-run time
 # regression (same-machine only) or ANY allocs/op / B/op increase against
-# bench/baseline.txt. Emits bench/BENCH_6.json (runs/sec, ns/op,
-# allocs/op) for the perf dashboard. No benchstat needed.
+# bench/baseline.txt, reading the cohort step's allocs/op from the exact
+# GOGC=off run. Emits bench/BENCH_6.json (runs/sec, ns/op, allocs/op)
+# for the perf dashboard. No benchstat needed.
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) . | tee bench/current.txt
-	$(GO) run ./cmd/benchgate -baseline bench/baseline.txt -current bench/current.txt -out bench/BENCH_6.json
+	GOGC=off $(GO) test -run '^$$' -bench '$(EXACT_ALLOC_BENCH)' $(EXACT_ALLOC_FLAGS) . | tee bench/current-allocs.txt
+	$(GO) run ./cmd/benchgate -baseline bench/baseline.txt -current bench/current.txt -allocs bench/current-allocs.txt -out bench/BENCH_6.json
 
 # Profile the full 30-experiment campaign; inspect with
 #   go tool pprof prof/exprun.cpu  (or .mem)

@@ -208,6 +208,21 @@ func BenchmarkRunJSONL(b *testing.B) {
 	}
 }
 
+// BenchmarkRunStrict times the same session with the invariant checker
+// auditing its event stream (DESIGN.md §10) — the cost of one run under
+// `make strict`. Like BenchmarkRunJSONL it stays out of bench-gate: a
+// traced run's B/op moves with GC timing.
+func BenchmarkRunStrict(b *testing.B) {
+	cfg := experiments.DefaultRunConfig()
+	cfg.Strict = true
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCohortStep times a whole cohort iteration: 256 viewers of a
 // 5 s session stepped inside shared virtual-time engines with online
 // aggregation. bench-gate holds the per-iteration time and allocation

@@ -5,7 +5,10 @@
 //
 //   - any allocs/op increase on a pinned benchmark fails, always — the
 //     0-alloc reset path and the 8-alloc public Run are hard budgets, not
-//     trends;
+//     trends. With -allocs, a benchmark found in that second file is
+//     gated on its allocs/op there: a fixed-iteration run under GOGC=off,
+//     where no GC cycle adds the runtime's own background allocations,
+//     so the count repeats exactly;
 //   - any B/op increase beyond a few bytes of runtime-background jitter
 //     fails, always;
 //   - a best-of-samples ns/op regression beyond the threshold (default
@@ -22,7 +25,8 @@
 // Usage:
 //
 //	go test -run '^$' -bench '...' -benchmem -count 5 . > bench/current.txt
-//	benchgate -baseline bench/baseline.txt -current bench/current.txt -out bench/BENCH_6.json
+//	GOGC=off go test -run '^$' -bench '...' -benchmem -benchtime 10x . > bench/current-allocs.txt
+//	benchgate -baseline bench/baseline.txt -current bench/current.txt -allocs bench/current-allocs.txt -out bench/BENCH_6.json
 package main
 
 import (
@@ -148,6 +152,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	baselinePath := fs.String("baseline", "bench/baseline.txt", "pinned baseline benchmark output")
 	currentPath := fs.String("current", "bench/current.txt", "fresh benchmark output to gate")
+	allocsPath := fs.String("allocs", "", "exact allocs/op run (fixed iterations, GOGC=off) that overrides -current's allocs/op for the benchmarks it holds")
 	outPath := fs.String("out", "", "write a JSON summary of the current run here")
 	maxTime := fs.Float64("maxtime", 0.05, "maximum allowed best-of-samples ns/op regression (fraction)")
 	if err := fs.Parse(args); err != nil {
@@ -161,6 +166,12 @@ func run(args []string) error {
 	current, err := parseBenchOutput(*currentPath)
 	if err != nil {
 		return fmt.Errorf("current: %w", err)
+	}
+	exact := &benchFile{}
+	if *allocsPath != "" {
+		if exact, err = parseBenchOutput(*allocsPath); err != nil {
+			return fmt.Errorf("allocs: %w", err)
+		}
 	}
 
 	sameCPU := baseline.cpu != "" && baseline.cpu == current.cpu
@@ -179,6 +190,9 @@ func run(args []string) error {
 	reports := make([]report, 0, len(names))
 	for _, name := range names {
 		cur := best(current.samples[name])
+		if samples, ok := exact.samples[name]; ok {
+			cur.allocsPerOp = best(samples).allocsPerOp
+		}
 		reports = append(reports, report{
 			Name:        name,
 			NsPerOp:     cur.nsPerOp,

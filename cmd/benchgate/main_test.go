@@ -171,3 +171,33 @@ BenchmarkRunReset 	 100	 460000 ns/op	 0 B/op	 0 allocs/op
 		t.Fatalf("in-budget run failed the gate: %v", err)
 	}
 }
+
+// The cohort step's timed samples read one or two allocs/op above the
+// program's own count, depending on how many GC cycles land in a sample.
+// With -allocs, the gate reads allocs/op from the exact GOGC=off run
+// instead, in both directions; time and B/op still come from -current.
+func TestGateExactAllocsOverrideTimedSamples(t *testing.T) {
+	baseline := `cpu: X
+BenchmarkCohortStep 	 50	 55000000 ns/op	 6098210 B/op	 49670 allocs/op
+`
+	current := `cpu: X
+BenchmarkCohortStep 	 50	 55000000 ns/op	 6098210 B/op	 49671 allocs/op
+BenchmarkCohortStep 	 50	 55000000 ns/op	 6098210 B/op	 49671 allocs/op
+`
+	gateExact := func(exact string) error {
+		return run([]string{
+			"-baseline", writeTemp(t, "baseline.txt", baseline),
+			"-current", writeTemp(t, "current.txt", current),
+			"-allocs", writeTemp(t, "allocs.txt", exact),
+		})
+	}
+	if err := gate(t, baseline, current); err == nil {
+		t.Fatal("timed samples one alloc over the pin passed without -allocs")
+	}
+	if err := gateExact("BenchmarkCohortStep \t 10\t 40000000 ns/op\t 6098174 B/op\t 49668 allocs/op\n"); err != nil {
+		t.Fatalf("exact count under the pin failed the gate: %v", err)
+	}
+	if err := gateExact("BenchmarkCohortStep \t 10\t 40000000 ns/op\t 6098174 B/op\t 49671 allocs/op\n"); err == nil {
+		t.Fatal("exact count over the pin passed the gate")
+	}
+}

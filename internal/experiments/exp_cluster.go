@@ -70,8 +70,7 @@ func RunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAware boo
 		return ClusterResult{}, err
 	}
 
-	spec := video.DefaultSpec(video.TitleSports, res)
-	stream, err := video.Generate(spec, dur, seed)
+	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed})
 	if err != nil {
 		return ClusterResult{}, err
 	}
@@ -104,7 +103,7 @@ func RunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAware boo
 	pcfg := player.DefaultConfig()
 	pcfg.Hooks = hooks
 	pcfg.Meter = meter
-	sess, err := player.NewSession(eng, submitter, dl, []*video.Stream{stream}, pcfg)
+	sess, err := player.NewSession(eng, submitter, dl, streams, pcfg)
 	if err != nil {
 		return ClusterResult{}, err
 	}

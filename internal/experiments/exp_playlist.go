@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"videodvfs/internal/abr"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
 	"videodvfs/internal/energy"
@@ -129,8 +128,8 @@ func RunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 			eng.Stop()
 			return
 		}
-		spec := video.DefaultSpec(video.TitleSports, video.R720p)
-		stream, gerr := video.Generate(spec, cfg.VideoDur, cfg.Seed+int64(i))
+		streams, _, gerr := buildRenditions(RunConfig{Title: video.TitleSports, Rung: video.R720p,
+			Duration: cfg.VideoDur, Seed: cfg.Seed + int64(i)})
 		if gerr != nil {
 			if err == nil {
 				err = gerr
@@ -139,11 +138,10 @@ func RunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 			return
 		}
 		pcfg := player.DefaultConfig()
-		pcfg.ABR = abr.Fixed{Rung: 0}
 		pcfg.Hooks = hooks
 		pcfg.Meter = meter
 		pcfg.LowWaterSec = 10 // burst prefetch: realistic radio pattern
-		sess, serr := player.NewSession(eng, coreCPU, dl, []*video.Stream{stream}, pcfg)
+		sess, serr := player.NewSession(eng, coreCPU, dl, streams, pcfg)
 		if serr != nil {
 			if err == nil {
 				err = serr
@@ -161,8 +159,10 @@ func RunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 		sess.Start()
 	}
 	startClip(0)
-	horizon := sim.Time(cfg.Videos)*(cfg.VideoDur*6+cfg.ThinkDur) + 120*sim.Second
-	eng.RunUntil(horizon)
+	// The playlist's content gets a run's horizon, plus the think time
+	// between clips.
+	n := sim.Time(cfg.Videos)
+	eng.RunUntil(RunConfig{Duration: n * cfg.VideoDur}.EffectiveHorizon() + n*cfg.ThinkDur)
 	meter.Finish()
 	if err != nil {
 		return PlaylistResult{}, err

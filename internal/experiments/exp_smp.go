@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"videodvfs/internal/abr"
 	"videodvfs/internal/campaign"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
@@ -62,16 +61,14 @@ func RunSMP(cores int, res video.Resolution, dur sim.Time, seed int64) (SMPResul
 		return SMPResult{}, err
 	}
 
-	spec := video.DefaultSpec(video.TitleSports, res)
-	stream, err := video.Generate(spec, dur, seed)
+	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed})
 	if err != nil {
 		return SMPResult{}, err
 	}
 	pcfg := player.DefaultConfig()
-	pcfg.ABR = abr.Fixed{Rung: 0}
 	pcfg.Hooks = gov
 	pcfg.Meter = meter
-	sess, err := player.NewSession(eng, domain.Cores()[0], dl, []*video.Stream{stream}, pcfg)
+	sess, err := player.NewSession(eng, domain.Cores()[0], dl, streams, pcfg)
 	if err != nil {
 		return SMPResult{}, err
 	}

@@ -239,9 +239,9 @@ func (r RunResult) TotalJ() float64 { return r.CPUJ + r.RadioJ + r.DisplayJ }
 var ErrInvalidConfig = errors.New("invalid run config")
 
 // Validate checks the knobs Run cannot default: the governor and ABR
-// names, the network kind, and the duration. It runs up front in Run so a
-// bad config fails before any engine state exists, with every violation
-// wrapped in ErrInvalidConfig.
+// names, the network kind, the duration and the frame count. It runs up
+// front in Run so a bad config fails before any engine state exists,
+// with every violation wrapped in ErrInvalidConfig.
 func (cfg RunConfig) Validate() error {
 	if _, err := ParseGovernorID(string(cfg.Governor)); err != nil {
 		return fmt.Errorf("experiments: %w: %w", ErrInvalidConfig, err)
@@ -292,6 +292,15 @@ func (cfg RunConfig) Validate() error {
 	// closes. 1000 fps is far beyond any real display pipeline.
 	if cfg.FPS != 0 && (math.IsNaN(cfg.FPS) || cfg.FPS < 1 || cfg.FPS > 1000) {
 		return fmt.Errorf("experiments: %w: fps %v outside [1, 1000]", ErrInvalidConfig, cfg.FPS)
+	}
+	// Within both caps, 1000 fps over 24 h is still 86 M frames (3.5 GB
+	// per rendition), so the frame count has its own cap. A frame trace
+	// brings its frames along and generates none.
+	if cfg.Trace == nil {
+		if frames := math.Floor(cfg.Duration.Seconds() * cfg.frameRate()); frames > video.MaxFrames {
+			return fmt.Errorf("experiments: %w: %v at %v fps is %.0f frames, more than the %d cap",
+				ErrInvalidConfig, cfg.Duration, cfg.frameRate(), frames, video.MaxFrames)
+		}
 	}
 	// NaN here silently disables the prefetch hysteresis (every threshold
 	// comparison against NaN is false) instead of failing loudly.
@@ -493,11 +502,16 @@ var streamCache inputCache[streamKey, []*video.Stream]
 // per-run boxing allocation off the arena's reset path.
 var abrFixed0 abr.Algorithm = abr.Fixed{Rung: 0}
 
-func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
-	fps := cfg.FPS
-	if fps == 0 {
-		fps = 30
+// frameRate is the run's generated frame rate: FPS, or 30 when unset.
+func (cfg RunConfig) frameRate() float64 {
+	if cfg.FPS == 0 {
+		return 30
 	}
+	return cfg.FPS
+}
+
+func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
+	fps := cfg.frameRate()
 	if cfg.Trace != nil {
 		if len(cfg.Trace.Frames) == 0 {
 			return nil, nil, fmt.Errorf("experiments: empty frame trace")

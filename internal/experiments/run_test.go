@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/sim"
@@ -221,6 +222,35 @@ func TestRunConfigRefusesContentPastCap(t *testing.T) {
 		if _, _, err := buildBandwidth(cfg); err != nil {
 			t.Errorf("%s bandwidth for content at the cap: %v", net, err)
 		}
+	}
+}
+
+// The frame count has its own cap, video.MaxFrames: 1000 fps over 24 h
+// passed both the fps and the duration checks, 86 M frames of stream. A
+// count one frame past the cap is refused, and fast; the cap itself is
+// admitted.
+func TestRunConfigRefusesFramesPastCap(t *testing.T) {
+	cfg := DefaultRunConfig()
+	// 81,000 s at 32 fps is exactly video.MaxFrames.
+	for _, tc := range []struct {
+		fps float64
+		dur sim.Time
+	}{
+		{1000, video.MaxDuration},
+		{32, sim.Time(81000+1.0/32) * sim.Second},
+	} {
+		cfg.FPS, cfg.Duration = tc.fps, tc.dur
+		start := time.Now()
+		if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%v at %v fps: err = %v, want ErrInvalidConfig", tc.dur, tc.fps, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%v at %v fps: refused after %v", tc.dur, tc.fps, d)
+		}
+	}
+	cfg.FPS, cfg.Duration = 32, 81000*sim.Second
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d frames, at the cap: %v", video.MaxFrames, err)
 	}
 }
 

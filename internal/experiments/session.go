@@ -16,9 +16,9 @@ import (
 // instead of being reconstructed per run. Stream and bandwidth tables are
 // shared immutably across resets (and across arenas, via the package
 // caches). On top of the viewer, a Session adds only what a standalone run
-// has and a cohort viewer does not: the tracer chain (factory, checker
-// tee, batcher), the OnSample and Cancel tickers, and stopping the engine
-// when the session completes.
+// has and a cohort viewer does not: the tracer chain (the caller's tracer
+// or the factory's, with the checker tee'd in front), the OnSample and
+// Cancel tickers, and stopping the engine when the session completes.
 //
 // A Session is single-goroutine: drive it with Reset+Finish or RunInto.
 // The package-level Run draws Sessions from an internal pool, so campaign
@@ -32,8 +32,7 @@ import (
 type Session struct {
 	// v is held by value but not embedded, so the Viewer's Start, Cut
 	// and Deadline stay off the public arena's method set.
-	v     Viewer
-	batch *trace.Batcher
+	v Viewer
 
 	// stopFn is the viewer's pre-bound OnDone: stop the tickers and the
 	// engine once the session completes.
@@ -47,7 +46,6 @@ type Session struct {
 // runState is the per-run trace and lifecycle state established by Reset
 // and consumed by Finish.
 type runState struct {
-	batch      *trace.Batcher // the arena's batcher while this run is traced
 	closeTrace func() error
 	closed     bool
 	armed      bool
@@ -135,18 +133,6 @@ func (s *Session) Reset(cfg RunConfig) (err error) {
 			tr = trace.Tee{chk, tr}
 		}
 	}
-	if tr != nil {
-		// Batch tracer emission: hot-path emits append into typed slices,
-		// the downstream chain (checker → sink) runs in flushes. The
-		// batcher preserves exact event order, so output is unchanged.
-		if s.batch == nil {
-			s.batch = trace.NewBatcher(tr)
-		} else {
-			s.batch.SetOutput(tr)
-		}
-		s.run.batch = s.batch
-		tr = s.batch
-	}
 
 	s.v.eng.Reset()
 	s.probe = nil
@@ -192,9 +178,6 @@ func (s *Session) Finish(res *RunResult) error {
 	s.v.Start()
 	s.v.eng.RunUntil(s.v.horizon)
 	s.v.meter.Finish()
-	if s.run.batch != nil {
-		s.run.batch.Flush()
-	}
 
 	if s.run.closeTrace != nil {
 		s.run.closed = true
@@ -209,15 +192,12 @@ func (s *Session) Finish(res *RunResult) error {
 	return s.v.collect(res)
 }
 
-// release tears down the per-run wiring: the trace sink (on error paths,
-// after a best-effort flush), then the viewer's thermal sampler and
+// release tears down the per-run wiring: the trace sink (closed
+// best-effort on error paths), then the viewer's thermal sampler and
 // governor ticker. It drops the run's config and checker so a pooled
 // arena does not pin them.
 func (s *Session) release() {
 	if s.run.closeTrace != nil && !s.run.closed {
-		if s.run.batch != nil {
-			s.run.batch.Flush()
-		}
 		s.run.closeTrace() // error path: best-effort flush
 	}
 	s.v.teardown()

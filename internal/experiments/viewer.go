@@ -132,9 +132,8 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 		return nil, fmt.Errorf("experiments: %w: per-viewer OnSample/Tracer not supported in a cohort (aggregate via rollups)",
 			ErrInvalidConfig)
 	}
-	// The checker is a strict viewer's whole tracer chain: no batcher
-	// (order, and therefore every verdict, is unchanged) and no sink to
-	// amortize for.
+	// The checker is a strict viewer's whole tracer chain: a Session's
+	// chain without the sink.
 	chk := buildChecker(cfg)
 	var tr trace.Tracer
 	if chk != nil {

@@ -2,10 +2,12 @@ package trace_test
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,37 +118,76 @@ func firstDiff(want, got []byte) string {
 
 // TestCollectorMatchesRunResult cross-checks the rollup against the
 // simulation's own accounting: energy integrated from power events must
-// agree with the meter, and display outcomes with the QoE counters.
+// agree with the meter, display outcomes with the QoE counters, and the
+// per-state and per-OPP dwell with the radio's and core's residency, on
+// every radio model. The radio starts in IDLE at t = 0, so its dwell
+// before the first RRC event counts too (UMTS spends its 2 s IDLE→DCH
+// promotion there).
 func TestCollectorMatchesRunResult(t *testing.T) {
-	col := trace.NewCollector()
-	cfg := goldenConfig()
-	cfg.Tracer = col
-	res, err := experiments.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, net := range []experiments.NetKind{experiments.NetConst8, experiments.NetLTE, experiments.NetUMTS} {
+		t.Run(string(net), func(t *testing.T) {
+			col := trace.NewCollector()
+			cfg := goldenConfig()
+			cfg.Net = net
+			cfg.Tracer = col
+			res, err := experiments.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := col.Finalize(res.SimEnd)
+			if m.FramesDropped != res.QoE.DroppedFrames {
+				t.Errorf("collector drops %d, result %d", m.FramesDropped, res.QoE.DroppedFrames)
+			}
+			relClose := func(a, b float64) bool {
+				if b == 0 {
+					return a == 0
+				}
+				d := (a - b) / b
+				return d > -1e-6 && d < 1e-6
+			}
+			if !relClose(m.EnergyJ["cpu"], res.CPUJ) {
+				t.Errorf("collector cpu energy %.6f J, meter %.6f J", m.EnergyJ["cpu"], res.CPUJ)
+			}
+			if !relClose(m.EnergyJ["radio"], res.RadioJ) {
+				t.Errorf("collector radio energy %.6f J, meter %.6f J", m.EnergyJ["radio"], res.RadioJ)
+			}
+			if m.Decisions == 0 || m.OPPSwitches == 0 {
+				t.Errorf("rollup missing governor activity: %d decisions, %d switches",
+					m.Decisions, m.OPPSwitches)
+			}
+			if len(m.Timeline) == 0 {
+				t.Error("rollup has no energy timeline")
+			}
+			rrc := make(map[string]sim.Time, len(res.RadioResidency))
+			for state, d := range res.RadioResidency {
+				rrc[state.String()] = d
+			}
+			for _, state := range unionKeys(m.RRCResidency, rrc) {
+				if got, want := m.RRCResidency[state], rrc[state]; !relClose(got.Seconds(), want.Seconds()) {
+					t.Errorf("collector %s dwell %.6f s, radio %.6f s", state, got.Seconds(), want.Seconds())
+				}
+			}
+			for _, opp := range unionKeys(m.OPPResidency, res.FreqResidency) {
+				if got, want := m.OPPResidency[opp], res.FreqResidency[opp]; !relClose(got.Seconds(), want.Seconds()) {
+					t.Errorf("collector OPP %d dwell %.6f s, core %.6f s", opp, got.Seconds(), want.Seconds())
+				}
+			}
+		})
 	}
-	m := col.Finalize(res.SimEnd)
-	if m.FramesDropped != res.QoE.DroppedFrames {
-		t.Errorf("collector drops %d, result %d", m.FramesDropped, res.QoE.DroppedFrames)
+}
+
+// unionKeys returns the keys present in either map, sorted, so a state
+// one side never entered is compared as zero dwell.
+func unionKeys[K cmp.Ordered, V any](a, b map[K]V) []K {
+	keys := make([]K, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
 	}
-	relClose := func(a, b float64) bool {
-		if b == 0 {
-			return a == 0
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
 		}
-		d := (a - b) / b
-		return d > -1e-6 && d < 1e-6
 	}
-	if !relClose(m.EnergyJ["cpu"], res.CPUJ) {
-		t.Errorf("collector cpu energy %.6f J, meter %.6f J", m.EnergyJ["cpu"], res.CPUJ)
-	}
-	if !relClose(m.EnergyJ["radio"], res.RadioJ) {
-		t.Errorf("collector radio energy %.6f J, meter %.6f J", m.EnergyJ["radio"], res.RadioJ)
-	}
-	if m.Decisions == 0 || m.OPPSwitches == 0 {
-		t.Errorf("rollup missing governor activity: %d decisions, %d switches",
-			m.Decisions, m.OPPSwitches)
-	}
-	if len(m.Timeline) == 0 {
-		t.Error("rollup has no energy timeline")
-	}
+	slices.Sort(keys)
+	return keys
 }

@@ -79,6 +79,7 @@ type Collector struct {
 	oppIdx   int
 	oppSince sim.Time
 
+	// The radio starts in IDLE at t = 0, as netsim.NewRadio does.
 	rrcState string
 	rrcSince sim.Time
 
@@ -104,6 +105,7 @@ func NewCollector() *Collector {
 			RRCResidency:  make(map[string]sim.Time),
 			EnergyJ:       make(map[string]float64),
 		},
+		rrcState:    "IDLE",
 		decodeStart: make(map[int]sim.Time),
 		pred:        make(map[int]float64),
 		power:       make(map[string]*powerTrack),
@@ -175,9 +177,7 @@ func (c *Collector) CPUBusy(e CPUBusyEvent) { c.tick(e.T) }
 // RRC implements Tracer.
 func (c *Collector) RRC(e RRCEvent) {
 	c.tick(e.T)
-	if c.rrcState != "" {
-		c.m.RRCResidency[c.rrcState] += e.T - c.rrcSince
-	}
+	c.m.RRCResidency[c.rrcState] += e.T - c.rrcSince
 	c.rrcState = e.State
 	c.rrcSince = e.T
 }
@@ -248,10 +248,8 @@ func (c *Collector) Finalize(end sim.Time) Metrics {
 	c.m.End = end
 	c.m.OPPResidency[c.oppIdx] += end - c.oppSince
 	c.oppSince = end
-	if c.rrcState != "" {
-		c.m.RRCResidency[c.rrcState] += end - c.rrcSince
-		c.rrcSince = end
-	}
+	c.m.RRCResidency[c.rrcState] += end - c.rrcSince
+	c.rrcSince = end
 	for comp, tr := range c.power {
 		c.integrate(comp, tr, end)
 		tr.since = end

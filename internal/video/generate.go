@@ -157,10 +157,15 @@ func (s Spec) meanBitsTable(c Codec) [FrameB + 1]float64 {
 
 // MaxDuration is the longest content Generate synthesizes, and so the
 // longest run the simulator accepts (experiments.RunConfig.Validate): 24 h,
-// against the 5 min the longest experiment simulates. A 24 h rendition at
-// 30 fps is 2.6 M frames, about 100 MB; a longer request fails at once
-// instead of generating until memory runs out.
+// against the 5 min the longest experiment simulates. A longer request
+// fails at once instead of generating until memory runs out.
 const MaxDuration = 24 * 60 * sim.Minute
+
+// MaxFrames is the most frames Generate synthesizes for one rendition:
+// what MaxDuration admits at 30 fps, 2,592,000 frames or about 100 MB.
+// Frame count, not duration, sizes a stream, so a high frame rate meets
+// this cap before the duration cap.
+const MaxFrames = 24 * 60 * 60 * 30
 
 // sceneTrack precomputes per-scene complexity multipliers so that aligned
 // ladder renditions share identical scene structure.
@@ -219,12 +224,10 @@ func Generate(spec Spec, dur sim.Time, seed int64) (*Stream, error) {
 	if dur > MaxDuration {
 		return nil, fmt.Errorf("video: duration %v s longer than the %v s cap", dur.Seconds(), MaxDuration.Seconds())
 	}
-	// float64(math.MaxInt) rounds up to 2^63, so any count below it
-	// converts to an int exactly.
-	count := dur.Seconds() * spec.FPS
-	if !(count < math.MaxInt) {
-		return nil, fmt.Errorf("video: %v s at %v fps is %v frames, more than an int holds",
-			dur.Seconds(), spec.FPS, count)
+	count := math.Floor(dur.Seconds() * spec.FPS)
+	if !(count <= MaxFrames) {
+		return nil, fmt.Errorf("video: %v s at %v fps is %v frames, more than the %d cap",
+			dur.Seconds(), spec.FPS, count, MaxFrames)
 	}
 	sceneRNG := sim.Stream(seed, "scenes/"+spec.Title.Name)
 	frameRNG := sim.Stream(seed, fmt.Sprintf("frames/%s/%s/%.0f", spec.Title.Name, spec.Res.Name, spec.BitrateBps))

@@ -214,7 +214,8 @@ func within(t *testing.T, d time.Duration, f func()) {
 // Non-finite lengths passed Generate's positive-duration check: NaN
 // panicked in make, +Inf never left the scene track, and a finite frame
 // count past an int converted to garbage. A finite duration past
-// MaxDuration generated until memory ran out. Each is an error now.
+// MaxDuration generated until memory ran out, and so did a high frame
+// rate within it. Each is an error now.
 func TestGenerateRejectsNonFiniteLengths(t *testing.T) {
 	spec := func(fps float64) Spec {
 		s := DefaultSpec(TitleNews, R360p)
@@ -232,6 +233,10 @@ func TestGenerateRejectsNonFiniteLengths(t *testing.T) {
 		{"+Inf fps", spec(math.Inf(1)), sim.Second},
 		{"frame count past int", spec(1e300), sim.Second},
 		{"one second past MaxDuration", spec(30), MaxDuration + sim.Second},
+		// 81,000 s at 32 fps is MaxFrames exactly; 1/32 s more is one
+		// frame past it, inside MaxDuration.
+		{"one frame past MaxFrames", spec(32), sim.Time(81000+1.0/32) * sim.Second},
+		{"1000 fps over MaxDuration", spec(1000), MaxDuration},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
