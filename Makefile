@@ -98,13 +98,18 @@ trace-golden:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRegistry' -benchtime 3x .
 
-# The pinned hot-path benchmarks the gate and the baseline agree on.
+# The pinned hot-path benchmarks the gate and the baseline agree on: a
+# run and a cohort step from the root package, and the event engine on a
+# run's and a cohort shard's traffic, one per queue regime (DESIGN.md §8),
+# from internal/sim. benchgate matches benchmarks by name, so one output
+# file holds both packages.
 # 2 s samples keep the best-of-run minimum (what benchgate compares)
 # inside ~3% run-to-run on a shared box; 1 s samples do not. Pin and gate
 # both run at one CPU: above one, the cohort step's per-step worker
 # goroutines make its allocs/op vary by a few between processes, and the
 # gate allows no allocs/op increase.
-GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$
+GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$
+GATE_PKGS = . ./internal/sim
 GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
 # The cohort step's gated allocs/op come from a second, fixed-iteration
@@ -119,12 +124,12 @@ EXACT_ALLOC_FLAGS = -benchmem -benchtime 10x -count 1 -cpu 1
 # Re-pin the hot-path baseline (bench/baseline.txt). Run on the seed (or
 # after an intended perf change), then commit the new numbers.
 bench-baseline:
-	$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) . | tee bench/baseline.txt
+	$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) $(GATE_PKGS) | tee bench/baseline.txt
 
 # Compare the current hot path against the pinned baseline. Uses
 # benchstat when installed; otherwise prints both runs side by side.
 bench-compare:
-	@$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) . > bench/current.txt
+	@$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) $(GATE_PKGS) > bench/current.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat bench/baseline.txt bench/current.txt; \
 	else \
@@ -138,7 +143,7 @@ bench-compare:
 # GOGC=off run. Emits bench/BENCH_6.json (runs/sec, ns/op, allocs/op)
 # for the perf dashboard. No benchstat needed.
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) . | tee bench/current.txt
+	$(GO) test -run '^$$' -bench '$(GATE_BENCH)' $(GATE_FLAGS) $(GATE_PKGS) | tee bench/current.txt
 	GOGC=off $(GO) test -run '^$$' -bench '$(EXACT_ALLOC_BENCH)' $(EXACT_ALLOC_FLAGS) . | tee bench/current-allocs.txt
 	$(GO) run ./cmd/benchgate -baseline bench/baseline.txt -current bench/current.txt -allocs bench/current-allocs.txt -out bench/BENCH_6.json
 

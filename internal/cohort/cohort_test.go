@@ -94,13 +94,40 @@ func goldenConfig(onRollup func(Rollup)) Config {
 	}
 }
 
-// rollupStream runs the golden scenario and returns its NDJSON rollup
-// frames plus the final result line — the byte stream /v1/cohort serves.
-func rollupStream(t *testing.T) []byte {
+// crowdedConfig is the crowded determinism scenario: one shard holding
+// 400 Poisson-joining viewers over a sectored cell, so its engine keeps
+// far more events pending than any single run does and files them in
+// its calendar regime (DESIGN.md §8).
+func crowdedConfig(onRollup func(Rollup)) Config {
+	base := shortBase()
+	base.Duration = 5 * sim.Second
+	return Config{
+		Base:     base,
+		Viewers:  400,
+		Shards:   1,
+		Arrival:  Arrival{Kind: ArrivalPoisson, RatePerSec: 200},
+		Cell:     &Cell{CapacityMbps: 250, Sectors: 4},
+		Rollup:   sim.Second,
+		Seed:     11,
+		OnRollup: onRollup,
+	}
+}
+
+// crowdedActive is the fewest viewers the crowded scenario must hold on
+// air at one barrier: at about four pending events each, enough to keep
+// its one engine well past the crowd threshold.
+const crowdedActive = 200
+
+// rollupStream runs a scenario and returns its NDJSON rollup frames plus
+// the final result line — the byte stream /v1/cohort serves — and the
+// most viewers active at any barrier.
+func rollupStream(t *testing.T, config func(func(Rollup)) Config) ([]byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	res, err := Run(goldenConfig(func(r Rollup) {
+	peak := 0
+	res, err := Run(config(func(r Rollup) {
+		peak = max(peak, r.Active)
 		if err := enc.Encode(r); err != nil {
 			t.Fatal(err)
 		}
@@ -111,40 +138,87 @@ func rollupStream(t *testing.T) []byte {
 	if err := enc.Encode(res); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), peak
 }
 
 // The rollup stream must be byte-identical across worker counts — the
 // determinism contract that makes cohort results citable — and match the
-// pinned golden file across commits.
+// pinned golden file across commits. The golden scenario's shards cross
+// into the engine's calendar regime and back; the crowded scenario's one
+// shard stays in it from its first few joins to its end (DESIGN.md §8).
 func TestGoldenRollupDeterministicAcrossWorkers(t *testing.T) {
-	serial := func() []byte {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		return rollupStream(t)
-	}()
-	parallel := rollupStream(t)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("rollup stream differs between GOMAXPROCS=1 and %d:\nserial:\n%sparallel:\n%s",
-			runtime.NumCPU(), serial, parallel)
-	}
+	for _, tc := range []struct {
+		name      string
+		config    func(func(Rollup)) Config
+		golden    string
+		minActive int
+	}{
+		{"golden", goldenConfig, "golden_rollup.ndjson", 0},
+		{"crowded", crowdedConfig, "golden_rollup_crowded.ndjson", crowdedActive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := func() []byte {
+				prev := runtime.GOMAXPROCS(1)
+				defer runtime.GOMAXPROCS(prev)
+				out, _ := rollupStream(t, tc.config)
+				return out
+			}()
+			parallel, peak := rollupStream(t, tc.config)
+			if !bytes.Equal(serial, parallel) {
+				t.Fatalf("rollup stream differs between GOMAXPROCS=1 and %d:\nserial:\n%sparallel:\n%s",
+					runtime.NumCPU(), serial, parallel)
+			}
+			if peak < tc.minActive {
+				t.Fatalf("at most %d viewers active at a barrier, want at least %d", peak, tc.minActive)
+			}
 
-	golden := filepath.Join("testdata", "golden_rollup.ndjson")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, parallel, 0o644); err != nil {
-			t.Fatal(err)
-		}
+			golden := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, parallel, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(parallel, want) {
+				t.Errorf("rollup stream drifted from golden (regenerate with -update if intended):\ngot:\n%swant:\n%s",
+					parallel, want)
+			}
+		})
 	}
-	want, err := os.ReadFile(golden)
+}
+
+// A sector costs memory only once a viewer arrives in it. Nothing caps
+// the sector count, and one small /v1/cohort body asked for 5,000,000
+// sectors. Two viewers over 10,000,000 sectors must allocate little and
+// match the same cohort over two sectors, which places them alike.
+func TestSectorsPastTheAudienceCostNothing(t *testing.T) {
+	config := func(sectors int) Config {
+		base := shortBase()
+		base.Duration = 5 * sim.Second
+		return Config{Base: base, Viewers: 2, Cell: &Cell{CapacityMbps: 100, Sectors: sectors}}
+	}
+	want, err := Run(config(2))
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(parallel, want) {
-		t.Errorf("rollup stream drifted from golden (regenerate with -update if intended):\ngot:\n%swant:\n%s",
-			parallel, want)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Run(config(10_000_000))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 10<<20 {
+		t.Errorf("2 viewers over 10,000,000 sectors allocated %.1f MB, want under 10 MB", float64(alloc)/(1<<20))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("2 viewers over 10,000,000 sectors:\n%+v\nwant the 2-sector result:\n%+v", got, want)
 	}
 }
 

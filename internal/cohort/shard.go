@@ -18,7 +18,7 @@ type shard struct {
 	cfg   *Config
 	eng   *sim.Engine
 	total int
-	cells map[int]*cellState // sector index -> state, sectors owned whole
+	cells map[int]*cellState // sector index -> state, made at its first viewer
 	agg   agg
 	done  bool
 
@@ -48,11 +48,6 @@ func newShard(cfg *Config, idx, shards int, joins []sim.Time) *shard {
 	}
 	if cfg.Cell != nil {
 		sh.cells = make(map[int]*cellState)
-		for s := 0; s < cfg.sectors(); s++ {
-			if s%shards == idx {
-				sh.cells[s] = newCellState(cfg.Cell)
-			}
-		}
 	}
 	var startNow []*member
 	for i, join := range joins {
@@ -94,7 +89,15 @@ func (sh *shard) admit(i int) *member {
 			sh.collect(i, m.v)
 		},
 	}
-	if cs := sh.cells[sh.cfg.sectorOf(i)]; cs != nil {
+	if sh.cfg.Cell != nil {
+		// A sector's state is made when its first viewer arrives: the
+		// sector count may far exceed the audience.
+		sector := sh.cfg.sectorOf(i)
+		cs := sh.cells[sector]
+		if cs == nil {
+			cs = newCellState(sh.cfg.Cell)
+			sh.cells[sector] = cs
+		}
 		opts.WrapBandwidth = func(base netsim.Bandwidth) netsim.Bandwidth {
 			return cellLink{cs: cs, base: base}
 		}

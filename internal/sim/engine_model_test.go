@@ -11,7 +11,9 @@ import (
 // minimum, which is the engine's contract stated with no data structure
 // to get wrong. A script drives both through the same schedules, cancels,
 // stops, horizons and resets, and every fire must agree on the event, the
-// clock, the pending count and handle liveness.
+// clock, the pending count and handle liveness. Scripts that may burst
+// past crowdAt pending events run the calendar regime and both switches
+// between the regimes against the same reference.
 
 // modelEvent is one pending event in the reference.
 type modelEvent struct {
@@ -20,9 +22,18 @@ type modelEvent struct {
 	id  int
 }
 
-// scriptDelays are the relative delays a script schedules at; small and
-// shared, so equal timestamps (FIFO order) collide constantly.
-var scriptDelays = [...]Time{0, Millisecond, 2 * Millisecond, 5 * Millisecond}
+// scriptDelays are the relative delays a script schedules at: few and
+// shared, so equal timestamps (FIFO order) collide constantly, and
+// straddling the calendar's bucket width (about 0.122 ms) and ring span
+// (250 ms), with one delay past the ring.
+var scriptDelays = [...]Time{
+	0, 100 * Microsecond, 122 * Microsecond, Millisecond, 2 * Millisecond, 5 * Millisecond,
+	249 * Millisecond, 250 * Millisecond, 251 * Millisecond, 3 * Second,
+}
+
+// scriptFar are the absolute times a script sometimes schedules at: either
+// side of the last time the calendar buckets, and near Forever.
+var scriptFar = [...]Time{calendarEnd - Millisecond, calendarEnd, Forever / 2, Forever}
 
 // engineScript runs one decision stream against an engine and the
 // reference side by side.
@@ -35,6 +46,7 @@ type engineScript struct {
 
 	pending  []modelEvent
 	handles  []Event // by event id, every handle ever issued
+	live     []bool  // by event id, whether the event is pending
 	seq      uint64
 	now      Time
 	executed uint64
@@ -42,6 +54,15 @@ type engineScript struct {
 	firing   int // id of the event whose callback is running, or -1
 	stopped  bool
 	fires    int
+	// bursts lets an action schedule past crowdAt events at once. A
+	// steady script starts with a burst, never resets, and each of its
+	// callbacks re-arms one successor, as a cohort's events do, so the
+	// engine stays crowded while the clock runs.
+	bursts, steady bool
+	// crowded records whether the engine ever switched to its calendar,
+	// uncrowded whether firing ever drained it back (a Reset does not
+	// count); inCrowd is the regime last seen.
+	crowded, uncrowded, inCrowd bool
 }
 
 func newEngineScript(tb testing.TB, name string, budget int, next func(n int) int) *engineScript {
@@ -66,51 +87,68 @@ func (s *engineScript) minIdx() int {
 	return best
 }
 
-func (s *engineScript) isPending(id int) bool {
-	for _, ev := range s.pending {
-		if ev.id == id {
-			return true
-		}
-	}
-	return false
+// remove drops reference event i from the pending set.
+func (s *engineScript) remove(i int) {
+	s.live[s.pending[i].id] = false
+	s.pending = append(s.pending[:i], s.pending[i+1:]...)
 }
 
 // checkState compares the pending count and the liveness of every handle
-// ever issued.
+// ever issued, and notes regime switches.
 func (s *engineScript) checkState(where string) {
 	s.tb.Helper()
 	if got, want := s.eng.Pending(), len(s.pending); got != want {
 		s.fatalf("%s: Pending() = %d, reference has %d", where, got, want)
 	}
 	for id, h := range s.handles {
-		if got, want := s.eng.Scheduled(h), s.isPending(id); got != want {
+		if got, want := s.eng.Scheduled(h), s.live[id]; got != want {
 			s.fatalf("%s: Scheduled(event %d) = %v, want %v", where, id, got, want)
 		}
 	}
+	s.noteRegime()
 }
 
-// schedule issues one event through Schedule or At (sometimes with a time
-// already past, which must clamp to Now).
+// noteRegime records a switch between the engine's regimes.
+func (s *engineScript) noteRegime() {
+	if s.eng.crowded {
+		s.crowded, s.inCrowd = true, true
+	} else if s.inCrowd {
+		s.uncrowded, s.inCrowd = true, false
+	}
+}
+
+// schedule issues one event at a drawn delay and kind.
 func (s *engineScript) schedule() {
+	d := scriptDelays[s.next(len(scriptDelays))]
+	s.scheduleAfter(d, s.next(8))
+}
+
+// scheduleAfter issues one event d after now through Schedule or At. By
+// kind, At sometimes gets a time already past, which must clamp to Now,
+// or an absolute far time.
+func (s *engineScript) scheduleAfter(d Time, kind int) {
 	if s.budget == 0 {
 		return
 	}
 	s.budget--
 	id := len(s.handles)
 	fn := func() { s.fire(id) }
-	d := scriptDelays[s.next(len(scriptDelays))]
 	var h Event
 	at := s.now + d
-	switch s.next(3) {
-	case 0:
+	switch kind {
+	case 0, 1, 2:
 		h = s.eng.At(at, fn)
-	case 1:
+	case 3:
 		h = s.eng.At(s.now-d, fn)
 		at = s.now
+	case 4:
+		at = max(s.now, scriptFar[s.next(len(scriptFar))])
+		h = s.eng.At(at, fn)
 	default:
 		h = s.eng.Schedule(d, fn)
 	}
 	s.handles = append(s.handles, h)
+	s.live = append(s.live, true)
 	s.pending = append(s.pending, modelEvent{at: at, seq: s.seq, id: id})
 	s.seq++
 }
@@ -132,7 +170,7 @@ func (s *engineScript) cancel() {
 	s.eng.Cancel(s.handles[id])
 	for i, ev := range s.pending {
 		if ev.id == id {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
+			s.remove(i)
 			break
 		}
 	}
@@ -142,17 +180,30 @@ func (s *engineScript) cancel() {
 }
 
 // act runs up to four schedule-or-cancel actions, each followed by a
-// pending-count check.
+// pending-count check. In a bursting script an action may instead
+// schedule past crowdAt events at once, spread over every delay.
 func (s *engineScript) act(where string) {
 	for n := s.next(5); n > 0; n-- {
-		if s.next(3) == 0 {
+		switch {
+		case s.bursts && s.next(16) == 15:
+			s.burst()
+		case s.next(3) == 0:
 			s.cancel()
-		} else {
+		default:
 			s.schedule()
 		}
 		if got, want := s.eng.Pending(), len(s.pending); got != want {
 			s.fatalf("%s: Pending() = %d after an action, reference has %d", where, got, want)
 		}
+		s.noteRegime()
+	}
+}
+
+// burst schedules past crowdAt events at once, spread over every delay.
+func (s *engineScript) burst() {
+	d0, size := s.next(len(scriptDelays)), crowdAt+1+s.next(crowdAt)
+	for k := 0; k < size; k++ {
+		s.scheduleAfter(scriptDelays[(d0+k)%len(scriptDelays)], 7)
 	}
 }
 
@@ -168,7 +219,7 @@ func (s *engineScript) fire(id int) {
 	if want.id != id {
 		s.fatalf("fired event %d, reference fires event %d (at %v seq %d)", id, want.id, want.at, want.seq)
 	}
-	s.pending = append(s.pending[:i], s.pending[i+1:]...)
+	s.remove(i)
 	s.now = want.at
 	if s.eng.Now() != want.at {
 		s.fatalf("Now() = %v inside event %d, want %v", s.eng.Now(), id, want.at)
@@ -178,12 +229,20 @@ func (s *engineScript) fire(id int) {
 	}
 	s.checkState("callback entry")
 	s.firing = id
-	// Callbacks schedule 0–3 successors, mostly; act also cancels.
-	for n := s.next(4); n > 0; n-- {
+	// Callbacks schedule 0–3 successors, mostly; act also cancels. A
+	// steady script's callback re-arms one and acts one time in four.
+	if s.steady {
 		s.schedule()
+		if s.next(4) == 0 {
+			s.act("callback")
+		}
+	} else {
+		for n := s.next(4); n > 0; n-- {
+			s.schedule()
+		}
+		s.act("callback")
 	}
-	s.act("callback")
-	if s.next(8) == 0 {
+	if s.next(8) == 7 {
 		s.eng.Stop()
 		s.stopped = true
 	}
@@ -198,15 +257,21 @@ func (s *engineScript) run() {
 	for n := 1 + s.next(4); n > 0; n-- {
 		s.schedule()
 	}
+	if s.steady {
+		s.burst()
+	}
 	for round := 0; ; round++ {
 		if round > 10000 {
 			s.fatalf("script did not drain")
 		}
 		s.act("top level")
-		if s.next(16) == 0 {
+		if s.next(16) == 15 && !s.steady {
 			s.eng.Reset()
-			s.pending = s.pending[:0]
+			for len(s.pending) > 0 {
+				s.remove(len(s.pending) - 1)
+			}
 			s.now, s.executed = 0, 0
+			s.inCrowd = false
 			s.checkState("after Reset")
 		}
 		if len(s.pending) == 0 {
@@ -218,7 +283,7 @@ func (s *engineScript) run() {
 		}
 		s.stopped = false
 		horizon := Forever
-		if s.next(2) == 0 {
+		if s.next(2) == 1 {
 			horizon = s.now + scriptDelays[s.next(len(scriptDelays))]
 		}
 		end := s.eng.RunUntil(horizon)
@@ -239,39 +304,97 @@ func (s *engineScript) run() {
 }
 
 // TestEngineMatchesReferenceModel runs thousands of seeded scripts against
-// the flat-list reference.
+// the flat-list reference: small ones that stay in heap mode, bursting
+// ones that crowd the engine into its calendar and drain it back below
+// crowdAt/2, and steady ones that hold it crowded for seconds of virtual
+// time, so far events come due among near ones and the ring wraps.
 func TestEngineMatchesReferenceModel(t *testing.T) {
-	const scripts = 5000
-	fires := 0
-	for seed := int64(1); seed <= scripts; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		s := newEngineScript(t, fmt.Sprintf("seed %d", seed), 64, r.Intn)
-		s.run()
-		fires += s.fires
+	for _, tc := range []struct {
+		name           string
+		scripts        int
+		budget         int
+		bursts, steady bool
+		// minFires is the fewest fires a script may check on average;
+		// minCrowded and minDrained the fewest scripts that crowd the
+		// engine and that drain it back.
+		minFires, minCrowded, minDrained int
+	}{
+		{"small", 5000, 64, false, false, 25, 0, 0},
+		{"bursting", 1000, 2 * crowdAt, true, false, 40, 500, 250},
+		{"steady", 20, 24 * crowdAt, true, true, 1000, 20, 10},
+	} {
+		fires, crowded, drained := 0, 0, 0
+		for seed := int64(1); seed <= int64(tc.scripts); seed++ {
+			r := rand.New(rand.NewSource(seed))
+			s := newEngineScript(t, fmt.Sprintf("%s seed %d", tc.name, seed), tc.budget, r.Intn)
+			s.bursts, s.steady = tc.bursts, tc.steady
+			s.run()
+			fires += s.fires
+			if s.crowded {
+				crowded++
+			}
+			if s.uncrowded {
+				drained++
+			}
+		}
+		if fires < tc.minFires*tc.scripts || crowded < tc.minCrowded || drained < tc.minDrained {
+			t.Fatalf("%s scripts: %d fires checked over %d scripts, %d crowded the engine, %d drained it back; want at least %d, %d and %d",
+				tc.name, fires, tc.scripts, crowded, drained, tc.minFires*tc.scripts, tc.minCrowded, tc.minDrained)
+		}
+		t.Logf("%s scripts: %d fires checked over %d scripts, %d crowded the engine, %d drained it back",
+			tc.name, fires, tc.scripts, crowded, drained)
 	}
-	if fires < 25*scripts {
-		t.Fatalf("only %d fires checked over %d scripts; the scripts stopped exercising the engine", fires, scripts)
-	}
-	t.Logf("%d fires checked over %d scripts", fires, scripts)
 }
 
-// FuzzEngineSchedule drives the same reference check from a byte script;
-// once the bytes run out every decision reads 0, which schedules nothing
-// further and lets the script drain.
+// crowdingFuzzSeed is a fuzz seed that bursts the engine past crowdAt
+// inside a callback, fires the burst in the calendar regime, and drains
+// back to heap mode.
+var crowdingFuzzSeed = []byte{
+	0, 0, 0, // one event, due now through At
+	1, 0, 1, 0, 0, // top level: one action, a schedule due now through At
+	0, 0, // no Reset; Run to Forever
+	// The first callback: no successors and one action, a burst of
+	// crowdAt+1 events over every delay. Then the bytes run out, and
+	// every later decision runs the engine dry.
+	0, 1, 15, 0, 0,
+}
+
+// TestCrowdingFuzzSeedCrowds pins that the crowding seed reaches the
+// calendar regime and comes back.
+func TestCrowdingFuzzSeedCrowds(t *testing.T) {
+	s := newEngineScript(t, "crowding seed", 8*crowdAt, byteDecisions(crowdingFuzzSeed))
+	s.bursts = true
+	s.run()
+	if !s.crowded || !s.uncrowded {
+		t.Fatalf("crowding seed: crowded %v, drained back %v; want both", s.crowded, s.uncrowded)
+	}
+}
+
+// byteDecisions reads one decision per byte; once the bytes run out every
+// decision reads 0, which schedules nothing further, neither stops nor
+// resets, and lets the script drain.
+func byteDecisions(data []byte) func(n int) int {
+	return func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+}
+
+// FuzzEngineSchedule drives the same reference check from a byte script,
+// with bursts allowed.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 3, 1, 2, 0, 3, 1, 1, 2, 2, 0, 7})
 	f.Add([]byte{0x21, 0x43, 0x65, 0x87, 0xa9, 0xcb, 0xed, 0x0f, 0x10, 0x32, 0x54, 0x76})
 	f.Add([]byte{2, 0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 0, 3, 2, 2, 2, 1, 0, 0, 15, 4, 4, 4})
+	f.Add(crowdingFuzzSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func(n int) int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b) % n
-		}
-		newEngineScript(t, "fuzz", 64, next).run()
+		s := newEngineScript(t, "fuzz", 8*crowdAt, byteDecisions(data))
+		s.bursts = true
+		s.run()
 	})
 }

@@ -92,17 +92,23 @@ func BenchmarkEngineRunShape(b *testing.B) {
 }
 
 // BenchmarkEngineCohortShape measures the engine on one cohort shard's
-// shape: 500 run-shaped viewers at staggered phases, about 2,000 pending
-// events. A 1,000-viewer Poisson cohort on two shards (the cohort-churn
-// workload) fires its events into a heap of 1,954 entries on average
-// (median 2,131, peak 2,478). One op advances the population 100
-// virtual ms.
+// shape: 500 run-shaped viewers at staggered phases, each also holding a
+// horizon cut 240 s out, as a cohort viewer does, so about 2,500 events
+// are pending and 500 of them are far-future. A 1,000-viewer Poisson
+// cohort on two shards (the cohort-churn workload) keeps a median of
+// 2,122 events pending per shard (peak 2,478), up to 500 of them such
+// cuts, so the engine runs in its calendar regime. One op advances the
+// population 100 virtual ms.
 func BenchmarkEngineCohortShape(b *testing.B) {
 	eng := NewEngine()
+	var cut func()
+	cut = func() { eng.Schedule(240*Second, cut) }
 	viewers := make([]*runShape, 500)
 	for v := range viewers {
 		viewers[v] = newRunShape(eng)
-		viewers[v].start(Time(v%97) * Millisecond / 3)
+		phase := Time(v%97) * Millisecond / 3
+		viewers[v].start(phase)
+		eng.Schedule(phase+240*Second, cut)
 	}
 	eng.RunUntil(Second)
 	count := func() (n int) {

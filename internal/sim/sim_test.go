@@ -130,23 +130,26 @@ func TestEngineSlotPoolingBoundsSlab(t *testing.T) {
 	}
 }
 
-// Steady-state schedule/fire through a warm engine must not allocate.
+// Steady-state schedule/fire through a warm engine must not allocate, in
+// heap mode (64 pending) and in the calendar (256 pending, some due past
+// the ring).
 func TestEngineScheduleFireAllocFree(t *testing.T) {
-	eng := NewEngine()
-	fn := func() {}
-	// Warm-up: size the slab and heap.
-	for i := 0; i < 64; i++ {
-		eng.Schedule(Time(i)*Millisecond, fn)
-	}
-	eng.Run()
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			eng.Schedule(Time(i)*Millisecond, fn)
+	for _, n := range []int{crowdAt, 4 * crowdAt} {
+		eng := NewEngine()
+		fn := func() {}
+		cycle := func() {
+			for i := 0; i < n; i++ {
+				eng.Schedule(Time(i)*Millisecond, fn)
+			}
+			if eng.crowded != (n > crowdAt) {
+				t.Fatalf("%d pending: crowded = %v", n, eng.crowded)
+			}
+			eng.Run()
 		}
-		eng.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("schedule/fire cycle allocates %.1f objects, want 0", avg)
+		cycle() // warm-up: size the slab, heaps and calendar
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Fatalf("schedule/fire cycle of %d events allocates %.1f objects, want 0", n, avg)
+		}
 	}
 }
 
@@ -202,26 +205,35 @@ func TestEngineStop(t *testing.T) {
 
 // A callback that panics leaves its spent root entry behind; the engine
 // must neither count it as pending nor fire anything twice when Run is
-// called again after the panic is recovered.
+// called again after the panic is recovered — in heap mode, and crowded
+// into its calendar by filler events due later.
 func TestEngineRunAfterRecoveredPanic(t *testing.T) {
-	eng := NewEngine()
-	var fired []int
-	eng.Schedule(Second, func() { fired = append(fired, 1); panic("model bug") })
-	eng.Schedule(2*Second, func() { fired = append(fired, 2) })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("callback panic did not propagate")
-			}
+	for _, filler := range []int{0, crowdAt} {
+		eng := NewEngine()
+		var fired []int
+		eng.Schedule(Millisecond, func() { fired = append(fired, 1); panic("model bug") })
+		eng.Schedule(2*Millisecond, func() { fired = append(fired, 2) })
+		for i := 0; i < filler; i++ {
+			eng.Schedule(3*Millisecond, func() {})
+		}
+		if eng.crowded != (filler > 0) {
+			t.Fatalf("%d filler events: crowded = %v", filler, eng.crowded)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("callback panic did not propagate")
+				}
+			}()
+			eng.Run()
 		}()
+		if eng.Pending() != 1+filler {
+			t.Fatalf("pending after recovered panic = %d, want %d", eng.Pending(), 1+filler)
+		}
 		eng.Run()
-	}()
-	if eng.Pending() != 1 {
-		t.Fatalf("pending after recovered panic = %d, want 1", eng.Pending())
-	}
-	eng.Run()
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 || eng.Pending() != 0 {
-		t.Fatalf("fired %v, pending %d; want [1 2] and 0", fired, eng.Pending())
+		if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 || eng.Pending() != 0 {
+			t.Fatalf("%d filler events: fired %v, pending %d; want [1 2] and 0", filler, fired, eng.Pending())
+		}
 	}
 }
 
