@@ -74,14 +74,14 @@ fuzz-short:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime $(FUZZTIME)
 
 # Rebuild the full 30-experiment evaluation with the invariant checker
-# riding every simulation that goes through experiments.Run (DESIGN.md
-# §10): 27 of the 30 experiments. F15, F21 and T7 wire their own engines
-# (RunCluster, RunSMP, RunPlaylist), so the checker never rides them.
-# Exits non-zero on the first conservation-law breach; output is
-# discarded — the audit is the point.
+# riding every simulation that goes through a Session (DESIGN.md §10):
+# 29 of the 30 experiments, F15 and F21 included. T7 (RunPlaylist) arms
+# no checker: the checker's frame accounting follows one stream, and a
+# playlist plays several. Exits non-zero on the first conservation-law
+# breach; output is discarded — the audit is the point.
 strict:
 	$(GO) run ./cmd/exprun -strict > /dev/null
-	@echo "strict: 27 of 30 experiments passed with invariants armed (F15, F21, T7 are not audited)"
+	@echo "strict: 29 of 30 experiments passed with invariants armed (T7 is not audited: its playlist plays several streams)"
 
 # Regenerate the pinned experiment outputs after an intended model
 # change, then review the diff like any other code change.

@@ -82,3 +82,18 @@ func TestFormats(t *testing.T) {
 		t.Fatal("want error for unknown format")
 	}
 }
+
+// TestTraceDirCoversPlatformRigs checks that -trace-dir reaches the
+// big.LITTLE and shared-clock rigs: F15's eight runs and F21's three
+// each write one trace.
+func TestTraceDirCoversPlatformRigs(t *testing.T) {
+	dir := t.TempDir()
+	captureStdout(t, func() error { return run([]string{"-exp", "f15,f21", "-trace-dir", dir}) })
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 11 {
+		t.Fatalf("-trace-dir wrote %d traces for f15,f21, want 11", len(files))
+	}
+}

@@ -135,7 +135,6 @@ type Core struct {
 
 	onPower func(now sim.Time, watts float64)
 	onOPP   func(now sim.Time, idx int)
-	onBusy  func(now sim.Time, busy bool)
 	tracer  trace.Tracer
 	// freqDwell is indexed by OPP (hot path); FreqResidency converts to a
 	// map at the reporting boundary.
@@ -208,7 +207,6 @@ func (c *Core) Reset(model Model) error {
 	c.cyclesByTag = c.cyclesByTag[:0]
 	c.onPower = nil
 	c.onOPP = nil
-	c.onBusy = nil
 	c.tracer = nil
 	if len(c.freqDwell) == len(model.OPPs) {
 		for i := range c.freqDwell {
@@ -255,9 +253,6 @@ func (c *Core) OnPower(fn func(now sim.Time, watts float64)) {
 
 // OnOPPChange registers a listener for OPP changes (residency tracking).
 func (c *Core) OnOPPChange(fn func(now sim.Time, idx int)) { c.onOPP = fn }
-
-// OnBusyChange registers a listener for busy/idle transitions.
-func (c *Core) OnBusyChange(fn func(now sim.Time, busy bool)) { c.onBusy = fn }
 
 // SetTracer attaches a structured tracer receiving OPP transitions and
 // busy/idle (C-state) events. nil disables tracing; the untraced path
@@ -441,9 +436,6 @@ func (c *Core) dispatch() {
 				c.idleStateIdx = c.idle.pick()
 				c.idleSince = now
 			}
-			if c.onBusy != nil {
-				c.onBusy(now, false)
-			}
 			if c.tracer != nil {
 				ev := trace.CPUBusyEvent{T: now}
 				if c.idle != nil {
@@ -470,9 +462,6 @@ func (c *Core) dispatch() {
 		}
 		c.busy = true
 		c.busySince = now
-		if c.onBusy != nil {
-			c.onBusy(now, true)
-		}
 		if c.tracer != nil {
 			c.tracer.CPUBusy(trace.CPUBusyEvent{T: now, Busy: true})
 		}

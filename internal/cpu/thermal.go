@@ -127,9 +127,6 @@ func (t *Thermal) ThrottledTime() sim.Time {
 	return total
 }
 
-// Throttled reports whether the cap is currently lowered.
-func (t *Thermal) Throttled() bool { return t.throttled }
-
 // advance integrates the RC model to time `to` assuming the current power
 // held since the last advance.
 func (t *Thermal) advance(to sim.Time) {

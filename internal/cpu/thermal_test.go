@@ -90,9 +90,6 @@ func TestThermalThrottlesAndRecovers(t *testing.T) {
 	}
 	// Under sustained saturation the power-budget cap stays engaged and
 	// the temperature settles just below the trip.
-	if !th.Throttled() {
-		t.Fatal("saturated core should remain throttled")
-	}
 	if core.OPPCap() >= core.Model().MaxIdx() {
 		t.Fatalf("cap %d should sit below max under sustained load", core.OPPCap())
 	}

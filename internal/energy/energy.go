@@ -103,15 +103,6 @@ func (m *Meter) MeanW(component string) float64 {
 	return tw.Mean()
 }
 
-// Breakdown returns per-component energy in joules, keyed by name.
-func (m *Meter) Breakdown() map[string]float64 {
-	out := make(map[string]float64, len(m.comps))
-	for name, tw := range m.comps {
-		out[name] = tw.Integral()
-	}
-	return out
-}
-
 // Components returns the component names seen so far, sorted.
 func (m *Meter) Components() []string {
 	out := make([]string, 0, len(m.comps))

@@ -37,9 +37,8 @@ func TestMeterMultipleComponents(t *testing.T) {
 	if got := m.TotalJ(); math.Abs(got-35) > 1e-9 {
 		t.Fatalf("total = %v, want 35", got)
 	}
-	bd := m.Breakdown()
-	if math.Abs(bd[ComponentCPU]-20) > 1e-9 || math.Abs(bd[ComponentRadio]-10) > 1e-9 {
-		t.Fatalf("breakdown = %v", bd)
+	if math.Abs(m.ComponentJ(ComponentCPU)-20) > 1e-9 || math.Abs(m.ComponentJ(ComponentRadio)-10) > 1e-9 {
+		t.Fatalf("cpu %v J, radio %v J, want 20 and 10", m.ComponentJ(ComponentCPU), m.ComponentJ(ComponentRadio))
 	}
 	comps := m.Components()
 	if len(comps) != 3 || comps[0] != "cpu" {

@@ -4,21 +4,14 @@ import (
 	"fmt"
 
 	"videodvfs/internal/campaign"
-	"videodvfs/internal/core"
-	"videodvfs/internal/cpu"
-	"videodvfs/internal/decode"
-	"videodvfs/internal/energy"
-	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/video"
 )
 
-// Energy-meter components for the two frequency domains.
-const (
-	componentBig    = "cpu-big"
-	componentLittle = "cpu-little"
-)
+// componentLittle is the energy-meter component of a big.LITTLE
+// platform's little core; big is the CPU component.
+const componentLittle = "cpu-little"
 
 // ClusterResult is the outcome of one big.LITTLE session.
 type ClusterResult struct {
@@ -34,103 +27,48 @@ type ClusterResult struct {
 func (r ClusterResult) TotalJ() float64 { return r.BigJ + r.LittleJ }
 
 // RunCluster simulates a streaming session on a big.LITTLE device
-// (flagship big cluster + efficient little cluster). With clusterAware
-// set, the cluster-extension governor places work across both domains;
-// otherwise the single-core energy-aware governor drives the big cluster
-// while the little cluster sits idle (but still leaks), which is the
-// fair hardware-equal baseline.
+// (flagship big cluster + efficient little cluster) in the evaluation's
+// base case (DefaultRunConfig at res, dur and seed). Network and
+// background work run on little in both configurations, as vendor
+// schedulers place them. With clusterAware set, the cluster-extension
+// governor places decode across both domains; otherwise the single-core
+// energy-aware governor drives the big cluster while the little cluster
+// sits idle (but still leaks), which is the fair hardware-equal baseline.
+//
+// It is a Session run over a big.LITTLE platform, so it closes out like
+// Run (an incomplete session fails with ErrHorizonExceeded) and strict
+// mode and the trace factory reach it.
 func RunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAware bool) (ClusterResult, error) {
-	eng := sim.NewEngine()
-	meter := energy.NewMeter(eng)
-
-	big, err := cpu.NewCore(eng, cpu.DeviceFlagship())
+	p := &platform{bigLittle: true, clusterAware: clusterAware}
+	v, out, err := p.run(rigConfig(res, dur, seed))
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	big.OnPower(meter.Listener(componentBig))
-	little, err := cpu.NewCore(eng, cpu.DeviceEfficient())
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	little.OnPower(meter.Listener(componentLittle))
-
-	radio, err := netsim.NewRadio(eng, netsim.DefaultLTE())
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	radio.OnPower(meter.Listener(energy.ComponentRadio))
-	// Network-stack processing runs on the little cluster on both
-	// configurations, as vendor schedulers place it.
-	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, little, netsim.DefaultDownloaderConfig())
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	bg, err := cpu.StartLoadGen(eng, little, sim.Stream(seed, "bgload"), cpu.DefaultLoadGenConfig())
-	if err != nil {
-		return ClusterResult{}, err
-	}
-
-	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed})
-	if err != nil {
-		return ClusterResult{}, err
-	}
-
-	var (
-		submitter   decode.Submitter
-		hooks       player.SessionHooks
-		clusterGov  *core.ClusterGovernor
-		littleShare float64
-	)
-	if clusterAware {
-		clusterGov, err = core.NewClusterGovernor(big, little, core.DefaultClusterConfig())
-		if err != nil {
-			return ClusterResult{}, err
-		}
-		submitter = clusterGov
-		hooks = clusterGov
-	} else {
-		gov, gerr := core.New(core.DefaultConfig())
-		if gerr != nil {
-			return ClusterResult{}, gerr
-		}
-		if aerr := gov.Attach(eng, big); aerr != nil {
-			return ClusterResult{}, aerr
-		}
-		submitter = big
-		hooks = gov
-	}
-
-	pcfg := player.DefaultConfig()
-	pcfg.Hooks = hooks
-	pcfg.Meter = meter
-	sess, err := player.NewSession(eng, submitter, dl, streams, pcfg)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	sess.OnDone(func() {
-		bg.Stop()
-		eng.Stop()
-	})
-	sess.Start()
-	eng.RunUntil(RunConfig{Duration: dur}.EffectiveHorizon())
-	meter.Finish()
-	if err := sess.Err(); err != nil {
-		return ClusterResult{}, err
-	}
-
-	out := ClusterResult{
-		BigJ:    meter.ComponentJ(componentBig),
-		LittleJ: meter.ComponentJ(componentLittle),
-		QoE:     sess.Metrics(),
-	}
-	if clusterGov != nil {
-		total := clusterGov.FramesOnBig() + clusterGov.FramesOnLittle()
-		if total > 0 {
-			littleShare = float64(clusterGov.FramesOnLittle()) / float64(total)
+	r := ClusterResult{BigJ: out.CPUJ, LittleJ: v.meter.ComponentJ(componentLittle), QoE: out.QoE}
+	if p.cluster != nil {
+		if total := p.cluster.FramesOnBig() + p.cluster.FramesOnLittle(); total > 0 {
+			r.LittleShare = float64(p.cluster.FramesOnLittle()) / float64(total)
 		}
 	}
-	out.LittleShare = littleShare
-	return out, nil
+	return r, nil
+}
+
+// rigConfig is the base case RunCluster and RunSMP simulate:
+// DefaultRunConfig at resolution res, content length dur and seed.
+func rigConfig(res video.Resolution, dur sim.Time, seed int64) RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.Rung, cfg.Duration, cfg.Seed = res, dur, seed
+	return cfg
+}
+
+// run executes cfg once on a fresh Session whose viewer runs on p, and
+// returns that viewer for the platform's extra outputs.
+func (p *platform) run(cfg RunConfig) (*Viewer, RunResult, error) {
+	s := NewSession()
+	s.v.plat = p
+	var res RunResult
+	err := s.RunInto(cfg, &res)
+	return &s.v, res, err
 }
 
 // FigF15 reproduces Figure 15 (extension): the big.LITTLE placement
@@ -143,8 +81,8 @@ func FigF15() (Table, error) {
 		Header: []string{"resolution", "policy", "big_j", "little_j", "total_j", "little_share", "drops", "saving"},
 		Notes:  "≤720p decodes almost entirely on the little cluster at a fraction of the energy; 1080p hot scenes still need the big cluster",
 	}
-	// Cluster runs are not RunConfigs, so they batch through the generic
-	// campaign pool directly.
+	// A cluster run is a RunConfig plus a platform, so it batches through
+	// the generic campaign pool directly.
 	type point struct {
 		res   video.Resolution
 		aware bool

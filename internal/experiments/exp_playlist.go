@@ -3,14 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"videodvfs/internal/core"
-	"videodvfs/internal/cpu"
 	"videodvfs/internal/energy"
-	"videodvfs/internal/governor"
 	"videodvfs/internal/netsim"
-	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
-	"videodvfs/internal/video"
 )
 
 // PlaylistConfig describes a realistic usage session: the user watches
@@ -18,7 +13,7 @@ import (
 // next video) between them. The pauses are where radio tail energy and
 // fast dormancy matter most.
 type PlaylistConfig struct {
-	// Governor is the policy name ("energyaware" or a cpufreq name).
+	// Governor is the policy name: any name ParseGovernorID accepts.
 	Governor string
 	// Videos is the number of clips.
 	Videos int
@@ -68,109 +63,74 @@ func (r PlaylistResult) MeanW() float64 {
 
 // RunPlaylist simulates the usage session on shared hardware: one CPU,
 // one radio, one governor across all clips (so the demand predictor stays
-// warm between videos, as it would on a device).
+// warm between videos, as it would on a device). It is one viewer —
+// flagship device, 720p sports over a constant 8 Mbps link on the UMTS
+// radio profile, background load on, burst prefetch — that plays its
+// clips in turn (playNext), each with its own content seed, while the
+// background load and the radio's tail timers run on through the think
+// time. The governor is parsed like Run's (ParseGovernorID).
+//
+// The viewer arms no invariant checker, even under SetStrictDefault: the
+// checker's frame accounting follows one stream, and a playlist plays
+// several.
 func RunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PlaylistResult{}, err
 	}
-	eng := sim.NewEngine()
-	meter := energy.NewMeter(eng)
-
-	coreCPU, err := cpu.NewCore(eng, cpu.DeviceFlagship())
-	if err != nil {
-		return PlaylistResult{}, err
-	}
-	coreCPU.OnPower(meter.Listener(energy.ComponentCPU))
-
-	var (
-		gov   governor.Governor
-		hooks player.SessionHooks
-	)
-	if cfg.Governor == "energyaware" {
-		g, gerr := core.New(core.DefaultConfig())
-		if gerr != nil {
-			return PlaylistResult{}, gerr
-		}
-		gov, hooks = g, g
-	} else {
-		g, gerr := governor.New(cfg.Governor)
-		if gerr != nil {
-			return PlaylistResult{}, gerr
-		}
-		gov = g
-	}
-	if err := gov.Attach(eng, coreCPU); err != nil {
-		return PlaylistResult{}, err
-	}
-	defer gov.Detach()
-
 	rrc := netsim.DefaultUMTS()
 	rrc.FastDormancy = cfg.FastDormancy
-	radio, err := netsim.NewRadio(eng, rrc)
-	if err != nil {
-		return PlaylistResult{}, err
-	}
-	radio.OnPower(meter.Listener(energy.ComponentRadio))
-	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, coreCPU, netsim.DefaultDownloaderConfig())
-	if err != nil {
-		return PlaylistResult{}, err
-	}
-	bg, err := cpu.StartLoadGen(eng, coreCPU, sim.Stream(cfg.Seed, "bgload"), cpu.DefaultLoadGenConfig())
-	if err != nil {
-		return PlaylistResult{}, err
-	}
-
-	var out PlaylistResult
-	var startClip func(i int)
-	startClip = func(i int) {
-		if i >= cfg.Videos {
-			bg.Stop()
-			eng.Stop()
-			return
-		}
-		streams, _, gerr := buildRenditions(RunConfig{Title: video.TitleSports, Rung: video.R720p,
-			Duration: cfg.VideoDur, Seed: cfg.Seed + int64(i)})
-		if gerr != nil {
-			if err == nil {
-				err = gerr
-			}
-			eng.Stop()
-			return
-		}
-		pcfg := player.DefaultConfig()
-		pcfg.Hooks = hooks
-		pcfg.Meter = meter
-		pcfg.LowWaterSec = 10 // burst prefetch: realistic radio pattern
-		sess, serr := player.NewSession(eng, coreCPU, dl, streams, pcfg)
-		if serr != nil {
-			if err == nil {
-				err = serr
-			}
-			eng.Stop()
-			return
-		}
-		sess.OnDone(func() {
-			m := sess.Metrics()
-			out.Drops += m.DroppedFrames
-			out.Rebuffers += m.RebufferCount
-			out.Completed++
-			eng.Schedule(cfg.ThinkDur, func() { startClip(i + 1) })
-		})
-		sess.Start()
-	}
-	startClip(0)
 	// The playlist's content gets a run's horizon, plus the think time
 	// between clips.
 	n := sim.Time(cfg.Videos)
-	eng.RunUntil(RunConfig{Duration: n * cfg.VideoDur}.EffectiveHorizon() + n*cfg.ThinkDur)
-	meter.Finish()
+	clip, err := RunConfig{
+		Governor:    GovernorID(cfg.Governor),
+		Net:         NetConst8,
+		RRC:         &rrc,
+		Duration:    cfg.VideoDur,
+		Seed:        cfg.Seed,
+		Background:  true,
+		LowWaterSec: 10, // burst prefetch: realistic radio pattern
+		Horizon:     RunConfig{Duration: n * cfg.VideoDur}.EffectiveHorizon() + n*cfg.ThinkDur,
+	}.withDefaults()
 	if err != nil {
 		return PlaylistResult{}, err
 	}
-	out.CPUJ = meter.ComponentJ(energy.ComponentCPU)
-	out.RadioJ = meter.ComponentJ(energy.ComponentRadio)
-	out.DisplayJ = meter.ComponentJ(energy.ComponentDisplay)
-	out.WallS = eng.Now().Seconds()
+
+	v := &Viewer{eng: sim.NewEngine()}
+	defer v.teardown()
+	var out PlaylistResult
+	// Each finished clip waits out the think time, then the next one
+	// starts on the same device; after the last, the session ends.
+	next := func() {
+		if out.Completed >= cfg.Videos {
+			v.eng.Stop()
+			return
+		}
+		clip.Seed = cfg.Seed + int64(out.Completed)
+		if err = v.playNext(clip); err != nil {
+			v.eng.Stop()
+		}
+	}
+	done := func() {
+		m := v.ps.Metrics()
+		out.Drops += m.DroppedFrames
+		out.Rebuffers += m.RebufferCount
+		out.Completed++
+		v.eng.Schedule(cfg.ThinkDur, next)
+	}
+	if err := v.reset(clip, nil, nil, ViewerOptions{OnDone: done}); err != nil {
+		return PlaylistResult{}, err
+	}
+	v.Start()
+	v.eng.RunUntil(v.Deadline())
+	v.meter.Finish()
+	if err != nil {
+		return PlaylistResult{}, err
+	}
+	out.CPUJ = v.meter.ComponentJ(energy.ComponentCPU)
+	out.RadioJ = v.meter.ComponentJ(energy.ComponentRadio)
+	out.DisplayJ = v.meter.ComponentJ(energy.ComponentDisplay)
+	out.WallS = v.eng.Now().Seconds()
 	return out, nil
 }
 

@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"videodvfs/internal/campaign"
-	"videodvfs/internal/core"
-	"videodvfs/internal/cpu"
-	"videodvfs/internal/energy"
-	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/video"
@@ -24,69 +20,21 @@ type SMPResult struct {
 }
 
 // RunSMP simulates a streaming session on an n-core shared-clock domain
-// under the energy-aware policy. With more cores, network-stack and
-// background jobs no longer queue behind decode (non-preemptive
-// interference disappears), at the price of extra per-core idle power.
+// under the energy-aware policy, in the evaluation's base case
+// (DefaultRunConfig at res, dur and seed). Decode runs on the first core,
+// network-stack and background jobs on the last, so with more cores they
+// no longer queue behind decode (non-preemptive interference
+// disappears), at the price of extra per-core idle power.
+//
+// It is a Session run over a domain platform, so it closes out like Run
+// (an incomplete session fails with ErrHorizonExceeded) and strict mode
+// and the trace factory reach it. One core is exactly Run's single core.
 func RunSMP(cores int, res video.Resolution, dur sim.Time, seed int64) (SMPResult, error) {
-	eng := sim.NewEngine()
-	meter := energy.NewMeter(eng)
-
-	domain, err := cpu.NewDomain(eng, cpu.DeviceFlagship(), cores)
+	v, out, err := (&platform{cores: cores}).run(rigConfig(res, dur, seed))
 	if err != nil {
 		return SMPResult{}, err
 	}
-	domain.OnPower(meter.Listener(energy.ComponentCPU))
-
-	gov, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return SMPResult{}, err
-	}
-	if err := gov.AttachScaler(eng, domain); err != nil {
-		return SMPResult{}, err
-	}
-	defer gov.Detach()
-
-	radio, err := netsim.NewRadio(eng, netsim.DefaultLTE())
-	if err != nil {
-		return SMPResult{}, err
-	}
-	radio.OnPower(meter.Listener(energy.ComponentRadio))
-	// Network work enters the domain and the balancer places it.
-	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, domain.Cores()[cores-1], netsim.DefaultDownloaderConfig())
-	if err != nil {
-		return SMPResult{}, err
-	}
-	bg, err := cpu.StartLoadGen(eng, domain.Cores()[cores-1], sim.Stream(seed, "bgload"), cpu.DefaultLoadGenConfig())
-	if err != nil {
-		return SMPResult{}, err
-	}
-
-	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed})
-	if err != nil {
-		return SMPResult{}, err
-	}
-	pcfg := player.DefaultConfig()
-	pcfg.Hooks = gov
-	pcfg.Meter = meter
-	sess, err := player.NewSession(eng, domain.Cores()[0], dl, streams, pcfg)
-	if err != nil {
-		return SMPResult{}, err
-	}
-	sess.OnDone(func() {
-		bg.Stop()
-		eng.Stop()
-	})
-	sess.Start()
-	eng.RunUntil(RunConfig{Duration: dur}.EffectiveHorizon())
-	meter.Finish()
-	if err := sess.Err(); err != nil {
-		return SMPResult{}, err
-	}
-	return SMPResult{
-		CPUJ:        meter.ComponentJ(energy.ComponentCPU),
-		QoE:         sess.Metrics(),
-		BoostFrames: gov.BoostFrames(),
-	}, nil
+	return SMPResult{CPUJ: out.CPUJ, QoE: out.QoE, BoostFrames: v.ea.BoostFrames()}, nil
 }
 
 // FigF21 reproduces Figure 21 (extension): the shared-clock SMP trade —

@@ -23,6 +23,9 @@ import (
 // A Session is single-goroutine: drive it with Reset+Finish or RunInto.
 // The package-level Run draws Sessions from an internal pool, so campaign
 // workers and dvfsd recycle arenas without holding one explicitly.
+// RunCluster and RunSMP each run a fresh Session whose viewer has a CPU
+// platform (a big.LITTLE pair, a shared-clock domain), so the tracer
+// chain, strict mode and the close-out reach them as they reach Run.
 //
 // Determinism: Viewer.reset replays the exact construction order of a
 // fresh run — component wiring, event scheduling, and RNG derivation — so

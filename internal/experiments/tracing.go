@@ -19,8 +19,9 @@ var (
 	traceFactory   TraceFactory
 )
 
-// SetTraceFactory installs a process-wide trace factory consulted by Run
-// whenever RunConfig.Tracer is nil. It exists for batch drivers (exprun
+// SetTraceFactory installs a process-wide trace factory consulted by
+// every Session run (Run, RunCluster, RunSMP) whenever RunConfig.Tracer
+// is nil. It exists for batch drivers (exprun
 // -trace-dir) whose experiment builders construct configs internally and
 // offer no per-run hook; nil uninstalls. An explicit RunConfig.Tracer
 // always wins over the factory.

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"videodvfs/internal/abr"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
+	"videodvfs/internal/decode"
 	"videodvfs/internal/energy"
 	"videodvfs/internal/governor"
 	"videodvfs/internal/invariant"
@@ -15,9 +17,9 @@ import (
 	"videodvfs/internal/video"
 )
 
-// ViewerOptions customizes how a cohort viewer plugs into shared cohort
-// state. All fields are optional; the zero value wires a viewer exactly
-// like a standalone Run.
+// ViewerOptions customizes how a viewer plugs into state it does not
+// own: a cohort's shared cells, or a real network. All fields are
+// optional; the zero value wires a viewer exactly like a standalone Run.
 type ViewerOptions struct {
 	// WrapBandwidth, if set, decorates the viewer's resolved bandwidth
 	// model before the downloader sees it. The cohort's cell-congestion
@@ -30,30 +32,43 @@ type ViewerOptions struct {
 	// own OnActive slot is single-listener and the player owns it.
 	OnNetActivity func(now sim.Time, active bool)
 	// OnDone fires inside the viewer's completion (or horizon-cut)
-	// event, after the viewer has stopped its background load. The
-	// cohort shard collects the result here, while the engine clock
-	// still reads the viewer's own end time.
+	// event. The cohort shard collects the result here, while the engine
+	// clock still reads the viewer's own end time; its Finish stops the
+	// background load.
 	OnDone func()
+	// Fetcher, if set, replaces the simulated downloader as the player's
+	// segment source: the live player-driver (stress.Play) fetches over
+	// real HTTP. The viewer still builds its radio and downloader, which
+	// then carry no traffic.
+	Fetcher player.Fetcher
 }
 
 // Viewer is one streaming session's full per-device component set —
 // meter, CPU core, governor, radio, downloader, player, background load,
-// optional thermal model — wired into a virtual-time engine. It is the
-// only place that stack is wired: a Session owns an engine and rewinds
-// one Viewer over it run after run, while a cohort shard multiplexes
-// thousands of viewers over one SHARED engine that no viewer owns or
-// stops. N viewers over one engine is the cohort substrate: one event
-// slab, one clock, shared immutable stream/bandwidth tables (the package
-// caches), per-viewer everything else.
+// optional thermal model — wired into a virtual-time engine. Its reset is
+// the only place a device is wired in the program:
 //
-// Because both paths run the same reset, a single viewer started at t=0
+//   - a Session owns an engine and rewinds one Viewer over it run after
+//     run; RunCluster (F15) and RunSMP (F21) are Sessions whose viewer
+//     runs on a big.LITTLE pair or a shared-clock domain (platform);
+//   - a cohort shard multiplexes thousands of viewers over one SHARED
+//     engine that no viewer owns or stops. N viewers over one engine is
+//     the cohort substrate: one event slab, one clock, shared immutable
+//     stream/bandwidth tables (the package caches), per-viewer
+//     everything else;
+//   - RunPlaylist (T7) plays clips in turn on one viewer's device
+//     (playNext), and the live player-driver (stress.Play) is a viewer
+//     whose player fetches over real HTTP (ViewerOptions.Fetcher).
+//
+// Because every path runs the same reset, a single viewer started at t=0
 // replays a standalone Run's event sequence exactly, and the N=1 cohort ≡
 // Run equivalence holds by construction (results compare with DeepEqual,
 // not tolerances).
 type Viewer struct {
-	cfg  RunConfig // defaults applied
-	opts ViewerOptions
-	eng  *sim.Engine
+	cfg    RunConfig // defaults applied
+	eng    *sim.Engine
+	onDone func() // ViewerOptions.OnDone
+	plat   *platform
 
 	meter   *energy.Meter
 	core    *cpu.Core
@@ -78,6 +93,33 @@ type Viewer struct {
 	done     bool
 	horizon  sim.Time // relative to join, same default as Run
 	join     sim.Time
+}
+
+// platform is a viewer's CPU beyond its one decode core. nil, the zero
+// value, is the single cfg.Device core every run has unless RunSMP or
+// RunCluster sets a platform on a fresh Session for one run.
+//
+//   - A shared-clock domain (F21) has cores cfg.Device cores. The
+//     energy-aware governor scales the whole domain; decode runs on core
+//     0 and network and background work on the last core; the domain's
+//     summed power is the CPU meter component.
+//   - A big.LITTLE pair (F15) has cfg.Device as its big core and a
+//     DeviceEfficient little core, metered as componentLittle, that runs
+//     network and background work. Cluster-aware, the ClusterGovernor
+//     places each decode job on either core; otherwise the energy-aware
+//     governor drives big and little only idles and leaks.
+//
+// Only the decode core (core 0, or big) carries the tracer, so the
+// invariant checker's single-core rules hold unchanged.
+type platform struct {
+	cores        int  // a shared-clock domain of this many cores
+	bigLittle    bool // a big.LITTLE pair instead of a domain
+	clusterAware bool // big.LITTLE: the cluster governor places decode
+
+	domain  *cpu.Domain
+	little  *cpu.Core
+	work    *cpu.Core // the core network and background jobs run on
+	cluster *core.ClusterGovernor
 }
 
 // activityHooks decorates SessionHooks with a second download-activity
@@ -157,7 +199,7 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 // armed chk must already ride in tr's chain, and collect finalizes it. On
 // error the caller tears the viewer down.
 func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, opts ViewerOptions) error {
-	v.cfg, v.chk, v.opts = cfg, chk, opts
+	v.cfg, v.chk, v.onDone = cfg, chk, opts.OnDone
 	v.done, v.bgActive = false, false
 
 	if v.meter == nil {
@@ -171,7 +213,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 
 	var err error
 	if v.core == nil {
-		if v.core, err = cpu.NewCore(v.eng, cfg.Device); err != nil {
+		if v.core, err = v.newCores(cfg.Device); err != nil {
 			return err
 		}
 	} else if err := v.core.Reset(cfg.Device); err != nil {
@@ -184,19 +226,19 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	}
 	if tr != nil {
 		v.core.SetTracer(tr)
+	}
+	switch {
+	case v.plat != nil && v.plat.domain != nil:
+		v.plat.domain.OnPower(tracedListener(v.meter, energy.ComponentCPU, tr))
+	case tr != nil:
 		v.core.OnPower(tracedListener(v.meter, energy.ComponentCPU, tr))
-	} else {
+	default:
 		v.core.OnPower(v.cpuPowerFn)
 	}
 
-	gov, hooks, err := v.governorFor(cfg, tr)
-	if err != nil {
+	if err := v.attachGovernor(cfg, tr); err != nil {
 		return err
 	}
-	if err := gov.Attach(v.eng, v.core); err != nil {
-		return err
-	}
-	v.gov = gov
 
 	bw, rrcCfg, err := buildBandwidth(cfg)
 	if err != nil {
@@ -220,7 +262,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	}
 
 	if v.dl == nil {
-		if v.dl, err = netsim.NewDownloader(v.eng, bw, v.radio, v.core, netsim.DefaultDownloaderConfig()); err != nil {
+		if v.dl, err = netsim.NewDownloader(v.eng, bw, v.radio, v.workCore(), netsim.DefaultDownloaderConfig()); err != nil {
 			return err
 		}
 	} else if err := v.dl.Reset(bw, netsim.DefaultDownloaderConfig()); err != nil {
@@ -240,7 +282,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		}
 		if v.bg == nil {
 			v.bgRNG = sim.Stream(bgSeed, "bgload")
-			if v.bg, err = cpu.StartLoadGen(v.eng, v.core, v.bgRNG, cpu.DefaultLoadGenConfig()); err != nil {
+			if v.bg, err = cpu.StartLoadGen(v.eng, v.workCore(), v.bgRNG, cpu.DefaultLoadGenConfig()); err != nil {
 				return err
 			}
 		} else {
@@ -258,20 +300,160 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	if err != nil {
 		return err
 	}
+	submitter, hooks := v.decodePath()
+	if opts.OnNetActivity != nil {
+		inner := hooks
+		if inner == nil {
+			inner = player.NopSessionHooks{}
+		}
+		hooks = activityHooks{SessionHooks: inner, fn: opts.OnNetActivity}
+	}
+	// The forecast observes the wrapped bandwidth — in a cohort, the
+	// cell-congested view this viewer's downloader actually integrates —
+	// so oracles predict contended rates, not the pristine sector input.
+	fc, err := buildForecast(cfg, bw)
+	if err != nil {
+		return err
+	}
+	pcfg := v.playerConfig(cfg, algo, hooks, fc, tr)
+	if v.ps == nil {
+		var fet player.Fetcher = v.dl
+		if opts.Fetcher != nil {
+			fet = opts.Fetcher
+		}
+		if v.ps, err = player.NewSession(v.eng, submitter, fet, renditions, pcfg); err != nil {
+			return err
+		}
+	} else if err := v.ps.Reset(renditions, pcfg); err != nil {
+		return err
+	}
+	v.ps.OnDone(v.doneFn)
 
+	v.horizon = cfg.EffectiveHorizon()
+	return nil
+}
+
+// newCores builds the viewer's CPU and returns its decode core: one
+// cfg.Device core, or the platform's cores (see platform).
+func (v *Viewer) newCores(device cpu.Model) (*cpu.Core, error) {
+	p := v.plat
+	switch {
+	case p == nil:
+		return cpu.NewCore(v.eng, device)
+	case p.bigLittle:
+		big, err := cpu.NewCore(v.eng, device)
+		if err != nil {
+			return nil, err
+		}
+		if p.little, err = cpu.NewCore(v.eng, cpu.DeviceEfficient()); err != nil {
+			return nil, err
+		}
+		p.little.OnPower(v.meter.Listener(componentLittle))
+		p.work = p.little
+		return big, nil
+	default:
+		d, err := cpu.NewDomain(v.eng, device, p.cores)
+		if err != nil {
+			return nil, err
+		}
+		p.domain, p.work = d, d.Cores()[p.cores-1]
+		return d.Cores()[0], nil
+	}
+}
+
+// workCore is the core network and background jobs run on: the decode
+// core itself unless a platform places them elsewhere.
+func (v *Viewer) workCore() *cpu.Core {
+	if v.plat != nil {
+		return v.plat.work
+	}
+	return v.core
+}
+
+// decodePath is where the player sends decode jobs and which hooks watch
+// them: the cluster governor for both on a cluster-aware pair; otherwise
+// the decode core, hooked by a video-aware governor (energy-aware,
+// oracle) and by nothing under a stock baseline.
+func (v *Viewer) decodePath() (decode.Submitter, player.SessionHooks) {
+	if v.plat != nil && v.plat.cluster != nil {
+		return v.plat.cluster, v.plat.cluster
+	}
+	hooks, _ := v.gov.(player.SessionHooks)
+	return v.core, hooks
+}
+
+// attachGovernor resolves the run's policy and puts it in control: the
+// cluster governor over a cluster-aware big.LITTLE pair, the energy-aware
+// governor (RunSMP's only policy) over a whole shared-clock domain, and
+// otherwise the run's governor over the decode core. A non-nil tracer is
+// attached to the video-aware policies. The energy-aware instance is
+// rewound in place across resets (predictor state and decision tables);
+// the oracle and the stock baselines are built fresh — they are
+// allocation-light and keep per-run sampling state.
+func (v *Viewer) attachGovernor(cfg RunConfig, tr trace.Tracer) error {
+	p := v.plat
+	if p != nil && p.clusterAware {
+		var err error
+		p.cluster, err = core.NewClusterGovernor(v.core, p.little, core.DefaultClusterConfig())
+		return err
+	}
+	var gov governor.Governor
+	switch cfg.Governor {
+	case GovEnergyAware:
+		pol := cfg.Policy
+		if pol == (core.Config{}) {
+			pol = core.DefaultConfig()
+		}
+		if v.ea == nil {
+			g, err := core.New(pol)
+			if err != nil {
+				return err
+			}
+			v.ea = g
+		} else if err := v.ea.Reset(pol); err != nil {
+			return err
+		}
+		if tr != nil {
+			v.ea.SetTracer(tr)
+		}
+		gov = v.ea
+	case GovOracle:
+		o := core.NewOracle()
+		if tr != nil {
+			o.SetTracer(tr)
+		}
+		gov = o
+	default:
+		g, err := governor.New(string(cfg.Governor))
+		if err != nil {
+			return err
+		}
+		gov = g
+	}
+	var err error
+	if p != nil && p.domain != nil {
+		err = v.ea.AttachScaler(v.eng, p.domain)
+	} else {
+		err = gov.Attach(v.eng, v.core)
+	}
+	if err != nil {
+		return err
+	}
+	v.gov = gov
+	return nil
+}
+
+// playerConfig is the player configuration for cfg on this viewer: the
+// run's thresholds, the adaptation algorithm algo, the policy's hooks,
+// the forecast fc, the meter and the tracer tr. A reset and every
+// playlist clip build their player from it.
+func (v *Viewer) playerConfig(cfg RunConfig, algo abr.Algorithm, hooks player.SessionHooks, fc player.Forecast, tr trace.Tracer) player.Config {
 	pcfg := player.DefaultConfig()
 	if cfg.SegmentDur > 0 {
 		pcfg.SegmentDur = cfg.SegmentDur
 	}
 	pcfg.ABR = algo
 	pcfg.Hooks = hooks
-	if opts.OnNetActivity != nil {
-		inner := hooks
-		if inner == nil {
-			inner = player.NopSessionHooks{}
-		}
-		pcfg.Hooks = activityHooks{SessionHooks: inner, fn: opts.OnNetActivity}
-	}
 	pcfg.Meter = v.meter
 	pcfg.Tracer = tr
 	if cfg.LowLatency {
@@ -284,66 +466,30 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		pcfg.DecodedQueueCap = cfg.DecodedQueueCap
 	}
 	pcfg.LowWaterSec = cfg.LowWaterSec
-	// The forecast observes the wrapped bandwidth — in a cohort, the
-	// cell-congested view this viewer's downloader actually integrates —
-	// so oracles predict contended rates, not the pristine sector input.
-	fc, err := buildForecast(cfg, bw)
+	pcfg.Forecast = fc
+	return pcfg
+}
+
+// playNext starts the next clip of a playlist at the engine's current
+// time: a fresh player for cfg's content over the viewer's same core,
+// radio, downloader, governor and background load, so the demand
+// predictor stays warm and the radio keeps its tail state. The previous
+// clip's player has finished; any of its leftover events fire on it
+// harmlessly. A playlist clip has no forecast and no tracer.
+func (v *Viewer) playNext(cfg RunConfig) error {
+	renditions, algo, err := buildRenditions(cfg)
 	if err != nil {
 		return err
 	}
-	pcfg.Forecast = fc
-	if v.ps == nil {
-		if v.ps, err = player.NewSession(v.eng, v.core, v.dl, renditions, pcfg); err != nil {
-			return err
-		}
-	} else if err := v.ps.Reset(renditions, pcfg); err != nil {
+	submitter, hooks := v.decodePath()
+	ps, err := player.NewSession(v.eng, submitter, v.dl, renditions, v.playerConfig(cfg, algo, hooks, nil, nil))
+	if err != nil {
 		return err
 	}
-	v.ps.OnDone(v.doneFn)
-
-	v.horizon = cfg.EffectiveHorizon()
+	v.ps, v.done = ps, false
+	ps.OnDone(v.doneFn)
+	ps.Start()
 	return nil
-}
-
-// governorFor resolves the run's governor plus, when video-aware, its
-// session hooks; a non-nil tracer is attached to the video-aware
-// policies. The energy-aware instance is rewound in place across resets
-// (predictor state and decision tables); the oracle and the stock
-// baselines are built fresh — they are allocation-light and keep per-run
-// sampling state.
-func (v *Viewer) governorFor(cfg RunConfig, tr trace.Tracer) (governor.Governor, player.SessionHooks, error) {
-	switch cfg.Governor {
-	case GovEnergyAware:
-		pol := cfg.Policy
-		if pol == (core.Config{}) {
-			pol = core.DefaultConfig()
-		}
-		if v.ea == nil {
-			g, err := core.New(pol)
-			if err != nil {
-				return nil, nil, err
-			}
-			v.ea = g
-		} else if err := v.ea.Reset(pol); err != nil {
-			return nil, nil, err
-		}
-		if tr != nil {
-			v.ea.SetTracer(tr)
-		}
-		return v.ea, v.ea, nil
-	case GovOracle:
-		o := core.NewOracle()
-		if tr != nil {
-			o.SetTracer(tr)
-		}
-		return o, o, nil
-	default:
-		g, err := governor.New(string(cfg.Governor))
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, nil, nil
-	}
 }
 
 // Start begins the viewer's playback at the engine's current time — its
@@ -360,20 +506,17 @@ func (v *Viewer) Start() {
 func (v *Viewer) Deadline() sim.Time { return v.join + v.horizon }
 
 // handleDone runs inside the player's completion event, or the cohort's
-// horizon cut: stop the background load at the viewer's own end time,
-// then hand off to OnDone — where a Session stops its engine and a
-// cohort shard collects while the shared clock still reads this viewer's
-// end.
+// horizon cut, and hands off to OnDone — where a Session stops its
+// engine, a cohort shard collects while the shared clock still reads
+// this viewer's end, and a playlist waits out its think time before the
+// next clip. The background load runs on until teardown.
 func (v *Viewer) handleDone() {
 	if v.done {
 		return
 	}
 	v.done = true
-	if v.bgActive {
-		v.bg.Stop()
-	}
-	if v.opts.OnDone != nil {
-		v.opts.OnDone()
+	if v.onDone != nil {
+		v.onDone()
 	}
 }
 
@@ -469,7 +612,7 @@ func (v *Viewer) finalizeChecker() error {
 // collectResult gathers a finished simulation's outcome into res, reusing
 // res's maps and slices when present.
 func (v *Viewer) collectResult(res *RunResult) {
-	res.Governor = v.gov.Name()
+	res.Governor = string(v.cfg.Governor)
 	res.CPUJ = v.meter.ComponentJ(energy.ComponentCPU)
 	res.RadioJ = v.meter.ComponentJ(energy.ComponentRadio)
 	res.DisplayJ = v.meter.ComponentJ(energy.ComponentDisplay)
@@ -503,9 +646,11 @@ func (v *Viewer) collectResult(res *RunResult) {
 		res.ThrottleEvents = v.thermal.ThrottleEvents()
 		res.ThrottledS = v.thermal.ThrottledTime().Seconds()
 	}
-	if v.cfg.Governor == GovEnergyAware {
-		// Copy the stats out: the governor's RelErr backing array is
-		// recycled by the next reset, so the result must own its slice.
+	if v.cfg.Governor == GovEnergyAware && v.ea != nil {
+		// (A cluster-aware pair runs the rule inside its cluster
+		// governor and has no v.ea.) Copy the stats out: the governor's
+		// RelErr backing array is recycled by the next reset, so the
+		// result must own its slice.
 		st := v.ea.PredStats()
 		if res.Pred == nil {
 			res.Pred = new(core.PredictionStats)
@@ -518,12 +663,16 @@ func (v *Viewer) collectResult(res *RunResult) {
 	}
 }
 
-// teardown quiesces the viewer's per-run machinery — thermal sampler,
-// governor ticker — and detaches the checker from the component tracers,
-// so events a shared engine fires after the viewer finished (radio
-// tails, which a standalone Run's stopped engine never fires) cannot
-// reach it.
+// teardown quiesces the viewer's per-run machinery — background load,
+// thermal sampler, governor ticker — and detaches the checker from the
+// component tracers, so events a shared engine fires after the viewer
+// finished (radio tails, which a standalone Run's stopped engine never
+// fires) cannot reach it. A cohort viewer tears down inside its own
+// completion event, because its OnDone calls Finish.
 func (v *Viewer) teardown() {
+	if v.bgActive {
+		v.bg.Stop()
+	}
 	if v.thermal != nil {
 		v.thermal.Stop()
 		v.thermal = nil

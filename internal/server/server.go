@@ -785,18 +785,16 @@ func (s *Server) handleCohortPart(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, "application/json", body, outcome, err)
 }
 
-// shardSetKey renders a shard set as a canonical cache-key suffix
-// (sorted, deduplicated, comma-joined) so two spellings of the same set
-// share one cached part.
+// shardSetKey renders a shard list as a canonical cache-key suffix
+// (sorted, comma-joined) so two orders of the same set share one cached
+// part. Duplicates stay in the key: cohort.RunPart refuses a shard named
+// twice, so [0, 0] must never find [0]'s cached part.
 func shardSetKey(shards []int) string {
 	set := append([]int(nil), shards...)
 	sort.Ints(set)
 	var b strings.Builder
 	for i, idx := range set {
-		if i > 0 && set[i-1] == idx {
-			continue
-		}
-		if b.Len() > 0 {
+		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(strconv.Itoa(idx))

@@ -218,12 +218,20 @@ func TestCohortPartEndpoint(t *testing.T) {
 		t.Fatalf("repeat part cache header = %q, want hit", got)
 	}
 
-	// Bad shard sets are client errors with the invalid_config envelope.
-	for _, shards := range []string{`[]`, `[9]`, `[0, 0]`, `[-1]`} {
-		resp := postJSON(t, ts.URL+"/v1/cohort/part", `{"cohort": `+cohortBody+`, "shards": `+shards+`}`)
-		raw := readAll(t, resp)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("shards %s: status %d, want 400 (%s)", shards, resp.StatusCode, raw)
+	// Bad shard sets are client errors with the invalid_config envelope,
+	// before and after a valid subset of them has been cached: the answer
+	// to a body must not depend on what the cache holds.
+	badSets := []string{`[]`, `[9]`, `[0, 0]`, `[-1]`}
+	postBad := func() {
+		for _, shards := range badSets {
+			resp := postJSON(t, ts.URL+"/v1/cohort/part", `{"cohort": `+cohortBody+`, "shards": `+shards+`}`)
+			raw := readAll(t, resp)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("shards %s: status %d, want 400 (%s)", shards, resp.StatusCode, raw)
+			}
 		}
 	}
+	postBad()
+	fetch(`[0]`)
+	postBad()
 }

@@ -123,16 +123,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Pareto returns a bounded Pareto-ish heavy-tailed draw with minimum xm and
-// shape alpha (> 0). Used for burst sizes.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
 // Pick returns a random index weighted by the given non-negative weights;
 // non-finite weights count as zero (a NaN or Inf weight would poison the
 // running total and silently select the last index every time). If all

@@ -53,9 +53,6 @@ const Forever Time = math.MaxFloat64
 // Seconds returns the time as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
 
-// Milliseconds returns the time as a float64 millisecond count.
-func (t Time) Milliseconds() float64 { return float64(t) * 1e3 }
-
 // String formats the time with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 

@@ -98,6 +98,3 @@ func (t *Timeout) Rebind(d Time) {
 	t.d = d
 	t.pending = Event{}
 }
-
-// Armed reports whether an expiry is pending.
-func (t *Timeout) Armed() bool { return t.pending.Valid() }

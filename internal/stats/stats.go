@@ -202,9 +202,6 @@ func (e *EWMA) Add(x float64) {
 // Value returns the current average (0 before any sample).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether at least one sample was added.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // TimeWeighted averages a piecewise-constant signal over virtual time, e.g.
 // CPU power or buffer level. Set the value at each change-point; the mean
 // weights each value by how long it was held.
@@ -263,9 +260,6 @@ func (w *TimeWeighted) Mean() float64 {
 
 // Integral returns ∫ value dt over the observed span.
 func (w *TimeWeighted) Integral() float64 { return w.weighted }
-
-// Elapsed returns the total observed span.
-func (w *TimeWeighted) Elapsed() float64 { return w.elapsed }
 
 // Min returns the smallest value set (0 before any Set).
 func (w *TimeWeighted) Min() float64 { return w.min }
@@ -346,22 +340,4 @@ func (h *Histogram) Counts() []int {
 	out := make([]int, len(h.bins))
 	copy(out, h.bins)
 	return out
-}
-
-// Fractions returns each bin's share of the samples (zeros when empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.bins))
-	if h.n == 0 {
-		return out
-	}
-	for i, c := range h.bins {
-		out[i] = float64(c) / float64(h.n)
-	}
-	return out
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + width*(float64(i)+0.5)
 }

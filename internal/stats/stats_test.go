@@ -96,9 +96,6 @@ func TestPercentileEmpty(t *testing.T) {
 
 func TestEWMAConverges(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA claims initialized")
-	}
 	e.Add(10)
 	if e.Value() != 10 {
 		t.Fatalf("first sample should initialize: %v", e.Value())
@@ -184,39 +181,12 @@ func TestHistogramBinning(t *testing.T) {
 	}
 }
 
-func TestHistogramFractionsSumToOne(t *testing.T) {
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) / 100)
-	}
-	var sum float64
-	for _, f := range h.Fractions() {
-		sum += f
-	}
-	if !almost(sum, 1, 1e-12) {
-		t.Fatalf("fractions sum = %v", sum)
-	}
-}
-
 func TestHistogramInvalidConfig(t *testing.T) {
 	if _, err := NewHistogram(0, 10, 0); err == nil {
 		t.Fatal("want error for zero bins")
 	}
 	if _, err := NewHistogram(5, 5, 3); err == nil {
 		t.Fatal("want error for hi == lo")
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(h.BinCenter(0), 1, 1e-12) || !almost(h.BinCenter(4), 9, 1e-12) {
-		t.Fatalf("bin centers wrong: %v %v", h.BinCenter(0), h.BinCenter(4))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"videodvfs/internal/cpu"
 	"videodvfs/internal/experiments"
-	"videodvfs/internal/governor"
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
@@ -18,20 +17,23 @@ import (
 
 // PlayConfig describes one live player-driver run: the actual
 // internal/player downloader/buffer/decode logic, in a virtual-time
-// engine, fetching its segments from a real HTTP origin.
+// engine, fetching its segments from a real HTTP origin. The content and
+// device fields are the experiments.RunConfig fields of the same names,
+// so a replay config built from them streams identical segments by
+// construction.
 type PlayConfig struct {
 	// OriginURL is the base URL of a stress origin (NewOrigin), e.g.
 	// "http://127.0.0.1:8080". Required.
 	OriginURL string
 	// Governor names a stock cpufreq policy for the decode core
 	// (default "ondemand"); the live driver has no radio model, so the
-	// video-aware governors stay sim-side.
+	// video-aware governors (energyaware, oracle) stay sim-side and are
+	// refused.
 	Governor string
 	// Device is the CPU model (DeviceFlagship if zero).
 	Device cpu.Model
 	// Title/Rung/FPS/Seed/Duration select the content exactly as
-	// experiments.RunConfig does, so a replay config built from the same
-	// fields streams identical segments.
+	// experiments.RunConfig does.
 	Title    video.Title
 	Rung     video.Resolution
 	FPS      float64
@@ -66,11 +68,12 @@ type PlayResult struct {
 	WallDur time.Duration
 }
 
-// Play executes one live player-driver run against a stress origin. The
-// player, decoder, and CPU/governor all run in virtual time; each
-// segment fetch blocks on a real HTTP transfer whose measured wall
-// duration then elapses as virtual time, so the virtual timeline is the
-// recorded timeline.
+// Play executes one live player-driver run against a stress origin. It is
+// an experiments.Viewer whose player fetches over HTTP
+// (ViewerOptions.Fetcher): the player, decoder, and CPU/governor all run
+// in virtual time; each segment fetch blocks on a real HTTP transfer
+// whose measured wall duration then elapses as virtual time, so the
+// virtual timeline is the recorded timeline. Background load is off.
 func Play(cfg PlayConfig) (*PlayResult, error) {
 	if cfg.OriginURL == "" {
 		return nil, fmt.Errorf("stress: origin URL is required")
@@ -78,90 +81,58 @@ func Play(cfg PlayConfig) (*PlayResult, error) {
 	if cfg.Governor == "" {
 		cfg.Governor = "ondemand"
 	}
-	if cfg.Device.Name == "" {
-		cfg.Device = cpu.DeviceFlagship()
-	}
-	if cfg.Title.Name == "" {
-		cfg.Title = video.TitleSports
-	}
-	if cfg.Rung.Name == "" {
-		cfg.Rung = video.R720p
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("stress: duration %v not positive", cfg.Duration)
-	}
-	fps := cfg.FPS
-	if fps == 0 {
-		fps = 30
-	}
-
-	// Generate the content exactly as the simulator's fixed-rung path
-	// does, so the replay (same Title/Rung/FPS/Duration/Seed) fetches
-	// byte-identical segments.
-	spec := video.DefaultSpec(cfg.Title, cfg.Rung).WithCodec(video.DefaultCodec())
-	spec.FPS = fps
-	stream, err := video.Generate(spec, cfg.Duration, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("stress: generate content: %w", err)
-	}
-
-	eng := sim.NewEngine()
-	core, err := cpu.NewCore(eng, cfg.Device)
-	if err != nil {
-		return nil, fmt.Errorf("stress: cpu core: %w", err)
-	}
-	gov, err := governor.New(cfg.Governor)
+	gov, err := experiments.ParseGovernorID(cfg.Governor)
 	if err != nil {
 		return nil, fmt.Errorf("stress: %w", err)
 	}
-	if err := gov.Attach(eng, core); err != nil {
-		return nil, fmt.Errorf("stress: attach governor: %w", err)
+	if gov == experiments.GovEnergyAware || gov == experiments.GovOracle {
+		return nil, fmt.Errorf("stress: governor %q is video-aware; the live player-driver runs stock governors only", gov)
 	}
-	defer gov.Detach()
 
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{}
 	}
+	eng := sim.NewEngine()
 	fet := &httpFetcher{
 		eng:       eng,
 		client:    client,
 		base:      cfg.OriginURL,
 		rateQuery: cfg.RateQuery,
 	}
-
-	pcfg := player.DefaultConfig()
-	if cfg.SegmentDur > 0 {
-		pcfg.SegmentDur = cfg.SegmentDur
-	}
-	ps, err := player.NewSession(eng, core, fet, []*video.Stream{stream}, pcfg)
+	v, err := experiments.NewViewer(eng, experiments.RunConfig{
+		Device:     cfg.Device,
+		Governor:   gov,
+		Title:      cfg.Title,
+		Rung:       cfg.Rung,
+		FPS:        cfg.FPS,
+		Seed:       cfg.Seed,
+		Duration:   cfg.Duration,
+		SegmentDur: cfg.SegmentDur,
+	}, experiments.ViewerOptions{Fetcher: fet, OnDone: eng.Stop})
 	if err != nil {
-		return nil, fmt.Errorf("stress: player session: %w", err)
+		return nil, fmt.Errorf("stress: %w", err)
 	}
-	ps.OnDone(eng.Stop)
 
-	horizon := experiments.RunConfig{Duration: cfg.Duration}.EffectiveHorizon()
 	wallStart := time.Now()
-	ps.Start()
-	end := eng.RunUntil(horizon)
-
+	v.Start()
+	end := eng.RunUntil(v.Deadline())
 	if fet.err != nil {
 		return nil, fmt.Errorf("stress: live fetch: %w", fet.err)
 	}
-	if err := ps.Err(); err != nil {
-		return nil, fmt.Errorf("stress: session: %w", err)
-	}
-	m := ps.Metrics()
-	if !m.Completed {
-		return nil, fmt.Errorf("stress: session at %d/%d frames when the %v horizon hit",
-			m.DisplayedFrames+m.DroppedFrames, m.TotalFrames, horizon)
+	// A session still streaming at the horizon is cut, and Finish
+	// reports it as experiments.ErrHorizonExceeded.
+	v.Cut()
+	var res experiments.RunResult
+	if err := v.Finish(&res); err != nil {
+		return nil, fmt.Errorf("stress: %w", err)
 	}
 	tr := netsim.Trace{Samples: fet.samples}
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("stress: recorded trace: %w", err)
 	}
 	return &PlayResult{
-		Metrics:     m,
+		Metrics:     res.QoE,
 		Trace:       tr,
 		SegmentBits: fet.segmentBits,
 		SimEnd:      end,

@@ -321,3 +321,33 @@ func TestHammerDvfsd(t *testing.T) {
 		t.Error("no request succeeded under load")
 	}
 }
+
+// TestPlayRefusesVideoAwareGovernors pins the live player-driver's
+// contract: stock governors only. It has no radio model, so the
+// video-aware policies stay sim-side, and they are refused before any
+// fetch.
+func TestPlayRefusesVideoAwareGovernors(t *testing.T) {
+	ts := startOrigin(t, stress.OriginConfig{RateBps: 16e6})
+	for _, tc := range []struct {
+		governor string
+		ok       bool
+	}{
+		{"energyaware", false},
+		{"oracle", false},
+		{"warp", false},
+		{"", true}, // ondemand
+		{"performance", true},
+	} {
+		_, err := stress.Play(stress.PlayConfig{
+			OriginURL: ts.URL,
+			Governor:  tc.governor,
+			Title:     video.TitleNews,
+			Rung:      video.R360p,
+			Seed:      7,
+			Duration:  2 * sim.Second,
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("governor %q: err = %v, want ok=%v", tc.governor, err, tc.ok)
+		}
+	}
+}

@@ -54,12 +54,6 @@ type Metrics struct {
 	Timeline []EnergyBin
 }
 
-// PredErrP returns the given percentile of relative prediction error.
-func (m Metrics) PredErrP(pct float64) float64 { return stats.Percentile(m.PredRelErr, pct) }
-
-// SlackP returns the given percentile of decision slack in seconds.
-func (m Metrics) SlackP(pct float64) float64 { return stats.Percentile(m.SlackS, pct) }
-
 // powerTrack integrates one component's piecewise-constant power.
 type powerTrack struct {
 	watts float64

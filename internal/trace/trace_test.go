@@ -232,10 +232,10 @@ func TestCollectorRollup(t *testing.T) {
 	if m.DecisionOPP[0] != 1 || m.DecisionOPP[1] != 1 {
 		t.Errorf("DecisionOPP = %v", m.DecisionOPP)
 	}
-	if len(m.SlackS) != 1 || !approx(m.SlackP(50), 0.02) {
+	if len(m.SlackS) != 1 || !approx(m.SlackS[0], 0.02) {
 		t.Errorf("slack = %v", m.SlackS)
 	}
-	if len(m.PredRelErr) != 1 || !approx(m.PredErrP(50), 0.2) {
+	if len(m.PredRelErr) != 1 || !approx(m.PredRelErr[0], 0.2) {
 		t.Errorf("pred rel err = %v, want [0.2]", m.PredRelErr)
 	}
 	if n := m.DecodeLatency.N(); n != 1 {

@@ -99,11 +99,3 @@ func (c Codec) Validate() error {
 	}
 	return nil
 }
-
-// MeanFrameCycles returns the expected demand of a frame of the given type
-// in a stream with the given spec, before scene drift and jitter. Useful
-// for sizing experiments analytically.
-func (c Codec) MeanFrameCycles(spec Spec, t FrameType) float64 {
-	bits := spec.meanBitsForType(c, t)
-	return (c.PixelCycles*spec.Res.Pixels() + c.BitCycles*bits) * c.TypeCycleMult[t]
-}

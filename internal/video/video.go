@@ -165,12 +165,3 @@ func (s *Stream) MeanCycles() float64 {
 // time: mean cycles per frame × fps. A CPU pinned below this rate must
 // eventually drop frames regardless of buffering.
 func (s *Stream) SustainedHz() float64 { return s.MeanCycles() * s.Spec.FPS }
-
-// CountByType returns the number of frames of each type.
-func (s *Stream) CountByType() map[FrameType]int {
-	out := make(map[FrameType]int, 3)
-	for _, f := range s.Frames {
-		out[f.Type]++
-	}
-	return out
-}

@@ -323,7 +323,8 @@ func SeedRange(lo, hi int64) []int64 { return experiments.SeedRange(lo, hi) }
 // RunCluster simulates a streaming session on a big.LITTLE device
 // (flagship big + efficient little). With clusterAware set, the
 // cluster-extension governor places decode work across both domains;
-// otherwise the single-core policy drives the big cluster only.
+// otherwise the single-core policy drives the big cluster only. Like
+// Run, it fails with ErrHorizonExceeded when the session cannot finish.
 func RunCluster(res Resolution, dur Time, seed int64, clusterAware bool) (ClusterResult, error) {
 	return experiments.RunCluster(res, dur, seed, clusterAware)
 }
