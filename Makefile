@@ -99,17 +99,19 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRegistry' -benchtime 3x .
 
 # The pinned hot-path benchmarks the gate and the baseline agree on: a
-# run and a cohort step from the root package, and the event engine on a
+# run and a cohort step from the root package, the event engine on a
 # run's and a cohort shard's traffic, one per queue regime (DESIGN.md §8),
-# from internal/sim. benchgate matches benchmarks by name, so one output
-# file holds both packages.
+# from internal/sim, and the stream generator, one rendition and the
+# four-rung ladder a memo miss generates, from internal/video.
+# benchgate matches benchmarks by name, so one output file holds all
+# three packages.
 # 2 s samples keep the best-of-run minimum (what benchgate compares)
 # inside ~3% run-to-run on a shared box; 1 s samples do not. Pin and gate
 # both run at one CPU: above one, the cohort step's per-step worker
 # goroutines make its allocs/op vary by a few between processes, and the
 # gate allows no allocs/op increase.
-GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$
-GATE_PKGS = . ./internal/sim
+GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$
+GATE_PKGS = . ./internal/sim ./internal/video
 GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
 # The cohort step's gated allocs/op come from a second, fixed-iteration

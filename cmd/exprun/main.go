@@ -114,19 +114,30 @@ func run(args []string) error {
 
 // traceDirFactory returns a process-wide trace factory writing one JSONL
 // file per simulation run into dir. Files are named from the run's
-// config axes (governor, network, rung, seed) plus a per-name sequence
-// number; the sequence assignment is serialized, but with concurrent
-// experiments the mapping of sequence numbers to runs depends on
-// completion order. Each file's *contents* remain deterministic.
+// config axes (governor, network, rung, seed), its CPU platform when it
+// has one, the first eight hex digits of its content address
+// (experiments.ConfigKey) and a per-name sequence number. Runs that share
+// a name up to the sequence number run the same config on the same
+// platform and so write the same bytes, which makes the directory's file
+// set a function of the experiments alone, whatever order runs complete
+// in.
 func traceDirFactory(dir string) experiments.TraceFactory {
 	var mu sync.Mutex
 	seq := make(map[string]int)
-	return func(cfg experiments.RunConfig) (trace.Tracer, func() error) {
+	return func(cfg experiments.RunConfig, rig string) (trace.Tracer, func() error) {
 		net := cfg.Net
 		if net == "" {
 			net = experiments.NetWiFi
 		}
 		base := fmt.Sprintf("%s_%s_%s_seed%d", cfg.Governor, net, cfg.Rung.Name, cfg.Seed)
+		if rig != "" {
+			base += "_" + rig
+		}
+		// Strict mode only observes a run, so it does not change the key.
+		cfg.Strict = false
+		if key, ok := experiments.ConfigKey(cfg); ok {
+			base += "_" + key[:8]
+		}
 		mu.Lock()
 		n := seq[base]
 		seq[base] = n + 1

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +98,50 @@ func TestTraceDirCoversPlatformRigs(t *testing.T) {
 	}
 	if len(files) != 11 {
 		t.Fatalf("-trace-dir wrote %d traces for f15,f21, want 11", len(files))
+	}
+}
+
+// TestTraceDirNamesRunsDeterministically checks that -trace-dir names
+// each run by what it simulates: F15's cluster-aware and big-only runs of
+// one config land in distinct files, the cluster-aware traces carry the
+// governor's decisions, and a serial and a parallel invocation write the
+// same file set, byte for byte.
+func TestTraceDirNamesRunsDeterministically(t *testing.T) {
+	read := func(parallel string) map[string][]byte {
+		t.Helper()
+		dir := t.TempDir()
+		captureStdout(t, func() error { return run([]string{"-exp", "f15,f21", "-parallel", parallel, "-trace-dir", dir}) })
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(files))
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f.Name()] = b
+		}
+		return out
+	}
+	serial, parallel := read("1"), read("4")
+	if len(serial) != 11 || len(parallel) != 11 {
+		t.Fatalf("wrote %d and %d traces for f15,f21, want 11 each", len(serial), len(parallel))
+	}
+	aware := 0
+	for name, b := range serial {
+		if !bytes.Equal(b, parallel[name]) {
+			t.Errorf("%s differs between a serial and a parallel invocation", name)
+		}
+		if strings.Contains(name, "_biglittle-aware_") {
+			aware++
+			if n := bytes.Count(b, []byte(`"ev":"decision"`)); n == 0 {
+				t.Errorf("%s: a cluster-aware trace with no governor decisions", name)
+			}
+		}
+	}
+	if aware != 4 {
+		t.Fatalf("%d cluster-aware traces, want F15's four", aware)
 	}
 }

@@ -4,7 +4,7 @@
 // single event slab multiplexes thousands of full-fidelity viewers
 // (experiments.Viewer: meter, core, governor, radio, downloader, player,
 // background load each); stream and bandwidth tables are shared immutably
-// across all of them via the experiments package caches, and viewers in
+// across all of them via the experiments input memo, and viewers in
 // one cell sector contend for real sector bandwidth. Results are
 // aggregated ONLINE — counters and mergeable quantile sketches
 // (stats.Sketch), never per-viewer result structs — so memory is

@@ -6,6 +6,7 @@ import (
 	"videodvfs/internal/cpu"
 	"videodvfs/internal/decode"
 	"videodvfs/internal/sim"
+	"videodvfs/internal/trace"
 	"videodvfs/internal/video"
 )
 
@@ -83,6 +84,12 @@ func NewClusterGovernor(big, little *cpu.Core, cfg ClusterConfig) (*ClusterGover
 // Name identifies the policy in reports.
 func (*ClusterGovernor) Name() string { return "energyaware-cluster" }
 
+// SetTracer attaches a structured tracer receiving one DecisionEvent per
+// decoded frame, as the single-core governor emits; its OPP is the index
+// on the cluster the frame was placed on. A nil tracer (the default)
+// performs no tracer calls.
+func (g *ClusterGovernor) SetTracer(tr trace.Tracer) { g.pol.SetTracer(tr) }
+
 // FramesOnLittle returns how many decode jobs ran on the little cluster.
 func (g *ClusterGovernor) FramesOnLittle() int { return g.framesOnLittle }
 
@@ -107,24 +114,30 @@ func (g *ClusterGovernor) StreamInfo(fps float64, totalFrames int) {
 // DecodeStart implements decode.Hooks: take the per-frame rule's need and
 // choose the cluster and OPP that meet it. A boost runs big at the top.
 func (g *ClusterGovernor) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
-	hz, _, _, _, boost := g.pol.need(now, f, deadline, ready, queueCap)
+	hz, pred, slack, budget, boost := g.pol.need(now, f, deadline, ready, queueCap)
+	var opp int
 	switch {
 	case boost:
-		g.placeBig(g.big.Model().MaxIdx())
+		opp = g.placeBig(g.big.Model().MaxIdx())
 	case hz <= g.cfg.LittleBias*g.little.Model().Fmax():
-		g.placeLittle(g.little.Model().IdxForFreq(hz))
+		opp = g.placeLittle(g.little.Model().IdxForFreq(hz))
 	default:
-		g.placeBig(g.big.Model().IdxForFreq(hz))
+		opp = g.placeBig(g.big.Model().IdxForFreq(hz))
+	}
+	if tr := g.pol.tracer; tr != nil {
+		tr.Decision(trace.DecisionEvent{T: now, Frame: f.Index, Type: f.Type,
+			PredCycles: pred, Slack: slack, Budget: budget, OPP: opp, Boost: boost})
 	}
 }
 
-func (g *ClusterGovernor) placeBig(opp int) {
+func (g *ClusterGovernor) placeBig(opp int) int {
 	g.route = g.big
 	g.framesOnBig++
 	g.big.SetOPP(opp)
+	return opp
 }
 
-func (g *ClusterGovernor) placeLittle(opp int) {
+func (g *ClusterGovernor) placeLittle(opp int) int {
 	g.route = g.little
 	g.framesOnLittle++
 	g.little.SetOPP(opp)
@@ -132,6 +145,7 @@ func (g *ClusterGovernor) placeLittle(opp int) {
 	if g.cfg.Policy.RaceToIdle {
 		g.big.SetOPP(0)
 	}
+	return opp
 }
 
 // DecodeEnd implements decode.Hooks.

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"math"
 
 	"videodvfs/internal/sim"
 )
@@ -16,18 +15,13 @@ type LoadGen struct {
 	core   *Core
 	rng    *sim.RNG
 	period sim.Time
-	meanCy float64
-	cv     float64
-	// mu/sigma are the lognormal parameters for (meanCy, cv), computed
-	// once per configuration instead of per tick; lognorm is false when
-	// cv ≤ 0, where LognormalMeanCV returns the mean without consuming a
-	// draw — the flattened path must preserve that draw count exactly.
-	mu, sigma float64
-	lognorm   bool
-	prio      Priority
-	tag       string
-	stop      bool
-	subErr    error
+	// size is the job-demand distribution, solved once per
+	// configuration instead of per tick.
+	size   sim.LognormalDist
+	prio   Priority
+	tag    string
+	stop   bool
+	subErr error
 	// fire is the pre-bound tick callback and pool recycles submitted
 	// jobs, so a running generator allocates nothing per job.
 	fire func()
@@ -86,25 +80,16 @@ func StartLoadGen(eng *sim.Engine, core *Core, rng *sim.RNG, cfg LoadGenConfig) 
 	return g, nil
 }
 
-// configure applies a validated config, precomputing the lognormal
-// parameters the tick path draws from.
+// configure applies a validated config, solving the job-size
+// distribution the tick path draws from.
 func (g *LoadGen) configure(cfg LoadGenConfig) {
 	if cfg.Tag == "" {
 		cfg.Tag = "background"
 	}
 	g.period = cfg.Period
-	g.meanCy = cfg.MeanCycles
-	g.cv = cfg.CV
+	g.size = sim.NewLognormalMeanCV(cfg.MeanCycles, cfg.CV)
 	g.prio = cfg.Priority
 	g.tag = cfg.Tag
-	g.lognorm = cfg.CV > 0 && cfg.MeanCycles > 0
-	if g.lognorm {
-		sigma2 := math.Log(1 + cfg.CV*cfg.CV)
-		g.mu = math.Log(cfg.MeanCycles) - sigma2/2
-		g.sigma = math.Sqrt(sigma2)
-	} else {
-		g.mu, g.sigma = 0, 0
-	}
 }
 
 // Restart rewinds a stopped (or abandoned) generator to the state
@@ -133,14 +118,8 @@ func (g *LoadGen) tick() {
 	if g.stop {
 		return
 	}
-	// Same draw as rng.LognormalMeanCV(meanCy, cv) with the parameters
-	// hoisted out of the loop: cv ≤ 0 takes the mean without a draw.
-	cycles := g.meanCy
-	if g.lognorm {
-		cycles = g.rng.Lognormal(g.mu, g.sigma)
-	}
 	j := g.pool.Get()
-	j.Cycles = cycles
+	j.Cycles = g.size.Draw(g.rng)
 	j.Priority = g.prio
 	j.Tag = g.tag
 	if err := g.core.Submit(j); err != nil && g.subErr == nil {

@@ -30,6 +30,12 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite rebuilds the full evaluation")
 	}
+	checkGoldenTables(t)
+}
+
+// checkGoldenTables builds every registry experiment and diffs its table
+// against the pinned rendering (or rewrites it under -update).
+func checkGoldenTables(t *testing.T) {
 	// Run the whole evaluation with the invariant checker armed: beyond
 	// byte-identical output, every run must also satisfy the simulator's
 	// conservation laws (DESIGN.md §10). Strict mode only observes the

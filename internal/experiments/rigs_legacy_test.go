@@ -60,7 +60,7 @@ func legacyRunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAwa
 		return ClusterResult{}, err
 	}
 
-	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed})
+	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed}, nil)
 	if err != nil {
 		return ClusterResult{}, err
 	}
@@ -158,7 +158,7 @@ func legacyRunSMP(cores int, res video.Resolution, dur sim.Time, seed int64) (SM
 		return SMPResult{}, err
 	}
 
-	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed})
+	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed}, nil)
 	if err != nil {
 		return SMPResult{}, err
 	}
@@ -247,7 +247,7 @@ func legacyRunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 			return
 		}
 		streams, _, gerr := buildRenditions(RunConfig{Title: video.TitleSports, Rung: video.R720p,
-			Duration: cfg.VideoDur, Seed: cfg.Seed + int64(i)})
+			Duration: cfg.VideoDur, Seed: cfg.Seed + int64(i)}, nil)
 		if gerr != nil {
 			if err == nil {
 				err = gerr

@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"videodvfs/internal/abr"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
 	"videodvfs/internal/invariant"
+	"videodvfs/internal/lru"
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
 	"videodvfs/internal/sim"
@@ -366,43 +368,105 @@ var (
 	bwConst8 netsim.Bandwidth = netsim.Constant{Bps: 8e6}
 )
 
-// bwKey identifies one deterministic Markov bandwidth trace. Generation is
-// a pure function of these fields, so identical requests share the
-// generated (read-only) trace.
-type bwKey struct {
+// inputKey identifies one generated run input by exactly what its
+// generator reads: a rendition by the video.Spec, duration and seed
+// video.Generate reads (net empty), a Markov bandwidth trace by its
+// network, duration and seed (spec zero). Equal keys mean bit-identical
+// inputs, so a fixed 720p run and a ladder run of the same title and
+// seed share one 720p rendition, and so do codec "" and "h264".
+type inputKey struct {
+	spec video.Spec
 	net  NetKind
 	dur  sim.Time
 	seed int64
 }
 
-// bwCache memoizes generated Markov traces across runs, mirroring
-// streamCache: traces are immutable after generation (Rate only reads), so
-// sharing them between concurrent runs is safe and changes no output.
-var bwCache inputCache[bwKey, netsim.Bandwidth]
-
-// inputCache is a package-wide memo of generated run inputs: a typed map
-// behind a read-write lock, so a hit boxes no key and asserts no type.
-// Generation is a pure function of the key, so when two runs race on the
-// same miss both values are identical and either may be kept.
-type inputCache[K comparable, V any] struct {
-	mu sync.RWMutex
-	m  map[K]V
+// input is one generated run input: a rendition or a bandwidth trace.
+type input struct {
+	stream *video.Stream
+	bw     netsim.Bandwidth
 }
 
-func (c *inputCache[K, V]) load(key K) (V, bool) {
-	c.mu.RLock()
-	v, ok := c.m[key]
-	c.mu.RUnlock()
+// inputBudget is the memo's byte budget. It covers every shipped working
+// set: run-sweep's pool of 16 content seeds holds 6.9 MB of inputs, and
+// the whole 30-experiment evaluation 2.3 MB.
+const inputBudget = 32 << 20
+
+// Bytes an input is charged: a rendition its frame array, a Markov trace
+// its step array. The headers around them are noise beside these.
+const (
+	frameBytes = int64(unsafe.Sizeof(video.Frame{}))
+	stepBytes  = int64(unsafe.Sizeof(netsim.Step{}))
+)
+
+// inputs memoizes generated run inputs across runs, cohort viewers and
+// dvfsd requests. Inputs are immutable after generation: sessions
+// segmentize renditions into subslices that decoders read in place, and
+// bandwidth traces are only read. Sharing them between concurrent runs is
+// therefore safe and changes no output; it only removes the setup cost of
+// regenerating them. Eviction drops the memo's reference only, so a run
+// still holding an evicted input keeps it, and a later miss regenerates
+// an identical one.
+var inputs = inputMemo{lru: lru.New[inputKey, input](inputBudget)}
+
+// inputMemo is a byte-bounded LRU of generated inputs plus its traffic
+// counters, all under one mutex: a hit reorders the LRU, so it cannot
+// take a read lock. A hit allocates nothing. Generation is a pure
+// function of the key, so when two runs race on the same miss both values
+// are identical and either may be kept.
+type inputMemo struct {
+	mu           sync.Mutex
+	lru          *lru.Cache[inputKey, input]
+	hits, misses int64
+}
+
+func (m *inputMemo) load(key inputKey) (input, bool) {
+	m.mu.Lock()
+	v, ok := m.lru.Get(key)
+	if ok {
+		m.hits++
+	} else {
+		m.misses++
+	}
+	m.mu.Unlock()
 	return v, ok
 }
 
-func (c *inputCache[K, V]) store(key K, v V) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]V)
+func (m *inputMemo) store(key inputKey, v input, cost int64) {
+	m.mu.Lock()
+	m.lru.Add(key, v, cost)
+	m.mu.Unlock()
+}
+
+// MemoStats is a snapshot of the generated-input memo's counters.
+type MemoStats struct {
+	// Hits and Misses count lookups; a miss generates the input.
+	Hits, Misses int64
+	// Evictions counts inputs dropped to stay within the budget.
+	Evictions int64
+	// Entries and Bytes describe what the memo holds now; Bytes never
+	// exceeds Budget.
+	Entries int
+	Bytes   int64
+	Budget  int64
+}
+
+// HitRatio returns hits / (hits + misses), 0 before the first lookup.
+func (s MemoStats) HitRatio() float64 {
+	if n := s.Hits + s.Misses; n > 0 {
+		return float64(s.Hits) / float64(n)
 	}
-	c.m[key] = v
-	c.mu.Unlock()
+	return 0
+}
+
+// InputMemoStats snapshots the memo of generated renditions and bandwidth
+// traces that every run draws its inputs from.
+func InputMemoStats() MemoStats {
+	m := &inputs
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return MemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.lru.Evictions(),
+		Entries: m.lru.Len(), Bytes: m.lru.Bytes(), Budget: m.lru.Budget()}
 }
 
 // buildBandwidth resolves the run's bandwidth model and RRC profile: the
@@ -421,9 +485,9 @@ func buildBandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
 			rrc = netsim.DefaultUMTS()
 			states, name = netsim.UMTSStates, "bw/umts"
 		}
-		key := bwKey{net: cfg.Net, dur: cfg.Duration, seed: cfg.Seed}
-		if cached, ok := bwCache.load(key); ok {
-			bw = cached
+		key := inputKey{net: cfg.Net, dur: cfg.Duration, seed: cfg.Seed}
+		if cached, ok := inputs.load(key); ok {
+			bw = cached.bw
 			break
 		}
 		tr, err := netsim.GenMarkovTrace(states(), cfg.Duration*4, sim.Stream(cfg.Seed, name))
@@ -431,14 +495,14 @@ func buildBandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
 			return nil, rrc, err
 		}
 		bw = tr
-		bwCache.store(key, bw)
+		inputs.store(key, input{bw: bw}, int64(cap(tr.Trace))*stepBytes)
 	case NetTrace:
 		if cfg.BWTrace == nil {
 			return nil, rrc, fmt.Errorf("experiments: net %q requires a bandwidth trace", NetTrace)
 		}
 		// Recorded traces are caller-owned and already immutable; no
-		// memoization needed (and the (net, dur, seed) bwCache key could
-		// not tell two different traces apart anyway).
+		// memoization needed (and a (net, dur, seed) key could not tell
+		// two different traces apart anyway).
 		bw = *cfg.BWTrace
 	default:
 		return nil, rrc, fmt.Errorf("experiments: unknown network kind %q", cfg.Net)
@@ -476,27 +540,6 @@ func buildForecast(cfg RunConfig, bw netsim.Bandwidth) (player.Forecast, error) 
 	}
 }
 
-// streamKey identifies one deterministic rendition-set request. Generation
-// is a pure function of these fields, so identical requests can share the
-// generated (read-only) streams.
-type streamKey struct {
-	title  video.Title
-	rung   video.Resolution
-	codec  string
-	ladder bool
-	fps    float64
-	dur    sim.Time
-	seed   int64
-}
-
-// streamCache memoizes generated rendition sets across runs. Streams are
-// immutable after Generate: sessions segmentize them into subslices and
-// decoders read those frames in place, never writing them. Sharing them
-// between concurrent campaign runs and cohort viewers is therefore safe
-// and changes no output — it only removes the dominant setup cost of
-// repeated runs.
-var streamCache inputCache[streamKey, []*video.Stream]
-
 // abrFixed0 is the shared fixed-rung adaptation value: abr.Fixed is a
 // stateless value type, and a package-level interface value keeps the
 // per-run boxing allocation off the arena's reset path.
@@ -510,31 +553,25 @@ func (cfg RunConfig) frameRate() float64 {
 	return cfg.FPS
 }
 
-func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
-	fps := cfg.frameRate()
+// defaultLadder is the rung list every ladder run streams; read-only.
+var defaultLadder = video.DefaultLadder()
+
+// buildRenditions resolves the run's renditions and adaptation algorithm:
+// the frame trace, the pinned rung, or every rung of the default ladder
+// under an adaptive ABR. The renditions are appended to buf[:0], a
+// caller-owned buffer, and each comes from the input memo or is generated
+// and memoized on a miss, so a run whose inputs are all memoized
+// allocates nothing here.
+func buildRenditions(cfg RunConfig, buf []*video.Stream) ([]*video.Stream, abr.Algorithm, error) {
+	buf = buf[:0]
 	if cfg.Trace != nil {
 		if len(cfg.Trace.Frames) == 0 {
 			return nil, nil, fmt.Errorf("experiments: empty frame trace")
 		}
-		return []*video.Stream{cfg.Trace}, abrFixed0, nil
+		return append(buf, cfg.Trace), abrFixed0, nil
 	}
-	algo, key := abrFixed0, streamKey{title: cfg.Title, codec: cfg.Codec, fps: fps, dur: cfg.Duration, seed: cfg.Seed}
-	if cfg.ABR == "" || cfg.ABR == ABRFixed {
-		key.rung = cfg.Rung
-	} else {
-		var err error
-		if algo, err = abr.New(string(cfg.ABR)); err != nil {
-			return nil, nil, err
-		}
-		key.ladder = true
-	}
-	if cached, ok := streamCache.load(key); ok {
-		return cached, algo, nil
-	}
-	// Codec resolution waits for a miss: the default codec's construction
-	// allocates, and a bad codec name can never have been cached
-	// (generation would have failed). The ladder generator ignores the
-	// codec, but a bad name must still fail the run as it always has.
+	// A bad codec name fails the run even under a ladder, whose
+	// renditions are always generated with the default codec.
 	codec := video.DefaultCodec()
 	if cfg.Codec != "" {
 		var err error
@@ -542,22 +579,43 @@ func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
 			return nil, nil, err
 		}
 	}
-	var streams []*video.Stream
-	var err error
-	if key.ladder {
-		streams, err = video.GenerateLadder(cfg.Title, fps, video.DefaultLadder(), cfg.Duration, cfg.Seed)
-	} else {
+	fps := cfg.frameRate()
+	if cfg.ABR == "" || cfg.ABR == ABRFixed {
 		spec := video.DefaultSpec(cfg.Title, cfg.Rung).WithCodec(codec)
 		spec.FPS = fps
-		var s *video.Stream
-		s, err = video.Generate(spec, cfg.Duration, cfg.Seed)
-		streams = []*video.Stream{s}
+		s, err := rendition(spec, cfg.Duration, cfg.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		return append(buf, s), abrFixed0, nil
 	}
+	algo, err := abr.New(string(cfg.ABR))
 	if err != nil {
 		return nil, nil, err
 	}
-	streamCache.store(key, streams)
-	return streams, algo, nil
+	for _, rung := range defaultLadder {
+		s, err := rendition(rung.Spec(cfg.Title, fps), cfg.Duration, cfg.Seed)
+		if err != nil {
+			return nil, nil, fmt.Errorf("rung %s: %w", rung.Res.Name, err)
+		}
+		buf = append(buf, s)
+	}
+	return buf, algo, nil
+}
+
+// rendition returns the stream video.Generate synthesizes for (spec, dur,
+// seed), from the input memo when it holds it.
+func rendition(spec video.Spec, dur sim.Time, seed int64) (*video.Stream, error) {
+	key := inputKey{spec: spec, dur: dur, seed: seed}
+	if cached, ok := inputs.load(key); ok {
+		return cached.stream, nil
+	}
+	s, err := video.Generate(spec, dur, seed)
+	if err != nil {
+		return nil, err
+	}
+	inputs.store(key, input{stream: s}, int64(cap(s.Frames))*frameBytes)
+	return s, nil
 }
 
 // ErrCanceled reports a run aborted because its RunConfig.Cancel channel

@@ -123,7 +123,7 @@ func (s *Session) Reset(cfg RunConfig) (err error) {
 	tr := cfg.Tracer
 	if tr == nil {
 		if f := currentTraceFactory(); f != nil {
-			tr, s.run.closeTrace = f(cfg)
+			tr, s.run.closeTrace = f(cfg, s.v.plat.name())
 		}
 	}
 	chk := buildChecker(cfg)

@@ -9,10 +9,13 @@ import (
 )
 
 // TraceFactory supplies a tracer for a run whose config does not carry
-// one. It returns the tracer plus a close function invoked after the run
-// finishes (nil if nothing needs closing). Factories must be safe for
-// concurrent calls: batch runners invoke Run from many goroutines.
-type TraceFactory func(cfg RunConfig) (trace.Tracer, func() error)
+// one. rig names the CPU platform a RunCluster or RunSMP run simulates
+// ("biglittle", "biglittle-aware", "smp2", …) and is empty for the single
+// core every other run has, so one config run on two platforms can be
+// told apart. It returns the tracer plus a close function invoked after
+// the run finishes (nil if nothing needs closing). Factories must be safe
+// for concurrent calls: batch runners invoke Run from many goroutines.
+type TraceFactory func(cfg RunConfig, rig string) (trace.Tracer, func() error)
 
 var (
 	traceFactoryMu sync.RWMutex

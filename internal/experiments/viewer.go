@@ -54,7 +54,7 @@ type ViewerOptions struct {
 //   - a cohort shard multiplexes thousands of viewers over one SHARED
 //     engine that no viewer owns or stops. N viewers over one engine is
 //     the cohort substrate: one event slab, one clock, shared immutable
-//     stream/bandwidth tables (the package caches), per-viewer
+//     stream/bandwidth tables (the input memo), per-viewer
 //     everything else;
 //   - RunPlaylist (T7) plays clips in turn on one viewer's device
 //     (playNext), and the live player-driver (stress.Play) is a viewer
@@ -120,6 +120,21 @@ type platform struct {
 	little  *cpu.Core
 	work    *cpu.Core // the core network and background jobs run on
 	cluster *core.ClusterGovernor
+}
+
+// name labels the platform for trace factories: "" for the single core,
+// "biglittle" or "biglittle-aware" for a pair, "smp<cores>" for a domain.
+func (p *platform) name() string {
+	switch {
+	case p == nil:
+		return ""
+	case p.clusterAware:
+		return "biglittle-aware"
+	case p.bigLittle:
+		return "biglittle"
+	default:
+		return fmt.Sprintf("smp%d", p.cores)
+	}
 }
 
 // activityHooks decorates SessionHooks with a second download-activity
@@ -296,7 +311,11 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		v.bgActive = true
 	}
 
-	renditions, algo, err := buildRenditions(cfg)
+	// The player copies what it needs out of the rendition list (its
+	// segment tables), so the list lives on the stack: one slot per
+	// default-ladder rung.
+	var buf [4]*video.Stream
+	renditions, algo, err := buildRenditions(cfg, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -394,8 +413,13 @@ func (v *Viewer) attachGovernor(cfg RunConfig, tr trace.Tracer) error {
 	p := v.plat
 	if p != nil && p.clusterAware {
 		var err error
-		p.cluster, err = core.NewClusterGovernor(v.core, p.little, core.DefaultClusterConfig())
-		return err
+		if p.cluster, err = core.NewClusterGovernor(v.core, p.little, core.DefaultClusterConfig()); err != nil {
+			return err
+		}
+		if tr != nil {
+			p.cluster.SetTracer(tr)
+		}
+		return nil
 	}
 	var gov governor.Governor
 	switch cfg.Governor {
@@ -477,7 +501,8 @@ func (v *Viewer) playerConfig(cfg RunConfig, algo abr.Algorithm, hooks player.Se
 // clip's player has finished; any of its leftover events fire on it
 // harmlessly. A playlist clip has no forecast and no tracer.
 func (v *Viewer) playNext(cfg RunConfig) error {
-	renditions, algo, err := buildRenditions(cfg)
+	var buf [4]*video.Stream
+	renditions, algo, err := buildRenditions(cfg, buf[:0])
 	if err != nil {
 		return err
 	}

@@ -152,9 +152,10 @@ func NewRadio(eng *sim.Engine, cfg RRCConfig) (*Radio, error) {
 // Reset rewinds the radio to the state NewRadio would construct for cfg,
 // keeping its allocations: the waiter double buffer, the tail timeouts,
 // and the pre-bound promotion callback survive. Listeners and the tracer
-// are dropped (the next run re-registers its own). The owning engine must
-// be reset alongside: pending tail expiries and promotions are simply
-// forgotten here, which the engine reset's generation bump makes safe.
+// are dropped (the next run re-registers its own). A pending promotion
+// and the tail timers are canceled, so the radio can be rewound on an
+// engine that keeps running; after an Engine.Reset their handles are
+// stale and the cancels are no-ops.
 func (r *Radio) Reset(cfg RRCConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -173,6 +174,7 @@ func (r *Radio) Reset(cfg RRCConfig) error {
 	r.waitersSpare = r.waitersSpare[:0]
 	r.t1.Rebind(cfg.T1)
 	r.t2.Rebind(cfg.T2)
+	r.eng.Cancel(r.promoEv)
 	r.promoEv = sim.Event{}
 	r.onPower = nil
 	r.onState = nil

@@ -400,3 +400,44 @@ func TestRadioResidencyMatchesClockBothDormancyModes(t *testing.T) {
 		}
 	}
 }
+
+// TestRadioResetCancelsWhatItScheduled rewinds a radio on an engine that
+// keeps running, as a shared cohort engine would: neither a promotion in
+// flight nor the tail timers of a finished burst may fire into the
+// rewound radio.
+func TestRadioResetCancelsWhatItScheduled(t *testing.T) {
+	cfg := DefaultUMTS()
+	eng, r := newRadio(t, cfg)
+	var changes []RRCState
+	reset := func() {
+		t.Helper()
+		if err := r.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		changes = changes[:0]
+		r.OnState(func(_ sim.Time, s RRCState) { changes = append(changes, s) })
+	}
+
+	// A promotion in flight: the reset radio stays in IDLE.
+	ready := false
+	r.BeginActivity(func() { ready = true })
+	reset()
+	eng.RunUntil(eng.Now() + 2*(cfg.PromoIdle+cfg.T1+cfg.T2))
+	if ready || r.State() != StateIdle || r.Promotions() != 0 || len(changes) != 0 {
+		t.Fatalf("after a reset mid-promotion: ready %v, state %v, %d promotions, transitions %v",
+			ready, r.State(), r.Promotions(), changes)
+	}
+
+	// The tails of a finished burst: a new burst after the reset stays in
+	// DCH past where the old T1 and T2 were due.
+	r.BeginActivity(func() {})
+	eng.RunUntil(eng.Now() + cfg.PromoIdle)
+	r.EndActivity()
+	reset()
+	r.BeginActivity(func() { r.SetTransferring(true) })
+	eng.RunUntil(eng.Now() + 2*(cfg.PromoIdle+cfg.T1+cfg.T2))
+	if r.State() != StateDCH || r.Promotions() != 1 || len(changes) != 1 || changes[0] != StateDCH {
+		t.Fatalf("after a reset with tails armed: state %v, %d promotions, transitions %v",
+			r.State(), r.Promotions(), changes)
+	}
+}

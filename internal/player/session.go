@@ -30,12 +30,11 @@ type Session struct {
 	cfg   Config
 	hooks SessionHooks
 
-	renditions []*video.Stream
-	segments   []segTable // per rendition, parallel to renditions
-	rates      []float64  // per-rendition bitrates, handed to the ABR
-	fps        float64
-	numSegs    int
-	total      int
+	segments []segTable // per rendition, in ladder order
+	rates    []float64  // per-rendition bitrates, handed to the ABR
+	fps      float64
+	numSegs  int
+	total    int
 
 	dec *decode.Decoder
 
@@ -98,7 +97,9 @@ type segTable struct {
 // NewSession builds a session over scene-aligned renditions (one per
 // ladder rung, ascending bitrate; a single rendition is fine with a Fixed
 // ABR). core may be a single cpu.Core or a cluster router implementing
-// decode.Submitter.
+// decode.Submitter. The session keeps the streams, not the slice, so the
+// caller may reuse the slice's backing array once NewSession or Reset
+// returns.
 func NewSession(eng *sim.Engine, core decode.Submitter, fet Fetcher, renditions []*video.Stream, cfg Config) (*Session, error) {
 	if fet == nil || core == nil {
 		return nil, fmt.Errorf("player: fetcher and core are required")
@@ -158,7 +159,6 @@ func (s *Session) configure(renditions []*video.Stream, cfg Config) error {
 	}
 	s.cfg = cfg
 	s.hooks = hooks
-	s.renditions = renditions
 	s.fps = base.Spec.FPS
 	s.total = len(base.Frames)
 	if cap(s.rates) < len(renditions) {

@@ -1,8 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"sync"
+
+	"videodvfs/internal/lru"
 )
 
 // cacheStats is a point-in-time snapshot of the result cache's counters.
@@ -49,18 +50,10 @@ type flight struct {
 // entries have no TTL and invalidation does not exist — the only reason
 // to drop an entry is the byte bound.
 type resultCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	size     int64
-	ll       *list.List // MRU at front; values are *cacheEntry
-	items    map[string]*list.Element
-	flights  map[string]*flight
-	stats    cacheStats
-}
-
-type cacheEntry struct {
-	key  string
-	body []byte
+	mu      sync.Mutex
+	bodies  *lru.Cache[string, []byte] // charged len(body)
+	flights map[string]*flight
+	stats   cacheStats
 }
 
 // newResultCache returns a cache bounded to maxBytes of body bytes.
@@ -68,10 +61,8 @@ type cacheEntry struct {
 // keeps the singleflight behavior but no residency.
 func newResultCache(maxBytes int64) *resultCache {
 	return &resultCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
+		bodies:  lru.New[string, []byte](maxBytes),
+		flights: make(map[string]*flight),
 	}
 }
 
@@ -92,10 +83,8 @@ const (
 // cached — the next request retries.
 func (c *resultCache) Do(key string, compute func() ([]byte, error)) ([]byte, cacheOutcome, error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if body, ok := c.bodies.Get(key); ok {
 		c.stats.Hits++
-		body := el.Value.(*cacheEntry).body
 		c.mu.Unlock()
 		return body, cacheHit, nil
 	}
@@ -116,7 +105,7 @@ func (c *resultCache) Do(key string, compute func() ([]byte, error)) ([]byte, ca
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil {
-		c.insert(key, f.body)
+		c.bodies.Add(key, f.body, int64(len(f.body)))
 	}
 	c.mu.Unlock()
 	return f.body, cacheMiss, f.err
@@ -126,39 +115,11 @@ func (c *resultCache) Do(key string, compute func() ([]byte, error)) ([]byte, ca
 func (c *resultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+	body, ok := c.bodies.Get(key)
+	if ok {
+		c.stats.Hits++
 	}
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*cacheEntry).body, true
-}
-
-// insert stores body under key and evicts from the LRU tail until the
-// byte bound holds. Bodies larger than the whole bound are not stored.
-// Callers hold c.mu.
-func (c *resultCache) insert(key string, body []byte) {
-	if int64(len(body)) > c.maxBytes {
-		return
-	}
-	if el, ok := c.items[key]; ok { // lost a benign race: already stored
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-	c.size += int64(len(body))
-	for c.size > c.maxBytes {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
-		}
-		ent := tail.Value.(*cacheEntry)
-		c.ll.Remove(tail)
-		delete(c.items, ent.key)
-		c.size -= int64(len(ent.body))
-		c.stats.Evictions++
-	}
+	return body, ok
 }
 
 // Stats snapshots the counters.
@@ -166,7 +127,8 @@ func (c *resultCache) Stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.ll.Len()
-	s.Bytes = c.size
+	s.Evictions = c.bodies.Evictions()
+	s.Entries = c.bodies.Len()
+	s.Bytes = c.bodies.Bytes()
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"videodvfs/internal/experiments"
 	"videodvfs/internal/stats"
 )
 
@@ -79,7 +80,7 @@ func (m *metrics) runQuantiles() (p50, p99 float64) {
 // render writes the metrics in Prometheus-style text exposition format.
 // Gauges owned by other components (queue depth, cache counters) are
 // passed in so /metrics is a consistent point-in-time snapshot.
-func (m *metrics) render(b *strings.Builder, queueDepth, queueCap, active, workers int, cs cacheStats) {
+func (m *metrics) render(b *strings.Builder, queueDepth, queueCap, active, workers int, cs cacheStats, ms experiments.MemoStats) {
 	uptime := time.Since(m.start).Seconds()
 	fmt.Fprintf(b, "dvfsd_uptime_seconds %g\n", uptime)
 
@@ -119,4 +120,14 @@ func (m *metrics) render(b *strings.Builder, queueDepth, queueCap, active, worke
 	fmt.Fprintf(b, "dvfsd_cache_entries %d\n", cs.Entries)
 	fmt.Fprintf(b, "dvfsd_cache_bytes %d\n", cs.Bytes)
 	fmt.Fprintf(b, "dvfsd_cache_hit_ratio %g\n", cs.HitRatio())
+
+	// The generated-input memo behind every simulation: renditions and
+	// bandwidth traces, bounded by its byte budget.
+	fmt.Fprintf(b, "dvfsd_memo_hits_total %d\n", ms.Hits)
+	fmt.Fprintf(b, "dvfsd_memo_misses_total %d\n", ms.Misses)
+	fmt.Fprintf(b, "dvfsd_memo_evictions_total %d\n", ms.Evictions)
+	fmt.Fprintf(b, "dvfsd_memo_entries %d\n", ms.Entries)
+	fmt.Fprintf(b, "dvfsd_memo_bytes %d\n", ms.Bytes)
+	fmt.Fprintf(b, "dvfsd_memo_budget_bytes %d\n", ms.Budget)
+	fmt.Fprintf(b, "dvfsd_memo_hit_ratio %g\n", ms.HitRatio())
 }

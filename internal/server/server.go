@@ -883,7 +883,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	s.met.render(&b, s.pool.QueueDepth(), s.pool.Capacity(), s.pool.Active(), s.pool.Workers(), s.cache.Stats())
+	s.met.render(&b, s.pool.QueueDepth(), s.pool.Capacity(), s.pool.Active(), s.pool.Workers(), s.cache.Stats(), experiments.InputMemoStats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(b.String()))
 }

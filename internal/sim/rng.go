@@ -105,17 +105,42 @@ func (g *RNG) Lognormal(mu, sigma float64) float64 {
 
 // LognormalMeanCV returns a lognormal draw parameterized by its own mean
 // and coefficient of variation (stddev/mean), which is how decode-demand
-// variability is usually reported.
+// variability is usually reported. A caller drawing many times from one
+// distribution solves it once with NewLognormalMeanCV instead.
 func (g *RNG) LognormalMeanCV(mean, cv float64) float64 {
+	return NewLognormalMeanCV(mean, cv).Draw(g)
+}
+
+// LognormalDist is a lognormal distribution given by its mean and
+// coefficient of variation, with μ and σ solved once at construction: a
+// Draw costs one Gaussian draw and one exp, where LognormalMeanCV also
+// pays two logs and a square root. Draw returns, bit for bit and draw for
+// draw, what LognormalMeanCV(mean, cv) returns on the same stream.
+type LognormalDist struct {
+	mean, mu, sigma float64
+	// draws is false when mean ≤ 0 or cv ≤ 0: Draw then returns the
+	// mean (0 for mean ≤ 0) and consumes no draw.
+	draws bool
+}
+
+// NewLognormalMeanCV solves the lognormal with the given mean and CV.
+func NewLognormalMeanCV(mean, cv float64) LognormalDist {
 	if mean <= 0 {
-		return 0
+		return LognormalDist{}
 	}
 	if cv <= 0 {
-		return mean
+		return LognormalDist{mean: mean}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return g.Lognormal(mu, math.Sqrt(sigma2))
+	return LognormalDist{mean: mean, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2), draws: true}
+}
+
+// Draw returns one draw from d on the stream g.
+func (d LognormalDist) Draw(g *RNG) float64 {
+	if !d.draws {
+		return d.mean
+	}
+	return g.Lognormal(d.mu, d.sigma)
 }
 
 // Exp returns an exponential draw with the given mean (not rate).

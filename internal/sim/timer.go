@@ -90,11 +90,11 @@ func (t *Timeout) Stop() {
 	t.pending = Event{}
 }
 
-// Rebind reconfigures the delay and forgets any pending expiry without
-// touching the engine. It exists for arena reuse after Engine.Reset, when
-// the handle is already stale: the timeout returns to its disarmed
-// just-constructed state with the new delay.
+// Rebind disarms the timeout, canceling any pending expiry, and
+// reconfigures its delay: the timeout returns to its disarmed
+// just-constructed state with the new delay. After an Engine.Reset the
+// handle is already stale and the cancel is a no-op.
 func (t *Timeout) Rebind(d Time) {
+	t.Stop()
 	t.d = d
-	t.pending = Event{}
 }

@@ -8,7 +8,8 @@ import "fmt"
 //
 // The two-term form captures that decode cost has a resolution-proportional
 // part (pixel reconstruction, deblocking) and a bitrate-proportional part
-// (entropy decoding), as decoder profiling consistently shows.
+// (entropy decoding), as decoder profiling consistently shows. A Codec is
+// a comparable value, so a Spec is too.
 type Codec struct {
 	// Name identifies the codec in reports ("h264", "hevc").
 	Name string
@@ -20,11 +21,13 @@ type Codec struct {
 	// BitCycles is the cycles spent per coded bit.
 	BitCycles float64
 	// TypeCycleMult scales cycles by frame type (I frames touch more
-	// intra prediction, B frames skip more macroblocks).
-	TypeCycleMult map[FrameType]float64
+	// intra prediction, B frames skip more macroblocks). It is indexed by
+	// FrameType; index 0 is unused.
+	TypeCycleMult [FrameB + 1]float64
 	// TypeBitWeight sets the relative coded size of frame types within a
-	// GOP's bit budget (I frames are several times larger than P).
-	TypeBitWeight map[FrameType]float64
+	// GOP's bit budget (I frames are several times larger than P). It is
+	// indexed by FrameType; index 0 is unused.
+	TypeBitWeight [FrameB + 1]float64
 	// JitterCV is the per-frame lognormal coefficient of variation.
 	JitterCV float64
 }
@@ -38,12 +41,12 @@ func DefaultCodec() Codec {
 		RateFactor:  1.0,
 		PixelCycles: 12.0,
 		BitCycles:   50.0,
-		TypeCycleMult: map[FrameType]float64{
+		TypeCycleMult: [FrameB + 1]float64{
 			FrameI: 1.20,
 			FrameP: 1.00,
 			FrameB: 0.85,
 		},
-		TypeBitWeight: map[FrameType]float64{
+		TypeBitWeight: [FrameB + 1]float64{
 			FrameI: 4.0,
 			FrameP: 1.5,
 			FrameB: 0.7,
@@ -65,12 +68,16 @@ func HEVCCodec() Codec {
 	return c
 }
 
+// builtinCodecs are the built-in codec models. A Codec is a plain value,
+// so CodecByName copies one out without allocating.
+var builtinCodecs = [...]Codec{DefaultCodec(), HEVCCodec()}
+
 // Codecs returns the built-in codec models.
-func Codecs() []Codec { return []Codec{DefaultCodec(), HEVCCodec()} }
+func Codecs() []Codec { return append([]Codec(nil), builtinCodecs[:]...) }
 
 // CodecByName returns a built-in codec model.
 func CodecByName(name string) (Codec, error) {
-	for _, c := range Codecs() {
+	for _, c := range builtinCodecs {
 		if c.Name == name {
 			return c, nil
 		}

@@ -236,14 +236,18 @@ func Generate(spec Spec, dur sim.Time, seed int64) (*Stream, error) {
 	n := int(count)
 	types := spec.gopTypes()
 	meanBits := spec.meanBitsTable(spec.Codec)
+	// The two per-frame jitters are solved once: each draw is the one
+	// LognormalMeanCV would make, without its logs and square root.
+	bitJitter := sim.NewLognormalMeanCV(1, spec.Codec.JitterCV)
+	cycleJitter := sim.NewLognormalMeanCV(1, spec.Codec.JitterCV/2)
 	frames := make([]Frame, 0, n)
 	for i := 0; i < n; i++ {
 		t := types[i%len(types)]
 		pts := sim.Time(float64(i) / spec.FPS)
 		drift := spec.Title.Complexity * scenes.multAt(pts)
-		bits := meanBits[t] * drift * frameRNG.LognormalMeanCV(1, spec.Codec.JitterCV)
+		bits := meanBits[t] * drift * bitJitter.Draw(frameRNG)
 		cycles := (spec.Codec.PixelCycles*spec.Res.Pixels() + spec.Codec.BitCycles*bits) *
-			spec.Codec.TypeCycleMult[t] * drift * frameRNG.LognormalMeanCV(1, spec.Codec.JitterCV/2)
+			spec.Codec.TypeCycleMult[t] * drift * cycleJitter.Draw(frameRNG)
 		frames = append(frames, Frame{Index: i, Type: t, PTS: pts, Bits: bits, Cycles: cycles})
 	}
 	return &Stream{Spec: spec, Frames: frames}, nil
@@ -255,6 +259,15 @@ type Rung struct {
 	Res Resolution
 	// BitrateBps is the rendition's average rate.
 	BitrateBps float64
+}
+
+// Spec is the recipe GenerateLadder synthesizes the rung's rendition of
+// title at fps from: the default spec at the rung's resolution and rate.
+func (r Rung) Spec(title Title, fps float64) Spec {
+	spec := DefaultSpec(title, r.Res)
+	spec.FPS = fps
+	spec.BitrateBps = r.BitrateBps
+	return spec
 }
 
 // DefaultLadder returns the standard 4-rung DASH-style ladder.
@@ -277,10 +290,7 @@ func GenerateLadder(title Title, fps float64, ladder []Rung, dur sim.Time, seed 
 	}
 	out := make([]*Stream, 0, len(ladder))
 	for _, rung := range ladder {
-		spec := DefaultSpec(title, rung.Res)
-		spec.FPS = fps
-		spec.BitrateBps = rung.BitrateBps
-		s, err := Generate(spec, dur, seed)
+		s, err := Generate(rung.Spec(title, fps), dur, seed)
 		if err != nil {
 			return nil, fmt.Errorf("rung %s: %w", rung.Res.Name, err)
 		}

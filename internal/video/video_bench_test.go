@@ -31,3 +31,15 @@ func BenchmarkSegmentize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenerateLadder measures synthesizing 30 s of every rung of
+// DefaultLadder: the generation a ladder request pays on a memo miss.
+func BenchmarkGenerateLadder(b *testing.B) {
+	ladder := DefaultLadder()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateLadder(TitleSports, 30, ladder, 30*sim.Second, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
