@@ -29,8 +29,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"videodvfs/internal/sim"
 )
 
 // Job computes one value. Jobs run concurrently and must not share
@@ -71,9 +69,6 @@ type Options[T any] struct {
 	// Observer receives progress events (nil = none). Calls are
 	// serialized by the pool, so observers need no locking.
 	Observer Observer
-	// Virtual extracts a completed job's simulated virtual time, credited
-	// to Progress.Virtual for throughput reporting (nil = no credit).
-	Virtual func(T) sim.Time
 }
 
 // Do executes jobs across a worker pool and returns their outcomes in
@@ -102,11 +97,7 @@ func Do[T any](jobs []Job[T], opts Options[T]) []Outcome[T] {
 			for i := range indices {
 				tr.started(i)
 				out[i] = runOne(i, jobs[i])
-				var virtual sim.Time
-				if opts.Virtual != nil && out[i].Err == nil {
-					virtual = opts.Virtual(out[i].Value)
-				}
-				tr.finished(i, out[i].Err, virtual)
+				tr.finished(i, out[i].Err)
 			}
 		}()
 	}
@@ -156,9 +147,6 @@ type Progress struct {
 	Failed int
 	// Wall is the elapsed wall-clock time since Do began.
 	Wall time.Duration
-	// Virtual is the total simulated virtual time of successful jobs
-	// (zero unless Options.Virtual is set).
-	Virtual sim.Time
 }
 
 // RunsPerSec returns completed jobs per wall-clock second.
@@ -167,16 +155,6 @@ func (p Progress) RunsPerSec() float64 {
 		return 0
 	}
 	return float64(p.Completed) / p.Wall.Seconds()
-}
-
-// Speedup returns virtual seconds simulated per wall-clock second — the
-// figure of merit for a simulation campaign (0 unless virtual time is
-// tracked).
-func (p Progress) Speedup() float64 {
-	if p.Wall <= 0 {
-		return 0
-	}
-	return p.Virtual.Seconds() / p.Wall.Seconds()
 }
 
 // tracker serializes progress accounting and observer callbacks.
@@ -208,14 +186,13 @@ func (t *tracker) started(i int) {
 	}
 }
 
-func (t *tracker) finished(i int, err error, virtual sim.Time) {
+func (t *tracker) finished(i int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.p.Completed++
 	if err != nil {
 		t.p.Failed++
 	}
-	t.p.Virtual += virtual
 	t.p.Wall = t.clock()
 	if t.obs != nil {
 		t.obs.JobDone(i, err, t.p)

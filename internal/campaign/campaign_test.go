@@ -107,7 +107,6 @@ func TestObserverEventsAndProgress(t *testing.T) {
 	Do(jobs, Options[int]{
 		Workers:  4,
 		Observer: obs,
-		Virtual:  func(v int) sim.Time { return sim.Second },
 	})
 	if obs.started != 20 || obs.done != 20 || obs.failed != 1 || obs.batchDone != 1 {
 		t.Fatalf("event counts wrong: %+v", obs)
@@ -116,25 +115,18 @@ func TestObserverEventsAndProgress(t *testing.T) {
 	if p.Total != 20 || p.Started != 20 || p.Completed != 20 || p.Failed != 1 {
 		t.Fatalf("final progress wrong: %+v", p)
 	}
-	// 19 successful jobs × 1 virtual second; the failed job earns none.
-	if p.Virtual != 19*sim.Second {
-		t.Fatalf("virtual time %v, want 19s", p.Virtual)
-	}
-	if p.Wall < 0 || p.RunsPerSec() < 0 || p.Speedup() < 0 {
+	if p.Wall < 0 || p.RunsPerSec() < 0 {
 		t.Fatalf("throughput metrics negative: %+v", p)
 	}
 }
 
 func TestProgressRates(t *testing.T) {
-	p := Progress{Completed: 50, Wall: 2e9, Virtual: 600 * sim.Second}
+	p := Progress{Completed: 50, Wall: 2e9}
 	if got := p.RunsPerSec(); got != 25 {
 		t.Fatalf("RunsPerSec = %v, want 25", got)
 	}
-	if got := p.Speedup(); got != 300 {
-		t.Fatalf("Speedup = %v, want 300", got)
-	}
 	var zero Progress
-	if zero.RunsPerSec() != 0 || zero.Speedup() != 0 {
+	if zero.RunsPerSec() != 0 {
 		t.Fatal("zero progress should report zero rates")
 	}
 }
@@ -151,11 +143,6 @@ func TestLogObserverOutput(t *testing.T) {
 			t.Fatalf("log output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestNopObserver(t *testing.T) {
-	// Must be safe to use and do nothing.
-	Do(squareJobs(3), Options[int]{Observer: NopObserver{}})
 }
 
 func TestDoDeterministicAcrossWorkerCounts(t *testing.T) {

@@ -18,18 +18,6 @@ type Observer interface {
 	BatchDone(p Progress)
 }
 
-// NopObserver ignores every event.
-type NopObserver struct{}
-
-// JobStarted implements Observer.
-func (NopObserver) JobStarted(int, Progress) {}
-
-// JobDone implements Observer.
-func (NopObserver) JobDone(int, error, Progress) {}
-
-// BatchDone implements Observer.
-func (NopObserver) BatchDone(Progress) {}
-
 // LogObserver prints progress lines to a writer: one line every Every
 // completions (and on failures), plus a summary line at the end.
 type LogObserver struct {
@@ -59,13 +47,6 @@ func (o *LogObserver) JobDone(i int, err error, p Progress) {
 
 // BatchDone implements Observer.
 func (o *LogObserver) BatchDone(p Progress) {
-	// Jobs without a Virtual extractor accumulate no virtual time; skip
-	// the meaningless "0 virtual-s/wall-s" in that case.
-	if p.Virtual > 0 {
-		fmt.Fprintf(o.W, "campaign: done %d runs (%d failed) in %.1fs — %.1f runs/s, %.0f virtual-s/wall-s\n",
-			p.Completed, p.Failed, p.Wall.Seconds(), p.RunsPerSec(), p.Speedup())
-		return
-	}
 	fmt.Fprintf(o.W, "campaign: done %d runs (%d failed) in %.1fs — %.1f runs/s\n",
 		p.Completed, p.Failed, p.Wall.Seconds(), p.RunsPerSec())
 }

@@ -10,34 +10,10 @@ import (
 	"videodvfs/internal/video"
 )
 
-// ClusterConfig tunes the big.LITTLE extension of the energy-aware
-// governor.
-type ClusterConfig struct {
-	// Policy is the per-frame frequency policy shared with the
-	// single-core governor.
-	Policy Config
-	// LittleBias places a frame on the little cluster when its required
-	// frequency fits under this fraction of the little core's fmax.
-	// Below 1 it leaves headroom for the little cluster's own
-	// background load.
-	LittleBias float64
-}
-
-// DefaultClusterConfig returns the paper-default cluster tuning.
-func DefaultClusterConfig() ClusterConfig {
-	return ClusterConfig{Policy: DefaultConfig(), LittleBias: 0.85}
-}
-
-// Validate checks the configuration.
-func (c ClusterConfig) Validate() error {
-	if err := c.Policy.Validate(); err != nil {
-		return err
-	}
-	if c.LittleBias <= 0 || c.LittleBias > 1 {
-		return fmt.Errorf("cluster: little bias %v outside (0, 1]", c.LittleBias)
-	}
-	return nil
-}
+// littleBias places a frame on the little cluster when its required
+// frequency fits under this fraction of the little core's fmax. Below 1 it
+// leaves headroom for the little cluster's own background load.
+const littleBias = 0.85
 
 // ClusterGovernor is the big.LITTLE-aware extension of the energy-aware
 // policy: a placement step on top of the single-core governor's own
@@ -49,7 +25,6 @@ func (c ClusterConfig) Validate() error {
 // It implements decode.Submitter (the session's job router) alongside
 // player.SessionHooks.
 type ClusterGovernor struct {
-	cfg    ClusterConfig
 	pol    *Governor // the per-frame rule; never attached to a scaler
 	big    *cpu.Core
 	little *cpu.Core
@@ -59,11 +34,9 @@ type ClusterGovernor struct {
 	framesOnBig    int
 }
 
-// NewClusterGovernor wires the policy to a big and a little core.
-func NewClusterGovernor(big, little *cpu.Core, cfg ClusterConfig) (*ClusterGovernor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// NewClusterGovernor wires the per-frame rule under policy pol to a big
+// and a little core.
+func NewClusterGovernor(big, little *cpu.Core, pol Config) (*ClusterGovernor, error) {
 	if big == nil || little == nil {
 		return nil, fmt.Errorf("cluster: both cores are required")
 	}
@@ -71,11 +44,11 @@ func NewClusterGovernor(big, little *cpu.Core, cfg ClusterConfig) (*ClusterGover
 		return nil, fmt.Errorf("cluster: big fmax %v must exceed little fmax %v",
 			big.Model().Fmax(), little.Model().Fmax())
 	}
-	pol, err := New(cfg.Policy)
+	rule, err := New(pol)
 	if err != nil {
 		return nil, err
 	}
-	g := &ClusterGovernor{cfg: cfg, pol: pol, big: big, little: little, route: big}
+	g := &ClusterGovernor{pol: rule, big: big, little: little, route: big}
 	big.SetOPP(0)
 	little.SetOPP(0)
 	return g, nil
@@ -119,7 +92,7 @@ func (g *ClusterGovernor) DecodeStart(now sim.Time, f video.Frame, deadline sim.
 	switch {
 	case boost:
 		opp = g.placeBig(g.big.Model().MaxIdx())
-	case hz <= g.cfg.LittleBias*g.little.Model().Fmax():
+	case hz <= littleBias*g.little.Model().Fmax():
 		opp = g.placeLittle(g.little.Model().IdxForFreq(hz))
 	default:
 		opp = g.placeBig(g.big.Model().IdxForFreq(hz))
@@ -142,7 +115,7 @@ func (g *ClusterGovernor) placeLittle(opp int) int {
 	g.framesOnLittle++
 	g.little.SetOPP(opp)
 	// Big has no decode work: park it.
-	if g.cfg.Policy.RaceToIdle {
+	if g.pol.cfg.RaceToIdle {
 		g.big.SetOPP(0)
 	}
 	return opp
@@ -164,7 +137,7 @@ func (g *ClusterGovernor) DecoderIdle(sim.Time) {
 // PlaybackState implements player.SessionHooks.
 func (g *ClusterGovernor) PlaybackState(now sim.Time, playing bool) {
 	g.pol.PlaybackState(now, playing)
-	if !playing && g.cfg.Policy.RaceToIdle {
+	if !playing && g.pol.cfg.RaceToIdle {
 		g.big.SetOPP(0)
 		g.little.SetOPP(0)
 	}

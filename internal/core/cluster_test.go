@@ -24,7 +24,7 @@ func clusterRig(t *testing.T) (*sim.Engine, *cpu.Core, *cpu.Core) {
 
 func warmCluster(t *testing.T, big, little *cpu.Core, cycles float64) *ClusterGovernor {
 	t.Helper()
-	g, err := NewClusterGovernor(big, little, DefaultClusterConfig())
+	g, err := NewClusterGovernor(big, little, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +116,14 @@ func TestClusterIdleParksBothClusters(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	_, big, little := clusterRig(t)
-	if _, err := NewClusterGovernor(nil, little, DefaultClusterConfig()); err == nil {
+	if _, err := NewClusterGovernor(nil, little, DefaultConfig()); err == nil {
 		t.Error("want error for nil big")
 	}
-	if _, err := NewClusterGovernor(little, big, DefaultClusterConfig()); err == nil {
+	if _, err := NewClusterGovernor(little, big, DefaultConfig()); err == nil {
 		t.Error("want error when little out-clocks big")
 	}
-	bad := DefaultClusterConfig()
-	bad.LittleBias = 0
-	if _, err := NewClusterGovernor(big, little, bad); err == nil {
-		t.Error("want error for zero bias")
-	}
-	bad = DefaultClusterConfig()
-	bad.Policy.Alpha = 0
+	bad := DefaultConfig()
+	bad.Alpha = 0
 	if _, err := NewClusterGovernor(big, little, bad); err == nil {
 		t.Error("want error for invalid policy")
 	}
@@ -136,7 +131,7 @@ func TestClusterValidation(t *testing.T) {
 
 func TestClusterColdPredictorBoostsBig(t *testing.T) {
 	_, big, little := clusterRig(t)
-	g, err := NewClusterGovernor(big, little, DefaultClusterConfig())
+	g, err := NewClusterGovernor(big, little, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func decodeStartLegacy(g *Governor, now sim.Time, f video.Frame, deadline sim.Ti
 // TestClusterGovernorEquivalence.
 type clusterLegacy struct {
 	player.NopSessionHooks
-	cfg         ClusterConfig
+	cfg         Config
 	pred        Predictor
 	big         *cpu.Core
 	little      *cpu.Core
@@ -97,8 +97,8 @@ type clusterLegacy struct {
 	framesOnBig    int
 }
 
-func newClusterLegacy(big, little *cpu.Core, cfg ClusterConfig) (*clusterLegacy, error) {
-	pred, err := NewPredictor(cfg.Policy.Predictor, cfg.Policy.Alpha, cfg.Policy.SigmaK)
+func newClusterLegacy(big, little *cpu.Core, cfg Config) (*clusterLegacy, error) {
+	pred, err := NewPredictor(cfg.Predictor, cfg.Alpha, cfg.SigmaK)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func (g *clusterLegacy) StreamInfo(fps float64, _ int) {
 }
 
 func (g *clusterLegacy) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, ready, queueCap int) {
-	pol := g.cfg.Policy
+	pol := g.cfg
 	if pol.StartupBoost && !g.playing {
 		g.placeBig(g.big.Model().MaxIdx())
 		return
@@ -131,7 +131,7 @@ func (g *clusterLegacy) DecodeStart(now sim.Time, f video.Frame, deadline sim.Ti
 	}
 	budget := budgetFor(slack, ready, queueCap, g.period, pol.TargetQueueFrac, pol.SprintFrames)
 	need := pred * (1 + pol.Margin) / budget.Seconds()
-	if need <= g.cfg.LittleBias*g.little.Model().Fmax() {
+	if need <= 0.85*g.little.Model().Fmax() {
 		g.placeLittle(g.little.Model().IdxForFreq(need))
 		return
 	}
@@ -146,7 +146,7 @@ func (g *clusterLegacy) placeBig(opp int) {
 func (g *clusterLegacy) placeLittle(opp int) {
 	g.framesOnLittle++
 	g.little.SetOPP(opp)
-	if g.cfg.Policy.RaceToIdle {
+	if g.cfg.RaceToIdle {
 		g.big.SetOPP(0)
 	}
 }
@@ -156,10 +156,10 @@ func (g *clusterLegacy) DecodeEnd(_ sim.Time, f video.Frame, _ sim.Time, measure
 }
 
 func (g *clusterLegacy) DecoderIdle(sim.Time) {
-	if !g.cfg.Policy.RaceToIdle {
+	if !g.cfg.RaceToIdle {
 		return
 	}
-	if g.cfg.Policy.StartupBoost && !g.playing && g.downloading {
+	if g.cfg.StartupBoost && !g.playing && g.downloading {
 		return
 	}
 	g.big.SetOPP(0)
@@ -168,7 +168,7 @@ func (g *clusterLegacy) DecoderIdle(sim.Time) {
 
 func (g *clusterLegacy) PlaybackState(_ sim.Time, playing bool) {
 	g.playing = playing
-	if !playing && g.cfg.Policy.RaceToIdle {
+	if !playing && g.cfg.RaceToIdle {
 		g.big.SetOPP(0)
 		g.little.SetOPP(0)
 	}
@@ -366,7 +366,7 @@ func TestClusterGovernorEquivalence(t *testing.T) {
 		idx int
 	}
 	var onBig, onLittle int
-	play := func(sc flatScenario, cfg ClusterConfig, legacy bool) (opps []opp, big, little int) {
+	play := func(sc flatScenario, cfg Config, legacy bool) (opps []opp, big, little int) {
 		eng := sim.NewEngine()
 		bc, err := cpu.NewCore(eng, cpu.DeviceFlagship())
 		if err != nil {
@@ -393,13 +393,13 @@ func TestClusterGovernorEquivalence(t *testing.T) {
 		playSteps(sc, g)
 		return opps, g.FramesOnBig(), g.FramesOnLittle()
 	}
-	prop := func(sc flatScenario, bias, shift uint8) bool {
+	prop := func(sc flatScenario, shift uint8) bool {
 		// The scripts' demand is sized for one big core; scale it down by
 		// up to 128× so frames land on both clusters.
 		for i := range sc.steps {
 			sc.steps[i].cycles /= float64(int(1) << (shift % 8))
 		}
-		cfg := ClusterConfig{Policy: sc.cfg, LittleBias: (1 + float64(bias)) / 256}
+		cfg := sc.cfg
 		gotOPPs, gotBig, gotLittle := play(sc, cfg, false)
 		wantOPPs, wantBig, wantLittle := play(sc, cfg, true)
 		if !reflect.DeepEqual(gotOPPs, wantOPPs) {

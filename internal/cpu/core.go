@@ -129,8 +129,8 @@ type Core struct {
 	busySince sim.Time
 	busy      bool
 	// cyclesByTag is per-tag completed cycles in first-seen order (hot
-	// path), sized for the pipeline's four tags: decode, net, background
-	// and audio. CyclesByTag converts to a map at the reporting boundary.
+	// path), sized for the pipeline's three tags: decode, net and
+	// background. CyclesByTag converts to a map at the reporting boundary.
 	cyclesByTag []tagCycles
 
 	onPower func(now sim.Time, watts float64)
@@ -160,7 +160,7 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 		eng:         eng,
 		model:       model,
 		capIdx:      model.MaxIdx(),
-		cyclesByTag: make([]tagCycles, 0, 4),
+		cyclesByTag: make([]tagCycles, 0, 3),
 		freqDwell:   make([]sim.Time, len(model.OPPs)),
 	}
 	c.completeFn = c.complete
@@ -173,13 +173,14 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 // completion callback all survive. Queued and in-flight jobs are returned
 // to their pools so recycled submitters find them again; listeners and the
 // tracer are dropped (the next run re-registers its own); the cpuidle
-// model is disabled until EnableCStates is called again. The owning engine
-// must be reset (or drained) alongside, since any pending completion event
-// is simply forgotten here.
+// model is disabled until EnableCStates is called again. A pending
+// completion is canceled, so a core rewound on an engine that keeps
+// running retires nothing of the old run.
 func (c *Core) Reset(model Model) error {
 	if err := model.Validate(); err != nil {
 		return err
 	}
+	c.eng.Cancel(c.doneEv)
 	for p := range c.queues {
 		q := &c.queues[p]
 		for q.len() > 0 {

@@ -290,39 +290,74 @@ func TestCompletionTimeProperty(t *testing.T) {
 
 func TestLoadGenProducesExpectedUtilization(t *testing.T) {
 	eng, core := newTestCore(t, 0)
-	cfg := LoadGenConfig{Period: 10 * sim.Millisecond, MeanCycles: 1e6, CV: 0.3,
-		Priority: PrioBackground, Tag: "bg"}
-	gen, err := StartLoadGen(eng, core, sim.Stream(1, "load"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := StartLoadGen(eng, core, sim.Stream(1, "load"))
 	eng.Schedule(10*sim.Second, func() { gen.Stop(); eng.Stop() })
 	eng.Run()
 	if gen.Err() != nil {
 		t.Fatal(gen.Err())
 	}
-	// 1e6 cycles / 10 ms at 1 GHz → ~10% utilization.
+	// 0.5e6 cycles / 50 ms at 1 GHz → ~1% utilization.
 	util := core.BusyTime().Seconds() / 10
-	if util < 0.05 || util > 0.2 {
-		t.Fatalf("background util = %.3f, want ≈0.10", util)
+	if util < 0.005 || util > 0.02 {
+		t.Fatalf("background util = %.4f, want ≈0.01", util)
 	}
-	if core.CyclesByTag()["bg"] == 0 {
+	if core.CyclesByTag()[loadTag] == 0 {
 		t.Fatal("no background cycles recorded")
 	}
 }
 
-func TestLoadGenConfigValidate(t *testing.T) {
-	bad := []LoadGenConfig{
-		{Period: 0, MeanCycles: 1},
-		{Period: sim.Second, MeanCycles: 0},
-		{Period: sim.Second, MeanCycles: 1, CV: -1},
+// TestLoadGenRestartKeepsOneTickChain restarts a running generator on an
+// engine that keeps running, as a recycled cohort viewer's would be: the
+// restart cancels the pending tick, so the load keeps its rate instead of
+// running a second tick chain beside the first.
+func TestLoadGenRestartKeepsOneTickChain(t *testing.T) {
+	eng, core := newTestCore(t, 0)
+	gen := StartLoadGen(eng, core, sim.Stream(1, "bgload"))
+	eng.RunUntil(sim.Second)
+	gen.Restart()
+	before := core.CyclesByTag()[loadTag]
+	const window = 10 * sim.Second
+	eng.RunUntil(eng.Now() + window)
+	got := core.CyclesByTag()[loadTag] - before
+	want := loadMeanCycles * float64(window/loadPeriod)
+	if math.Abs(got-want) > 0.2*want {
+		t.Fatalf("%.3g background cycles in %v after a restart, want ≈%.3g (one tick chain)", got, window, want)
 	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: want validation error", i)
-		}
+	gen.Stop()
+	end := core.CyclesByTag()[loadTag]
+	eng.RunUntil(eng.Now() + window)
+	if after := core.CyclesByTag()[loadTag]; after > end+loadMeanCycles*5 {
+		t.Fatalf("a stopped generator kept submitting: %.3g cycles after Stop", after-end)
 	}
-	if err := DefaultLoadGenConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+}
+
+// TestCoreResetCancelsWhatItScheduled rewinds a core mid-job on an engine
+// that keeps running: the old job's completion must not fire on the reset
+// core, where it would retire the next job early.
+func TestCoreResetCancelsWhatItScheduled(t *testing.T) {
+	eng, core := newTestCore(t, 0)
+	if err := core.Submit(&Job{Cycles: 1e9, Tag: "old"}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(100 * sim.Millisecond)
+	if err := core.Reset(testModel(0)); err != nil {
+		t.Fatal(err)
+	}
+	start := eng.Now()
+	doneAt := sim.Time(-1)
+	if err := core.Submit(&Job{Cycles: 2e9, Tag: "new", OnDone: func(now sim.Time) { doneAt = now }}); err != nil {
+		t.Fatal(err)
+	}
+	want := start + 2*sim.Second // 2e9 cycles at 1 GHz
+	eng.RunUntil(want - 10*sim.Millisecond)
+	if doneAt >= 0 || !core.Busy() {
+		t.Fatalf("after a reset mid-job: new job done at %v, busy %v; want still running until %v", doneAt, core.Busy(), want)
+	}
+	eng.Run()
+	if math.Abs(float64(doneAt-want)) > 1e-9 {
+		t.Fatalf("new job done at %v, want %v", doneAt, want)
+	}
+	if cyc := core.CyclesByTag(); cyc["old"] != 0 || cyc["new"] != 2e9 {
+		t.Fatalf("cycles by tag after the reset = %v, want only the new job's 2e9", cyc)
 	}
 }

@@ -30,31 +30,6 @@ func DefaultCStates() []CState {
 	}
 }
 
-// validateCStates checks ladder ordering.
-func validateCStates(states []CState) error {
-	if len(states) == 0 {
-		return fmt.Errorf("cpuidle: empty state ladder")
-	}
-	for i, st := range states {
-		if st.PowerFrac < 0 || st.PowerFrac > 1 {
-			return fmt.Errorf("cpuidle: state %q power fraction %v outside [0, 1]", st.Name, st.PowerFrac)
-		}
-		if st.ExitLatency < 0 || st.TargetResidency < 0 {
-			return fmt.Errorf("cpuidle: state %q has negative latencies", st.Name)
-		}
-		if i > 0 {
-			prev := states[i-1]
-			if st.PowerFrac >= prev.PowerFrac {
-				return fmt.Errorf("cpuidle: state %q does not deepen power", st.Name)
-			}
-			if st.TargetResidency <= prev.TargetResidency {
-				return fmt.Errorf("cpuidle: state %q does not deepen residency", st.Name)
-			}
-		}
-	}
-	return nil
-}
-
 // idleGovernor is a menu-style idle-state selector: it predicts the next
 // idle period from an EWMA of recent ones and picks the deepest state
 // whose target residency fits the prediction.
@@ -90,17 +65,15 @@ func (g *idleGovernor) observe(idle sim.Time) {
 	g.predS = idleEWMAAlpha*s + (1-idleEWMAAlpha)*g.predS
 }
 
-// EnableCStates turns on the cpuidle model: idle periods enter the state
-// the menu governor selects, idle power scales by the state's PowerFrac,
-// and wakeups stall the next job by the state's exit latency. Must be
-// called before any job is submitted.
-func (c *Core) EnableCStates(states []CState) error {
-	if err := validateCStates(states); err != nil {
-		return err
-	}
+// EnableCStates turns on the cpuidle model over the DefaultCStates
+// ladder: idle periods enter the state the menu governor selects, idle
+// power scales by the state's PowerFrac, and wakeups stall the next job by
+// the state's exit latency. Must be called before any job is submitted.
+func (c *Core) EnableCStates() error {
 	if c.busy || c.QueueLen() > 0 {
 		return fmt.Errorf("cpuidle: enable before submitting work")
 	}
+	states := DefaultCStates()
 	c.idle = &idleGovernor{states: states}
 	c.idleStateIdx = 0
 	if len(c.idleDwell) == len(states) {

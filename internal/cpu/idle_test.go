@@ -14,33 +14,34 @@ func idleRig(t *testing.T) (*sim.Engine, *Core) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.EnableCStates(DefaultCStates()); err != nil {
+	if err := core.EnableCStates(); err != nil {
 		t.Fatal(err)
 	}
 	return eng, core
 }
 
+// TestCStateLadderValidation checks the ladder every core with C-states
+// runs: power fractions within [0, 1], non-negative latencies, and each
+// state deeper than the last in both power and target residency, which
+// the menu governor's deepest-fit pick relies on.
 func TestCStateLadderValidation(t *testing.T) {
-	if err := validateCStates(nil); err == nil {
-		t.Error("want error for empty ladder")
+	states := DefaultCStates()
+	if len(states) == 0 {
+		t.Fatal("empty ladder")
 	}
-	bad := DefaultCStates()
-	bad[1].PowerFrac = 1.0 // does not deepen
-	if err := validateCStates(bad); err == nil {
-		t.Error("want error for non-deepening power")
-	}
-	bad = DefaultCStates()
-	bad[2].TargetResidency = 0
-	if err := validateCStates(bad); err == nil {
-		t.Error("want error for non-deepening residency")
-	}
-	bad = DefaultCStates()
-	bad[0].PowerFrac = 2
-	if err := validateCStates(bad); err == nil {
-		t.Error("want error for power fraction > 1")
-	}
-	if err := validateCStates(DefaultCStates()); err != nil {
-		t.Errorf("default ladder invalid: %v", err)
+	for i, st := range states {
+		if st.PowerFrac < 0 || st.PowerFrac > 1 {
+			t.Errorf("state %q power fraction %v outside [0, 1]", st.Name, st.PowerFrac)
+		}
+		if st.ExitLatency < 0 || st.TargetResidency < 0 {
+			t.Errorf("state %q has negative latencies", st.Name)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := states[i-1]; st.PowerFrac >= prev.PowerFrac || st.TargetResidency <= prev.TargetResidency {
+			t.Errorf("state %q does not deepen %q", st.Name, prev.Name)
+		}
 	}
 }
 
@@ -53,7 +54,7 @@ func TestEnableCStatesRejectsBusyCore(t *testing.T) {
 	if err := core.Submit(&Job{Cycles: 1e9, Tag: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.EnableCStates(DefaultCStates()); err == nil {
+	if err := core.EnableCStates(); err == nil {
 		t.Fatal("want error enabling C-states on a busy core")
 	}
 	eng.Run()

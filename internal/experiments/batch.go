@@ -5,7 +5,6 @@ import (
 
 	"videodvfs/internal/campaign"
 	"videodvfs/internal/cpu"
-	"videodvfs/internal/sim"
 	"videodvfs/internal/stats"
 	"videodvfs/internal/video"
 )
@@ -28,21 +27,12 @@ type Outcome struct {
 // derives all randomness from its seed, so results are bit-identical for
 // any worker count; a failing or panicking run marks only its own slot.
 func RunAll(cfgs []RunConfig, workers int) []Outcome {
-	return RunAllObserved(cfgs, workers, nil)
-}
-
-// RunAllObserved is RunAll with a progress observer attached.
-func RunAllObserved(cfgs []RunConfig, workers int, obs campaign.Observer) []Outcome {
 	jobs := make([]campaign.Job[RunResult], len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
 		jobs[i] = func() (RunResult, error) { return Run(cfg) }
 	}
-	raw := campaign.Do(jobs, campaign.Options[RunResult]{
-		Workers:  workers,
-		Observer: obs,
-		Virtual:  func(r RunResult) sim.Time { return r.SimEnd },
-	})
+	raw := campaign.Do(jobs, campaign.Options[RunResult]{Workers: workers})
 	outs := make([]Outcome, len(raw))
 	for i, o := range raw {
 		outs[i] = Outcome{Index: i, Config: cfgs[i], Result: o.Value, Err: o.Err}

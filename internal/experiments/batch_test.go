@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"videodvfs/internal/campaign"
@@ -186,28 +185,5 @@ func TestSweepAggregate(t *testing.T) {
 	rows = s.Aggregate(outs, func(r RunResult) float64 { return r.CPUJ })
 	if od := rows[0]; od.N != 1 || od.Mean != 10 {
 		t.Errorf("after failure, ondemand = %+v, want N 1 mean 10", od)
-	}
-}
-
-// TestRunAllObservedReportsVirtualTime checks that batch progress
-// accumulates simulated virtual seconds, the numerator of the
-// virtual-s/wall-s throughput metric.
-func TestRunAllObservedReportsVirtualTime(t *testing.T) {
-	cfgs := []RunConfig{shortBase(), shortBase()}
-	cfgs[1].Seed = 2
-	var buf strings.Builder
-	outs := RunAllObserved(cfgs, 2, &campaign.LogObserver{W: &buf, Every: 1})
-	var virt sim.Time
-	for _, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("run %d: %v", o.Index, o.Err)
-		}
-		virt += o.Result.SimEnd
-	}
-	if virt <= 0 {
-		t.Fatal("runs reported no virtual time")
-	}
-	if !strings.Contains(buf.String(), "virtual-s/wall-s") {
-		t.Errorf("observer summary missing throughput metric:\n%s", buf.String())
 	}
 }

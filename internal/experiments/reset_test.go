@@ -233,6 +233,13 @@ func TestSessionResetAfterError(t *testing.T) {
 	}
 }
 
+// setSessionReuse toggles arena recycling in Run and returns the previous
+// setting: off, every Run constructs a fresh simulator, the reference the
+// differential tests compare recycled runs against.
+func setSessionReuse(on bool) (prev bool) {
+	return !sessionReuseOff.Swap(!on)
+}
+
 // TestDifferentialRegistry runs the entire 30-entry experiment registry
 // twice — once with arena recycling disabled (every Run constructs a fresh
 // simulator) and once through the default recycled pool — and requires
@@ -252,9 +259,9 @@ func TestDifferentialRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		prev := SetSessionReuse(false)
+		prev := setSessionReuse(false)
 		freshTab, freshErr := builder()
-		SetSessionReuse(prev)
+		setSessionReuse(prev)
 		if freshErr != nil {
 			t.Fatalf("%s (fresh sessions): %v", id, freshErr)
 		}

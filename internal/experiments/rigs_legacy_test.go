@@ -51,14 +51,11 @@ func legacyRunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAwa
 	radio.OnPower(meter.Listener(energy.ComponentRadio))
 	// Network-stack processing runs on the little cluster on both
 	// configurations, as vendor schedulers place it.
-	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, little, netsim.DefaultDownloaderConfig())
+	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, little)
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	bg, err := cpu.StartLoadGen(eng, little, sim.Stream(seed, "bgload"), cpu.DefaultLoadGenConfig())
-	if err != nil {
-		return ClusterResult{}, err
-	}
+	bg := cpu.StartLoadGen(eng, little, sim.Stream(seed, "bgload"))
 
 	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed}, nil)
 	if err != nil {
@@ -72,7 +69,7 @@ func legacyRunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAwa
 		littleShare float64
 	)
 	if clusterAware {
-		clusterGov, err = core.NewClusterGovernor(big, little, core.DefaultClusterConfig())
+		clusterGov, err = core.NewClusterGovernor(big, little, core.DefaultConfig())
 		if err != nil {
 			return ClusterResult{}, err
 		}
@@ -149,14 +146,11 @@ func legacyRunSMP(cores int, res video.Resolution, dur sim.Time, seed int64) (SM
 	}
 	radio.OnPower(meter.Listener(energy.ComponentRadio))
 	// Network work enters the domain and the balancer places it.
-	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, domain.Cores()[cores-1], netsim.DefaultDownloaderConfig())
+	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, domain.Cores()[cores-1])
 	if err != nil {
 		return SMPResult{}, err
 	}
-	bg, err := cpu.StartLoadGen(eng, domain.Cores()[cores-1], sim.Stream(seed, "bgload"), cpu.DefaultLoadGenConfig())
-	if err != nil {
-		return SMPResult{}, err
-	}
+	bg := cpu.StartLoadGen(eng, domain.Cores()[cores-1], sim.Stream(seed, "bgload"))
 
 	streams, _, err := buildRenditions(RunConfig{Title: video.TitleSports, Rung: res, Duration: dur, Seed: seed}, nil)
 	if err != nil {
@@ -229,14 +223,11 @@ func legacyRunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 		return PlaylistResult{}, err
 	}
 	radio.OnPower(meter.Listener(energy.ComponentRadio))
-	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, coreCPU, netsim.DefaultDownloaderConfig())
+	dl, err := netsim.NewDownloader(eng, netsim.Constant{Bps: 8e6}, radio, coreCPU)
 	if err != nil {
 		return PlaylistResult{}, err
 	}
-	bg, err := cpu.StartLoadGen(eng, coreCPU, sim.Stream(cfg.Seed, "bgload"), cpu.DefaultLoadGenConfig())
-	if err != nil {
-		return PlaylistResult{}, err
-	}
+	bg := cpu.StartLoadGen(eng, coreCPU, sim.Stream(cfg.Seed, "bgload"))
 
 	var out PlaylistResult
 	var startClip func(i int)

@@ -660,8 +660,8 @@ func buildChecker(cfg RunConfig) *invariant.Checker {
 //
 // Run serves from a pool of arena Sessions (see Session): repeated calls
 // recycle whole simulation instances instead of reconstructing them. The
-// results are identical either way — SetSessionReuse(false) forces a fresh
-// arena per call (the differential tests pin the equivalence).
+// results are identical either way: the differential tests pin a fresh
+// arena per call against the pool.
 func Run(cfg RunConfig) (RunResult, error) {
 	var res RunResult
 	if sessionReuseOff.Load() {

@@ -76,15 +76,9 @@ func NewSession() *Session {
 var sessionPool = sync.Pool{New: func() any { return NewSession() }}
 
 // sessionReuseOff disables the arena pool when set (fresh Session per Run).
-// Inverted so the zero value means "reuse on".
+// Inverted so the zero value means "reuse on". Only the differential
+// tests set it, to produce fresh-simulator references.
 var sessionReuseOff atomic.Bool
-
-// SetSessionReuse toggles arena recycling in Run and returns the previous
-// setting. Reuse is on by default; the differential tests switch it off to
-// produce fresh-simulator references.
-func SetSessionReuse(on bool) (prev bool) {
-	return !sessionReuseOff.Swap(!on)
-}
 
 // RunInto executes one simulation in this arena, writing the outcome into
 // res. Maps and slices already present in res are reused (cleared and

@@ -235,7 +235,7 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		return err
 	}
 	if cfg.CStates {
-		if err := v.core.EnableCStates(cpu.DefaultCStates()); err != nil {
+		if err := v.core.EnableCStates(); err != nil {
 			return err
 		}
 	}
@@ -277,10 +277,10 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	}
 
 	if v.dl == nil {
-		if v.dl, err = netsim.NewDownloader(v.eng, bw, v.radio, v.workCore(), netsim.DefaultDownloaderConfig()); err != nil {
+		if v.dl, err = netsim.NewDownloader(v.eng, bw, v.radio, v.workCore()); err != nil {
 			return err
 		}
-	} else if err := v.dl.Reset(bw, netsim.DefaultDownloaderConfig()); err != nil {
+	} else if err := v.dl.Reset(bw); err != nil {
 		return err
 	}
 
@@ -297,16 +297,12 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		}
 		if v.bg == nil {
 			v.bgRNG = sim.Stream(bgSeed, "bgload")
-			if v.bg, err = cpu.StartLoadGen(v.eng, v.workCore(), v.bgRNG, cpu.DefaultLoadGenConfig()); err != nil {
-				return err
-			}
+			v.bg = cpu.StartLoadGen(v.eng, v.workCore(), v.bgRNG)
 		} else {
 			// Reseeding reproduces the exact stream a fresh
 			// sim.Stream(seed, "bgload") would draw.
 			v.bgRNG.Reseed(sim.ChildSeed(bgSeed, "bgload"))
-			if err := v.bg.Restart(cpu.DefaultLoadGenConfig()); err != nil {
-				return err
-			}
+			v.bg.Restart()
 		}
 		v.bgActive = true
 	}
@@ -410,10 +406,14 @@ func (v *Viewer) decodePath() (decode.Submitter, player.SessionHooks) {
 // the oracle and the stock baselines are built fresh — they are
 // allocation-light and keep per-run sampling state.
 func (v *Viewer) attachGovernor(cfg RunConfig, tr trace.Tracer) error {
+	pol := cfg.Policy
+	if pol == (core.Config{}) {
+		pol = core.DefaultConfig()
+	}
 	p := v.plat
 	if p != nil && p.clusterAware {
 		var err error
-		if p.cluster, err = core.NewClusterGovernor(v.core, p.little, core.DefaultClusterConfig()); err != nil {
+		if p.cluster, err = core.NewClusterGovernor(v.core, p.little, pol); err != nil {
 			return err
 		}
 		if tr != nil {
@@ -424,10 +424,6 @@ func (v *Viewer) attachGovernor(cfg RunConfig, tr trace.Tracer) error {
 	var gov governor.Governor
 	switch cfg.Governor {
 	case GovEnergyAware:
-		pol := cfg.Policy
-		if pol == (core.Config{}) {
-			pol = core.DefaultConfig()
-		}
 		if v.ea == nil {
 			g, err := core.New(pol)
 			if err != nil {

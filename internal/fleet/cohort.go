@@ -36,7 +36,7 @@ func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 			server.NewEnvelope(server.CodeDraining, "controller draining, not admitting new work"))
 		return
 	}
-	req, err := server.DecodeCohortRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	req, err := server.DecodeCohortRequest(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		server.WriteError(w, err)
 		return

@@ -71,9 +71,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// MaxSweepRuns mirrors the workers' sweep-expansion cap (≤0 = 1024).
 	MaxSweepRuns int
-	// VNodes is the consistent-hash ring's virtual nodes per worker
-	// (≤0 = 64).
-	VNodes int
 	// Client issues the worker requests and health probes (nil = a client
 	// whose transport keeps Concurrency connections per worker, with the
 	// probes on a pool of their own; the per-attempt timeout comes from
@@ -102,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepRuns <= 0 {
 		c.MaxSweepRuns = 1024
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.Client == nil {
 		// DefaultTransport keeps only 2 idle connections per host, so with
@@ -154,7 +148,7 @@ func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:    cfg,
-		ring:   newRing(cfg.Workers, cfg.VNodes),
+		ring:   newRing(cfg.Workers),
 		sem:    make(chan struct{}, cfg.Concurrency),
 		met:    newMetrics(),
 		stop:   make(chan struct{}),

@@ -32,7 +32,7 @@ import (
 // design rests on.
 func TestRingSpreadAndMinimalDisruption(t *testing.T) {
 	labels := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(labels, 64)
+	r := newRing(labels)
 	allAlive := func(int) bool { return true }
 
 	counts := make([]int, len(labels))
@@ -89,7 +89,7 @@ func TestRingSpreadsSuffixKeys(t *testing.T) {
 		for i := range labels {
 			labels[i] = fmt.Sprintf("http://127.0.0.1:%d", 32768+rng.Intn(28232))
 		}
-		return newRing(labels, 64)
+		return newRing(labels)
 	}
 	allAlive := func(int) bool { return true }
 

@@ -25,9 +25,12 @@ type ringPoint struct {
 	worker int
 }
 
+// vnodes is the number of ring points per worker.
+const vnodes = 64
+
 // newRing builds a ring with vnodes points per worker, identified by the
 // workers' stable labels (their base URLs).
-func newRing(labels []string, vnodes int) *ring {
+func newRing(labels []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(labels)*vnodes)}
 	for wi, label := range labels {
 		for v := 0; v < vnodes; v++ {

@@ -10,9 +10,6 @@ import (
 	"videodvfs/internal/server"
 )
 
-// maxBodyBytes bounds controller request bodies, mirroring dvfsd.
-const maxBodyBytes = 1 << 20
-
 // handleSweep shards one sweep across the fleet: the request expands to
 // wire-level points in exactly dvfsd's expansion order
 // (server.SweepRequest.Points), each point routes to the worker owning
@@ -28,7 +25,7 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 			server.NewEnvelope(server.CodeDraining, "controller draining, not admitting new work"))
 		return
 	}
-	req, err := server.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	req, err := server.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		server.WriteError(w, err)
 		return

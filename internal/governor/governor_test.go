@@ -84,12 +84,7 @@ func TestPowersavePinsMin(t *testing.T) {
 
 func TestDoubleAttachRejected(t *testing.T) {
 	r := newRig(t)
-	govs := []Governor{mustNew(t, "performance"), mustNew(t, "powersave")}
-	od, err := NewOndemand(DefaultOndemandConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	govs = append(govs, od)
+	govs := []Governor{mustNew(t, "performance"), mustNew(t, "powersave"), mustNew(t, "ondemand")}
 	for _, g := range govs {
 		if err := g.Attach(r.eng, r.core); err != nil {
 			t.Fatalf("%s first attach: %v", g.Name(), err)
@@ -103,10 +98,7 @@ func TestDoubleAttachRejected(t *testing.T) {
 
 func TestOndemandJumpsToMaxOnHighLoad(t *testing.T) {
 	r := newRig(t)
-	g, err := NewOndemand(DefaultOndemandConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "ondemand")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +114,7 @@ func TestOndemandJumpsToMaxOnHighLoad(t *testing.T) {
 
 func TestOndemandDropsOnIdle(t *testing.T) {
 	r := newRig(t)
-	g, err := NewOndemand(DefaultOndemandConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "ondemand")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +130,7 @@ func TestOndemandDropsOnIdle(t *testing.T) {
 
 func TestOndemandProportionalBand(t *testing.T) {
 	r := newRig(t)
-	g, err := NewOndemand(DefaultOndemandConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "ondemand")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +162,7 @@ func TestOndemandProportionalBand(t *testing.T) {
 
 func TestConservativeStepsGradually(t *testing.T) {
 	r := newRig(t)
-	g, err := NewConservative(DefaultConservativeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "conservative")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +187,7 @@ func TestConservativeStepsGradually(t *testing.T) {
 
 func TestConservativeStepsDownWhenIdle(t *testing.T) {
 	r := newRig(t)
-	g, err := NewConservative(DefaultConservativeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "conservative")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +202,12 @@ func TestConservativeStepsDownWhenIdle(t *testing.T) {
 
 func TestInteractiveHispeedJump(t *testing.T) {
 	r := newRig(t)
-	cfg := DefaultInteractiveConfig()
-	g, err := NewInteractive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "interactive")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Detach()
-	hispeed := cfg.HispeedFreqFrac * r.core.Model().Fmax()
+	hispeed := hispeedFreqFrac * r.core.Model().Fmax()
 	reached := false
 	r.core.OnOPPChange(func(_ sim.Time, idx int) {
 		if r.core.Model().OPPs[idx].FreqHz >= hispeed {
@@ -247,18 +223,13 @@ func TestInteractiveHispeedJump(t *testing.T) {
 
 func TestInteractiveHoldsMinSampleTime(t *testing.T) {
 	r := newRig(t)
-	cfg := DefaultInteractiveConfig()
-	cfg.MinSampleTime = 200 * sim.Millisecond
-	g, err := NewInteractive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "interactive")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Detach()
 	// One burst, then silence. Frequency must stay raised for at least
-	// MinSampleTime after the raise.
+	// minSampleTime after the raise.
 	if err := r.core.Submit(&cpu.Job{Cycles: 60e6, Tag: "burst"}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +250,14 @@ func TestInteractiveHoldsMinSampleTime(t *testing.T) {
 	if droppedAt == 0 {
 		t.Fatal("interactive never dropped back")
 	}
-	if droppedAt-raisedAt < cfg.MinSampleTime {
-		t.Fatalf("dropped after %v, want ≥ %v hold", droppedAt-raisedAt, cfg.MinSampleTime)
+	if droppedAt-raisedAt < minSampleTime {
+		t.Fatalf("dropped after %v, want ≥ %v hold", droppedAt-raisedAt, minSampleTime)
 	}
 }
 
 func TestSchedutilTracksUtilWithHeadroom(t *testing.T) {
 	r := newRig(t)
-	g, err := NewSchedutil(DefaultSchedutilConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustNew(t, "schedutil")
 	if err := g.Attach(r.eng, r.core); err != nil {
 		t.Fatal(err)
 	}
@@ -316,62 +284,5 @@ func TestRegistryNewCoversBaselines(t *testing.T) {
 	}
 	if _, err := New("bogus"); err == nil {
 		t.Fatal("want error for unknown governor")
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewOndemand(OndemandConfig{}); err == nil {
-		t.Error("ondemand zero config should fail")
-	}
-	if _, err := NewConservative(ConservativeConfig{SamplingRate: sim.Second, UpThreshold: 0.5, DownThreshold: 0.6, FreqStep: 0.05}); err == nil {
-		t.Error("conservative down ≥ up should fail")
-	}
-	if _, err := NewInteractive(InteractiveConfig{Timer: sim.Second, HispeedFreqFrac: 2, GoHispeedLoad: 0.9, TargetLoad: 0.9}); err == nil {
-		t.Error("interactive hispeed > 1 should fail")
-	}
-	if _, err := NewSchedutil(SchedutilConfig{Sampling: 0}); err == nil {
-		t.Error("schedutil zero sampling should fail")
-	}
-}
-
-func TestOndemandPowersaveBias(t *testing.T) {
-	cfg := DefaultOndemandConfig()
-	cfg.PowersaveBias = 0.3
-	r := newRig(t)
-	g, err := NewOndemand(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Attach(r.eng, r.core); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Detach()
-	// Saturating load: with a 30% bias the governor must cap below fmax.
-	maxSeen := 0.0
-	r.core.OnOPPChange(func(_ sim.Time, idx int) {
-		if f := r.core.Model().OPPs[idx].FreqHz; f > maxSeen {
-			maxSeen = f
-		}
-	})
-	r.periodicLoad(20*sim.Millisecond, 50e6, 100)
-	r.eng.Run()
-	limit := r.core.Model().Fmax() * 0.75 // first OPP ≥ 0.7·fmax
-	if maxSeen > limit {
-		t.Fatalf("biased ondemand reached %.0f MHz, cap ≈ %.0f MHz", maxSeen/1e6, limit/1e6)
-	}
-	if maxSeen == 0 {
-		t.Fatal("governor never raised the frequency")
-	}
-}
-
-func TestOndemandPowersaveBiasValidation(t *testing.T) {
-	cfg := DefaultOndemandConfig()
-	cfg.PowersaveBias = 1
-	if _, err := NewOndemand(cfg); err == nil {
-		t.Fatal("want error for bias 1")
-	}
-	cfg.PowersaveBias = -0.1
-	if _, err := NewOndemand(cfg); err == nil {
-		t.Fatal("want error for negative bias")
 	}
 }

@@ -2,7 +2,7 @@ package governor
 
 import "fmt"
 
-// New returns a fresh default-configured governor by cpufreq name.
+// New returns a fresh governor by cpufreq name.
 func New(name string) (Governor, error) {
 	switch name {
 	case "performance":
@@ -10,13 +10,13 @@ func New(name string) (Governor, error) {
 	case "powersave":
 		return &pinned{name: name}, nil
 	case "ondemand":
-		return NewOndemand(DefaultOndemandConfig())
+		return newOndemand(), nil
 	case "conservative":
-		return NewConservative(DefaultConservativeConfig())
+		return newConservative(), nil
 	case "interactive":
-		return NewInteractive(DefaultInteractiveConfig())
+		return newInteractive(), nil
 	case "schedutil":
-		return NewSchedutil(DefaultSchedutilConfig())
+		return newSchedutil(), nil
 	default:
 		return nil, fmt.Errorf("governor: unknown name %q", name)
 	}

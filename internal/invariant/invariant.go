@@ -33,10 +33,10 @@
 //
 // Tolerance policy: closure checks compare two float64 accumulations of
 // the same piecewise-constant signal. Both sides sum identical terms in
-// identical order, so they agree to the last bit in practice; RelTol
-// (default 1e-9, relative with an absolute floor of 1) absorbs any
-// associativity drift a future refactor might introduce without masking
-// real bookkeeping bugs, which are orders of magnitude larger.
+// identical order, so they agree to the last bit in practice; relTol
+// (1e-9, relative with an absolute floor of 1) absorbs any associativity
+// drift a future refactor might introduce without masking real
+// bookkeeping bugs, which are orders of magnitude larger.
 package invariant
 
 import (
@@ -81,9 +81,10 @@ type Config struct {
 	// CStateNames is the cpuidle ladder, shallowest first (the state the
 	// core parks in at t = 0). nil when C-states are disabled.
 	CStateNames []string
-	// RelTol overrides the closure tolerance (0 = 1e-9).
-	RelTol float64
 }
+
+// relTol is the closure tolerance (see the package's tolerance policy).
+const relTol = 1e-9
 
 // Final carries the engine's own end-of-run accounting for Finalize to
 // cross-check the event stream against.
@@ -114,7 +115,6 @@ type Final struct {
 // end-of-run closure checks with Finalize.
 type Checker struct {
 	cfg Config
-	tol float64
 
 	violation *Violation
 
@@ -162,13 +162,8 @@ type powerTrack struct {
 
 // New returns a Checker armed with the run's ground truth.
 func New(cfg Config) *Checker {
-	tol := cfg.RelTol
-	if tol <= 0 {
-		tol = 1e-9
-	}
 	c := &Checker{
 		cfg:      cfg,
-		tol:      tol,
 		oppDwell: make([]sim.Time, len(cfg.OPPFreqsHz)),
 		rrcState: "IDLE",
 		rrcDwell: make(map[string]sim.Time, 4),
@@ -220,7 +215,7 @@ func (c *Checker) close2(a, b float64) bool {
 	if scale < 1 {
 		scale = 1
 	}
-	return math.Abs(a-b) <= c.tol*scale
+	return math.Abs(a-b) <= relTol*scale
 }
 
 // Decision implements trace.Tracer.

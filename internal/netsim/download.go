@@ -7,41 +7,18 @@ import (
 	"videodvfs/internal/sim"
 )
 
-// DownloaderConfig tunes the segment downloader.
-type DownloaderConfig struct {
-	// RTT is the request round-trip added before each fetch's data flows.
-	RTT sim.Time
-	// CyclesPerBit is the CPU cost of network-stack processing, submitted
-	// to the core as the data arrives.
-	CyclesPerBit float64
-	// NetChunk is the granularity at which network CPU work is submitted
+// The downloader's fixed costs: typical values of a 70 ms request RTT,
+// ≈1 cycle/bit of network-stack processing, and 100 ms CPU-job chunking.
+const (
+	// rtt is the request round-trip added before each fetch's data flows.
+	rtt = 70 * sim.Millisecond
+	// cyclesPerBit is the CPU cost of network-stack processing,
+	// submitted to the core as the data arrives.
+	cyclesPerBit = 1.0
+	// netChunk is the granularity at which network CPU work is submitted
 	// (span of download time per CPU job).
-	NetChunk sim.Time
-}
-
-// DefaultDownloaderConfig returns typical values: 70 ms RTT, ≈1 cycle/bit
-// stack cost, 100 ms CPU-job chunking.
-func DefaultDownloaderConfig() DownloaderConfig {
-	return DownloaderConfig{
-		RTT:          70 * sim.Millisecond,
-		CyclesPerBit: 1.0,
-		NetChunk:     100 * sim.Millisecond,
-	}
-}
-
-// Validate checks the configuration.
-func (c DownloaderConfig) Validate() error {
-	if c.RTT < 0 {
-		return fmt.Errorf("downloader: negative RTT")
-	}
-	if c.CyclesPerBit < 0 {
-		return fmt.Errorf("downloader: negative cycles/bit")
-	}
-	if c.NetChunk <= 0 {
-		return fmt.Errorf("downloader: chunk %v not positive", c.NetChunk)
-	}
-	return nil
-}
+	netChunk = 100 * sim.Millisecond
+)
 
 // Downloader fetches byte blobs over a bandwidth trace while driving the
 // radio state machine and charging network-stack CPU cycles to the core.
@@ -51,7 +28,6 @@ type Downloader struct {
 	bw    Bandwidth
 	radio *Radio
 	core  *cpu.Core
-	cfg   DownloaderConfig
 
 	busy    bool
 	queue   []fetchReq
@@ -84,14 +60,11 @@ type fetchReq struct {
 
 // NewDownloader wires a downloader to its substrates. core may be nil to
 // skip CPU accounting (used by radio-only experiments).
-func NewDownloader(eng *sim.Engine, bw Bandwidth, radio *Radio, core *cpu.Core, cfg DownloaderConfig) (*Downloader, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func NewDownloader(eng *sim.Engine, bw Bandwidth, radio *Radio, core *cpu.Core) (*Downloader, error) {
 	if bw == nil || radio == nil {
 		return nil, fmt.Errorf("downloader: bandwidth and radio are required")
 	}
-	d := &Downloader{eng: eng, bw: bw, radio: radio, core: core, cfg: cfg}
+	d := &Downloader{eng: eng, bw: bw, radio: radio, core: core}
 	d.readyFn = d.ready
 	d.rttFn = d.startStream
 	d.resumeFn = d.startStream
@@ -101,20 +74,16 @@ func NewDownloader(eng *sim.Engine, bw Bandwidth, radio *Radio, core *cpu.Core, 
 }
 
 // Reset rewinds the downloader to the state NewDownloader would construct
-// for (bw, cfg), keeping its allocations: the fetch queue backing array,
-// the job pool, and the pre-bound streaming callbacks survive. The
-// activity listener is dropped (the next run re-registers its own). The
-// owning engine and radio must be reset alongside; any in-flight fetch is
-// simply forgotten here.
-func (d *Downloader) Reset(bw Bandwidth, cfg DownloaderConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// for bw, keeping its allocations: the fetch queue backing array, the job
+// pool, and the pre-bound streaming callbacks survive. The activity
+// listener is dropped (the next run re-registers its own). The owning
+// engine and radio must be reset alongside; any in-flight fetch is simply
+// forgotten here.
+func (d *Downloader) Reset(bw Bandwidth) error {
 	if bw == nil {
 		return fmt.Errorf("downloader: bandwidth is required")
 	}
 	d.bw = bw
-	d.cfg = cfg
 	d.busy = false
 	for i := range d.queue {
 		d.queue[i] = fetchReq{}
@@ -190,7 +159,7 @@ func (d *Downloader) next() {
 // ready fires once the radio reaches DCH: the request RTT elapses, then the
 // payload streams.
 func (d *Downloader) ready() {
-	d.eng.Schedule(d.cfg.RTT, d.rttFn)
+	d.eng.Schedule(rtt, d.rttFn)
 }
 
 // startStream marks data flowing and (re)enters the streaming loop. It also
@@ -212,8 +181,8 @@ func (d *Downloader) stream() {
 		return
 	}
 	span := until - now
-	if span > d.cfg.NetChunk {
-		span = d.cfg.NetChunk
+	if span > netChunk {
+		span = netChunk
 	}
 	bitsInSpan := rate * span.Seconds()
 	if bitsInSpan >= d.curBits {
@@ -229,7 +198,7 @@ func (d *Downloader) stream() {
 // chunkDone accounts a completed mid-stream chunk and keeps streaming.
 func (d *Downloader) chunkDone() {
 	d.bitsRx += d.spanBits
-	d.chargeCPU(d.spanBits * d.cfg.CyclesPerBit)
+	d.chargeCPU(d.spanBits * cyclesPerBit)
 	d.curBits -= d.spanBits
 	d.stream()
 }
@@ -238,7 +207,7 @@ func (d *Downloader) chunkDone() {
 func (d *Downloader) finish() {
 	remaining := d.curBits
 	d.bitsRx += remaining
-	d.chargeCPU(remaining * d.cfg.CyclesPerBit)
+	d.chargeCPU(remaining * cyclesPerBit)
 	d.fetches++
 	done := d.curDone
 	d.curDone = nil

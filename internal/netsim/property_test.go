@@ -31,7 +31,7 @@ func TestDownloaderConservationProperty(t *testing.T) {
 		if bw.Validate() != nil {
 			return false
 		}
-		dl, err := NewDownloader(eng, bw, radio, nil, DefaultDownloaderConfig())
+		dl, err := NewDownloader(eng, bw, radio, nil)
 		if err != nil {
 			return false
 		}

@@ -208,7 +208,7 @@ func TestRRCStateString(t *testing.T) {
 	}
 }
 
-func newDownloadRig(t *testing.T, bw Bandwidth, cfg DownloaderConfig) (*sim.Engine, *Radio, *cpu.Core, *Downloader) {
+func newDownloadRig(t *testing.T, bw Bandwidth) (*sim.Engine, *Radio, *cpu.Core, *Downloader) {
 	t.Helper()
 	eng := sim.NewEngine()
 	radio, err := NewRadio(eng, DefaultUMTS())
@@ -219,7 +219,7 @@ func newDownloadRig(t *testing.T, bw Bandwidth, cfg DownloaderConfig) (*sim.Engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := NewDownloader(eng, bw, radio, core, cfg)
+	dl, err := NewDownloader(eng, bw, radio, core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +227,14 @@ func newDownloadRig(t *testing.T, bw Bandwidth, cfg DownloaderConfig) (*sim.Engi
 }
 
 func TestDownloaderConstantRateTiming(t *testing.T) {
-	cfg := DefaultDownloaderConfig()
-	eng, _, _, dl := newDownloadRig(t, Constant{Bps: 1e6}, cfg)
+	eng, _, _, dl := newDownloadRig(t, Constant{Bps: 1e6})
 	var doneAt sim.Time
 	if err := dl.Fetch(2e6, func(now sim.Time) { doneAt = now }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	// Promotion 2 s + RTT 0.07 s + 2e6/1e6 = 2 s transfer → 4.07 s.
-	want := 2*sim.Second + cfg.RTT + 2*sim.Second
+	want := 2*sim.Second + rtt + 2*sim.Second
 	if math.Abs(float64(doneAt-want)) > 1e-6 {
 		t.Fatalf("done at %v, want %v", doneAt, want)
 	}
@@ -245,14 +244,13 @@ func TestDownloaderConstantRateTiming(t *testing.T) {
 }
 
 func TestDownloaderChargesNetworkCPU(t *testing.T) {
-	cfg := DefaultDownloaderConfig()
-	eng, _, core, dl := newDownloadRig(t, Constant{Bps: 10e6}, cfg)
+	eng, _, core, dl := newDownloadRig(t, Constant{Bps: 10e6})
 	if err := dl.Fetch(5e6, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	got := core.CyclesByTag()["net"]
-	want := 5e6 * cfg.CyclesPerBit
+	want := 5e6 * cyclesPerBit
 	if math.Abs(got-want) > 1e-3*want {
 		t.Fatalf("net cycles = %v, want %v", got, want)
 	}
@@ -262,8 +260,7 @@ func TestDownloaderChargesNetworkCPU(t *testing.T) {
 }
 
 func TestDownloaderQueuesSequentialFetches(t *testing.T) {
-	cfg := DefaultDownloaderConfig()
-	eng, radio, _, dl := newDownloadRig(t, Constant{Bps: 1e6}, cfg)
+	eng, radio, _, dl := newDownloadRig(t, Constant{Bps: 1e6})
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
 		if err := dl.Fetch(1e6, func(now sim.Time) { done = append(done, now) }); err != nil {
@@ -293,8 +290,7 @@ func TestDownloaderOutageStallsAndResumes(t *testing.T) {
 	if err := bw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultDownloaderConfig()
-	eng, _, _, dl := newDownloadRig(t, bw, cfg)
+	eng, _, _, dl := newDownloadRig(t, bw)
 	var doneAt sim.Time
 	// Transfer starts at 2.07 s; 1 s of data flows before the outage at
 	// 3.07 s; the remaining 1e6 bits resume at 5.07 s and finish at 6.07 s.
@@ -309,8 +305,7 @@ func TestDownloaderOutageStallsAndResumes(t *testing.T) {
 }
 
 func TestDownloaderActivityCallback(t *testing.T) {
-	cfg := DefaultDownloaderConfig()
-	eng, _, _, dl := newDownloadRig(t, Constant{Bps: 1e6}, cfg)
+	eng, _, _, dl := newDownloadRig(t, Constant{Bps: 1e6})
 	var transitions []bool
 	dl.OnActive(func(_ sim.Time, active bool) { transitions = append(transitions, active) })
 	if err := dl.Fetch(1e6, nil); err != nil {
@@ -323,18 +318,12 @@ func TestDownloaderActivityCallback(t *testing.T) {
 }
 
 func TestDownloaderRejectsBadInputs(t *testing.T) {
-	cfg := DefaultDownloaderConfig()
-	eng, radio, core, dl := newDownloadRig(t, Constant{Bps: 1e6}, cfg)
+	eng, radio, core, dl := newDownloadRig(t, Constant{Bps: 1e6})
 	if err := dl.Fetch(0, nil); err == nil {
 		t.Fatal("want error for zero-bit fetch")
 	}
-	if _, err := NewDownloader(eng, nil, radio, core, cfg); err == nil {
+	if _, err := NewDownloader(eng, nil, radio, core); err == nil {
 		t.Fatal("want error for nil bandwidth")
-	}
-	bad := cfg
-	bad.NetChunk = 0
-	if _, err := NewDownloader(eng, Constant{Bps: 1}, radio, core, bad); err == nil {
-		t.Fatal("want error for invalid config")
 	}
 }
 

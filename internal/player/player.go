@@ -82,6 +82,15 @@ func (h tracingHooks) BufferState(now sim.Time, mediaSec float64, readyFrames, r
 	h.SessionHooks.BufferState(now, mediaSec, readyFrames, readyCap)
 }
 
+// The session's fixed costs and smoothing.
+const (
+	// throughputAlpha is the EWMA smoothing for throughput estimates.
+	throughputAlpha = 0.3
+	// displayPowerW is the constant screen draw while the session runs
+	// (metered if Config.Meter is set).
+	displayPowerW = 1.0
+)
+
 // Config tunes a streaming session.
 type Config struct {
 	// StartupSec is the media buffer (seconds) required to begin
@@ -105,15 +114,6 @@ type Config struct {
 	SegmentDur sim.Time
 	// ABR selects rungs; Fixed pins one rendition.
 	ABR abr.Algorithm
-	// ThroughputAlpha is the EWMA smoothing for throughput estimates.
-	ThroughputAlpha float64
-	// DisplayPowerW is the constant screen draw while the session runs
-	// (metered if Meter is set).
-	DisplayPowerW float64
-	// AudioCyclesPerSec adds an audio-decode load: small decode-priority
-	// jobs every 20 ms totalling this cycle rate (AAC software decode is
-	// ≈10–20 M cycles/s). Zero disables audio.
-	AudioCyclesPerSec float64
 	// Forecast, when set, replaces the blind low-water burst trigger with
 	// the predictive scheduler: instead of starting the refill exactly when
 	// the buffer drains to LowWaterSec, the session scans the forecast for
@@ -143,8 +143,6 @@ func DefaultConfig() Config {
 		DecodedQueueCap: 8,
 		SegmentDur:      2 * sim.Second,
 		ABR:             abr.Fixed{Rung: 0},
-		ThroughputAlpha: 0.3,
-		DisplayPowerW:   1.0,
 	}
 }
 
@@ -167,15 +165,6 @@ func (c Config) Validate() error {
 	}
 	if c.ABR == nil {
 		return fmt.Errorf("player: ABR algorithm is required")
-	}
-	if c.ThroughputAlpha <= 0 || c.ThroughputAlpha > 1 {
-		return fmt.Errorf("player: throughput alpha %v outside (0, 1]", c.ThroughputAlpha)
-	}
-	if c.DisplayPowerW < 0 {
-		return fmt.Errorf("player: negative display power")
-	}
-	if c.AudioCyclesPerSec < 0 {
-		return fmt.Errorf("player: negative audio load")
 	}
 	if c.Forecast != nil {
 		if c.LowWaterSec <= 0 {

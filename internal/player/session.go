@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"videodvfs/internal/abr"
-	"videodvfs/internal/cpu"
 	"videodvfs/internal/decode"
 	"videodvfs/internal/energy"
 	"videodvfs/internal/sim"
@@ -72,9 +71,6 @@ type Session struct {
 	onDone  []func()
 	err     error
 
-	audioTicker *sim.Ticker
-	audioPool   cpu.JobPool
-
 	// activityFn is the pre-bound downloader-activity listener; it reads
 	// s.hooks at call time, so re-registering it after a fetcher reset
 	// routes to whatever hooks the current run installed.
@@ -109,7 +105,7 @@ func NewSession(eng *sim.Engine, core decode.Submitter, fet Fetcher, renditions 
 		core:     core,
 		fet:      fet,
 		lastRung: -1,
-		tput:     stats.NewEWMA(cfg.ThroughputAlpha),
+		tput:     stats.NewEWMA(throughputAlpha),
 	}
 	if err := s.configure(renditions, cfg); err != nil {
 		return nil, err
@@ -188,10 +184,10 @@ func (s *Session) configure(renditions []*video.Stream, cfg Config) error {
 // Reset rewinds the session to the state NewSession would construct for
 // (renditions, cfg), keeping its allocations: segment tables for unchanged
 // streams, the completion-callback list's backing array, the decoder (and
-// its queues and job pool), and every pre-bound callback survive. The
-// engine, core, and fetcher the session was built over must be reset
-// alongside by the caller; the fetcher's activity listener is re-registered
-// here since a fetcher reset drops it.
+// its queues and job pool), and every pre-bound callback survive. A
+// pending display tick is canceled. The core and fetcher the session was
+// built over must be reset alongside by the caller; the fetcher's activity
+// listener is re-registered here since a fetcher reset drops it.
 func (s *Session) Reset(renditions []*video.Stream, cfg Config) error {
 	if err := s.configure(renditions, cfg); err != nil {
 		return err
@@ -204,7 +200,7 @@ func (s *Session) Reset(renditions []*video.Stream, cfg Config) error {
 	s.lastRung = -1
 	s.fetching = false
 	s.draining = false
-	s.tput.Reinit(cfg.ThroughputAlpha)
+	s.tput.Reinit(throughputAlpha)
 	s.bitsSum = 0
 	s.segsSum = 0
 	s.downLoade = 0
@@ -215,6 +211,7 @@ func (s *Session) Reset(renditions []*video.Stream, cfg Config) error {
 	s.playing = false
 	s.playhead = 0
 	s.nextTickAt = 0
+	s.eng.Cancel(s.tickEv)
 	s.tickEv = sim.Event{}
 	s.stallStart = 0
 	s.startedAt = 0
@@ -225,7 +222,6 @@ func (s *Session) Reset(renditions []*video.Stream, cfg Config) error {
 	}
 	s.onDone = s.onDone[:0]
 	s.err = nil
-	s.audioTicker = nil
 	return nil
 }
 
@@ -234,26 +230,13 @@ func (s *Session) Start() {
 	s.startedAt = s.eng.Now()
 	s.metrics.TotalFrames = s.total
 	if s.cfg.Meter != nil {
-		s.cfg.Meter.Set(energy.ComponentDisplay, s.cfg.DisplayPowerW)
+		s.cfg.Meter.Set(energy.ComponentDisplay, displayPowerW)
 	}
 	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Power(trace.PowerEvent{T: s.eng.Now(), Component: energy.ComponentDisplay, Watts: s.cfg.DisplayPowerW})
+		s.cfg.Tracer.Power(trace.PowerEvent{T: s.eng.Now(), Component: energy.ComponentDisplay, Watts: displayPowerW})
 	}
 	s.hooks.StreamInfo(s.fps, s.total)
 	s.hooks.PlaybackState(s.eng.Now(), false)
-	if s.cfg.AudioCyclesPerSec > 0 {
-		const audioPeriod = 20 * sim.Millisecond
-		cycles := s.cfg.AudioCyclesPerSec * audioPeriod.Seconds()
-		s.audioTicker = sim.NewTicker(s.eng, audioPeriod, func(sim.Time) {
-			j := s.audioPool.Get()
-			j.Cycles = cycles
-			j.Priority = cpu.PrioDecode
-			j.Tag = "audio"
-			if err := s.core.Submit(j); err != nil && s.err == nil {
-				s.err = fmt.Errorf("player: audio decode: %w", err)
-			}
-		})
-	}
 	s.maybeFetch()
 }
 
@@ -463,9 +446,6 @@ func (s *Session) finish() {
 	}
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.Power(trace.PowerEvent{T: now, Component: energy.ComponentDisplay, Watts: 0})
-	}
-	if s.audioTicker != nil {
-		s.audioTicker.Stop()
 	}
 	s.hooks.PlaybackState(now, false)
 	s.eng.Cancel(s.tickEv)

@@ -298,8 +298,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxBufferSec = 1 },
 		func(c *Config) { c.SegmentDur = 0 },
 		func(c *Config) { c.ABR = nil },
-		func(c *Config) { c.ThroughputAlpha = 0 },
-		func(c *Config) { c.DisplayPowerW = -1 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()
@@ -345,34 +343,35 @@ func TestSessionIncompleteAtHorizon(t *testing.T) {
 	}
 }
 
-func TestSessionAudioPipeline(t *testing.T) {
+// TestSessionResetCancelsWhatItScheduled rewinds a playing session on an
+// engine that keeps running, at a moment when the display tick is all it
+// has pending (every segment fetched, the core idle): the old tick must
+// not fire on the rewound session, where it would stall a session that
+// never started and begin fetching for it.
+func TestSessionResetCancelsWhatItScheduled(t *testing.T) {
 	eng, core := singleOPPCore(t, 1e9)
 	stream := flatStream(30, 10, 1e6, 1e6)
-	cfg := DefaultConfig()
-	cfg.AudioCyclesPerSec = 15e6
-	s := runSession(t, eng, core, 10e6, stream, cfg)
-	if !s.Metrics().Completed {
-		t.Fatal("session did not complete")
+	fet := &fakeFetcher{eng: eng, bps: 10e6}
+	s, err := NewSession(eng, core, fet, []*video.Stream{stream}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	audio := core.CyclesByTag()["audio"]
-	// ≈15 M cycles/s over the ~13.5 s session.
-	if audio < 10*15e6 || audio > 20*15e6 {
-		t.Fatalf("audio cycles %.3g implausible", audio)
+	s.Start()
+	for s.Metrics().DisplayedFrames < 60 || !s.allFetched() || core.Busy() {
+		eng.RunUntil(eng.Now() + sim.Millisecond)
 	}
-	// Audio must stop with the session.
-	end := core.CyclesByTag()["audio"]
-	eng.Schedule(10*sim.Second, func() {})
-	eng.Run()
-	if core.CyclesByTag()["audio"] != end {
-		t.Fatal("audio kept decoding after the session finished")
+	if err := s.Reset([]*video.Stream{stream}, DefaultConfig()); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSessionAudioConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AudioCyclesPerSec = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("want error for negative audio load")
+	fetches := fet.fetches
+	eng.RunUntil(eng.Now() + 5*sim.Second)
+	if m := s.Metrics(); m != (Metrics{}) || fet.fetches != fetches {
+		t.Fatalf("a reset session that was never started moved: metrics %+v, %d new fetches", m, fet.fetches-fetches)
+	}
+	s.Start()
+	eng.RunUntil(eng.Now() + 10*sim.Minute)
+	if m := s.Metrics(); !m.Completed || m.DisplayedFrames != 300 || m.RebufferCount != 0 {
+		t.Fatalf("the restarted session played %+v", m)
 	}
 }
 

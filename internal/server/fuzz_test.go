@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
+	"videodvfs/internal/cohort"
 	"videodvfs/internal/experiments"
 )
 
@@ -109,6 +112,89 @@ func FuzzSweepRequest(f *testing.F) {
 			if got != want {
 				t.Fatalf("point %d resolves to key %s, Configs()[%d] to %s", i, got, i, want)
 			}
+		}
+	})
+}
+
+// FuzzCohortPartRequest holds the /v1/cohort/part body — a whole cohort
+// request nested beside the shard list a worker should run — to the same
+// contract as a run body: decode errors wrap ErrBadRequest, config errors
+// wrap ErrInvalidConfig, and an accepted cohort validates and has a
+// stable content-addressed key. The shard list is checked on both sides
+// of the cache: cohort.RunPart refuses an empty list, a duplicate, a
+// negative index or one at or past the shard count, and shardSetKey never
+// files a list with duplicates under its deduplicated form's key (where a
+// cached part of the valid list would answer it). The target calls
+// RunPart only for lists it finds invalid itself, which RunPart refuses
+// before building any shard, and only up to 4096 indexes, since RunPart
+// copies and sorts the list.
+func FuzzCohortPartRequest(f *testing.F) {
+	f.Add([]byte(`{"cohort": {"viewers": 8, "shards": 4, "base": {"duration_s": 5}}, "shards": [0, 2]}`))
+	f.Add([]byte(`{"cohort": {"viewers": 8, "shards": 4}, "shards": [1, 1]}`))
+	f.Add([]byte(`{"cohort": {"viewers": 8, "shards": 4}, "shards": [-1]}`))
+	f.Add([]byte(`{"cohort": {"viewers": 8, "shards": 4}, "shards": [4]}`))
+	f.Add([]byte(`{"cohort": {"viewers": 8, "shards": 4}, "shards": []}`))
+	f.Add([]byte(`{"cohort": {"viewers": 3000, "arrival": "poisson", "arrival_rate_per_sec": 50,
+		"cell": {"capacity_mbps": 250, "sectors": 8}}, "shards": [7, 0, 7]}`))
+	f.Add([]byte(`{"cohort": {"arrival": "flashmob"}, "shards": [0]}`))
+	f.Add([]byte(`{"cohort": {"base": {"net": "5g"}}, "shards": [0]}`))
+	f.Add([]byte(`{"cohort": {"spectators": 5}, "shards": [0]}`))
+	f.Add([]byte(`{"cohort": {}, "shards": [0]} trailing`))
+	f.Add([]byte(`{"shards": [0]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := DecodeCohortPartRequest(bytes.NewReader(body))
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("decode error %v does not wrap ErrBadRequest", err)
+			}
+			return
+		}
+		shards := req.Shards
+		set := slices.Clone(shards)
+		slices.Sort(set)
+		set = slices.Compact(set)
+		if len(set) != len(shards) && shardSetKey(shards) == shardSetKey(set) {
+			t.Fatalf("shard list %v shares the cache key %q of its deduplicated form", shards, shardSetKey(set))
+		}
+		rev := slices.Clone(shards)
+		slices.Reverse(rev)
+		if shardSetKey(rev) != shardSetKey(shards) {
+			t.Fatalf("two orders of %v map to different keys", shards)
+		}
+
+		cfg, err := req.Cohort.Config()
+		if err != nil {
+			if !errors.Is(err, experiments.ErrInvalidConfig) {
+				t.Fatalf("Config error %v does not wrap ErrInvalidConfig", err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Config() returned a cohort Validate rejects: %v", err)
+		}
+		k1, ok := cohort.Key(cfg)
+		if !ok {
+			t.Fatal("decoded cohort reported uncacheable")
+		}
+		if k2, _ := cohort.Key(cfg); k1 != k2 || len(k1) != 64 {
+			t.Fatalf("cohort key unstable or malformed: %q vs %q", k1, k2)
+		}
+		if _, err := hex.DecodeString(k1); err != nil {
+			t.Fatalf("cohort key %q is not hex: %v", k1, err)
+		}
+
+		n := cohort.ShardCount(cfg)
+		invalid := len(shards) == 0 || len(set) != len(shards)
+		for _, idx := range shards {
+			if idx < 0 || idx >= n {
+				invalid = true
+			}
+		}
+		if !invalid || len(shards) > 4096 {
+			return
+		}
+		if _, err := cohort.RunPart(cfg, shards); !errors.Is(err, experiments.ErrInvalidConfig) {
+			t.Fatalf("RunPart over %d shards accepted the list %v (err %v)", n, shards, err)
 		}
 	})
 }

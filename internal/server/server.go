@@ -48,6 +48,10 @@ import (
 // Retry-After hint.
 var ErrOverloaded = errors.New("server: overloaded, queue full")
 
+// MaxBodyBytes bounds request bodies, dvfsd's and the dvfsctl
+// controller's alike.
+const MaxBodyBytes = 1 << 20
+
 // Config tunes one Server.
 type Config struct {
 	// Workers is the simulation pool size (≤0 = GOMAXPROCS).
@@ -70,8 +74,6 @@ type Config struct {
 	// MaxCohortViewers rejects cohorts larger than this
 	// (≤0 = 200_000).
 	MaxCohortViewers int
-	// MaxBodyBytes bounds request bodies (≤0 = 1 MiB).
-	MaxBodyBytes int64
 	// Runner executes one simulation (nil = experiments.Run). Tests
 	// substitute it to script latency and failures.
 	Runner func(experiments.RunConfig) (experiments.RunResult, error)
@@ -99,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCohortViewers <= 0 {
 		c.MaxCohortViewers = 200_000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Runner == nil {
 		c.Runner = experiments.Run
@@ -451,7 +450,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.accept(w, "run") {
 		return
 	}
-	req, err := DecodeRunRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	req, err := DecodeRunRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -561,7 +560,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.accept(w, "sweep") {
 		return
 	}
-	req, err := DecodeSweepRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	req, err := DecodeSweepRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -660,7 +659,7 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 	if !s.accept(w, "cohort") {
 		return
 	}
-	req, err := DecodeCohortRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	req, err := DecodeCohortRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -764,7 +763,7 @@ func (s *Server) handleCohortPart(w http.ResponseWriter, r *http.Request) {
 	if !s.accept(w, "cohort-part") {
 		return
 	}
-	req, err := DecodeCohortPartRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	req, err := DecodeCohortPartRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -508,18 +508,22 @@ func runSweepOutcomes(t *testing.T, url, req string) []json.RawMessage {
 // contract: cache-miss sweep points computed on RECYCLED sessions (the
 // production default — workers draw battered arenas from the pool) must
 // write byte-identical ConfigKey cache entries to the same sweep computed
-// on fresh-per-run sessions. The pool is deliberately dirtied first with
-// dissimilar configs so the sweep's misses land on recycled arenas, not
-// pristine ones.
+// on fresh-per-run sessions, which a Runner building a new arena for each
+// run provides. The pool is deliberately dirtied first with dissimilar
+// configs so the sweep's misses land on recycled arenas, not pristine
+// ones.
 func TestSweepRecycledSessionCacheBytes(t *testing.T) {
 	const sweepReq = `{"base": {"duration_s": 6, "seed": 9},
 		"governors": ["performance", "ondemand", "energyaware"], "seed_range": [9, 10]}`
 
-	defer experiments.SetSessionReuse(experiments.SetSessionReuse(false))
-	_, freshTS := newTestServer(t, Config{Workers: 2})
+	fresh := func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		var res experiments.RunResult
+		err := experiments.NewSession().RunInto(cfg, &res)
+		return res, err
+	}
+	_, freshTS := newTestServer(t, Config{Workers: 2, Runner: fresh})
 	freshRuns := runSweepOutcomes(t, freshTS.URL, sweepReq)
 
-	experiments.SetSessionReuse(true)
 	_, recycledTS := newTestServer(t, Config{Workers: 2})
 	// Dirty the arena pool: runs whose device, network, idle model, and
 	// ABR all differ from the sweep's points.
@@ -627,7 +631,7 @@ func TestRunTraceStream(t *testing.T) {
 // TestQueueFull429, 422 in TestHorizonExceeded422, and 503 in
 // TestShutdownDrains, against the same envelope.)
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 2048})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name, path, body string
 		wantStatus       int
@@ -643,7 +647,7 @@ func TestBadRequests(t *testing.T) {
 		{"over duration cap", "/v1/run", `{"duration_s": 1e9}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"unknown trace mode", "/v1/run?trace=csv", `{}`, http.StatusBadRequest, CodeBadRequest},
 		{"bad strict value", "/v1/run?strict=yes", `{}`, http.StatusBadRequest, CodeBadRequest},
-		{"oversized body", "/v1/run", `{"codec": "` + strings.Repeat("x", 4096) + `"}`, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"oversized body", "/v1/run", `{"codec": "` + strings.Repeat("x", MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"sweep seeds conflict", "/v1/sweep", `{"base": {}, "seeds": [1], "seed_range": [1, 2]}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"sweep too large", "/v1/sweep", `{"base": {}, "seed_range": [1, 100000]}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"sweep unknown net", "/v1/sweep", `{"base": {}, "nets": ["5g"]}`, http.StatusBadRequest, CodeInvalidConfig},

@@ -15,6 +15,14 @@ import (
 	"videodvfs/internal/stats"
 )
 
+// A hammer worker retries a 429 up to maxRetries times per request,
+// honoring Retry-After capped at retryCap per wait, so a soak run cannot
+// be parked for minutes by one pessimistic estimate.
+const (
+	maxRetries = 10
+	retryCap   = 2 * time.Second
+)
+
 // HammerConfig tunes a load-generation run against one or more
 // dvfsd-compatible endpoints (dvfsd workers or a dvfsctl controller).
 type HammerConfig struct {
@@ -35,12 +43,6 @@ type HammerConfig struct {
 	Concurrency int
 	// Timeout bounds each attempt (default 30 s).
 	Timeout time.Duration
-	// MaxRetries bounds per-request 429 retries (default 10); the worker
-	// honors Retry-After, capped at RetryCap per wait.
-	MaxRetries int
-	// RetryCap caps a single Retry-After wait (default 2 s) so a soak
-	// run cannot be parked for minutes by one pessimistic estimate.
-	RetryCap time.Duration
 	// Client overrides the HTTP client (its Timeout is ignored in favor
 	// of per-attempt contexts).
 	Client *http.Client
@@ -58,12 +60,6 @@ func (c HammerConfig) withDefaults() HammerConfig {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 10
-	}
-	if c.RetryCap == 0 {
-		c.RetryCap = 2 * time.Second
 	}
 	return c
 }
@@ -242,13 +238,13 @@ func doRequest(client *http.Client, cfg HammerConfig, target string, body []byte
 				Reason: "429 without a non-negative integer Retry-After (got " + strconv.Quote(ra) + ")",
 			}
 		}
-		if attempt >= cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return outcomeRejected, retried, 0, nil
 		}
 		retried++
 		wait := time.Duration(secs) * time.Second
-		if wait > cfg.RetryCap {
-			wait = cfg.RetryCap
+		if wait > retryCap {
+			wait = retryCap
 		}
 		if wait == 0 {
 			wait = 10 * time.Millisecond

@@ -49,6 +49,9 @@ func ParseShape(name string) (Shape, error) {
 	return "", fmt.Errorf("stress: %w %q (known: %v)", ErrBadShape, name, Shapes())
 }
 
+// chunkBytes is the origin's write/pacing granularity.
+const chunkBytes = 16 << 10
+
 // OriginConfig tunes the shaped origin server.
 type OriginConfig struct {
 	// RateBps is the target delivery rate in bits/s (default 8 Mbit/s).
@@ -62,8 +65,6 @@ type OriginConfig struct {
 	// BurstBytes is the unthrottled head of a ShapeThrottle response
 	// (default 256 KiB).
 	BurstBytes int
-	// ChunkBytes is the write/pacing granularity (default 16 KiB).
-	ChunkBytes int
 	// MaxBytes caps a single /blob response (default 256 MiB) so a typo
 	// cannot pin a handler goroutine for hours.
 	MaxBytes int64
@@ -86,9 +87,6 @@ func (c OriginConfig) withDefaults() OriginConfig {
 	if c.BurstBytes == 0 {
 		c.BurstBytes = 256 << 10
 	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = 16 << 10
-	}
 	if c.MaxBytes == 0 {
 		c.MaxBytes = 256 << 20
 	}
@@ -106,9 +104,9 @@ func (c OriginConfig) Validate() error {
 	if c.OnDur <= 0 || c.OffDur < 0 {
 		return fmt.Errorf("stress: origin on/off windows %v/%v invalid", c.OnDur, c.OffDur)
 	}
-	if c.BurstBytes < 0 || c.ChunkBytes <= 0 || c.MaxBytes <= 0 {
-		return fmt.Errorf("stress: origin byte knobs invalid (burst %d, chunk %d, max %d)",
-			c.BurstBytes, c.ChunkBytes, c.MaxBytes)
+	if c.BurstBytes < 0 || c.MaxBytes <= 0 {
+		return fmt.Errorf("stress: origin byte knobs invalid (burst %d, max %d)",
+			c.BurstBytes, c.MaxBytes)
 	}
 	return nil
 }
@@ -175,7 +173,7 @@ func (o *Origin) handleBlob(w http.ResponseWriter, r *http.Request) {
 // rate.
 func (o *Origin) serve(w http.ResponseWriter, r *http.Request, n int64, rate float64, shape Shape) {
 	fl, _ := w.(http.Flusher)
-	chunk := make([]byte, o.cfg.ChunkBytes)
+	chunk := make([]byte, chunkBytes)
 	for i := range chunk {
 		chunk[i] = byte(i)
 	}

@@ -295,12 +295,6 @@ type Arena = experiments.Session
 // RunInto and recycled by every later one.
 func NewArena() *Arena { return experiments.NewSession() }
 
-// SetSessionReuse toggles the arena pool behind Run and returns the
-// previous setting. On by default; switching it off makes every Run
-// construct a fresh simulator (the reference mode the differential test
-// layer compares recycled runs against).
-func SetSessionReuse(on bool) (prev bool) { return experiments.SetSessionReuse(on) }
-
 // ErrHorizonExceeded reports a session still incomplete when the
 // simulation horizon cut the run off; distinguish it with errors.Is.
 var ErrHorizonExceeded = experiments.ErrHorizonExceeded
