@@ -2,11 +2,14 @@ GO ?= go
 
 .PHONY: check fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
 
-# The full gate: formatting, vet, build, race-enabled tests (includes the
-# golden regression suite and the parallel/serial equivalence test), the
-# zero-allocation budget for the steady-state run loop, the fleet and
-# wire-level stress end-to-end batteries, and the benchmark module.
-check: fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e
+# The full local gate: formatting, vet, build, race-enabled tests
+# (includes the golden regression suite and the parallel/serial
+# equivalence test), the zero-allocation budget for the steady-state run
+# loop, the fleet and wire-level stress end-to-end batteries, the
+# benchmark module, and the evaluation rebuilt with invariants armed
+# (strict). That is every correctness step CI runs except the time-boxed
+# fuzz-short and the host-sensitive bench-gate.
+check: fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e strict
 
 # Fails, naming the files, when any Go file is not gofmt-formatted.
 fmt:

@@ -262,7 +262,7 @@ func benchRegistry(b *testing.B, workers int) {
 			}
 			jobs[j] = func() (experiments.Table, error) { return builder() }
 		}
-		outs := campaign.Do(jobs, campaign.Options[experiments.Table]{Workers: workers})
+		outs := campaign.Do(jobs, campaign.Options{Workers: workers})
 		if _, err := campaign.Values(outs); err != nil {
 			b.Fatal(err)
 		}

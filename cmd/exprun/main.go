@@ -96,11 +96,11 @@ func run(args []string) error {
 			return tab.Render(format)
 		}
 	}
-	var obs campaign.Observer
+	opts := campaign.Options{Workers: *parallel}
 	if *progress {
-		obs = &campaign.LogObserver{W: os.Stderr, Every: 1}
+		opts.Progress = os.Stderr
 	}
-	outs := campaign.Do(jobs, campaign.Options[string]{Workers: *parallel, Observer: obs})
+	outs := campaign.Do(jobs, opts)
 	// Print in input order; fail on the first error but keep the tables
 	// that did build ahead of it.
 	for i, o := range outs {

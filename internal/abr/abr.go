@@ -8,7 +8,6 @@ package abr
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // State is the player-side observation an algorithm decides from.
@@ -59,17 +58,23 @@ func (Fixed) Name() string { return "fixed" }
 // NextRung implements Algorithm.
 func (f Fixed) NextRung(s State) int { return clampRung(f.Rung, len(s.Rates)) }
 
-// RateBased picks the highest rung whose bitrate fits under a safety
-// fraction of estimated throughput — the classic throughput-rule ABR.
-type RateBased struct {
-	// Safety is the fraction of estimated throughput considered usable
-	// (default 0.85).
-	Safety float64
-}
+// The adaptation rules' constants: the throughput rule's usable fraction
+// of estimated throughput, and BBA-0's paper-standard buffer knees.
+const (
+	// rateSafety is the fraction of estimated throughput RateBased spends.
+	rateSafety = 0.85
+	// reservoirSec is the buffer level at or below which BufferBased
+	// forces the lowest rung.
+	reservoirSec = 5.0
+	// cushionSec is the buffer level at or above which BufferBased allows
+	// the highest rung.
+	cushionSec = 15.0
+)
 
-// NewRateBased returns a throughput-rule ABR with the standard safety
-// factor.
-func NewRateBased() RateBased { return RateBased{Safety: 0.85} }
+// RateBased picks the highest rung whose bitrate fits under a safety
+// fraction (0.85) of estimated throughput — the classic throughput-rule
+// ABR.
+type RateBased struct{}
 
 // Name implements Algorithm.
 func (RateBased) Name() string { return "rate" }
@@ -79,18 +84,11 @@ func (RateBased) Name() string { return "rate" }
 // the first segment's rung choice is defined by contract, not by whatever
 // 0×safety happens to compare as (and a spurious +Inf estimate must not
 // launch the session at the top rung).
-func (r RateBased) NextRung(s State) int {
-	if len(s.Rates) == 0 {
-		return 0
-	}
+func (RateBased) NextRung(s State) int {
 	if !(s.ThroughputBps > 0) || math.IsInf(s.ThroughputBps, 0) {
 		return 0 // cold start or degenerate estimate
 	}
-	safety := r.Safety
-	if safety <= 0 || safety > 1 {
-		safety = 0.85
-	}
-	budget := s.ThroughputBps * safety
+	budget := s.ThroughputBps * rateSafety
 	best := 0
 	for i, rate := range s.Rates {
 		if rate <= budget {
@@ -101,19 +99,9 @@ func (r RateBased) NextRung(s State) int {
 }
 
 // BufferBased is a BBA-0 style algorithm: rung is a piecewise-linear
-// function of buffer level between a reservoir and a cushion, ignoring
-// throughput except implicitly through the buffer.
-type BufferBased struct {
-	// ReservoirSec is the buffer level below which the lowest rung is
-	// forced (default 5 s).
-	ReservoirSec float64
-	// CushionSec is the buffer level above which the highest rung is
-	// allowed (default 15 s).
-	CushionSec float64
-}
-
-// NewBufferBased returns a BBA-0 with the paper-standard 5 s/15 s knees.
-func NewBufferBased() BufferBased { return BufferBased{ReservoirSec: 5, CushionSec: 15} }
+// function of buffer level between a 5 s reservoir and a 15 s cushion,
+// ignoring throughput except implicitly through the buffer.
+type BufferBased struct{}
 
 // Name implements Algorithm.
 func (BufferBased) Name() string { return "bba" }
@@ -121,46 +109,29 @@ func (BufferBased) Name() string { return "bba" }
 // NextRung implements Algorithm. BufferBased never reads the throughput
 // estimate, so the cold-start contract holds structurally: the first call
 // sees an empty buffer, lands in the reservoir branch, and returns rung 0.
-func (b BufferBased) NextRung(s State) int {
+func (BufferBased) NextRung(s State) int {
 	n := len(s.Rates)
-	if n == 0 {
-		return 0
-	}
-	reservoir, cushion := b.ReservoirSec, b.CushionSec
-	if reservoir <= 0 {
-		reservoir = 5
-	}
-	if cushion <= reservoir {
-		cushion = reservoir + 10
-	}
 	switch {
-	case s.BufferSec <= reservoir:
+	case n == 0, s.BufferSec <= reservoirSec:
 		return 0
-	case s.BufferSec >= cushion:
+	case s.BufferSec >= cushionSec:
 		return n - 1
 	default:
-		frac := (s.BufferSec - reservoir) / (cushion - reservoir)
+		frac := (s.BufferSec - reservoirSec) / (cushionSec - reservoirSec)
 		return clampRung(int(frac*float64(n)), n)
 	}
 }
 
-// New returns an algorithm by name ("fixed:<rung>" pins a rung).
+// New returns an algorithm by name: "rate", "bba", or "fixed" (rung 0).
 func New(name string) (Algorithm, error) {
 	switch name {
 	case "rate":
-		return NewRateBased(), nil
+		return RateBased{}, nil
 	case "bba":
-		return NewBufferBased(), nil
+		return BufferBased{}, nil
 	case "fixed":
 		return Fixed{}, nil
 	default:
 		return nil, fmt.Errorf("abr: unknown algorithm %q", name)
 	}
-}
-
-// Names lists the built-in algorithms in report order.
-func Names() []string {
-	out := []string{"fixed", "rate", "bba"}
-	sort.Strings(out)
-	return out
 }

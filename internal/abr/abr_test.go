@@ -22,7 +22,7 @@ func TestFixedClamps(t *testing.T) {
 }
 
 func TestRateBasedPicksHighestAffordable(t *testing.T) {
-	a := NewRateBased()
+	a := RateBased{}
 	cases := []struct {
 		tput float64
 		want int
@@ -42,18 +42,8 @@ func TestRateBasedPicksHighestAffordable(t *testing.T) {
 	}
 }
 
-func TestRateBasedDegenerateSafety(t *testing.T) {
-	a := RateBased{Safety: -1}
-	if got := a.NextRung(State{ThroughputBps: 10e6, Rates: ladder}); got != 3 {
-		t.Fatalf("bad safety should fall back to default: rung %d", got)
-	}
-	if got := a.NextRung(State{ThroughputBps: 10e6}); got != 0 {
-		t.Fatalf("empty ladder should return 0, got %d", got)
-	}
-}
-
 func TestBufferBasedRegions(t *testing.T) {
-	a := NewBufferBased()
+	a := BufferBased{}
 	cases := []struct {
 		buf  float64
 		want int
@@ -78,18 +68,8 @@ func TestBufferBasedRegions(t *testing.T) {
 	}
 }
 
-func TestBufferBasedDegenerateKnees(t *testing.T) {
-	a := BufferBased{ReservoirSec: -1, CushionSec: -1}
-	if got := a.NextRung(State{BufferSec: 100, Rates: ladder}); got != 3 {
-		t.Fatalf("degenerate knees: rung %d, want 3", got)
-	}
-	if got := a.NextRung(State{BufferSec: 100}); got != 0 {
-		t.Fatalf("empty ladder should return 0, got %d", got)
-	}
-}
-
 func TestNewByName(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range []string{"fixed", "rate", "bba"} {
 		a, err := New(name)
 		if err != nil {
 			t.Fatalf("New(%s): %v", name, err)
@@ -103,9 +83,15 @@ func TestNewByName(t *testing.T) {
 	}
 }
 
-// Property: every algorithm returns a valid rung for any state.
+// Property: every algorithm returns a valid rung for any state, and the
+// adaptive ones return rung 0 for an empty ladder.
 func TestAllAlgorithmsReturnValidRungs(t *testing.T) {
-	algos := []Algorithm{Fixed{Rung: 2}, NewRateBased(), NewBufferBased()}
+	for _, a := range []Algorithm{RateBased{}, BufferBased{}} {
+		if got := a.NextRung(State{ThroughputBps: 10e6, BufferSec: 100}); got != 0 {
+			t.Fatalf("%s on an empty ladder = rung %d, want 0", a.Name(), got)
+		}
+	}
+	algos := []Algorithm{Fixed{Rung: 2}, RateBased{}, BufferBased{}}
 	f := func(tputRaw uint32, bufRaw uint16, lastRaw int8) bool {
 		s := State{
 			ThroughputBps: float64(tputRaw),
@@ -137,10 +123,10 @@ func TestColdStartContract(t *testing.T) {
 	colds := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -1e6}
 	for _, tput := range colds {
 		s := State{ThroughputBps: tput, BufferSec: 0, LastRung: -1, Rates: rates}
-		if got := NewRateBased().NextRung(s); got != 0 {
+		if got := (RateBased{}).NextRung(s); got != 0 {
 			t.Errorf("RateBased cold start (tput=%v) = rung %d, want 0", tput, got)
 		}
-		if got := NewBufferBased().NextRung(s); got != 0 {
+		if got := (BufferBased{}).NextRung(s); got != 0 {
 			t.Errorf("BufferBased cold start (tput=%v) = rung %d, want 0", tput, got)
 		}
 		if got := (Fixed{Rung: 2}).NextRung(s); got != 2 {
@@ -149,7 +135,7 @@ func TestColdStartContract(t *testing.T) {
 	}
 	// The guard is cold-start-only: a warmed estimate still climbs.
 	warm := State{ThroughputBps: 10e6, BufferSec: 20, LastRung: 0, Rates: rates}
-	if got := NewRateBased().NextRung(warm); got != 3 {
+	if got := (RateBased{}).NextRung(warm); got != 3 {
 		t.Errorf("RateBased warm = rung %d, want 3", got)
 	}
 }

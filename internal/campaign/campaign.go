@@ -2,9 +2,10 @@
 // jobs across a worker pool. Every table and figure of the evaluation is
 // rebuilt from dozens of single-threaded sim.Engine runs; the engine is
 // serial by design, so throughput comes from executing whole runs
-// concurrently. The pool preserves input order in its results, converts
+// concurrently. Do preserves input order in its results, converts
 // per-job panics into per-job errors (one bad config must not kill a
-// 1000-run sweep), and reports progress through a pluggable Observer.
+// 1000-run sweep), and can print progress lines to a writer. It runs on
+// the same Pool a simulation service admits its requests to.
 //
 // The package is deliberately generic: it knows nothing about
 // experiments.RunConfig, so the experiments package (and anything else —
@@ -26,6 +27,7 @@ package campaign
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -63,55 +65,44 @@ func (e *PanicError) Error() string {
 }
 
 // Options configure one batch.
-type Options[T any] struct {
+type Options struct {
 	// Workers is the pool size; ≤0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Observer receives progress events (nil = none). Calls are
-	// serialized by the pool, so observers need no locking.
-	Observer Observer
+	// Progress, when set, receives a line per finished job — a failure
+	// line for a job that returned an error, an "i/n done" line for one
+	// that succeeded — and a summary line once the batch is done. Lines
+	// are written one at a time, so the writer needs no locking.
+	Progress io.Writer
 }
 
-// Do executes jobs across a worker pool and returns their outcomes in
-// input order. It blocks until every job finished; a panicking or failing
-// job only marks its own slot.
-func Do[T any](jobs []Job[T], opts Options[T]) []Outcome[T] {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// Do executes jobs on a Pool sized for the batch and returns their
+// outcomes in input order. It blocks until every job finished; a
+// panicking or failing job only marks its own slot.
+func Do[T any](jobs []Job[T], opts Options) []Outcome[T] {
 	out := make([]Outcome[T], len(jobs))
 	if len(jobs) == 0 {
 		return out
 	}
-
-	tr := newTracker(len(jobs), opts.Observer)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				tr.started(i)
-				out[i] = runOne(i, jobs[i])
-				tr.finished(i, out[i].Err)
-			}
-		}()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	for i := range jobs {
-		indices <- i
+	// The queue holds the whole batch, so no submission is ever refused.
+	pool := NewPool(min(workers, len(jobs)), len(jobs))
+	prog := progress{w: opts.Progress, total: len(jobs), t0: time.Now()}
+	for i, job := range jobs {
+		// Each task writes only its own slot, so the slice needs no locking.
+		pool.TrySubmit(func() {
+			out[i] = runOne(i, job)
+			prog.finished(i, out[i].Err)
+		})
 	}
-	close(indices)
-	wg.Wait()
-	tr.done()
+	pool.Close()
+	prog.done()
 	return out
 }
 
-// runOne executes one job under the Protect panic discipline. Each
-// worker writes only its own result slot, so the slice needs no locking.
+// runOne executes one job under the Protect panic discipline.
 func runOne[T any](i int, job Job[T]) (out Outcome[T]) {
 	out.Index = i
 	out.Err = Protect(i, func() error {
@@ -135,75 +126,50 @@ func Values[T any](outs []Outcome[T]) ([]T, error) {
 	return vals, nil
 }
 
-// Progress is a snapshot of a batch in flight.
-type Progress struct {
-	// Total is the number of jobs in the batch.
-	Total int
-	// Started counts jobs handed to a worker.
-	Started int
-	// Completed counts finished jobs, successful or not.
-	Completed int
-	// Failed counts finished jobs that returned an error.
-	Failed int
-	// Wall is the elapsed wall-clock time since Do began.
-	Wall time.Duration
+// progress counts a batch's finished jobs and prints its lines to w when
+// w is set. Workers report concurrently; mu serializes counts and lines.
+type progress struct {
+	mu                       sync.Mutex
+	w                        io.Writer
+	total, completed, failed int
+	t0                       time.Time
+	wall                     time.Duration // elapsed at the last report
 }
 
-// RunsPerSec returns completed jobs per wall-clock second.
-func (p Progress) RunsPerSec() float64 {
-	if p.Wall <= 0 {
+// runsPerSec returns completed jobs per wall-clock second.
+func (p *progress) runsPerSec() float64 {
+	if p.wall <= 0 {
 		return 0
 	}
-	return float64(p.Completed) / p.Wall.Seconds()
+	return float64(p.completed) / p.wall.Seconds()
 }
 
-// tracker serializes progress accounting and observer callbacks.
-type tracker struct {
-	mu    sync.Mutex
-	p     Progress
-	t0    time.Time
-	obs   Observer
-	clock func() time.Duration
-}
-
-func newTracker(total int, obs Observer) *tracker {
-	t0 := time.Now()
-	return &tracker{
-		p:     Progress{Total: total},
-		t0:    t0,
-		obs:   obs,
-		clock: func() time.Duration { return time.Since(t0) },
-	}
-}
-
-func (t *tracker) started(i int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.p.Started++
-	t.p.Wall = t.clock()
-	if t.obs != nil {
-		t.obs.JobStarted(i, t.p)
-	}
-}
-
-func (t *tracker) finished(i int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.p.Completed++
+// finished counts job i, failed when err is set.
+func (p *progress) finished(i int, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.completed++
 	if err != nil {
-		t.p.Failed++
+		p.failed++
 	}
-	t.p.Wall = t.clock()
-	if t.obs != nil {
-		t.obs.JobDone(i, err, t.p)
+	p.wall = time.Since(p.t0)
+	switch {
+	case p.w == nil:
+	case err != nil:
+		fmt.Fprintf(p.w, "campaign: run %d failed: %v\n", i, err)
+	default:
+		fmt.Fprintf(p.w, "campaign: %d/%d done (%d failed) %.1fs %.1f runs/s\n",
+			p.completed, p.total, p.failed, p.wall.Seconds(), p.runsPerSec())
 	}
 }
 
-func (t *tracker) done() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.p.Wall = t.clock()
-	if t.obs != nil {
-		t.obs.BatchDone(t.p)
+// done prints the summary line.
+func (p *progress) done() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wall = time.Since(p.t0)
+	if p.w != nil {
+		fmt.Fprintf(p.w, "campaign: done %d runs (%d failed) in %.1fs — %.1f runs/s\n",
+			p.completed, p.failed, p.wall.Seconds(), p.runsPerSec())
 	}
 }

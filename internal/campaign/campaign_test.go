@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"videodvfs/internal/sim"
@@ -21,7 +20,7 @@ func squareJobs(n int) []Job[int] {
 
 func TestDoPreservesOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
-		outs := Do(squareJobs(37), Options[int]{Workers: workers})
+		outs := Do(squareJobs(37), Options{Workers: workers})
 		if len(outs) != 37 {
 			t.Fatalf("workers=%d: got %d outcomes", workers, len(outs))
 		}
@@ -34,7 +33,7 @@ func TestDoPreservesOrder(t *testing.T) {
 }
 
 func TestDoEmptyBatch(t *testing.T) {
-	if outs := Do(nil, Options[int]{}); len(outs) != 0 {
+	if outs := Do[int](nil, Options{}); len(outs) != 0 {
 		t.Fatalf("empty batch produced %d outcomes", len(outs))
 	}
 }
@@ -42,7 +41,7 @@ func TestDoEmptyBatch(t *testing.T) {
 func TestDoRecoversPanics(t *testing.T) {
 	jobs := squareJobs(9)
 	jobs[4] = func() (int, error) { panic("boom") }
-	outs := Do(jobs, Options[int]{Workers: 4})
+	outs := Do(jobs, Options{Workers: 4})
 	for i, o := range outs {
 		if i == 4 {
 			var pe *PanicError
@@ -67,7 +66,7 @@ func TestDoErrorsStayPerSlot(t *testing.T) {
 	sentinel := errors.New("bad config")
 	jobs := squareJobs(5)
 	jobs[2] = func() (int, error) { return 0, sentinel }
-	outs := Do(jobs, Options[int]{Workers: 2})
+	outs := Do(jobs, Options{Workers: 2})
 	if !errors.Is(outs[2].Err, sentinel) {
 		t.Fatalf("slot 2: want sentinel, got %v", outs[2].Err)
 	}
@@ -81,67 +80,60 @@ func TestDoErrorsStayPerSlot(t *testing.T) {
 	}
 }
 
-// countingObserver checks event accounting and serialization.
-type countingObserver struct {
-	started, done, failed int32
-	batchDone             int32
-	final                 Progress
-}
-
-func (c *countingObserver) JobStarted(int, Progress) { atomic.AddInt32(&c.started, 1) }
-func (c *countingObserver) JobDone(_ int, err error, _ Progress) {
-	atomic.AddInt32(&c.done, 1)
-	if err != nil {
-		atomic.AddInt32(&c.failed, 1)
-	}
-}
-func (c *countingObserver) BatchDone(p Progress) {
-	atomic.AddInt32(&c.batchDone, 1)
-	c.final = p
-}
-
-func TestObserverEventsAndProgress(t *testing.T) {
-	jobs := squareJobs(20)
-	jobs[7] = func() (int, error) { return 0, errors.New("x") }
-	obs := &countingObserver{}
-	Do(jobs, Options[int]{
-		Workers:  4,
-		Observer: obs,
-	})
-	if obs.started != 20 || obs.done != 20 || obs.failed != 1 || obs.batchDone != 1 {
-		t.Fatalf("event counts wrong: %+v", obs)
-	}
-	p := obs.final
-	if p.Total != 20 || p.Started != 20 || p.Completed != 20 || p.Failed != 1 {
-		t.Fatalf("final progress wrong: %+v", p)
-	}
-	if p.Wall < 0 || p.RunsPerSec() < 0 {
-		t.Fatalf("throughput metrics negative: %+v", p)
-	}
-}
-
 func TestProgressRates(t *testing.T) {
-	p := Progress{Completed: 50, Wall: 2e9}
-	if got := p.RunsPerSec(); got != 25 {
-		t.Fatalf("RunsPerSec = %v, want 25", got)
+	p := progress{completed: 50, wall: 2e9}
+	if got := p.runsPerSec(); got != 25 {
+		t.Fatalf("runsPerSec = %v, want 25", got)
 	}
-	var zero Progress
-	if zero.RunsPerSec() != 0 {
+	var zero progress
+	if zero.runsPerSec() != 0 {
 		t.Fatal("zero progress should report zero rates")
 	}
 }
 
+// TestLogObserverOutput checks the lines Do writes to Options.Progress on
+// one worker: one per failed job naming it, one "i/n done" line per
+// successful job, and one summary line counting the failures, in order.
 func TestLogObserverOutput(t *testing.T) {
 	var b strings.Builder
-	obs := &LogObserver{W: &b, Every: 2}
 	jobs := squareJobs(4)
 	jobs[0] = func() (int, error) { return 0, errors.New("nope") }
-	Do(jobs, Options[int]{Workers: 1, Observer: obs})
-	out := b.String()
-	for _, want := range []string{"run 0 failed: nope", "2/4 done", "4/4 done", "campaign: done 4 runs (1 failed)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("log output missing %q:\n%s", want, out)
+	Do(jobs, Options{Workers: 1, Progress: &b})
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	want := []string{
+		"campaign: run 0 failed: nope",
+		"campaign: 2/4 done (1 failed) ",
+		"campaign: 3/4 done (1 failed) ",
+		"campaign: 4/4 done (1 failed) ",
+		"campaign: done 4 runs (1 failed) in ",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), b.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Fatalf("line %d = %q, want prefix %q", i, lines[i], w)
 		}
+	}
+}
+
+// TestObserverEventsAndProgress checks the progress accounting across four
+// workers: every job is reported once, the one failure by name, and the
+// summary line comes last with the batch totals.
+func TestObserverEventsAndProgress(t *testing.T) {
+	var b strings.Builder
+	jobs := squareJobs(20)
+	jobs[7] = func() (int, error) { return 0, errors.New("x") }
+	Do(jobs, Options{Workers: 4, Progress: &b})
+	out := b.String()
+	if n := strings.Count(out, "campaign: run 7 failed: x\n"); n != 1 || strings.Count(out, "failed: ") != 1 {
+		t.Fatalf("want exactly one failure line, for run 7:\n%s", out)
+	}
+	if n := strings.Count(out, "/20 done ("); n != 19 {
+		t.Fatalf("%d done lines, want 19:\n%s", n, out)
+	}
+	if !strings.HasSuffix(out, " runs/s\n") || !strings.Contains(out, "campaign: done 20 runs (1 failed) in ") {
+		t.Fatalf("summary line missing or not last:\n%s", out)
 	}
 }
 
@@ -159,8 +151,8 @@ func TestDoDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return jobs
 	}
-	serial := Do(build(), Options[string]{Workers: 1})
-	wide := Do(build(), Options[string]{Workers: 16})
+	serial := Do(build(), Options{Workers: 1})
+	wide := Do(build(), Options{Workers: 16})
 	for i := range serial {
 		if serial[i] != wide[i] {
 			t.Fatalf("slot %d diverged: %+v vs %+v", i, serial[i], wide[i])

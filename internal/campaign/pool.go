@@ -12,15 +12,6 @@ import (
 // draining; distinguish it with errors.Is.
 var ErrPoolClosed = errors.New("campaign: pool closed")
 
-// Pool is a long-lived worker pool with a bounded admission queue. Where
-// Do spins workers up for one batch and tears them down, a Pool serves an
-// open-ended stream of tasks — the execution substrate for a simulation
-// service, where admission control (the bounded queue) and backpressure
-// (TrySubmit returning false) are part of the contract.
-//
-// Tasks run under the same panic discipline as Do: a panicking task never
-// kills its worker. Tasks that need the panic as a value wrap their body
-// in Protect themselves.
 // submission wraps a queued task so a sender that lost the close race can
 // retract it after the send: the sender and the workers race for the
 // claim with one CAS, so the task either runs exactly once or provably
@@ -36,6 +27,14 @@ const (
 	subRetracted              // the sender withdrew it; workers skip it
 )
 
+// Pool is a worker pool with a bounded admission queue. Do runs each
+// batch on a Pool sized for it and closes it; a simulation service keeps
+// one open for an open-ended stream of tasks, where admission control
+// (the bounded queue) and backpressure (TrySubmit returning false) are
+// part of the contract.
+//
+// A panicking task never kills its worker. Tasks that need the panic as
+// a value wrap their body in Protect themselves, as Do's do.
 type Pool struct {
 	tasks   chan *submission
 	closing chan struct{}

@@ -295,7 +295,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestOracleExactSelection(t *testing.T) {
 	eng, core := twoOPPCore(t)
-	o := NewOracle()
+	o := &Oracle{}
 	if err := o.Attach(eng, core); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestOracleExactSelection(t *testing.T) {
 
 func TestOracleRaceToIdleAndStartup(t *testing.T) {
 	eng, core := twoOPPCore(t)
-	o := NewOracle()
+	o := &Oracle{}
 	if err := o.Attach(eng, core); err != nil {
 		t.Fatal(err)
 	}

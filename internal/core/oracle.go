@@ -12,14 +12,10 @@ import (
 // Oracle is the offline-optimal reference governor: at each decode start
 // it reads the frame's *true* demand (which no online policy can know) and
 // selects the exact minimum OPP that meets the deadline, with no margin
-// beyond the configured guard. It bounds from below the energy any safe
-// per-frame policy can reach on this hardware model.
+// beyond a small guard, and races to the floor whenever the decoder idles.
+// It bounds from below the energy any safe per-frame policy can reach on
+// this hardware model.
 type Oracle struct {
-	// Guard is wall-clock slack reserved per frame (DVFS latency).
-	Guard sim.Time
-	// RaceToIdle drops to the floor when the decoder idles.
-	RaceToIdle bool
-
 	core     *cpu.Core
 	playing  bool
 	attached bool
@@ -31,10 +27,9 @@ type Oracle struct {
 // frequency decision; PredCycles carries the frame's true demand.
 func (o *Oracle) SetTracer(tr trace.Tracer) { o.tracer = tr }
 
-// NewOracle returns an oracle with a small guard and race-to-idle on.
-func NewOracle() *Oracle {
-	return &Oracle{Guard: 3 * sim.Millisecond, RaceToIdle: true}
-}
+// oracleGuard is the wall-clock slack the oracle reserves per frame
+// (DVFS latency).
+const oracleGuard = 3 * sim.Millisecond
 
 // StreamInfo implements player.SessionHooks.
 func (o *Oracle) StreamInfo(fps float64, _ int) {
@@ -75,7 +70,7 @@ func (o *Oracle) DecodeStart(now sim.Time, f video.Frame, deadline sim.Time, rea
 		}
 		return
 	}
-	slack := deadline - now - o.Guard
+	slack := deadline - now - oracleGuard
 	if slack <= 0 {
 		o.core.SetOPP(model.MaxIdx())
 		if o.tracer != nil {
@@ -98,7 +93,7 @@ func (*Oracle) DecodeEnd(sim.Time, video.Frame, sim.Time, float64) {}
 
 // DecoderIdle implements decode.Hooks.
 func (o *Oracle) DecoderIdle(sim.Time) {
-	if o.core != nil && o.RaceToIdle {
+	if o.core != nil {
 		o.core.SetOPP(0)
 	}
 }
@@ -106,7 +101,7 @@ func (o *Oracle) DecoderIdle(sim.Time) {
 // PlaybackState implements player.SessionHooks.
 func (o *Oracle) PlaybackState(_ sim.Time, playing bool) {
 	o.playing = playing
-	if o.core != nil && !playing && o.RaceToIdle {
+	if o.core != nil && !playing {
 		o.core.SetOPP(0)
 	}
 }

@@ -32,7 +32,7 @@ func RunAll(cfgs []RunConfig, workers int) []Outcome {
 		cfg := cfg
 		jobs[i] = func() (RunResult, error) { return Run(cfg) }
 	}
-	raw := campaign.Do(jobs, campaign.Options[RunResult]{Workers: workers})
+	raw := campaign.Do(jobs, campaign.Options{Workers: workers})
 	outs := make([]Outcome, len(raw))
 	for i, o := range raw {
 		outs[i] = Outcome{Index: i, Config: cfgs[i], Result: o.Value, Err: o.Err}

@@ -98,7 +98,7 @@ func FigF15() (Table, error) {
 			})
 		}
 	}
-	results, err := campaign.Values(campaign.Do(jobs, campaign.Options[ClusterResult]{}))
+	results, err := campaign.Values(campaign.Do(jobs, campaign.Options{}))
 	if err != nil {
 		return Table{}, fmt.Errorf("f15: %w", err)
 	}

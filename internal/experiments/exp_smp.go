@@ -60,7 +60,7 @@ func FigF21() (Table, error) {
 			return RunSMP(cores, video.R720p, 60*sim.Second, 1)
 		}
 	}
-	results, err := campaign.Values(campaign.Do(jobs, campaign.Options[SMPResult]{}))
+	results, err := campaign.Values(campaign.Do(jobs, campaign.Options{}))
 	if err != nil {
 		return Table{}, fmt.Errorf("f21: %w", err)
 	}

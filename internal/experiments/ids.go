@@ -3,8 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"videodvfs/internal/abr"
 	"videodvfs/internal/governor"
 )
 
@@ -46,34 +46,36 @@ var ErrUnknownABR = errors.New("unknown ABR algorithm")
 // with errors.Is.
 var ErrUnknownNet = errors.New("unknown network kind")
 
+// governorIDs is every governor Run accepts, in report order: the stock
+// baselines of governor.BaselineNames followed by energyaware and oracle.
+var governorIDs = func() []GovernorID {
+	var ids []GovernorID
+	for _, n := range governor.BaselineNames() {
+		ids = append(ids, GovernorID(n))
+	}
+	return append(ids, GovEnergyAware, GovOracle)
+}()
+
 // GovernorIDs returns every governor Run accepts, in report order: the
 // stock baselines followed by energyaware and oracle.
-func GovernorIDs() []GovernorID {
-	base := governor.BaselineNames()
-	out := make([]GovernorID, 0, len(base)+2)
-	for _, n := range base {
-		out = append(out, GovernorID(n))
-	}
-	return append(out, GovEnergyAware, GovOracle)
-}
+func GovernorIDs() []GovernorID { return slices.Clone(governorIDs) }
 
 // ParseGovernorID validates a governor name from an untrusted source.
 // Unknown names return an error matching ErrUnknownGovernor.
 func ParseGovernorID(name string) (GovernorID, error) {
-	// Fast path over the known constants: GovernorIDs() allocates its
-	// slice per call, which would put an allocation in every Validate on
-	// the arena-reuse hot path.
-	switch GovernorID(name) {
-	case GovPerformance, GovPowersave, GovOndemand, GovConservative,
-		GovInteractive, GovSchedutil, GovEnergyAware, GovOracle:
-		return GovernorID(name), nil
-	}
-	for _, id := range GovernorIDs() {
-		if GovernorID(name) == id {
+	return parseID(name, governorIDs, ErrUnknownGovernor)
+}
+
+// parseID returns the ID of known that name spells, or an error wrapping
+// unknown that lists known. The scan allocates nothing on success, which
+// keeps Validate allocation-free on the arena-reuse hot path.
+func parseID[T ~string](name string, known []T, unknown error) (T, error) {
+	for _, id := range known {
+		if string(id) == name {
 			return id, nil
 		}
 	}
-	return "", fmt.Errorf("experiments: %w %q (known: %v)", ErrUnknownGovernor, name, GovernorIDs())
+	return "", fmt.Errorf("experiments: %w %q (known: %v)", unknown, name, known)
 }
 
 // ABRID is a typed adaptation-algorithm identifier. The empty string is
@@ -91,27 +93,21 @@ const (
 	ABRBBA ABRID = "bba"
 )
 
+// abrIDs is every adaptation algorithm Run accepts, in report order.
+var abrIDs = []ABRID{ABRFixed, ABRRate, ABRBBA}
+
 // ABRIDs returns every adaptation algorithm Run accepts, in report
 // order.
-func ABRIDs() []ABRID { return []ABRID{ABRFixed, ABRRate, ABRBBA} }
+func ABRIDs() []ABRID { return slices.Clone(abrIDs) }
 
 // ParseABRID validates an ABR name from an untrusted source. The empty
 // string parses as ABRFixed; unknown names return an error matching
 // ErrUnknownABR.
 func ParseABRID(name string) (ABRID, error) {
-	switch ABRID(name) {
-	case "":
+	if name == "" {
 		return ABRFixed, nil
-	case ABRFixed, ABRRate, ABRBBA:
-		// Fast path mirroring ParseGovernorID: keep Validate allocation-free.
-		return ABRID(name), nil
 	}
-	for _, id := range ABRIDs() {
-		if ABRID(name) == id {
-			return id, nil
-		}
-	}
-	return "", fmt.Errorf("experiments: %w %q (known: %v)", ErrUnknownABR, name, ABRIDs())
+	return parseID(name, abrIDs, ErrUnknownABR)
 }
 
 // String returns the network name, mirroring GovernorID and ABRID's
@@ -123,19 +119,10 @@ func (n NetKind) String() string { return string(n) }
 // Run applies to an unset RunConfig.Net — and unknown names return an
 // error matching ErrUnknownNet.
 func ParseNetKind(name string) (NetKind, error) {
-	switch NetKind(name) {
-	case "":
+	if name == "" {
 		return NetWiFi, nil
-	case NetWiFi, NetConst8, NetLTE, NetUMTS, NetTrace:
-		// Fast path mirroring ParseGovernorID: keep Validate allocation-free.
-		return NetKind(name), nil
 	}
-	for _, id := range NetKinds() {
-		if NetKind(name) == id {
-			return id, nil
-		}
-	}
-	return "", fmt.Errorf("experiments: %w %q (known: %v)", ErrUnknownNet, name, NetKinds())
+	return parseID(name, netKinds, ErrUnknownNet)
 }
 
 // ForecastKind is a typed bandwidth-forecast identifier. The empty string
@@ -161,9 +148,13 @@ const (
 // distinguish it with errors.Is.
 var ErrUnknownForecast = errors.New("unknown forecast kind")
 
+// forecastKinds is every non-empty forecast kind Run accepts, in report
+// order.
+var forecastKinds = []ForecastKind{ForecastOracle, ForecastNoisy}
+
 // ForecastKinds returns every non-empty forecast kind Run accepts, in
 // report order.
-func ForecastKinds() []ForecastKind { return []ForecastKind{ForecastOracle, ForecastNoisy} }
+func ForecastKinds() []ForecastKind { return slices.Clone(forecastKinds) }
 
 // String returns the forecast name, mirroring the other typed IDs.
 func (k ForecastKind) String() string { return string(k) }
@@ -172,12 +163,8 @@ func (k ForecastKind) String() string { return string(k) }
 // The empty string parses as ForecastNone — forecasting off, the Run
 // default — and unknown names return an error matching ErrUnknownForecast.
 func ParseForecastKind(name string) (ForecastKind, error) {
-	switch ForecastKind(name) {
-	case ForecastNone, ForecastOracle, ForecastNoisy:
-		// Fast path mirroring ParseGovernorID: keep Validate allocation-free.
-		return ForecastKind(name), nil
+	if name == "" {
+		return ForecastNone, nil
 	}
-	return "", fmt.Errorf("experiments: %w %q (known: %v)", ErrUnknownForecast, name, ForecastKinds())
+	return parseID(name, forecastKinds, ErrUnknownForecast)
 }
-
-var _ = abr.Names // the ABR registry itself lives in internal/abr

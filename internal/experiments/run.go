@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -42,15 +43,19 @@ const (
 	NetTrace NetKind = "trace"
 )
 
+// netKinds is every network kind, the synthetic profiles first in report
+// order, then the trace-replay backend.
+var netKinds = []NetKind{NetWiFi, NetConst8, NetLTE, NetUMTS, NetTrace}
+
 // NetKinds returns every network kind, synthetic profiles first in
 // report order, then the trace-replay backend.
-func NetKinds() []NetKind { return []NetKind{NetWiFi, NetConst8, NetLTE, NetUMTS, NetTrace} }
+func NetKinds() []NetKind { return slices.Clone(netKinds) }
 
 // SyntheticNetKinds returns the self-contained profiles — the ones a
 // sweep can iterate without supplying trace data. Experiments that fan
 // out "across all networks" (FigF10) use this list, which is why its
 // order matches the historical report order.
-func SyntheticNetKinds() []NetKind { return []NetKind{NetWiFi, NetConst8, NetLTE, NetUMTS} }
+func SyntheticNetKinds() []NetKind { return slices.Clone(netKinds[:len(netKinds)-1]) }
 
 // RunConfig describes one streaming simulation.
 type RunConfig struct {

@@ -438,7 +438,7 @@ func (v *Viewer) attachGovernor(cfg RunConfig, tr trace.Tracer) error {
 		}
 		gov = v.ea
 	case GovOracle:
-		o := core.NewOracle()
+		o := &core.Oracle{}
 		if tr != nil {
 			o.SetTracer(tr)
 		}

@@ -212,18 +212,18 @@ type wresp struct {
 	body       []byte
 }
 
-// dispatch routes one request by its content-addressed key and runs it
-// to completion: per-attempt timeouts, retry with jittered exponential
-// backoff pinned to the owning worker, and — when that worker gets
-// ejected mid-dispatch — a rehash onto the survivors. Rehash rounds are
-// bounded by the fleet size: each round requires an ejection, so the
+// dispatch routes one run request (/v1/run) by its content-addressed key
+// and runs it to completion: per-attempt timeouts, retry with jittered
+// exponential backoff pinned to the owning worker, and — when that worker
+// gets ejected mid-dispatch — a rehash onto the survivors. Rehash rounds
+// are bounded by the fleet size: each round requires an ejection, so the
 // loop cannot cycle.
 //
 // The returned error is non-nil only for fleet-level failures (no alive
 // workers, context canceled, all retries exhausted on transport/5xx).
 // Worker 4xx/429 responses return err == nil with the status in the
 // wresp — the caller decides between embedding and passing through.
-func (c *Controller) dispatch(ctx context.Context, key, path, query string, body []byte) (wresp, error) {
+func (c *Controller) dispatch(ctx context.Context, key, query string, body []byte) (wresp, error) {
 	var last wresp
 	var lastErr error
 	for round := 0; round <= len(c.workers); round++ {
@@ -231,7 +231,7 @@ func (c *Controller) dispatch(ctx context.Context, key, path, query string, body
 		if !ok {
 			return last, errNoWorkers
 		}
-		last, lastErr = c.post(ctx, w, path, query, body)
+		last, lastErr = c.post(ctx, w, "/v1/run", query, body)
 		if lastErr == nil {
 			return last, nil
 		}

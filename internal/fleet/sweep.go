@@ -10,10 +10,10 @@ import (
 	"videodvfs/internal/server"
 )
 
-// handleSweep shards one sweep across the fleet: the request expands to
-// wire-level points in exactly dvfsd's expansion order
-// (server.SweepRequest.Points), each point routes to the worker owning
-// its ConfigKey on the ring (keeping the workers' caches hot and
+// handleSweep shards one sweep across the fleet: the request expands
+// through server.SweepRequest.Configs, dvfsd's own expansion, each config
+// goes out as its wire point (server.SweepRequest.Point) to the worker
+// owning its ConfigKey on the ring (keeping the workers' caches hot and
 // disjoint), and the outcomes merge back in expansion order into the
 // server.SweepBody a single dvfsd would build. Each outcome is the
 // worker's raw run body, byte-identical to a single node's since both
@@ -36,7 +36,7 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Configs both validates every point and yields the content-addressed
-	// routing keys, in the exact expansion order the wire points use.
+	// routing keys, in expansion order.
 	cfgs, err := req.Configs()
 	if err != nil {
 		server.WriteError(w, err)
@@ -58,30 +58,29 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, err)
 		return
 	}
-	points := req.Points()
 
-	outcomes := make([]server.SweepOutcome, len(points))
-	resps := make([]wresp, len(points))
-	errs := make([]error, len(points))
+	outcomes := make([]server.SweepOutcome, len(cfgs))
+	resps := make([]wresp, len(cfgs))
+	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup
-	for i := range points {
-		body, merr := json.Marshal(points[i])
+	for i, cfg := range cfgs {
+		body, merr := json.Marshal(req.Point(cfg))
 		if merr != nil {
 			errs[i] = merr
 			continue
 		}
-		key, _ := experiments.ConfigKey(cfgs[i])
+		key, _ := experiments.ConfigKey(cfg)
 		wg.Add(1)
-		go func(i int, key string, body []byte) {
+		go func() {
 			defer wg.Done()
-			resps[i], errs[i] = c.dispatch(r.Context(), key, "/v1/run", query, body)
-		}(i, key, body)
+			resps[i], errs[i] = c.dispatch(r.Context(), key, query, body)
+		}()
 	}
 	wg.Wait()
 
 	failed, overloaded := 0, 0
 	maxRetryAfter := 1
-	for i := range points {
+	for i := range cfgs {
 		switch {
 		case errs[i] != nil:
 			outcomes[i] = server.SweepOutcome{Index: i, Error: errs[i].Error()}
@@ -106,7 +105,7 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// A sweep the fleet could not place at all is backpressure, not a
 	// result: pass the 429 through with the workers' largest hint
 	// (clamped ≥ 1 like dvfsd's own Retry-After).
-	if failed == len(points) && overloaded == failed && failed > 0 {
+	if failed == len(cfgs) && overloaded == failed && failed > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", maxRetryAfter))
 		server.WriteJSON(w, http.StatusTooManyRequests, server.NewEnvelope(server.CodeOverloaded,
 			"fleet: every worker is overloaded; retry after the hint"))

@@ -41,6 +41,9 @@ type Downloader struct {
 	curBits  float64 // payload bits still to stream
 	curDone  func(now sim.Time)
 	spanBits float64 // bits carried by the chunk in flight
+	// pending is the fetch's one scheduled event — the request RTT, a
+	// chunk, the finish or an outage resume — which Reset cancels.
+	pending sim.Event
 
 	readyFn  func() // radio reached DCH
 	rttFn    func() // request RTT elapsed
@@ -76,13 +79,15 @@ func NewDownloader(eng *sim.Engine, bw Bandwidth, radio *Radio, core *cpu.Core) 
 // Reset rewinds the downloader to the state NewDownloader would construct
 // for bw, keeping its allocations: the fetch queue backing array, the job
 // pool, and the pre-bound streaming callbacks survive. The activity
-// listener is dropped (the next run re-registers its own). The owning
-// engine and radio must be reset alongside; any in-flight fetch is simply
-// forgotten here.
+// listener is dropped (the next run re-registers its own). An in-flight
+// fetch's pending event is canceled, so the downloader can be rewound on
+// an engine that keeps running; its radio and core are reset alongside.
 func (d *Downloader) Reset(bw Bandwidth) error {
 	if bw == nil {
 		return fmt.Errorf("downloader: bandwidth is required")
 	}
+	d.eng.Cancel(d.pending)
+	d.pending = sim.Event{}
 	d.bw = bw
 	d.busy = false
 	for i := range d.queue {
@@ -159,7 +164,7 @@ func (d *Downloader) next() {
 // ready fires once the radio reaches DCH: the request RTT elapses, then the
 // payload streams.
 func (d *Downloader) ready() {
-	d.eng.Schedule(rtt, d.rttFn)
+	d.pending = d.eng.Schedule(rtt, d.rttFn)
 }
 
 // startStream marks data flowing and (re)enters the streaming loop. It also
@@ -177,7 +182,7 @@ func (d *Downloader) stream() {
 	if rate <= 0 {
 		// Outage: idle the radio Tx flag until the rate returns.
 		d.radio.SetTransferring(false)
-		d.eng.At(until, d.resumeFn)
+		d.pending = d.eng.At(until, d.resumeFn)
 		return
 	}
 	span := until - now
@@ -188,11 +193,11 @@ func (d *Downloader) stream() {
 	if bitsInSpan >= d.curBits {
 		// Finishes within this span.
 		dt := sim.Time(d.curBits / rate)
-		d.eng.Schedule(dt, d.finishFn)
+		d.pending = d.eng.Schedule(dt, d.finishFn)
 		return
 	}
 	d.spanBits = bitsInSpan
-	d.eng.Schedule(span, d.chunkFn)
+	d.pending = d.eng.Schedule(span, d.chunkFn)
 }
 
 // chunkDone accounts a completed mid-stream chunk and keeps streaming.

@@ -430,3 +430,31 @@ func TestRadioResetCancelsWhatItScheduled(t *testing.T) {
 			r.State(), r.Promotions(), changes)
 	}
 }
+
+// TestDownloaderResetCancelsWhatItScheduled rewinds a downloader mid-fetch,
+// with its radio and core, on an engine that keeps running, as a shared
+// cohort engine would: the fetch's pending chunk event must not fire into
+// the rewound downloader and finish a fetch it never issued.
+func TestDownloaderResetCancelsWhatItScheduled(t *testing.T) {
+	eng, radio, core, dl := newDownloadRig(t, Constant{Bps: 1e6})
+	if err := dl.Fetch(5e6, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(3 * sim.Second) // promoted at 2 s, streaming since 2.07 s
+	if !dl.Busy() {
+		t.Fatal("fetch not in flight at 3 s")
+	}
+	if err := radio.Reset(DefaultUMTS()); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Reset(cpu.DeviceFlagship()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dl.Reset(Constant{Bps: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now() + 10*sim.Second)
+	if dl.Fetches() != 0 || dl.BitsReceived() != 0 || dl.Busy() {
+		t.Fatalf("rewound downloader: %d fetches, %v bits, busy %v; want none", dl.Fetches(), dl.BitsReceived(), dl.Busy())
+	}
+}

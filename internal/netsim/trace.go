@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -286,7 +287,7 @@ func ReadTrace(r io.Reader) (Trace, error) {
 // decodeStrictLine unmarshals exactly one JSON object from a line,
 // rejecting unknown fields and trailing non-whitespace.
 func decodeStrictLine(line []byte, v any) error {
-	dec := json.NewDecoder(newBytesReader(line))
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -295,18 +296,4 @@ func decodeStrictLine(line []byte, v any) error {
 		return fmt.Errorf("trailing data after JSON object")
 	}
 	return nil
-}
-
-// newBytesReader avoids importing bytes for one call site.
-func newBytesReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct{ b []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

@@ -187,7 +187,7 @@ func TestSessionABRSwitchesUpOnGoodNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.ABR = abr.NewRateBased()
+	cfg.ABR = abr.RateBased{}
 	fet := &fakeFetcher{eng: eng, bps: 20e6}
 	s, err := NewSession(eng, core, fet, ladder, cfg)
 	if err != nil {
@@ -404,7 +404,7 @@ func TestSessionFirstSegmentColdStartRung(t *testing.T) {
 		flatStream(30, 10, 4e6, 1e6),
 		flatStream(30, 10, 8e6, 1e6),
 	}
-	rec := &recordingABR{Algorithm: abr.NewRateBased()}
+	rec := &recordingABR{Algorithm: abr.RateBased{}}
 	cfg := DefaultConfig()
 	cfg.ABR = rec
 	fet := &fakeFetcher{eng: eng, bps: 50e6} // plenty for the top rung once warmed

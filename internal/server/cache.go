@@ -111,17 +111,6 @@ func (c *resultCache) Do(key string, compute func() ([]byte, error)) ([]byte, ca
 	return f.body, cacheMiss, f.err
 }
 
-// Get returns the body cached under key without computing on a miss.
-func (c *resultCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, ok := c.bodies.Get(key)
-	if ok {
-		c.stats.Hits++
-	}
-	return body, ok
-}
-
 // Stats snapshots the counters.
 func (c *resultCache) Stats() cacheStats {
 	c.mu.Lock()

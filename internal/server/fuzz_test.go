@@ -59,13 +59,13 @@ func FuzzDecodeRunRequest(f *testing.F) {
 	})
 }
 
-// FuzzSweepRequest pins the sweep expansion's counting contract: Size,
-// which the handlers check against the cap before anything is
-// materialised, counts exactly the points Points and Configs produce, and
-// each wire point resolves to the same config as the direct expansion —
-// the property the dvfsctl controller's byte-identical sweeps rest on.
-// Points and Configs materialise every point, so like the handlers the
-// target only calls them under a cap.
+// FuzzSweepRequest pins the sweep expansion's counting contract and its
+// wire spelling: Size, which the handlers check against the cap before
+// anything is materialised, counts exactly the configs Configs produces,
+// and each config's wire point, Point(cfg), resolves to the config's own
+// ConfigKey — the property the dvfsctl controller's byte-identical sweeps
+// rest on. Configs materialises every point, so like the handlers the
+// target only calls it under a cap.
 func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"base": {}, "seed_range": [-9223372036854775808, 9223372036854775807]}`))
 	f.Add([]byte(`{"base": {}, "seed_range": [-4611686018427387904, 4611686018427387904]}`))
@@ -74,6 +74,7 @@ func FuzzSweepRequest(f *testing.F) {
 		"devices": ["flagship", "midrange"], "titles": ["news", "sports"], "rungs": ["360p", "720p"], "seeds": [1, 2, 3]}`))
 	f.Add([]byte(`{"base": {}, "seeds": [1, 2, 3], "seed_range": [5, 4]}`))
 	f.Add([]byte(`{"base": {"net": "trace", "bw_trace": ` + validTraceJSON + `, "duration_s": 1}, "seeds": [1, 2]}`))
+	f.Add([]byte(`{"base": {"net": "lte"}, "nets": ["", "umts"], "seeds": [3]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeSweepRequest(bytes.NewReader(body))
 		if err != nil {
@@ -86,10 +87,6 @@ func FuzzSweepRequest(f *testing.F) {
 		if size > 4096 {
 			return
 		}
-		points := req.Points()
-		if int64(len(points)) != size {
-			t.Fatalf("Size() = %d but Points() yields %d", size, len(points))
-		}
 		cfgs, err := req.Configs()
 		if err != nil {
 			return
@@ -97,20 +94,18 @@ func FuzzSweepRequest(f *testing.F) {
 		if int64(len(cfgs)) != size {
 			t.Fatalf("Size() = %d but Configs() yields %d", size, len(cfgs))
 		}
-		for i := range cfgs {
-			if cfgs[i].Seed == 0 {
-				return // the wire form reads seed 0 as the default seed
+		for i, cfg := range cfgs {
+			if cfg.Seed == 0 {
+				continue // the wire form reads seed 0 as the default seed
 			}
-		}
-		for i, p := range points {
-			cfg, err := p.Config()
+			got, err := req.Point(cfg).Config()
 			if err != nil {
 				t.Fatalf("point %d does not resolve though Configs() does: %v", i, err)
 			}
-			got, _ := experiments.ConfigKey(cfg)
-			want, _ := experiments.ConfigKey(cfgs[i])
-			if got != want {
-				t.Fatalf("point %d resolves to key %s, Configs()[%d] to %s", i, got, i, want)
+			gotKey, _ := experiments.ConfigKey(got)
+			wantKey, _ := experiments.ConfigKey(cfg)
+			if gotKey != wantKey {
+				t.Fatalf("point %d resolves to key %s, Configs()[%d] to %s", i, gotKey, i, wantKey)
 			}
 		}
 	})

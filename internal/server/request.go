@@ -246,8 +246,8 @@ func (r RunRequest) Config() (experiments.RunConfig, error) {
 }
 
 // SweepRequest is the wire form of a batch sweep: a base request plus
-// axis lists, expanded as their cross product exactly like
-// experiments.Sweep (governor-major, seed-minor).
+// axis lists, which Configs expands through experiments.Sweep.Expand into
+// their cross product (governor-major, seed-minor).
 type SweepRequest struct {
 	// Base is the config template every point starts from.
 	Base RunRequest `json:"base"`
@@ -269,35 +269,22 @@ type SweepRequest struct {
 // small enough that no count below it overflows.
 const maxSweepSize = 1 << 62
 
-// seedAxis resolves the seed axis the one way Size and Points share:
-// seed_range when set (the base seed alone when it is empty), else the
-// explicit seeds, else the base seed alone. It returns the axis length,
-// saturated at maxSweepSize, and the i-th seed, so Size counts the axis
-// without materialising it.
-func (r SweepRequest) seedAxis() (n uint64, seed func(i uint64) int64) {
-	switch {
-	case r.SeedRange != nil && r.SeedRange[0] <= r.SeedRange[1]:
-		lo := r.SeedRange[0]
-		// The unsigned difference is exact for any lo ≤ hi; hi-lo+1 in
-		// int64 overflows for ranges wider than half the seed space.
-		if d := uint64(r.SeedRange[1]) - uint64(lo); d < maxSweepSize {
-			n = d + 1
-		} else {
-			n = maxSweepSize
-		}
-		return n, func(i uint64) int64 { return lo + int64(i) }
-	case r.SeedRange == nil && len(r.Seeds) > 0:
-		return uint64(len(r.Seeds)), func(i uint64) int64 { return r.Seeds[i] }
-	}
-	return 1, func(uint64) int64 { return r.Base.Seed }
-}
-
 // Size returns how many runs the sweep expands to, without expanding —
 // the admission check happens before any per-point allocation. It
 // saturates at 2^62 instead of overflowing; below that it equals
-// len(Points()) and, when Configs succeeds, len(Configs()).
+// len(Configs()) whenever Configs succeeds. The seed axis is seed_range
+// when set (the base seed alone when it is empty), else the explicit
+// seeds, else the base seed alone.
 func (r SweepRequest) Size() int64 {
-	seeds, _ := r.seedAxis()
+	seeds := uint64(1)
+	switch {
+	case r.SeedRange != nil && r.SeedRange[0] <= r.SeedRange[1]:
+		// The unsigned difference is exact for any lo ≤ hi; hi-lo+1 in
+		// int64 overflows for ranges wider than half the seed space.
+		seeds = min(uint64(r.SeedRange[1])-uint64(r.SeedRange[0]), maxSweepSize-1) + 1
+	case r.SeedRange == nil && len(r.Seeds) > 0:
+		seeds = uint64(len(r.Seeds))
+	}
 	size := uint64(1)
 	for _, n := range [...]uint64{uint64(len(r.Governors)), uint64(len(r.Nets)), uint64(len(r.Devices)),
 		uint64(len(r.Titles)), uint64(len(r.Rungs)), seeds} {
@@ -310,43 +297,17 @@ func (r SweepRequest) Size() int64 {
 	return int64(size)
 }
 
-// Points expands the sweep into per-point run requests in exactly
-// Configs' order, experiments.Sweep.Expand's cross product
-// (governor-major, seed-minor): an empty axis keeps the base value, and
-// point i resolves to the same RunConfig as Configs()[i] unless its seed
-// is 0, which the per-run wire form reads as "the default seed". Callers
-// bound Size first: Points materialises every point.
-func (r SweepRequest) Points() []RunRequest {
-	axis := func(vals []string, base string) []string {
-		if len(vals) == 0 {
-			return []string{base}
-		}
-		return vals
-	}
-	nSeeds, seed := r.seedAxis()
-	out := make([]RunRequest, 0, r.Size())
-	for _, gov := range axis(r.Governors, r.Base.Governor) {
-		for _, net := range axis(r.Nets, r.Base.Net) {
-			if k, err := experiments.ParseNetKind(net); err == nil && len(r.Nets) > 0 {
-				// Configs reads an empty nets entry as ParseNetKind does,
-				// wifi, where an empty per-run net means the default one.
-				net = string(k)
-			}
-			for _, dev := range axis(r.Devices, r.Base.Device) {
-				for _, title := range axis(r.Titles, r.Base.Title) {
-					for _, rung := range axis(r.Rungs, r.Base.Rung) {
-						for i := uint64(0); i < nSeeds; i++ {
-							p := r.Base
-							p.Governor, p.Net, p.Device, p.Title, p.Rung = gov, net, dev, title, rung
-							p.Seed = seed(i)
-							out = append(out, p)
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
+// Point spells one expanded config of the sweep as the per-run request a
+// dvfsctl controller dispatches for it: the base request with the swept
+// axes — governor, net, device, title, rung and seed — named from cfg, one
+// of Configs' results. It resolves to cfg's ConfigKey unless cfg's seed
+// is 0, which the per-run wire form reads as "the default seed".
+func (r SweepRequest) Point(cfg experiments.RunConfig) RunRequest {
+	p := r.Base
+	p.Governor, p.Net = string(cfg.Governor), string(cfg.Net)
+	p.Device, p.Title, p.Rung = cfg.Device.Name, cfg.Title.Name, cfg.Rung.Name
+	p.Seed = cfg.Seed
+	return p
 }
 
 // Configs expands the sweep into concrete validated RunConfigs.

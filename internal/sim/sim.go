@@ -40,7 +40,6 @@ type Time float64
 
 // Common spans.
 const (
-	Nanosecond  Time = 1e-9
 	Microsecond Time = 1e-6
 	Millisecond Time = 1e-3
 	Second      Time = 1

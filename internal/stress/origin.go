@@ -49,8 +49,12 @@ func ParseShape(name string) (Shape, error) {
 	return "", fmt.Errorf("stress: %w %q (known: %v)", ErrBadShape, name, Shapes())
 }
 
-// chunkBytes is the origin's write/pacing granularity.
-const chunkBytes = 16 << 10
+// The origin's byte sizes: its write/pacing granularity, and the cap on
+// one /blob response, so a typo cannot pin a handler goroutine for hours.
+const (
+	chunkBytes   = 16 << 10
+	maxBlobBytes = 256 << 20
+)
 
 // OriginConfig tunes the shaped origin server.
 type OriginConfig struct {
@@ -65,9 +69,6 @@ type OriginConfig struct {
 	// BurstBytes is the unthrottled head of a ShapeThrottle response
 	// (default 256 KiB).
 	BurstBytes int
-	// MaxBytes caps a single /blob response (default 256 MiB) so a typo
-	// cannot pin a handler goroutine for hours.
-	MaxBytes int64
 }
 
 // withDefaults fills the zero fields.
@@ -87,9 +88,6 @@ func (c OriginConfig) withDefaults() OriginConfig {
 	if c.BurstBytes == 0 {
 		c.BurstBytes = 256 << 10
 	}
-	if c.MaxBytes == 0 {
-		c.MaxBytes = 256 << 20
-	}
 	return c
 }
 
@@ -104,9 +102,8 @@ func (c OriginConfig) Validate() error {
 	if c.OnDur <= 0 || c.OffDur < 0 {
 		return fmt.Errorf("stress: origin on/off windows %v/%v invalid", c.OnDur, c.OffDur)
 	}
-	if c.BurstBytes < 0 || c.MaxBytes <= 0 {
-		return fmt.Errorf("stress: origin byte knobs invalid (burst %d, max %d)",
-			c.BurstBytes, c.MaxBytes)
+	if c.BurstBytes < 0 {
+		return fmt.Errorf("stress: origin burst %d bytes invalid", c.BurstBytes)
 	}
 	return nil
 }
@@ -142,8 +139,8 @@ func (o *Origin) Handler() http.Handler { return o.mux }
 func (o *Origin) handleBlob(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	n, err := strconv.ParseInt(q.Get("bytes"), 10, 64)
-	if err != nil || n <= 0 || n > o.cfg.MaxBytes {
-		http.Error(w, fmt.Sprintf("bytes must be in [1, %d]", o.cfg.MaxBytes), http.StatusBadRequest)
+	if err != nil || n <= 0 || n > maxBlobBytes {
+		http.Error(w, fmt.Sprintf("bytes must be in [1, %d]", maxBlobBytes), http.StatusBadRequest)
 		return
 	}
 	rate := o.cfg.RateBps

@@ -32,11 +32,10 @@ type PlayConfig struct {
 	Governor string
 	// Device is the CPU model (DeviceFlagship if zero).
 	Device cpu.Model
-	// Title/Rung/FPS/Seed/Duration select the content exactly as
-	// experiments.RunConfig does.
+	// Title/Rung/Seed/Duration select the content exactly as
+	// experiments.RunConfig does, at its default 30 fps.
 	Title    video.Title
 	Rung     video.Resolution
-	FPS      float64
 	Seed     int64
 	Duration sim.Time
 	// SegmentDur overrides the media segment duration (0 = 2 s).
@@ -105,7 +104,6 @@ func Play(cfg PlayConfig) (*PlayResult, error) {
 		Governor:   gov,
 		Title:      cfg.Title,
 		Rung:       cfg.Rung,
-		FPS:        cfg.FPS,
 		Seed:       cfg.Seed,
 		Duration:   cfg.Duration,
 		SegmentDur: cfg.SegmentDur,
