@@ -106,15 +106,18 @@ bench:
 # run and a cohort step from the root package, the event engine on a
 # run's and a cohort shard's traffic, one per queue regime (DESIGN.md §8),
 # from internal/sim, and the stream generator, one rendition and the
-# four-rung ladder a memo miss generates, from internal/video.
-# benchgate matches benchmarks by name, so one output file holds all
-# three packages.
+# four-rung ladder a memo miss generates, from internal/video. With them
+# runs BenchmarkHostSpeed, a fixed kernel that calls no model code:
+# benchgate scales the time gate by its ratio to the baseline's, so a
+# host running slower than when the baseline was pinned does not fail
+# unchanged code. benchgate matches benchmarks by name, so one output
+# file holds all three packages.
 # 2 s samples keep the best-of-run minimum (what benchgate compares)
 # inside ~3% run-to-run on a shared box; 1 s samples do not. Pin and gate
 # both run at one CPU: above one, the cohort step's per-step worker
 # goroutines make its allocs/op vary by a few between processes, and the
 # gate allows no allocs/op increase.
-GATE_BENCH = BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$
+GATE_BENCH = BenchmarkHostSpeed$$|BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$
 GATE_PKGS = . ./internal/sim ./internal/video
 GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
@@ -144,7 +147,8 @@ bench-compare:
 	fi
 
 # The CI perf gate: run the pinned benchmarks and fail on >5% best-of-run time
-# regression (same-machine only) or ANY allocs/op / B/op increase against
+# regression (same-machine only, at the baseline host's speed as
+# BenchmarkHostSpeed measures it) or ANY allocs/op / B/op increase against
 # bench/baseline.txt, reading the cohort step's allocs/op from the exact
 # GOGC=off run. Emits bench/BENCH_6.json (runs/sec, ns/op, allocs/op)
 # for the perf dashboard. No benchstat needed.

@@ -275,3 +275,36 @@ func BenchmarkRegistrySerial(b *testing.B) { benchRegistry(b, 1) }
 // BenchmarkRegistryParallel rebuilds all 30 experiments across
 // GOMAXPROCS workers (identical output, less wall-clock on multicore).
 func BenchmarkRegistryParallel(b *testing.B) { benchRegistry(b, 0) }
+
+// BenchmarkHostSpeed is benchgate's calibration: a fixed, allocation-free
+// kernel that calls no model code, so its time moves only with the host.
+// benchgate scales the gated times by the ratio of its best here to its
+// best in the pinned baseline, so a host running slower (or faster) than
+// when the baseline was pinned neither fails nor flatters unchanged code.
+// The kernel mixes the kinds of work the model does: a dependent integer
+// chain, scattered reads and writes over a table larger than L1, and
+// floating-point arithmetic.
+func BenchmarkHostSpeed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hostSink = hostKernel()
+	}
+}
+
+var (
+	hostTable [1 << 15]uint64 // 256 KiB
+	hostSink  float64
+)
+
+func hostKernel() float64 {
+	x, f := uint64(0x9E3779B97F4A7C15), 1.0
+	for i := 0; i < 1<<16; i++ {
+		x ^= x << 13 // xorshift64
+		x ^= x >> 7
+		x ^= x << 17
+		j := x & (uint64(len(hostTable)) - 1)
+		hostTable[j] += x
+		f = f*0.999999 + float64(hostTable[j]>>40)*1e-9
+	}
+	return f
+}

@@ -15,7 +15,11 @@
 //     5%) that also clears the baseline's own sample spread fails, but
 //     only when the baseline and current run report the same "cpu:"
 //     header — wall-clock comparisons across different machines are
-//     noise, and the gate says so instead of guessing.
+//     noise, and the gate says so instead of guessing. When both files
+//     hold the calibration benchmark (BenchmarkHostSpeed, a fixed kernel
+//     that calls no model code), the current times are first scaled by
+//     the ratio of its two bests, so the same machine running slower
+//     than when the baseline was pinned does not fail unchanged code.
 //
 // It also emits a machine-readable summary (runs/sec, ns/op, allocs/op
 // per benchmark) for the perf dashboard, and needs no external tooling:
@@ -139,6 +143,23 @@ func best(samples []sample) sample {
 	return m
 }
 
+// hostSpeed names the calibration benchmark: its time moves only with the
+// host, so the ratio of its bests measures how fast the host runs now
+// against when the baseline was pinned.
+const hostSpeed = "BenchmarkHostSpeed"
+
+// hostScale is the factor that brings the current run's times to the
+// baseline host's speed: the ratio of the calibration's best baseline
+// time to its best current time, or 1 when either file lacks it.
+func hostScale(baseline, current *benchFile) float64 {
+	b, okb := baseline.samples[hostSpeed]
+	c, okc := current.samples[hostSpeed]
+	if !okb || !okc {
+		return 1
+	}
+	return best(b).nsPerOp / best(c).nsPerOp
+}
+
 // report is the schema of the emitted JSON summary.
 type report struct {
 	Name        string  `json:"name"`
@@ -180,6 +201,12 @@ func run(args []string) error {
 			baseline.cpu, current.cpu)
 	}
 
+	scale := hostScale(baseline, current)
+	if scale != 1 {
+		fmt.Printf("benchgate: %s reads %.3f× the baseline host's speed: current times scaled by %.3f before the time gate\n",
+			hostSpeed, scale, scale)
+	}
+
 	names := make([]string, 0, len(current.samples))
 	for name := range current.samples {
 		names = append(names, name)
@@ -206,8 +233,9 @@ func run(args []string) error {
 			continue
 		}
 		base := best(baseSamples)
+		ns := cur.nsPerOp * scale // at the baseline host's speed
 		fmt.Printf("benchgate: %-22s %12.0f ns/op (baseline %12.0f, %+6.1f%%)  %6.0f allocs/op (baseline %6.0f)\n",
-			name, cur.nsPerOp, base.nsPerOp, 100*(cur.nsPerOp-base.nsPerOp)/base.nsPerOp,
+			name, ns, base.nsPerOp, 100*(ns-base.nsPerOp)/base.nsPerOp,
 			cur.allocsPerOp, base.allocsPerOp)
 		if cur.allocsPerOp > base.allocsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %.0f → %.0f",
@@ -232,9 +260,9 @@ func run(args []string) error {
 				baseMax = s.nsPerOp
 			}
 		}
-		if sameCPU && cur.nsPerOp > base.nsPerOp*(1+*maxTime) && cur.nsPerOp > baseMax*(1+*maxTime) {
+		if sameCPU && ns > base.nsPerOp*(1+*maxTime) && ns > baseMax*(1+*maxTime) {
 			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %.0f → %.0f (>%.0f%% and beyond baseline spread)",
-				name, base.nsPerOp, cur.nsPerOp, *maxTime*100))
+				name, base.nsPerOp, ns, *maxTime*100))
 		}
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -199,5 +200,47 @@ BenchmarkCohortStep 	 50	 55000000 ns/op	 6098210 B/op	 49671 allocs/op
 	}
 	if err := gateExact("BenchmarkCohortStep \t 10\t 40000000 ns/op\t 6098174 B/op\t 49671 allocs/op\n"); err == nil {
 		t.Fatal("exact count over the pin passed the gate")
+	}
+}
+
+// The time gate compares at the baseline host's speed when both files
+// hold the calibration benchmark: a host running every benchmark 1.25×
+// slower, the calibration included, passes; one benchmark past the
+// 5%-and-spread rule while the calibration stays flat fails, as it would
+// uncalibrated; and without a calibration line in either file the gate
+// compares raw times, so the 1.25× slower host fails.
+func TestGateHostSpeedCalibration(t *testing.T) {
+	const baseline = `cpu: X
+BenchmarkHostSpeed 	 100	 200000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunNoTrace 	 100	 500000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunNoTrace 	 100	 510000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunReset 	 100	 400000 ns/op	 0 B/op	 0 allocs/op
+`
+	slowHost := `cpu: X
+BenchmarkHostSpeed 	 100	 250000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunNoTrace 	 100	 625000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunReset 	 100	 500000 ns/op	 0 B/op	 0 allocs/op
+`
+	if err := gate(t, baseline, slowHost); err != nil {
+		t.Errorf("every benchmark 1.25× slower, calibration included, failed the gate: %v", err)
+	}
+
+	regressed := `cpu: X
+BenchmarkHostSpeed 	 100	 200000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunNoTrace 	 100	 540000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunReset 	 100	 400000 ns/op	 0 B/op	 0 allocs/op
+`
+	if err := gate(t, baseline, regressed); err == nil {
+		t.Error("an 8% regression beyond the baseline spread passed with the calibration flat")
+	}
+
+	uncalibrated := func(s string) string {
+		return strings.Replace(s, "BenchmarkHostSpeed", "BenchmarkOther", 1)
+	}
+	if err := gate(t, uncalibrated(baseline), slowHost); err == nil {
+		t.Error("a 1.25× slower host passed with no calibration line in the baseline")
+	}
+	if err := gate(t, baseline, uncalibrated(slowHost)); err == nil {
+		t.Error("a 1.25× slower host passed with no calibration line in the current run")
 	}
 }

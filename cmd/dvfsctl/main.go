@@ -24,20 +24,16 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"videodvfs/internal/fleet"
+	"videodvfs/internal/server"
 )
 
 func main() {
@@ -97,38 +93,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: ctl.Handler()}
 	log.Printf("dvfsctl: listening on %s (workers=%d concurrency=%d retries=%d)",
 		ln.Addr(), len(urls), *concurrency, *retries)
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		log.Printf("dvfsctl: %v — draining", sig)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainS*float64(time.Second)))
-	defer cancel()
-	// Stop admission and the probe loop first, then close the HTTP side;
-	// handlers still merging in-flight dispatches finish cleanly.
-	if err := ctl.Shutdown(ctx); err != nil {
-		log.Printf("dvfsctl: drain incomplete: %v", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return err
-	}
-	log.Printf("dvfsctl: drained")
-	return <-errc
+	return server.Serve("dvfsctl", ln, ctl.Handler(), ctl.Shutdown, time.Duration(*drainS*float64(time.Second)))
 }

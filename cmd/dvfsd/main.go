@@ -27,17 +27,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"videodvfs/internal/server"
@@ -90,39 +85,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
 	log.Printf("dvfsd: listening on %s (workers=%d queue=%d cache=%dMiB)",
 		ln.Addr(), *workers, *queue, *cacheMB)
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		log.Printf("dvfsd: %v — draining", sig)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainS*float64(time.Second)))
-	defer cancel()
-	// Stop admission and drain the simulation pool first, then close the
-	// HTTP side; handlers still waiting on accepted runs finish cleanly.
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("dvfsd: drain incomplete: %v", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
+	if err := server.Serve("dvfsd", ln, srv.Handler(), srv.Shutdown, time.Duration(*drainS*float64(time.Second))); err != nil {
 		return err
 	}
 	hits, misses, coalesced := srv.CacheStats()
-	log.Printf("dvfsd: drained (cache: %d hits, %d misses, %d coalesced)", hits, misses, coalesced)
-	return <-errc
+	log.Printf("dvfsd: cache: %d hits, %d misses, %d coalesced", hits, misses, coalesced)
+	return nil
 }

@@ -146,7 +146,7 @@ func TestDoDeterministicAcrossWorkerCounts(t *testing.T) {
 				// Deterministic per-job work: a tiny RNG stream keyed by
 				// the job index, as real runs key theirs by seed.
 				r := sim.Stream(int64(i), "campaign/test")
-				return fmt.Sprintf("%d:%v", i, r.Float64()), nil
+				return fmt.Sprintf("%d:%v", i, r.Uniform(0, 1)), nil
 			}
 		}
 		return jobs

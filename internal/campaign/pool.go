@@ -42,7 +42,6 @@ type Pool struct {
 	senders sync.WaitGroup // blocked SubmitCtx calls
 	queued  atomic.Int64
 	active  atomic.Int64
-	done    atomic.Int64
 	workers int
 
 	mu     sync.Mutex
@@ -86,7 +85,6 @@ func (p *Pool) worker() {
 		p.active.Add(1)
 		p.run(s.task)
 		p.active.Add(-1)
-		p.done.Add(1)
 	}
 }
 
@@ -175,9 +173,6 @@ func (p *Pool) QueueDepth() int { return int(p.queued.Load()) }
 
 // Active returns the number of tasks currently executing.
 func (p *Pool) Active() int { return int(p.active.Load()) }
-
-// Completed returns the number of tasks finished since the pool started.
-func (p *Pool) Completed() int64 { return p.done.Load() }
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"videodvfs/internal/campaign"
 	"videodvfs/internal/experiments"
 	"videodvfs/internal/sim"
 	"videodvfs/internal/video"
@@ -460,4 +462,26 @@ func TestAcceptance100k(t *testing.T) {
 	t.Logf("100k cohort: completed=%d cut=%d errors=%d energy p50=%.1f J p99=%.1f J rebuffer p90=%.4f end=%v",
 		res.Completed, res.HorizonCut, res.Errors,
 		res.EnergyJ.P50, res.EnergyJ.P99, res.RebufferRatio.P90, res.SimEnd)
+}
+
+// A panic in a shard must reach the goroutine that called Run or RunPart
+// at any worker count: dvfsd runs cohorts under campaign.Protect, and a
+// panic escaping on a stepping goroutine would kill the process instead
+// of failing one request. One rollup period spans the whole run, so both
+// shards panic at the same barrier and the lower shard's panic wins.
+func TestShardPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Config{Base: shortBase(), Viewers: 4, Shards: 2, Rollup: 3600 * sim.Second}
+	cfg.OnViewer = func(i int, _ *experiments.RunResult, _ error) {
+		panic(fmt.Sprintf("viewer bug in shard %d", cfg.shardOf(i, 2)))
+	}
+	for name, run := range map[string]func() error{
+		"Run":     func() error { _, err := Run(cfg); return err },
+		"RunPart": func() error { _, err := RunPart(cfg, []int{1, 0}); return err },
+	} {
+		var pe *campaign.PanicError
+		if err := campaign.Protect(0, run); !errors.As(err, &pe) || pe.Value != "viewer bug in shard 0" {
+			t.Errorf("%s: err = %v, want a *campaign.PanicError for shard 0's panic", name, err)
+		}
+	}
 }

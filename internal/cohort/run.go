@@ -112,6 +112,11 @@ func canceled(cfg *Config) error {
 // stepAll advances every unfinished shard to the barrier t, fanning the
 // shards over a fixed-size worker pool. Shards share no mutable state,
 // so the only synchronization is the barrier itself.
+//
+// A panic in a shard (a model bug, or a panicking OnViewer) is raised
+// again in the caller's goroutine once the barrier is reached, so the
+// caller's recovery sees it exactly as on the one-worker path; of
+// several, the shard first in order (the lowest shard index) wins.
 func stepAll(shards []*shard, t sim.Time, workers int) {
 	if workers > len(shards) {
 		workers = len(shards)
@@ -121,6 +126,11 @@ func stepAll(shards []*shard, t sim.Time, workers int) {
 			sh.stepTo(t)
 		}
 		return
+	}
+	panics := make([]any, len(shards))
+	step := func(i int) {
+		defer func() { panics[i] = recover() }()
+		shards[i].stepTo(t)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -133,11 +143,16 @@ func stepAll(shards []*shard, t sim.Time, workers int) {
 				if i >= len(shards) {
 					return
 				}
-				shards[i].stepTo(t)
+				step(i)
 			}
 		}()
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 func allDone(shards []*shard) bool {

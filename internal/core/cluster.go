@@ -54,9 +54,6 @@ func NewClusterGovernor(big, little *cpu.Core, pol Config) (*ClusterGovernor, er
 	return g, nil
 }
 
-// Name identifies the policy in reports.
-func (*ClusterGovernor) Name() string { return "energyaware-cluster" }
-
 // SetTracer attaches a structured tracer receiving one DecisionEvent per
 // decoded frame, as the single-core governor emits; its OPP is the index
 // on the cluster the frame was placed on. A nil tracer (the default)

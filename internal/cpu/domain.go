@@ -39,20 +39,10 @@ func (d *Domain) Model() Model { return d.model }
 // Cores returns the domain's cores (shared slice; do not mutate).
 func (d *Domain) Cores() []*Core { return d.cores }
 
-// OPP returns the domain's shared OPP index.
-func (d *Domain) OPP() int { return d.cores[0].OPP() }
-
 // SetOPP switches every core in the domain (per-cluster DVFS).
 func (d *Domain) SetOPP(idx int) {
 	for _, c := range d.cores {
 		c.SetOPP(idx)
-	}
-}
-
-// SetOPPCap lowers the throttling cap on every core.
-func (d *Domain) SetOPPCap(idx int) {
-	for _, c := range d.cores {
-		c.SetOPPCap(idx)
 	}
 }
 
@@ -87,27 +77,3 @@ func (d *Domain) OnPower(fn func(now sim.Time, watts float64)) {
 		c.OnPower(func(now sim.Time, _ float64) { fn(now, d.Power()) })
 	}
 }
-
-// BusyTime returns the summed busy time across cores.
-func (d *Domain) BusyTime() sim.Time {
-	var sum sim.Time
-	for _, c := range d.cores {
-		sum += c.BusyTime()
-	}
-	return sum
-}
-
-// CyclesByTag aggregates completed cycles across cores.
-func (d *Domain) CyclesByTag() map[string]float64 {
-	out := make(map[string]float64)
-	for _, c := range d.cores {
-		for k, v := range c.CyclesByTag() {
-			out[k] += v
-		}
-	}
-	return out
-}
-
-// Transitions returns per-domain DVFS switches (each SetOPP counts once,
-// read from the first core).
-func (d *Domain) Transitions() int { return d.cores[0].Transitions() }

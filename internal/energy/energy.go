@@ -85,24 +85,6 @@ func (m *Meter) ComponentJ(component string) float64 {
 	return tw.Integral()
 }
 
-// TotalJ returns the energy summed over all components in joules.
-func (m *Meter) TotalJ() float64 {
-	var sum float64
-	for _, tw := range m.comps {
-		sum += tw.Integral()
-	}
-	return sum
-}
-
-// MeanW returns the time-weighted mean power of one component in watts.
-func (m *Meter) MeanW(component string) float64 {
-	tw, ok := m.comps[component]
-	if !ok {
-		return 0
-	}
-	return tw.Mean()
-}
-
 // Components returns the component names seen so far, sorted.
 func (m *Meter) Components() []string {
 	out := make([]string, 0, len(m.comps))

@@ -20,9 +20,6 @@ func TestMeterIntegratesPiecewisePower(t *testing.T) {
 	if got := m.ComponentJ(ComponentCPU); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("cpu energy = %v, want %v", got, want)
 	}
-	if got := m.MeanW(ComponentCPU); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("mean power = %v, want 0.75", got)
-	}
 }
 
 func TestMeterMultipleComponents(t *testing.T) {
@@ -34,11 +31,9 @@ func TestMeterMultipleComponents(t *testing.T) {
 	eng.Schedule(10*sim.Second, func() {})
 	eng.Run()
 	m.Finish()
-	if got := m.TotalJ(); math.Abs(got-35) > 1e-9 {
-		t.Fatalf("total = %v, want 35", got)
-	}
-	if math.Abs(m.ComponentJ(ComponentCPU)-20) > 1e-9 || math.Abs(m.ComponentJ(ComponentRadio)-10) > 1e-9 {
-		t.Fatalf("cpu %v J, radio %v J, want 20 and 10", m.ComponentJ(ComponentCPU), m.ComponentJ(ComponentRadio))
+	cpu, radio, display := m.ComponentJ(ComponentCPU), m.ComponentJ(ComponentRadio), m.ComponentJ(ComponentDisplay)
+	if math.Abs(cpu-20) > 1e-9 || math.Abs(radio-10) > 1e-9 || math.Abs(display-5) > 1e-9 {
+		t.Fatalf("cpu %v J, radio %v J, display %v J, want 20, 10 and 5", cpu, radio, display)
 	}
 	comps := m.Components()
 	if len(comps) != 3 || comps[0] != "cpu" {
@@ -48,7 +43,7 @@ func TestMeterMultipleComponents(t *testing.T) {
 
 func TestMeterUnknownComponentZero(t *testing.T) {
 	m := NewMeter(sim.NewEngine())
-	if m.ComponentJ("nope") != 0 || m.MeanW("nope") != 0 {
+	if m.ComponentJ("nope") != 0 {
 		t.Fatal("unknown component should read zero")
 	}
 }

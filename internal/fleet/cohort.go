@@ -30,10 +30,7 @@ import (
 // disagree on the key ran under different settings and merge into no
 // single node's answer, so the controller refuses them with a 500.
 func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
-	c.met.request("cohort")
-	if c.draining.Load() {
-		server.WriteJSON(w, http.StatusServiceUnavailable,
-			server.NewEnvelope(server.CodeDraining, "controller draining, not admitting new work"))
+	if !c.gate.Admit(w, "cohort") {
 		return
 	}
 	req, err := server.DecodeCohortRequest(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
@@ -54,11 +51,7 @@ func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key, _ := cohort.Key(cfg)
-	shards := make([]int, cohort.ShardCount(cfg))
-	for i := range shards {
-		shards[i] = i
-	}
-	parts, resp, err := c.runShards(r.Context(), req, key, shards)
+	parts, resp, err := c.runShards(r.Context(), req, key, cohort.ShardCount(cfg))
 	if err != nil || resp.status != 0 {
 		c.writeDispatchError(w, resp, err)
 		return
@@ -83,79 +76,63 @@ func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runShards dispatches the named shard indexes across the fleet and
-// collects the workers' part bodies. Shards group per owning worker (one
-// /v1/cohort/part per worker per round, so a worker's part cache key is
-// stable across identical cohorts); when a worker is ejected
-// mid-dispatch its group rehashes onto the survivors in the next round.
-// Rounds are bounded: a retry round requires an ejection, so there are
-// at most len(workers) of them. A non-routable failure (worker 4xx,
-// exhausted 429, or an error on a still-alive worker) aborts the whole
-// cohort — parts are all-or-nothing, MergeParts needs every shard.
+// runShards dispatches a cohort's n shards across the fleet and collects
+// the workers' part bodies. Shards group per owning worker, and each
+// group goes out as one /v1/cohort/part request through dispatch under
+// its first shard's key, so a worker's part cache key is stable across
+// identical cohorts. When a group's worker is ejected mid-dispatch,
+// dispatch moves the whole group to the survivor owning that first key;
+// MergeParts folds parts by shard index, so where a group ran never
+// shows in the merge. Any other failure (a worker 4xx, an exhausted 429,
+// a fleet-level error) aborts the whole cohort: MergeParts needs every
+// shard.
 //
 // Failures return either a non-nil error (fleet-level) or a wresp with a
 // non-zero status (worker envelope to pass through); success returns
 // resp.status == 0.
-func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, key string, shards []int) ([]server.CohortPartBody, wresp, error) {
-	var parts []server.CohortPartBody
-	pending := shards
-	for round := 0; len(pending) > 0; round++ {
-		if round > len(c.workers) {
-			return nil, wresp{}, fmt.Errorf("fleet: shard dispatch did not converge after %d rounds", round)
+func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, key string, n int) ([]server.CohortPartBody, wresp, error) {
+	shardKey := func(sh int) string { return key + "/shard/" + strconv.Itoa(sh) }
+	var groups [][]int // in order of first shard
+	owned := make(map[*worker]int)
+	for sh := 0; sh < n; sh++ {
+		wk, ok := c.pick(shardKey(sh))
+		if !ok {
+			return nil, wresp{}, errNoWorkers
 		}
-		groups := make(map[*worker][]int)
-		for _, sh := range pending {
-			wk, ok := c.pick(key + "/shard/" + strconv.Itoa(sh))
-			if !ok {
-				return nil, wresp{}, errNoWorkers
-			}
-			groups[wk] = append(groups[wk], sh)
+		gi, seen := owned[wk]
+		if !seen {
+			gi = len(groups)
+			owned[wk] = gi
+			groups = append(groups, nil)
 		}
-		var (
-			mu       sync.Mutex
-			retry    []int
-			failResp wresp
-			failErr  error
-			failed   bool
-			wg       sync.WaitGroup
-		)
-		for wk, grp := range groups {
-			body, merr := json.Marshal(server.CohortPartRequest{Cohort: req, Shards: grp})
-			if merr != nil {
-				return nil, wresp{}, merr
-			}
-			wg.Add(1)
-			go func(wk *worker, grp []int, body []byte) {
-				defer wg.Done()
-				resp, err := c.post(ctx, wk, "/v1/cohort/part", "", body)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err == nil && resp.status == http.StatusOK:
-					var pb server.CohortPartBody
-					if uerr := json.Unmarshal(resp.body, &pb); uerr != nil {
-						if !failed {
-							failed, failErr = true, fmt.Errorf("fleet: worker %s: undecodable part: %w", wk.url, uerr)
-						}
-						return
-					}
-					parts = append(parts, pb)
-				case err != nil && !wk.alive.Load():
-					// Ejected mid-dispatch: rehash this group's shards onto
-					// the survivors next round.
-					retry = append(retry, grp...)
-				default:
-					if !failed {
-						failed, failResp, failErr = true, resp, err
-					}
+		groups[gi] = append(groups[gi], sh)
+	}
+	parts := make([]server.CohortPartBody, len(groups))
+	resps := make([]wresp, len(groups))
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	for gi, grp := range groups {
+		body, err := json.Marshal(server.CohortPartRequest{Cohort: req, Shards: grp})
+		if err != nil {
+			errs[gi] = err
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[gi], errs[gi] = c.dispatch(ctx, shardKey(grp[0]), "/v1/cohort/part", "", body)
+			if errs[gi] == nil && resps[gi].status == http.StatusOK {
+				if err := json.Unmarshal(resps[gi].body, &parts[gi]); err != nil {
+					errs[gi] = fmt.Errorf("fleet: undecodable part: %w", err)
 				}
-			}(wk, grp, body)
+			}
+		}()
+	}
+	wg.Wait()
+	for gi := range groups {
+		if errs[gi] != nil || resps[gi].status != http.StatusOK {
+			return nil, resps[gi], errs[gi]
 		}
-		wg.Wait()
-		if failed {
-			return nil, failResp, failErr
-		}
-		pending = retry
 	}
 	return parts, wresp{}, nil
 }

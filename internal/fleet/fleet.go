@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"videodvfs/internal/server"
@@ -120,16 +119,16 @@ func (c Config) withDefaults() Config {
 // Controller is the fleet service. Create with New, mount Handler, stop
 // with Shutdown.
 type Controller struct {
-	cfg      Config
-	workers  []*worker
-	ring     *ring
-	sem      chan struct{}
-	met      *metrics
-	mux      *http.ServeMux
-	draining atomic.Bool
-	stop     chan struct{}
-	probed   chan struct{} // closed when the probe loop exits
-	probes   *http.Client  // issues the /healthz probes
+	cfg     Config
+	workers []*worker
+	ring    *ring
+	sem     chan struct{}
+	gate    server.Gate
+	start   time.Time
+	mux     *http.ServeMux
+	stop    chan struct{}
+	probed  chan struct{} // closed when the probe loop exits
+	probes  *http.Client  // issues the /healthz probes
 }
 
 // New builds a Controller over cfg.Workers (all initially alive) and
@@ -150,7 +149,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:    cfg,
 		ring:   newRing(cfg.Workers),
 		sem:    make(chan struct{}, cfg.Concurrency),
-		met:    newMetrics(),
+		start:  time.Now(),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
 		probes: probes,
@@ -176,7 +175,7 @@ func (c *Controller) Handler() http.Handler { return c.mux }
 // Shutdown stops admission (new requests get 503) and the probe loop.
 // In-flight requests drain through the owning http.Server's Shutdown.
 func (c *Controller) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
+	c.gate.Drain()
 	select {
 	case <-c.stop:
 	default:
@@ -212,18 +211,19 @@ type wresp struct {
 	body       []byte
 }
 
-// dispatch routes one run request (/v1/run) by its content-addressed key
-// and runs it to completion: per-attempt timeouts, retry with jittered
-// exponential backoff pinned to the owning worker, and — when that worker
-// gets ejected mid-dispatch — a rehash onto the survivors. Rehash rounds
-// are bounded by the fleet size: each round requires an ejection, so the
+// dispatch routes one worker request (a sweep point to /v1/run, a cohort
+// shard group to /v1/cohort/part) by its content-addressed key and runs
+// it to completion: per-attempt timeouts, retry with jittered exponential
+// backoff pinned to the owning worker, and — when that worker gets
+// ejected mid-dispatch — a rehash onto the survivors. Rehash rounds are
+// bounded by the fleet size: each round requires an ejection, so the
 // loop cannot cycle.
 //
 // The returned error is non-nil only for fleet-level failures (no alive
 // workers, context canceled, all retries exhausted on transport/5xx).
 // Worker 4xx/429 responses return err == nil with the status in the
 // wresp — the caller decides between embedding and passing through.
-func (c *Controller) dispatch(ctx context.Context, key, query string, body []byte) (wresp, error) {
+func (c *Controller) dispatch(ctx context.Context, key, path, query string, body []byte) (wresp, error) {
 	var last wresp
 	var lastErr error
 	for round := 0; round <= len(c.workers); round++ {
@@ -231,7 +231,7 @@ func (c *Controller) dispatch(ctx context.Context, key, query string, body []byt
 		if !ok {
 			return last, errNoWorkers
 		}
-		last, lastErr = c.post(ctx, w, "/v1/run", query, body)
+		last, lastErr = c.post(ctx, w, path, query, body)
 		if lastErr == nil {
 			return last, nil
 		}
@@ -285,7 +285,6 @@ func (c *Controller) post(ctx context.Context, w *worker, path, query string, bo
 				last, lastErr = resp, fmt.Errorf("fleet: worker %s: status %d: %s", w.url, resp.status, resp.message)
 			}
 			if w.fail(int64(c.cfg.EjectAfter)) {
-				c.met.ejections.Add(1)
 				return last, lastErr // ejected: let the caller rehash now
 			}
 			if serr := sleepCtx(ctx, c.backoff(attempt)); serr != nil {
@@ -447,7 +446,7 @@ func (c *Controller) writeDispatchError(w http.ResponseWriter, resp wresp, err e
 }
 
 func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
+	if c.gate.Draining() {
 		server.WriteJSON(w, http.StatusServiceUnavailable, struct {
 			Status string `json:"status"`
 		}{"draining"})

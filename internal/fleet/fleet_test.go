@@ -778,3 +778,126 @@ func cohortOwners(t *testing.T, ctl *Controller, body string) map[int]bool {
 	}
 	return owners
 }
+
+// A cohort must survive a worker that fails under it: the controller
+// ejects the worker, its shard group runs on a survivor, and the merged
+// summary line is byte-identical to a single node's.
+func TestFleetCohortSurvivesWorkerKill(t *testing.T) {
+	victim := atomic.Int64{}
+	victim.Store(-1)
+	var refused atomic.Int64
+	var urls []string
+	for i := 0; i < 3; i++ {
+		s := server.New(server.Config{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if victim.Load() == int64(i) && r.URL.Path == "/v1/cohort/part" {
+				refused.Add(1)
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			s.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		})
+		urls = append(urls, ts.URL)
+	}
+	ctl, err := New(Config{
+		Workers: urls, Retries: 2, Backoff: 5 * time.Millisecond, EjectAfter: 1, ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	t.Cleanup(func() {
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+	ref := serveWorker(t, server.Config{})
+
+	// The ring hashes the workers' random ports, so search for a cohort
+	// seed whose shards reach at least two workers, and fail the owner of
+	// shard 0: its group must move to a survivor.
+	body := ""
+	for seed := 1; body == ""; seed++ {
+		if seed > 64 {
+			t.Fatal("no cohort seed routed shards to two workers")
+		}
+		b := fmt.Sprintf(`{"base": {"duration_s": 6}, "viewers": 16, "shards": 4, "rollup_s": 5, "seed": %d}`, seed)
+		if len(cohortOwners(t, ctl, b)) >= 2 {
+			body = b
+		}
+	}
+	req, err := server.DecodeCohortRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := cohort.Key(cfg)
+	owner, _ := ctl.ring.pick(key+"/shard/0", func(int) bool { return true })
+	victim.Store(int64(owner))
+
+	refResp, refBody := post(t, ref.URL+"/v1/cohort", body)
+	if refResp.StatusCode != http.StatusOK {
+		t.Fatalf("ref cohort status %d: %s", refResp.StatusCode, refBody)
+	}
+	resp, fleetBody := post(t, cts.URL+"/v1/cohort", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fleet cohort status %d with a failing worker: %s", resp.StatusCode, fleetBody)
+	}
+	refLines := bytes.Split(bytes.TrimSpace(refBody), []byte("\n"))
+	if got, want := bytes.TrimSpace(fleetBody), refLines[len(refLines)-1]; !bytes.Equal(got, want) {
+		t.Fatalf("fleet summary differs from single node:\nfleet: %s\nref:   %s", got, want)
+	}
+	if refused.Load() == 0 {
+		t.Fatal("the failing worker was never sent a part")
+	}
+	_, met := getBody(t, cts.URL+"/metrics")
+	if !strings.Contains(string(met), fmt.Sprintf("dvfsctl_worker_up{worker=%q} 0", urls[owner])) {
+		t.Fatalf("failing worker still marked up:\n%s", met)
+	}
+}
+
+// dvfsctl_ejections_total sums every worker's ejections, the health
+// probe's included: with no traffic at all, a worker whose probe fails is
+// ejected, and the controller total says so.
+func TestEjectionTotalCountsProbeEjections(t *testing.T) {
+	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	t.Cleanup(sick.Close)
+	ctl, err := New(Config{Workers: []string{sick.URL}, EjectAfter: 1, ProbeInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	t.Cleanup(func() {
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+
+	perWorker := fmt.Sprintf("dvfsctl_worker_ejections_total{worker=%q} 1\n", sick.URL)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		_, met := getBody(t, cts.URL+"/metrics")
+		if !strings.Contains(string(met), perWorker) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the probe never ejected the worker:\n%s", met)
+			}
+			continue
+		}
+		if !strings.Contains(string(met), "dvfsctl_ejections_total 1\n") {
+			t.Fatalf("controller total leaves out the probe's ejection:\n%s", met)
+		}
+		return
+	}
+}

@@ -19,10 +19,7 @@ import (
 // worker's raw run body, byte-identical to a single node's since both
 // are the same content-addressed marshal.
 func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
-	c.met.request("sweep")
-	if c.draining.Load() {
-		server.WriteJSON(w, http.StatusServiceUnavailable,
-			server.NewEnvelope(server.CodeDraining, "controller draining, not admitting new work"))
+	if !c.gate.Admit(w, "sweep") {
 		return
 	}
 	req, err := server.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
@@ -73,7 +70,7 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resps[i], errs[i] = c.dispatch(r.Context(), key, query, body)
+			resps[i], errs[i] = c.dispatch(r.Context(), key, "/v1/run", query, body)
 		}()
 	}
 	wg.Wait()

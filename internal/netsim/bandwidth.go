@@ -41,12 +41,10 @@ type Step struct {
 
 // Steps is a piecewise-constant bandwidth trace. The rate before the first
 // step is the first step's rate; after the last step, the last rate holds
-// forever. Steps repeat cyclically if Cycle is positive.
+// forever.
 type Steps struct {
 	// Trace is the step list, ascending by Start.
 	Trace []Step
-	// Cycle, if positive, repeats the trace with this period.
-	Cycle sim.Time
 }
 
 // Validate checks trace ordering.
@@ -62,12 +60,6 @@ func (s Steps) Validate() error {
 			return fmt.Errorf("netsim: steps not ascending at %d", i)
 		}
 	}
-	if s.Cycle < 0 {
-		return fmt.Errorf("netsim: negative cycle")
-	}
-	if s.Cycle > 0 && s.Trace[len(s.Trace)-1].Start >= s.Cycle {
-		return fmt.Errorf("netsim: last step starts at/after the cycle period")
-	}
 	return nil
 }
 
@@ -76,62 +68,15 @@ func (s Steps) Rate(now sim.Time) (float64, sim.Time) {
 	if len(s.Trace) == 0 {
 		return 0, sim.Forever
 	}
-	t := now
-	var base sim.Time
-	if s.Cycle > 0 {
-		// math.Floor, not int truncation: a conversion through int is
-		// undefined for values outside int's range (huge now / tiny cycle)
-		// and truncates toward zero for negative quotients. Renormalize so
-		// t lands in [0, Cycle) even when the division or multiplication
-		// rounded across a boundary.
-		base = sim.Time(math.Floor(float64(now/s.Cycle))) * s.Cycle
-		if now-base >= s.Cycle {
-			base += s.Cycle
-		} else if now < base {
-			base -= s.Cycle
-		}
-		t = now - base
-	}
-	// Find the step active at t.
-	i := sort.Search(len(s.Trace), func(i int) bool { return s.Trace[i].Start > t }) - 1
+	// Find the step active at now.
+	i := sort.Search(len(s.Trace), func(i int) bool { return s.Trace[i].Start > now }) - 1
 	if i < 0 {
 		i = 0
 	}
-	rate := s.Trace[i].Bps
-	var until sim.Time
 	if i+1 < len(s.Trace) {
-		until = base + s.Trace[i+1].Start
-	} else if s.Cycle > 0 {
-		until = base + s.Cycle
-	} else {
-		return rate, sim.Forever
+		return s.Trace[i].Bps, s.Trace[i+1].Start
 	}
-	if until <= now {
-		// Float-edge collapse: base + boundary rounded onto (or under) now,
-		// so the query instant already belongs to the next piece. Advance
-		// one piece and answer with its rate instead of holding the stale
-		// one — the old microsecond hold reported the previous cycle's last
-		// rate for 1µs at exact cycle boundaries.
-		i++
-		if i >= len(s.Trace) {
-			i = 0
-			base += s.Cycle
-		}
-		rate = s.Trace[i].Bps
-		if i+1 < len(s.Trace) {
-			until = base + s.Trace[i+1].Start
-		} else if s.Cycle > 0 {
-			until = base + s.Cycle
-		} else {
-			return rate, sim.Forever
-		}
-		if until <= now {
-			// Pathological scale (cycle below float resolution at now):
-			// the rate is current, and the horizon still must advance.
-			until = now + sim.Microsecond
-		}
-	}
-	return rate, until
+	return s.Trace[i].Bps, sim.Forever
 }
 
 // MarkovState is one state of a Markov-modulated bandwidth process.

@@ -43,31 +43,11 @@ func TestStepsRateLookup(t *testing.T) {
 	}
 }
 
-func TestStepsCycleRepeats(t *testing.T) {
-	s := Steps{
-		Trace: []Step{{Start: 0, Bps: 1e6}, {Start: 5 * sim.Second, Bps: 3e6}},
-		Cycle: 10 * sim.Second,
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rate, until := s.Rate(12 * sim.Second)
-	if rate != 1e6 || until != 15*sim.Second {
-		t.Fatalf("cycled Rate(12s) = (%v, %v), want (1e6, 15s)", rate, until)
-	}
-	rate, until = s.Rate(17 * sim.Second)
-	if rate != 3e6 || until != 20*sim.Second {
-		t.Fatalf("cycled Rate(17s) = (%v, %v), want (3e6, 20s)", rate, until)
-	}
-}
-
 func TestStepsValidation(t *testing.T) {
 	bad := []Steps{
 		{},
 		{Trace: []Step{{Start: 0, Bps: -1}}},
 		{Trace: []Step{{Start: 5 * sim.Second, Bps: 1}, {Start: 5 * sim.Second, Bps: 2}}},
-		{Trace: []Step{{Start: 0, Bps: 1}}, Cycle: -sim.Second},
-		{Trace: []Step{{Start: 0, Bps: 1}, {Start: 10 * sim.Second, Bps: 2}}, Cycle: 10 * sim.Second},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -238,103 +218,6 @@ func TestCapacityUsersErrors(t *testing.T) {
 	for i, c := range cases {
 		if _, err := CapacityUsers(c.rate, c.hold, c.n, c.beta); err == nil {
 			t.Errorf("case %d: want error", i)
-		}
-	}
-}
-
-// TestStepsCycleBoundaryProperty pins the cycle-boundary contract of
-// Steps.Rate: the rate is exactly periodic (Rate(t) == Rate(t+Cycle)), the
-// returned horizon strictly advances past the query time, and walking the
-// trace horizon-to-horizon visits the pieces in order without ever holding
-// a stale rate at an exact boundary. Dense sampling hugs each boundary
-// from both sides, including float-adjacent offsets, and a large time
-// offset exercises the floor-based cycle indexing where the old int
-// truncation was unchecked.
-func TestStepsCycleBoundaryProperty(t *testing.T) {
-	s := Steps{
-		Trace: []Step{
-			{Start: 0, Bps: 4e6},
-			{Start: 3 * sim.Second, Bps: 1e6},
-			{Start: 7 * sim.Second, Bps: 9e6},
-		},
-		Cycle: 10 * sim.Second,
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Dense boundary sampling: every piece boundary of the first cycles,
-	// approached from below, hit exactly, and left from above — at small
-	// and float-adjacent offsets — plus far-future instants.
-	var samples []sim.Time
-	boundaries := []sim.Time{0, 3 * sim.Second, 7 * sim.Second, 10 * sim.Second}
-	for cycle := 0; cycle < 4; cycle++ {
-		base := sim.Time(cycle) * s.Cycle
-		for _, b := range boundaries {
-			at := base + b
-			samples = append(samples, at,
-				at+sim.Microsecond, at-sim.Microsecond,
-				sim.Time(math.Nextafter(float64(at), math.Inf(1))),
-				sim.Time(math.Nextafter(float64(at), math.Inf(-1))),
-			)
-		}
-	}
-	samples = append(samples, 1e6*sim.Second, 1e6*sim.Second+3*sim.Second,
-		sim.Time(math.Nextafter(1e7, math.Inf(-1))))
-	for _, at := range samples {
-		if at < 0 {
-			continue
-		}
-		rate, until := s.Rate(at)
-		if until <= at {
-			t.Fatalf("Rate(%.17g): until %.17g does not advance", float64(at), float64(until))
-		}
-		if (at+s.Cycle)-s.Cycle != at {
-			continue // the +Cycle shift itself rounded: phase changed
-		}
-		rate2, until2 := s.Rate(at + s.Cycle)
-		if rate2 != rate {
-			t.Fatalf("Rate(%.17g) = %v but Rate(+Cycle) = %v: not periodic", float64(at), rate, rate2)
-		}
-		if until2 <= at+s.Cycle {
-			t.Fatalf("Rate(%.17g+Cycle): until %.17g does not advance", float64(at), float64(until2))
-		}
-	}
-	// Horizon walk: stepping t = until must advance strictly and visit the
-	// piece rates in cyclic order — at an exact boundary the *next* piece's
-	// rate must be reported, never the previous one held for a microsecond.
-	want := []float64{4e6, 1e6, 9e6}
-	at := sim.Time(0)
-	for i := 0; i < 30; i++ {
-		rate, until := s.Rate(at)
-		if w := want[i%3]; rate != w {
-			t.Fatalf("walk step %d at %v: rate %v, want %v", i, at, rate, w)
-		}
-		if until <= at {
-			t.Fatalf("walk step %d at %v: until %v does not advance", i, at, until)
-		}
-		at = until
-	}
-}
-
-// TestStepsRateExactCycleBoundary is the regression for the stale
-// microsecond hold: at now == k*Cycle the old code could return the last
-// piece's rate (from the previous cycle) with until = now + 1µs.
-func TestStepsRateExactCycleBoundary(t *testing.T) {
-	s := Steps{
-		Trace: []Step{{Start: 0, Bps: 8e6}, {Start: 6 * sim.Second, Bps: 2e6}},
-		Cycle: 10 * sim.Second,
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k < 5; k++ {
-		at := sim.Time(k) * s.Cycle
-		rate, until := s.Rate(at)
-		if rate != 8e6 {
-			t.Fatalf("Rate(%d*Cycle) = %v, want the first piece's 8e6", k, rate)
-		}
-		if want := at + 6*sim.Second; until != want {
-			t.Fatalf("Rate(%d*Cycle) until = %v, want %v", k, until, want)
 		}
 	}
 }

@@ -7,13 +7,22 @@ import (
 	"videodvfs/internal/sim"
 )
 
+// repeat spells a periodic step pattern out over [0, end): the pattern's
+// steps, shifted by each whole period.
+func repeat(pattern []Step, period, end sim.Time) Steps {
+	var s Steps
+	for base := sim.Time(0); base < end; base += period {
+		for _, st := range pattern {
+			s.Trace = append(s.Trace, Step{Start: base + st.Start, Bps: st.Bps})
+		}
+	}
+	return s
+}
+
 // TestOraclePredictMatchesRate pins the oracle contract: predictions are
 // exactly the underlying model's rates, over every model shape.
 func TestOraclePredictMatchesRate(t *testing.T) {
-	steps := Steps{
-		Trace: []Step{{Start: 0, Bps: 4e6}, {Start: 5 * sim.Second, Bps: 1e6}},
-		Cycle: 8 * sim.Second,
-	}
+	steps := repeat([]Step{{Start: 0, Bps: 4e6}, {Start: 5 * sim.Second, Bps: 1e6}}, 8*sim.Second, 48*sim.Second)
 	markov, err := GenMarkovTrace(LTEStates(), 60*sim.Second, sim.Stream(3, "bw/lte"))
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +48,8 @@ func TestOraclePredictMatchesRate(t *testing.T) {
 // how many times or in what order it is queried, and different seeds lie
 // differently.
 func TestNoisyDeterministicPerPiece(t *testing.T) {
-	base := Oracle{BW: Steps{
-		Trace: []Step{{Start: 0, Bps: 4e6}, {Start: 5 * sim.Second, Bps: 1e6}},
-		Cycle: 10 * sim.Second,
-	}, Lookahead: 30 * sim.Second}
+	base := Oracle{BW: repeat([]Step{{Start: 0, Bps: 4e6}, {Start: 5 * sim.Second, Bps: 1e6}}, 10*sim.Second, 40*sim.Second),
+		Lookahead: 30 * sim.Second}
 	n1, err := NewNoisy(base, 0.3, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +78,9 @@ func TestNoisyDeterministicPerPiece(t *testing.T) {
 		t.Fatalf("same piece predicted differently: %v", got)
 	}
 	// Different pieces with the same true rate still draw independent noise
-	// (cycled copies of the 4e6 piece).
+	// (repeated copies of the 4e6 piece).
 	if got[0] == got[3] {
-		t.Fatalf("cycled pieces drew identical noise %v — keying broken", got[0])
+		t.Fatalf("repeated pieces drew identical noise %v — keying broken", got[0])
 	}
 	// A different seed lies differently.
 	n3, err := NewNoisy(base, 0.3, 43)
@@ -95,10 +102,8 @@ func TestNoisyDeterministicPerPiece(t *testing.T) {
 // TestNoisyZeroErrorIsTransparent pins that RelErr 0 reproduces the base
 // forecast exactly, and that zero-rate (outage) pieces are never perturbed.
 func TestNoisyZeroErrorIsTransparent(t *testing.T) {
-	base := Oracle{BW: Steps{
-		Trace: []Step{{Start: 0, Bps: 4e6}, {Start: 2 * sim.Second, Bps: 0}},
-		Cycle: 4 * sim.Second,
-	}, Lookahead: 10 * sim.Second}
+	base := Oracle{BW: repeat([]Step{{Start: 0, Bps: 4e6}, {Start: 2 * sim.Second, Bps: 0}}, 4*sim.Second, 16*sim.Second),
+		Lookahead: 10 * sim.Second}
 	n, err := NewNoisy(base, 0, 7)
 	if err != nil {
 		t.Fatal(err)

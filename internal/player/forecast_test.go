@@ -208,7 +208,7 @@ func TestConfigForecastValidation(t *testing.T) {
 // random seeded bandwidth models, lookaheads, and decision states: the
 // planned start is never in the past, never beyond the forecast horizon,
 // and never non-finite — for perfect and noisy forecasts alike, including
-// models with outages, cycles, and sub-frame pieces.
+// models with outages and sub-frame pieces.
 func FuzzForecastSchedule(f *testing.F) {
 	f.Add(int64(1), 0.0, int64(20_000), 5.0, 30.0, 10.0, 48e6, 20.0, 20.0, false)
 	f.Add(int64(7), 0.3, int64(5_000), 0.0, 2.0, 0.5, 8e6, 4.0, 1.5, true)
@@ -222,16 +222,13 @@ func FuzzForecastSchedule(f *testing.F) {
 		var at sim.Time
 		for i := range steps {
 			var bps float64
-			if rng.Float64() > 0.2 { // 20% outage pieces
+			if rng.Uniform(0, 1) > 0.2 { // 20% outage pieces
 				bps = rng.Uniform(1e3, 40e6)
 			}
 			steps[i] = netsim.Step{Start: at, Bps: bps}
 			at += sim.Time(rng.Uniform(0.05, 5))
 		}
 		bw := netsim.Steps{Trace: steps}
-		if rng.Float64() > 0.5 {
-			bw.Cycle = at + sim.Time(rng.Uniform(0.01, 2))
-		}
 		lookahead := sim.Time(lookaheadMs) * sim.Millisecond
 		if !(lookahead > 0) || lookahead > 600*sim.Second {
 			lookahead = 20 * sim.Second

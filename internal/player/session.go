@@ -240,9 +240,6 @@ func (s *Session) Start() {
 	s.maybeFetch()
 }
 
-// Done reports whether the session finished.
-func (s *Session) Done() bool { return s.done }
-
 // OnDone registers a completion callback.
 func (s *Session) OnDone(fn func()) { s.onDone = append(s.onDone, fn) }
 

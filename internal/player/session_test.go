@@ -175,7 +175,7 @@ func TestSessionBufferCapRespected(t *testing.T) {
 	if maxSeen > cfg.MaxBufferSec+2.1 {
 		t.Fatalf("buffer reached %.1f s, cap %v", maxSeen, cfg.MaxBufferSec)
 	}
-	if !s.Done() {
+	if !s.Metrics().Completed {
 		t.Fatal("session did not complete")
 	}
 }
@@ -335,9 +335,6 @@ func TestSessionIncompleteAtHorizon(t *testing.T) {
 		eng.RunUntil(30 * sim.Second)
 		return s
 	}()
-	if s.Done() {
-		t.Fatal("10-minute stream cannot finish in 30 s")
-	}
 	if s.Metrics().Completed {
 		t.Fatal("metrics should not claim completion")
 	}

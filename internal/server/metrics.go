@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,7 +21,6 @@ const latencyWindow = 512
 type metrics struct {
 	start time.Time
 
-	requests sync.Map // endpoint string -> *atomic.Int64
 	rejected atomic.Int64
 	runs     atomic.Int64
 	runErrs  atomic.Int64
@@ -35,15 +33,6 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{start: time.Now()}
-}
-
-// request counts one request against an endpoint label.
-func (m *metrics) request(endpoint string) {
-	v, ok := m.requests.Load(endpoint)
-	if !ok {
-		v, _ = m.requests.LoadOrStore(endpoint, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(1)
 }
 
 // reject counts one admission rejection (HTTP 429).
@@ -78,22 +67,13 @@ func (m *metrics) runQuantiles() (p50, p99 float64) {
 }
 
 // render writes the metrics in Prometheus-style text exposition format.
-// Gauges owned by other components (queue depth, cache counters) are
-// passed in so /metrics is a consistent point-in-time snapshot.
-func (m *metrics) render(b *strings.Builder, queueDepth, queueCap, active, workers int, cs cacheStats, ms experiments.MemoStats) {
+// Counters and gauges owned by other components (the gate's request
+// counts, queue depth, cache counters) are passed in so /metrics is a
+// consistent point-in-time snapshot.
+func (m *metrics) render(b *strings.Builder, gate *Gate, queueDepth, queueCap, active, workers int, cs cacheStats, ms experiments.MemoStats) {
 	uptime := time.Since(m.start).Seconds()
 	fmt.Fprintf(b, "dvfsd_uptime_seconds %g\n", uptime)
-
-	var endpoints []string
-	m.requests.Range(func(k, _ any) bool {
-		endpoints = append(endpoints, k.(string))
-		return true
-	})
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		v, _ := m.requests.Load(ep)
-		fmt.Fprintf(b, "dvfsd_requests_total{endpoint=%q} %d\n", ep, v.(*atomic.Int64).Load())
-	}
+	gate.Render(b, "dvfsd")
 	fmt.Fprintf(b, "dvfsd_requests_rejected_total %d\n", m.rejected.Load())
 
 	fmt.Fprintf(b, "dvfsd_queue_depth %d\n", queueDepth)

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -111,13 +110,13 @@ func (c Config) withDefaults() Config {
 // Server is the simulation service. Create with New, mount Handler, stop
 // with Shutdown.
 type Server struct {
-	cfg      Config
-	pool     *campaign.Pool
-	cache    *resultCache
-	met      *metrics
-	mux      *http.ServeMux
-	draining atomic.Bool
-	runSeq   atomic.Int64
+	cfg    Config
+	pool   *campaign.Pool
+	cache  *resultCache
+	met    *metrics
+	gate   Gate
+	mux    *http.ServeMux
+	runSeq atomic.Int64
 }
 
 // New builds a Server and starts its worker pool.
@@ -150,7 +149,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // accepted run. It returns early with ctx's error when the context ends
 // first, leaving the drain running in the background.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.gate.Drain()
 	done := make(chan struct{})
 	go func() { s.pool.Close(); close(done) }()
 	select {
@@ -272,17 +271,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", s.retryAfter())
 	}
 	WriteError(w, err)
-}
-
-// accept counts one request against endpoint and, while the server
-// drains, refuses it with 503. It reports whether the handler goes on.
-func (s *Server) accept(w http.ResponseWriter, endpoint string) bool {
-	s.met.request(endpoint)
-	if s.draining.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, NewEnvelope(CodeDraining, "server draining, not admitting new work"))
-		return false
-	}
-	return true
 }
 
 // writeBody answers with a computed body, or with err's envelope when
@@ -447,7 +435,7 @@ func QueryBool(r *http.Request, name string) (bool, error) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if !s.accept(w, "run") {
+	if !s.gate.Admit(w, "run") {
 		return
 	}
 	req, err := DecodeRunRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -485,28 +473,47 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, "application/json", body, outcome, err)
 }
 
-// flushWriter forwards writes and flushes after each one when the
-// underlying ResponseWriter supports it. Streaming handlers must not
-// assume the Flusher interface: a non-flushing middleware wrapper (or a
-// buffering test recorder) yields fl == nil, and the stream degrades to
-// buffered writes instead of panicking.
-type flushWriter struct {
-	w  io.Writer
-	fl http.Flusher
+// stream is the body of dvfsd's two streaming responses, a traced run's
+// event lines and a live cohort's rollup frames. It stamps the headers
+// on the first byte, so a request that fails before writing anything
+// still gets a real status, and it flushes after each write when the
+// ResponseWriter can: a non-flushing middleware wrapper (or a buffering
+// test recorder) degrades the stream to buffered writes.
+type stream struct {
+	s     *Server
+	w     http.ResponseWriter
+	wrote bool
 }
 
-// newFlushWriter wraps w, flushing per write when w is an http.Flusher.
-func newFlushWriter(w http.ResponseWriter) flushWriter {
-	fl, _ := w.(http.Flusher)
-	return flushWriter{w: w, fl: fl}
-}
-
-func (f flushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if f.fl != nil {
-		f.fl.Flush()
+func (st *stream) Write(p []byte) (int, error) {
+	if !st.wrote {
+		st.s.stamp(st.w, "application/x-ndjson", cacheBypass)
+		st.wrote = true
+	}
+	n, err := st.w.Write(p)
+	if fl, ok := st.w.(http.Flusher); ok {
+		fl.Flush()
 	}
 	return n, err
+}
+
+// end closes the stream with last as its final line, or by the one rule
+// for a failed stream: a canceled run ends silently (the client went
+// away, nobody is reading); a failure before the first byte answers
+// through fail, with a real status (429 and Retry-After for an admission
+// bounce); a failure after it ends the stream with one envelope line
+// carrying CodeStatus's code.
+func (st *stream) end(err error, last any) {
+	switch {
+	case errors.Is(err, experiments.ErrCanceled):
+	case err != nil && !st.wrote:
+		st.s.fail(st.w, err)
+	case err != nil:
+		code, _ := CodeStatus(err)
+		json.NewEncoder(st).Encode(NewEnvelope(code, err.Error()))
+	default:
+		json.NewEncoder(st).Encode(last)
+	}
 }
 
 // handleRunTraced streams the run's structured event trace as JSONL,
@@ -516,25 +523,13 @@ func (f flushWriter) Write(p []byte) (int, error) {
 // abandoned stream frees its pool worker within one event batch instead
 // of simulating on to the horizon.
 func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg experiments.RunConfig) {
-	s.stamp(w, "application/x-ndjson", cacheBypass)
-	sink := trace.NewJSONL(newFlushWriter(w))
+	st := &stream{s: s, w: w}
+	sink := trace.NewJSONL(st)
 	cfg.Tracer = sink
 	cfg.Cancel = r.Context().Done()
 	res, err := onPool(s, s.tryAdmit, func() (experiments.RunResult, error) { return s.cfg.Runner(cfg) })
-	if errors.Is(err, experiments.ErrCanceled) {
-		sink.Close()
-		return // client went away; nobody is reading
-	}
-	if cerr := sink.Close(); cerr != nil && err == nil {
-		return // client went away mid-stream; nothing left to say
-	}
-	enc := json.NewEncoder(w)
-	if err != nil {
-		// Headers are gone; surface the failure in-band as a final line.
-		enc.Encode(NewEnvelope(CodeInternal, err.Error()))
-		return
-	}
-	enc.Encode(struct {
+	sink.Close() // flushes the buffered events; a write error leaves nobody to tell
+	st.end(err, struct {
 		T  float64               `json:"t"`
 		Ev string                `json:"ev"`
 		R  experiments.RunResult `json:"result"`
@@ -557,7 +552,7 @@ type SweepOutcome struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !s.accept(w, "sweep") {
+	if !s.gate.Admit(w, "sweep") {
 		return
 	}
 	req, err := DecodeSweepRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -656,7 +651,7 @@ func (s *Server) cohortConfig(req CohortRequest) (cohort.Config, error) {
 // flushes each frame as its barrier completes. Strict cohorts
 // (?strict=1) are uncacheable by construction, exactly like strict runs.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
-	if !s.accept(w, "cohort") {
+	if !s.gate.Admit(w, "cohort") {
 		return
 	}
 	req, err := DecodeCohortRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -703,40 +698,18 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCohortStream is the live-streaming variant: frames go out as
-// their barriers complete, through a guarded flusher (a non-flushing
-// middleware wrapper degrades to buffered writes rather than panicking).
-// Failures after the first frame surface in-band as a final envelope
-// line, like traced runs. The client's disconnect cancels the cohort at
-// its next rollup barrier, so an abandoned stream stops burning the pool.
+// their barriers complete, and the stream ends by the same rule as a
+// traced run's. The client's disconnect cancels the cohort at its next
+// rollup barrier, so an abandoned stream stops burning the pool.
 func (s *Server) handleCohortStream(w http.ResponseWriter, r *http.Request, key string, cfg cohort.Config) {
-	fw := newFlushWriter(w)
-	enc := json.NewEncoder(fw)
-	wrote := false
+	st := &stream{s: s, w: w}
+	enc := json.NewEncoder(st)
 	cfg.OnRollup = func(ru cohort.Rollup) {
-		if !wrote {
-			s.stamp(w, "application/x-ndjson", cacheBypass)
-			wrote = true
-		}
 		enc.Encode(cohortRollupFrame{Ev: "rollup", Rollup: ru})
 	}
 	cfg.Cancel = r.Context().Done()
 	res, err := onPool(s, s.tryAdmit, func() (cohort.Result, error) { return cohort.Run(cfg) })
-	if errors.Is(err, experiments.ErrCanceled) {
-		return // client went away; nobody is reading
-	}
-	if err != nil {
-		if !wrote {
-			s.fail(w, err) // nothing sent yet: a proper status is still possible
-			return
-		}
-		code, _ := CodeStatus(err)
-		enc.Encode(NewEnvelope(code, err.Error()))
-		return
-	}
-	if !wrote {
-		s.stamp(w, "application/x-ndjson", cacheBypass)
-	}
-	enc.Encode(CohortSummaryFrame{Ev: "summary", Key: key, Result: res})
+	st.end(err, CohortSummaryFrame{Ev: "summary", Key: key, Result: res})
 }
 
 // ---- cohort part endpoint (the fleet's worker-side seam) ----
@@ -760,7 +733,7 @@ type CohortPartBody struct {
 // shard set): re-dispatch after a controller retry or worker restart is
 // a cache hit.
 func (s *Server) handleCohortPart(w http.ResponseWriter, r *http.Request) {
-	if !s.accept(w, "cohort-part") {
+	if !s.gate.Admit(w, "cohort-part") {
 		return
 	}
 	req, err := DecodeCohortPartRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -808,7 +781,7 @@ type experimentBody struct {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	if !s.accept(w, "experiment") {
+	if !s.gate.Admit(w, "experiment") {
 		return
 	}
 	id := r.PathValue("id")
@@ -830,7 +803,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	s.met.request("experiment-list")
+	s.gate.count("experiment-list")
 	WriteJSON(w, http.StatusOK, struct {
 		IDs []string `json:"ids"`
 	}{experiments.IDs()})
@@ -839,7 +812,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 // handleCatalog serves the built-in catalogs so clients can discover the
 // names RunRequest accepts.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	s.met.request("catalog")
+	s.gate.count("catalog")
 	type catalog struct {
 		Devices   []string `json:"devices"`
 		Governors []string `json:"governors"`
@@ -872,7 +845,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status, state := http.StatusOK, "ok"
-	if s.draining.Load() {
+	if s.gate.Draining() {
 		status, state = http.StatusServiceUnavailable, "draining"
 	}
 	WriteJSON(w, status, struct {
@@ -882,7 +855,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	s.met.render(&b, s.pool.QueueDepth(), s.pool.Capacity(), s.pool.Active(), s.pool.Workers(), s.cache.Stats(), experiments.InputMemoStats())
+	s.met.render(&b, &s.gate, s.pool.QueueDepth(), s.pool.Capacity(), s.pool.Active(), s.pool.Workers(), s.cache.Stats(), experiments.InputMemoStats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(b.String()))
 }

@@ -198,8 +198,11 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// A full queue must bounce with 429 + Retry-After, not block or drop.
-func TestQueueFull429(t *testing.T) {
+// fullServer starts a one-worker, one-slot service whose scripted runs
+// block until the test ends, and fills it: one run on the worker, one
+// parked in the queue. Every later admission bounces.
+func fullServer(t *testing.T) *httptest.Server {
+	t.Helper()
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
 	_, ts := newTestServer(t, Config{
@@ -211,17 +214,16 @@ func TestQueueFull429(t *testing.T) {
 			return experiments.RunResult{SimEnd: cfg.Duration}, nil
 		},
 	})
-	defer close(gate)
+	t.Cleanup(func() { close(gate) }) // before the server's cleanup drains the pool
 
 	// Occupy the worker, then the single queue slot. Distinct seeds keep
 	// the requests from coalescing in the cache instead of queueing.
-	respc := make(chan *http.Response, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			resp, err := http.Post(ts.URL+"/v1/run", "application/json",
 				strings.NewReader(fmt.Sprintf(`{"duration_s": 5, "seed": %d}`, i+1)))
 			if err == nil {
-				respc <- resp
+				resp.Body.Close()
 			}
 		}()
 	}
@@ -231,13 +233,18 @@ func TestQueueFull429(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if m := string(readAll(t, mustGet(t, ts.URL+"/metrics"))); strings.Contains(m, "dvfsd_queue_depth 1") {
-			break
+			return ts
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("second request never reached the queue")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// A full queue must bounce with 429 + Retry-After, not block or drop.
+func TestQueueFull429(t *testing.T) {
+	ts := fullServer(t)
 	resp := postJSON(t, ts.URL+"/v1/run", `{"duration_s": 5, "seed": 99}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full-queue request got %d, want 429: %s", resp.StatusCode, readAll(t, resp))

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -234,4 +235,47 @@ func TestCohortPartEndpoint(t *testing.T) {
 	postBad()
 	fetch(`[0]`)
 	postBad()
+}
+
+// A traced run ends by the streaming failure rule. Turned away before its
+// first byte, it gets what an untraced run gets: 429, a positive integer
+// Retry-After, an overloaded envelope and a count on /metrics. Failing
+// after its event lines, it ends with one envelope line carrying the
+// failure's own code.
+func TestRunTraceFailureRule(t *testing.T) {
+	t.Run("full queue", func(t *testing.T) {
+		ts := fullServer(t)
+		resp := postJSON(t, ts.URL+"/v1/run?trace=jsonl", `{"duration_s": 5, "seed": 99}`)
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("traced run on a full queue got %d, want 429: %s", resp.StatusCode, raw)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
+		}
+		var eb Envelope
+		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error.Code != CodeOverloaded {
+			t.Fatalf("429 body is not an %q envelope: %s", CodeOverloaded, raw)
+		}
+		if m := string(readAll(t, mustGet(t, ts.URL+"/metrics"))); !strings.Contains(m, "dvfsd_requests_rejected_total 1\n") {
+			t.Fatalf("the bounce is not counted:\n%s", m)
+		}
+	})
+
+	t.Run("horizon", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{})
+		resp := postJSON(t, ts.URL+"/v1/run?trace=jsonl", `{"duration_s": 30, "horizon_s": 5}`)
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200 with the events streamed: %.200s", resp.StatusCode, raw)
+		}
+		lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+		if len(lines) < 2 {
+			t.Fatalf("no event lines before the failure: %s", raw)
+		}
+		var eb Envelope
+		if err := json.Unmarshal(lines[len(lines)-1], &eb); err != nil || eb.Error.Code != CodeHorizonExceeded {
+			t.Fatalf("last line is not a %q envelope: %s", CodeHorizonExceeded, lines[len(lines)-1])
+		}
+	})
 }

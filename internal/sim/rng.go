@@ -81,9 +81,6 @@ func Mix64(x uint64) uint64 {
 // component stream across simulation runs without reconstructing it.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
-// Float64 returns a uniform draw in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
@@ -177,6 +174,3 @@ func (g *RNG) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

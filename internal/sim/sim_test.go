@@ -380,7 +380,7 @@ func TestRNGDeterminism(t *testing.T) {
 	a := Stream(42, "decoder")
 	b := Stream(42, "decoder")
 	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
+		if a.Uniform(0, 1) != b.Uniform(0, 1) {
 			t.Fatal("same (seed,name) streams diverged")
 		}
 	}
@@ -391,7 +391,7 @@ func TestRNGStreamsIndependentByName(t *testing.T) {
 	b := Stream(42, "network")
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Float64() == b.Float64() {
+		if a.Uniform(0, 1) == b.Uniform(0, 1) {
 			same++
 		}
 	}

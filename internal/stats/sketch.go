@@ -65,15 +65,6 @@ func NewSketch(alpha float64) *Sketch {
 	}
 }
 
-// Reset empties the sketch in place, keeping its bin map's capacity.
-func (s *Sketch) Reset() {
-	for k := range s.bins {
-		delete(s.bins, k)
-	}
-	s.zero, s.n, s.sum = 0, 0, 0
-	s.min, s.max = math.Inf(1), math.Inf(-1)
-}
-
 // Add folds one observation in. Negative values clamp to the zero bucket
 // (the tracked metrics are non-negative by construction; a tiny negative
 // from float cancellation must not poison the log). Non-finite values
@@ -100,9 +91,6 @@ func (s *Sketch) Add(x float64) {
 
 // N returns the number of observations folded in.
 func (s *Sketch) N() int { return int(s.n) }
-
-// Sum returns the running sum of observations.
-func (s *Sketch) Sum() float64 { return s.sum }
 
 // Mean returns the exact mean (sum/n), or 0 when empty.
 func (s *Sketch) Mean() float64 {

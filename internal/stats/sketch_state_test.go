@@ -88,9 +88,9 @@ func TestSketchStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("from state: %v", err)
 	}
-	if back.N() != s.N() || back.Sum() != s.Sum() || back.Min() != s.Min() || back.Max() != s.Max() {
-		t.Fatalf("round trip lost counters: n/sum/min/max %d/%v/%v/%v, want %d/%v/%v/%v",
-			back.N(), back.Sum(), back.Min(), back.Max(), s.N(), s.Sum(), s.Min(), s.Max())
+	if back.N() != s.N() || back.Mean() != s.Mean() || back.Min() != s.Min() || back.Max() != s.Max() {
+		t.Fatalf("round trip lost counters: n/mean/min/max %d/%v/%v/%v, want %d/%v/%v/%v",
+			back.N(), back.Mean(), back.Min(), back.Max(), s.N(), s.Mean(), s.Min(), s.Max())
 	}
 	for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
 		if g, w := back.Quantile(q), s.Quantile(q); g != w {

@@ -94,9 +94,4 @@ func TestSketchEdgeCases(t *testing.T) {
 	if err := s.Merge(nil); err != nil {
 		t.Errorf("nil merge: %v", err)
 	}
-
-	s.Reset()
-	if s.N() != 0 || s.Quantile(0.5) != 0 {
-		t.Error("Reset did not empty the sketch")
-	}
 }

@@ -70,27 +70,6 @@ func (o *Online) CI95() float64 {
 	return 1.96 * o.Std() / math.Sqrt(float64(o.n))
 }
 
-// Mean returns the arithmetic mean of xs (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Std returns the unbiased standard deviation of xs.
-func Std(xs []float64) float64 {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	return o.Std()
-}
-
 // sortedFinite copies xs without NaNs and sorts the copy. NaN samples must
 // not participate in rank selection: sort.Float64s leaves NaNs in
 // unspecified positions, so a single NaN would otherwise poison every
@@ -211,7 +190,6 @@ type TimeWeighted struct {
 	started  bool
 	weighted float64 // ∫ value dt
 	elapsed  float64
-	min, max float64
 }
 
 // Reset rewinds the accumulator to the zero value, forgetting the signal
@@ -224,7 +202,6 @@ func (w *TimeWeighted) Set(t, v float64) {
 	if !w.started {
 		w.started = true
 		w.lastT, w.lastV = t, v
-		w.min, w.max = v, v
 		return
 	}
 	if t < w.lastT {
@@ -234,12 +211,6 @@ func (w *TimeWeighted) Set(t, v float64) {
 	w.weighted += w.lastV * dt
 	w.elapsed += dt
 	w.lastT, w.lastV = t, v
-	if v < w.min {
-		w.min = v
-	}
-	if v > w.max {
-		w.max = v
-	}
 }
 
 // Finish closes the signal at time t and returns the time-weighted mean.
@@ -260,12 +231,6 @@ func (w *TimeWeighted) Mean() float64 {
 
 // Integral returns ∫ value dt over the observed span.
 func (w *TimeWeighted) Integral() float64 { return w.weighted }
-
-// Min returns the smallest value set (0 before any Set).
-func (w *TimeWeighted) Min() float64 { return w.min }
-
-// Max returns the largest value set (0 before any Set).
-func (w *TimeWeighted) Max() float64 { return w.max }
 
 // Histogram counts samples in equal-width bins over [lo, hi); samples
 // outside the range land in the edge bins but are also tallied as

@@ -45,13 +45,23 @@ func TestOnlineMatchesBatchProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		xs := make([]float64, len(raw))
+		// The batch reference: a two-pass mean and unbiased deviation.
 		var o Online
-		for i, r := range raw {
-			xs[i] = float64(r)
-			o.Add(xs[i])
+		var sum float64
+		for _, r := range raw {
+			o.Add(float64(r))
+			sum += float64(r)
 		}
-		return almost(o.Mean(), Mean(xs), 1e-6) && almost(o.Std(), Std(xs), 1e-6)
+		mean := sum / float64(len(raw))
+		var ss float64
+		for _, r := range raw {
+			ss += (float64(r) - mean) * (float64(r) - mean)
+		}
+		std := 0.0
+		if len(raw) > 1 {
+			std = math.Sqrt(ss / float64(len(raw)-1))
+		}
+		return almost(o.Mean(), mean, 1e-6) && almost(o.Std(), std, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -131,9 +141,6 @@ func TestTimeWeightedMean(t *testing.T) {
 	}
 	if !almost(w.Integral(), 600, 1e-12) {
 		t.Fatalf("integral = %v, want 600", w.Integral())
-	}
-	if w.Min() != 50 || w.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
 	}
 }
 

@@ -62,9 +62,6 @@ func NewJSONL(w io.Writer) *JSONLSink {
 	return &JSONLSink{w: newWriter(w)}
 }
 
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error { return s.w.err }
-
 // Close implements Sink.
 func (s *JSONLSink) Close() error { return s.w.close() }
 
@@ -246,9 +243,6 @@ func NewCSV(w io.Writer) *CSVSink {
 	s.w.line(append(s.w.buf[:0], csvHeader...))
 	return s
 }
-
-// Err returns the first write error, if any.
-func (s *CSVSink) Err() error { return s.w.err }
 
 // Close implements Sink.
 func (s *CSVSink) Close() error { return s.w.close() }

@@ -135,9 +135,6 @@ func TestSinkWriteErrorSurfacesOnClose(t *testing.T) {
 	if err := s.Close(); err == nil {
 		t.Fatal("want write error from Close")
 	}
-	if s.Err() == nil {
-		t.Fatal("Err should report the sticky write error")
-	}
 }
 
 // closeCounter records whether the sink closed its writer.

@@ -72,9 +72,6 @@ func HEVCCodec() Codec {
 // so CodecByName copies one out without allocating.
 var builtinCodecs = [...]Codec{DefaultCodec(), HEVCCodec()}
 
-// Codecs returns the built-in codec models.
-func Codecs() []Codec { return append([]Codec(nil), builtinCodecs[:]...) }
-
 // CodecByName returns a built-in codec model.
 func CodecByName(name string) (Codec, error) {
 	for _, c := range builtinCodecs {

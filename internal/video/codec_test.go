@@ -7,7 +7,7 @@ import (
 )
 
 func TestCodecCatalog(t *testing.T) {
-	cs := Codecs()
+	cs := builtinCodecs
 	if len(cs) != 2 {
 		t.Fatalf("codecs = %d, want 2", len(cs))
 	}
