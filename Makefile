@@ -34,12 +34,13 @@ alloc-budget:
 
 # The fleet end-to-end battery, -count 1 so it always re-executes: a
 # dvfsctl controller over real httptest dvfsd workers (byte-identical
-# sweep/cohort merges, mid-sweep worker kill, 429 carry-through, probe
-# revival), the worker-side cohort-part seam, the streaming-disconnect
-# pool drain, and the dvfsctl daemon smoke test.
+# sweep/cohort merges, mid-sweep worker kill, garbled sweep parts, 429
+# carry-through, probe revival), the worker-side sweep-part and
+# cohort-part seams and the sweep body they splice into, the
+# streaming-disconnect pool drain, and the dvfsctl daemon smoke test.
 fleet-e2e:
 	$(GO) test -race -count 1 ./internal/fleet ./cmd/dvfsctl
-	$(GO) test -race -count 1 ./internal/server -run 'TestFleet|TestCohortPart|TestStream|TestRetryAfterSeconds'
+	$(GO) test -race -count 1 ./internal/server -run 'TestFleet|TestCohortPart|TestSweepPart|TestSweepBody|TestStream|TestRetryAfterSeconds'
 
 # The wire-level stress battery, -count 1 so it always re-executes: the
 # shaped origin + live player-driver over real sockets, the sim-vs-real
@@ -57,8 +58,9 @@ stress-e2e:
 bench-e2e:
 	cd bench/e2e && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
-# Ten seconds of coverage-guided fuzzing per untrusted-input parser and
-# the fleet's cohort-part merge, plus the event engine against its
+# Ten seconds of coverage-guided fuzzing per untrusted-input parser
+# (the sweep part's point list and nesting included) and the fleet's
+# cohort-part merge, plus the event engine against its
 # reference model (checked-in seeds live
 # under */testdata/fuzz). Native fuzzing allows one -fuzz target per
 # invocation, hence the separate runs.
@@ -72,6 +74,7 @@ fuzz-short:
 	$(GO) test ./internal/player -run '^$$' -fuzz '^FuzzForecastSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepPartRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzCohortPartRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cohort -run '^$$' -fuzz '^FuzzMergeParts$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)

@@ -143,6 +143,20 @@ func best(samples []sample) sample {
 	return m
 }
 
+// minFailing is the smallest time regression the time gate fails, as a
+// fraction of the best baseline sample: the current best must be more
+// than maxTime above both the best and the slowest baseline sample, so
+// the slower bar, max(best, slowest) × (1 + maxTime), sets it. A baseline
+// whose samples spread widely hides every regression below that.
+func minFailing(baseSamples []sample, maxTime float64) float64 {
+	b := best(baseSamples).nsPerOp
+	slowest := b
+	for _, s := range baseSamples {
+		slowest = max(slowest, s.nsPerOp)
+	}
+	return slowest*(1+maxTime)/b - 1
+}
+
 // hostSpeed names the calibration benchmark: its time moves only with the
 // host, so the ratio of its bests measures how fast the host runs now
 // against when the baseline was pinned.
@@ -234,8 +248,9 @@ func run(args []string) error {
 		}
 		base := best(baseSamples)
 		ns := cur.nsPerOp * scale // at the baseline host's speed
-		fmt.Printf("benchgate: %-22s %12.0f ns/op (baseline %12.0f, %+6.1f%%)  %6.0f allocs/op (baseline %6.0f)\n",
-			name, ns, base.nsPerOp, 100*(ns-base.nsPerOp)/base.nsPerOp,
+		failAt := minFailing(baseSamples, *maxTime)
+		fmt.Printf("benchgate: %-22s %12.0f ns/op (baseline %12.0f, %+6.1f%%; time gate fails from %+.1f%%)  %6.0f allocs/op (baseline %6.0f)\n",
+			name, ns, base.nsPerOp, 100*(ns-base.nsPerOp)/base.nsPerOp, 100*failAt,
 			cur.allocsPerOp, base.allocsPerOp)
 		if cur.allocsPerOp > base.allocsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %.0f → %.0f",
@@ -251,16 +266,11 @@ func run(args []string) error {
 		}
 		// The time gate needs significance, not just magnitude: the best
 		// current sample must be >maxtime slower than the best baseline
-		// sample AND slower than every baseline sample. A real regression
-		// shifts the whole distribution past both bars; co-tenant noise on
-		// a shared box (which only ever adds time) does not.
-		baseMax := 0.0
-		for _, s := range baseSamples {
-			if s.nsPerOp > baseMax {
-				baseMax = s.nsPerOp
-			}
-		}
-		if sameCPU && ns > base.nsPerOp*(1+*maxTime) && ns > baseMax*(1+*maxTime) {
+		// sample AND than every baseline sample (minFailing). A real
+		// regression shifts the whole distribution past both bars;
+		// co-tenant noise on a shared box (which only ever adds time) does
+		// not.
+		if sameCPU && ns > base.nsPerOp*(1+failAt) {
 			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %.0f → %.0f (>%.0f%% and beyond baseline spread)",
 				name, base.nsPerOp, ns, *maxTime*100))
 		}

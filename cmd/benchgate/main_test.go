@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,6 +157,30 @@ BenchmarkRunNoTrace 	 100	 650000 ns/op	 0 B/op	 0 allocs/op
 `
 	if err := gate(t, baseline, current); err != nil {
 		t.Fatalf("time delta inside the baseline's own spread failed the gate: %v", err)
+	}
+}
+
+// What a pass means: with a two-sample baseline of 100 and 110 µs, the
+// time gate fails only a best current sample past 110 × 1.05 = 115.5 µs,
+// so the smallest regression it can fail is +15.5% over the best
+// baseline sample, and a +15% one passes.
+func TestGateMinFailingRegression(t *testing.T) {
+	baseline := `cpu: X
+BenchmarkRunNoTrace 	 100	 100000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRunNoTrace 	 100	 110000 ns/op	 0 B/op	 0 allocs/op
+`
+	bf, err := parseBenchOutput(writeTemp(t, "baseline.txt", baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := minFailing(bf.samples["BenchmarkRunNoTrace"], 0.05); math.Abs(got-0.155) > 1e-12 {
+		t.Fatalf("minFailing = %v, want 0.155", got)
+	}
+	if err := gate(t, baseline, "cpu: X\nBenchmarkRunNoTrace \t 100\t 115000 ns/op\t 0 B/op\t 0 allocs/op\n"); err != nil {
+		t.Errorf("a +15%% regression, under the +15.5%% the gate fails from, failed: %v", err)
+	}
+	if err := gate(t, baseline, "cpu: X\nBenchmarkRunNoTrace \t 100\t 116000 ns/op\t 0 B/op\t 0 allocs/op\n"); err == nil {
+		t.Error("a +16% regression, past the +15.5% the gate fails from, passed")
 	}
 }
 

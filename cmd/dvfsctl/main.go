@@ -13,7 +13,8 @@
 //
 // Endpoints (see README for request bodies and curl examples):
 //
-//	POST /v1/sweep   batch sweep, points fanned across the fleet
+//	POST /v1/sweep   batch sweep, one part of its points per owning
+//	                 worker, spliced back in expansion order
 //	POST /v1/cohort  cohort run, shards fanned across the fleet;
 //	                 answers with the summary NDJSON line
 //	GET  /healthz    liveness (503 when draining or no worker alive)
@@ -49,7 +50,7 @@ func run(args []string) error {
 		addr        = fs.String("addr", ":9090", "listen address")
 		workers     = fs.String("workers", "", "comma-separated dvfsd base URLs (required)")
 		concurrency = fs.Int("concurrency", 0, "max in-flight worker requests (0 = 4x workers)")
-		timeoutS    = fs.Float64("timeout-s", 60, "per-attempt worker request timeout in seconds")
+		timeoutS    = fs.Float64("timeout-s", 60, "per-attempt worker request timeout in seconds (one attempt is a worker's whole share of a sweep or cohort)")
 		retries     = fs.Int("retries", 2, "retry attempts per dispatch beyond the first")
 		backoffMS   = fs.Float64("backoff-ms", 100, "base of the jittered exponential retry backoff")
 		ejectAfter  = fs.Int("eject-after", 3, "consecutive failures before a worker is ejected from routing")

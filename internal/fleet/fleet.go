@@ -17,13 +17,16 @@
 // honors the worker's Retry-After and, if the backlog persists, passes
 // the 429 through to the client with the hint clamped to ≥ 1 s.
 //
-// Merging is deterministic: sweep outcomes are ordered by expansion
-// index and cohort partials by global shard index — exactly the orders a
-// single node uses — so counter sums and quantile-sketch merges
-// reproduce the single-node bytes (DESIGN.md §13).
+// Each worker gets one request per aggregate: the points of a sweep, or
+// the shards of a cohort, that it owns. Merging is deterministic: sweep
+// outcomes are spliced in expansion index order and cohort partials
+// folded in global shard index order — exactly the orders a single node
+// uses — so the merged sweep body and the counter sums and
+// quantile-sketch merges reproduce the single-node bytes (DESIGN.md §13).
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,6 +36,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"videodvfs/internal/server"
@@ -54,7 +58,8 @@ type Config struct {
 	// Concurrency bounds in-flight worker requests across the whole
 	// controller (≤0 = 4×workers).
 	Concurrency int
-	// Timeout is the per-attempt request timeout (≤0 = 60 s).
+	// Timeout is the per-attempt request timeout (≤0 = 60 s). One attempt
+	// carries a worker's whole share of a sweep or a cohort.
 	Timeout time.Duration
 	// Retries is how many times one dispatch re-attempts after a
 	// transient failure, beyond the first try (<0 = 0, default 2).
@@ -200,30 +205,32 @@ func (c *Controller) pick(key string) (*worker, bool) {
 	return c.workers[wi], true
 }
 
-// wresp is one worker exchange's outcome: the HTTP status, the parsed
-// envelope on non-200s, the Retry-After hint on 429s (clamped ≥ 1), and
-// the raw body.
+// wresp is one worker exchange's outcome: the worker that answered, the
+// HTTP status, the parsed envelope on non-200s and the Retry-After hint
+// on 429s (clamped ≥ 1). A 200's body went to the dispatch's accept.
 type wresp struct {
+	worker     string
 	status     int
 	code       string
 	message    string
 	retryAfter int
-	body       []byte
 }
 
-// dispatch routes one worker request (a sweep point to /v1/run, a cohort
-// shard group to /v1/cohort/part) by its content-addressed key and runs
-// it to completion: per-attempt timeouts, retry with jittered exponential
-// backoff pinned to the owning worker, and — when that worker gets
-// ejected mid-dispatch — a rehash onto the survivors. Rehash rounds are
-// bounded by the fleet size: each round requires an ejection, so the
-// loop cannot cycle.
+// dispatch routes one worker request (a sweep point group to
+// /v1/sweep/part, a cohort shard group to /v1/cohort/part) by its
+// content-addressed key and runs it to completion: per-attempt timeouts,
+// retry with jittered exponential backoff pinned to the owning worker,
+// and — when that worker gets ejected mid-dispatch — a rehash onto the
+// survivors. Rehash rounds are bounded by the fleet size: each round
+// requires an ejection, so the loop cannot cycle. accept checks and takes
+// a 200's body; a body it refuses is the worker's failure, like a 5xx.
 //
 // The returned error is non-nil only for fleet-level failures (no alive
-// workers, context canceled, all retries exhausted on transport/5xx).
-// Worker 4xx/429 responses return err == nil with the status in the
-// wresp — the caller decides between embedding and passing through.
-func (c *Controller) dispatch(ctx context.Context, key, path, query string, body []byte) (wresp, error) {
+// workers, context canceled, all retries exhausted on transport errors,
+// 5xx or refused bodies). Worker 4xx/429 responses return err == nil with
+// the status in the wresp — the caller decides between embedding and
+// passing through.
+func (c *Controller) dispatch(ctx context.Context, key, path, query string, body []byte, accept func([]byte) error) (wresp, error) {
 	var last wresp
 	var lastErr error
 	for round := 0; round <= len(c.workers); round++ {
@@ -231,7 +238,7 @@ func (c *Controller) dispatch(ctx context.Context, key, path, query string, body
 		if !ok {
 			return last, errNoWorkers
 		}
-		last, lastErr = c.post(ctx, w, path, query, body)
+		last, lastErr = c.post(ctx, w, path, query, body, accept)
 		if lastErr == nil {
 			return last, nil
 		}
@@ -248,18 +255,74 @@ func (c *Controller) dispatch(ctx context.Context, key, path, query string, body
 	return last, lastErr
 }
 
+// group is one request of a fan-out: the units of work (sweep points,
+// cohort shards) one worker owns, in order, and how their dispatch ended.
+type group struct {
+	units []int
+	resp  wresp
+	err   error
+}
+
+// ok reports whether the group's worker answered 200 with a body accept
+// took.
+func (g *group) ok() bool { return g.err == nil && g.resp.status == http.StatusOK }
+
+// fanOut sends n units of work across the fleet, the one fan-out of both
+// aggregate handlers. Units group per alive worker owning key(i) on the
+// ring, and each group goes out as one request through dispatch under its
+// first unit's key, so a worker's part cache key is stable across
+// identical requests, and when a group's worker is ejected mid-dispatch
+// the whole group moves to the survivor owning that first key. body
+// builds a group's request; accept checks a 200's body on the group's
+// dispatch goroutine and keeps what it needs of it. The groups come back
+// in order of first unit.
+func (c *Controller) fanOut(ctx context.Context, n int, key func(int) string, path, query string,
+	body func(units []int) ([]byte, error), accept func(units []int, data []byte) error) []group {
+	var groups []group
+	owned := make(map[*worker]int)
+	for i := 0; i < n; i++ {
+		// With no worker alive, the units group under nil, and their
+		// dispatch fails with errNoWorkers unless one revives first.
+		wk, _ := c.pick(key(i))
+		gi, seen := owned[wk]
+		if !seen {
+			gi = len(groups)
+			owned[wk] = gi
+			groups = append(groups, group{})
+		}
+		groups[gi].units = append(groups[gi].units, i)
+	}
+	var wg sync.WaitGroup
+	for gi := range groups {
+		g := &groups[gi]
+		data, err := body(g.units)
+		if err != nil {
+			g.err = err
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.resp, g.err = c.dispatch(ctx, key(g.units[0]), path, query, data,
+				func(b []byte) error { return accept(g.units, b) })
+		}()
+	}
+	wg.Wait()
+	return groups
+}
+
 // post sends one request to a specific worker, retrying transient
-// failures in place: 429s wait out the worker's Retry-After hint,
-// transport errors and 5xx back off exponentially with jitter and count
-// toward the worker's ejection streak.
-func (c *Controller) post(ctx context.Context, w *worker, path, query string, body []byte) (wresp, error) {
+// failures in place: 429s wait out the worker's Retry-After hint;
+// transport errors, 5xx and bodies accept refuses back off exponentially
+// with jitter and count toward the worker's ejection streak.
+func (c *Controller) post(ctx context.Context, w *worker, path, query string, body []byte, accept func([]byte) error) (wresp, error) {
 	var last wresp
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			w.retries.Add(1)
 		}
-		resp, err := c.exchange(ctx, w, path, query, body)
+		resp, err := c.exchange(ctx, w, path, query, body, accept)
 		switch {
 		case err == nil && resp.status != http.StatusTooManyRequests && resp.status < 500:
 			// 2xx or a permanent 4xx: either way the worker answered
@@ -278,7 +341,7 @@ func (c *Controller) post(ctx context.Context, w *worker, path, query string, bo
 			if serr := sleepCtx(ctx, wait); serr != nil {
 				return last, serr
 			}
-		default: // transport error or 5xx
+		default: // transport error, 5xx or a refused body
 			if err != nil {
 				last, lastErr = wresp{}, fmt.Errorf("fleet: worker %s: %w", w.url, err)
 			} else {
@@ -295,31 +358,14 @@ func (c *Controller) post(ctx context.Context, w *worker, path, query string, bo
 	return last, lastErr
 }
 
-// exchange performs one HTTP round trip under the controller-wide
-// concurrency bound and the per-attempt timeout, folding the worker's
-// response headers (cache outcome, queue depth, Retry-After) into the
-// worker's gauges and the wresp.
-func (c *Controller) exchange(ctx context.Context, w *worker, path, query string, body []byte) (wresp, error) {
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-ctx.Done():
-		return wresp{}, ctx.Err()
-	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, w.url+path+query, strings.NewReader(string(body)))
-	if err != nil {
-		return wresp{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	w.dispatches.Add(1)
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return wresp{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+// exchange performs one round trip to w, hands a 200's body to accept,
+// and folds the worker's response headers (queue depth, cache outcomes,
+// Retry-After) into the worker's gauges and the wresp. The cache
+// counters count what a 200 served, once accept took it: a cohort part's
+// X-Dvfsd-Cache outcome, or each point a sweep part's
+// X-Dvfsd-Cache-Points header counts.
+func (c *Controller) exchange(ctx context.Context, w *worker, path, query string, body []byte, accept func([]byte) error) (wresp, error) {
+	resp, data, err := c.roundTrip(ctx, w, path, query, body)
 	if err != nil {
 		return wresp{}, err
 	}
@@ -328,18 +374,29 @@ func (c *Controller) exchange(ctx context.Context, w *worker, path, query string
 			w.queueDepth.Store(int64(n))
 		}
 	}
-	switch resp.Header.Get("X-Dvfsd-Cache") {
-	case "hit":
-		w.hits.Add(1)
-	case "miss", "coalesced":
-		w.misses.Add(1)
-	}
-	out := wresp{status: resp.StatusCode, body: data}
-	if resp.StatusCode != http.StatusOK {
-		var env server.Envelope
-		if json.Unmarshal(data, &env) == nil {
-			out.code, out.message = env.Error.Code, env.Error.Message
+	out := wresp{worker: w.url, status: resp.StatusCode}
+	if resp.StatusCode == http.StatusOK {
+		if err := accept(data); err != nil {
+			return wresp{}, fmt.Errorf("malformed answer: %w", err)
 		}
+		switch resp.Header.Get("X-Dvfsd-Cache") {
+		case "hit":
+			w.hits.Add(1)
+		case "miss", "coalesced":
+			w.misses.Add(1)
+		}
+		if pts := resp.Header.Get("X-Dvfsd-Cache-Points"); pts != "" {
+			var hits, misses int64
+			if _, err := fmt.Sscanf(pts, "hits=%d misses=%d", &hits, &misses); err == nil {
+				w.hits.Add(hits)
+				w.misses.Add(misses)
+			}
+		}
+		return out, nil
+	}
+	var env server.Envelope
+	if json.Unmarshal(data, &env) == nil {
+		out.code, out.message = env.Error.Code, env.Error.Message
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		out.retryAfter = 1
@@ -350,6 +407,34 @@ func (c *Controller) exchange(ctx context.Context, w *worker, path, query string
 		}
 	}
 	return out, nil
+}
+
+// roundTrip sends one request to w under the controller-wide concurrency
+// bound and the per-attempt timeout, and returns the response with its
+// body read and closed: the connection and the concurrency slot are free
+// again before exchange checks what the worker sent.
+func (c *Controller) roundTrip(ctx context.Context, w *worker, path, query string, body []byte) (*http.Response, []byte, error) {
+	select {
+	case c.sem <- struct{}{}:
+		defer func() { <-c.sem }()
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
+	}
+	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, w.url+path+query, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	w.dispatches.Add(1)
+	resp, err := c.cfg.Client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	return resp, data, err
 }
 
 // backoff returns the jittered exponential delay before retry `attempt`:

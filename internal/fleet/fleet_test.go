@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -304,6 +305,383 @@ func sweepOwner(t *testing.T, ctl *Controller, body string) int {
 	return wi
 }
 
+// pointOwners returns, per point of a sweep, the index of the worker the
+// controller's ring routes it to while every worker is alive.
+func pointOwners(t *testing.T, ctl *Controller, body string) []int {
+	t.Helper()
+	req, err := server.DecodeSweepRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := req.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		key, _ := experiments.ConfigKey(cfg)
+		wi, ok := ctl.ring.pick(key, func(int) bool { return true })
+		if !ok {
+			t.Fatalf("ring routed sweep point %d nowhere", i)
+		}
+		owners[i] = wi
+	}
+	return owners
+}
+
+// metricSum sums the values of every line of a /metrics body whose
+// series is name, over all label sets.
+func metricSum(t *testing.T, met []byte, name string) int64 {
+	t.Helper()
+	var sum int64
+	for _, line := range strings.Split(string(met), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || (series != name && !strings.HasPrefix(series, name+"{")) {
+			continue
+		}
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += n
+	}
+	return sum
+}
+
+// The per-worker cache counters count sweep points, not requests: each
+// part reports how many of its points the worker's cache served, while
+// the dispatch counter counts one request per owning worker. A sweep
+// whose first half was swept before reads half hits, half misses.
+func TestFleetSweepCacheCountersCountPoints(t *testing.T) {
+	ctl, ctlURL, _, _ := testFleet(t, 2, server.Config{}, Config{
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	const half = `{"base": {"duration_s": 2}, "governors": ["ondemand", "energyaware"], "seeds": [1, 2, 3, 4]}`
+	const whole = `{"base": {"duration_s": 2}, "governors": ["ondemand", "energyaware"], "seeds": [1, 2, 3, 4, 5, 6, 7, 8]}`
+	parts := func(body string) int64 {
+		owners := map[int]bool{}
+		for _, wi := range pointOwners(t, ctl, body) {
+			owners[wi] = true
+		}
+		return int64(len(owners))
+	}
+
+	for _, step := range []struct {
+		body                         string
+		hits, misses, dispatchesDone int64
+	}{
+		{half, 0, 8, parts(half)},
+		{whole, 8, 16, parts(half) + parts(whole)},
+	} {
+		if resp, raw := post(t, ctlURL+"/v1/sweep", step.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
+		}
+		_, met := getBody(t, ctlURL+"/metrics")
+		hits := metricSum(t, met, "dvfsctl_worker_cache_hits_total")
+		misses := metricSum(t, met, "dvfsctl_worker_cache_misses_total")
+		dispatches := metricSum(t, met, "dvfsctl_worker_dispatches_total")
+		if hits != step.hits || misses != step.misses || dispatches != step.dispatchesDone {
+			t.Fatalf("after the %d-point sweep: %d hits, %d misses, %d dispatches; want %d, %d, %d\n%s",
+				strings.Count(step.body, ",")-1, hits, misses, dispatches, step.hits, step.misses, step.dispatchesDone, met)
+		}
+	}
+}
+
+// Multi-point sweeps sent through the controller at once must each answer
+// a single node's bytes, though their parts meet worker queues that other
+// parts already fill. Each worker runs 2 simulations at a time behind the
+// default queue of 8, and no simulation ends until every part has
+// reached its worker: the first sweep's parts fill both queues, and the
+// later sweeps' parts must wait for space rather than be turned away. The
+// controller does not retry, so a part turned away shows as a failure
+// instead of finding the queue drained on a later attempt.
+func TestFleetConcurrentSweeps(t *testing.T) {
+	open := make(chan struct{})
+	var openOnce sync.Once
+	start := func() { openOnce.Do(func() { close(open) }) }
+	gated := func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		<-open
+		return experiments.Run(cfg)
+	}
+	var arrived atomic.Int64
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s := server.New(server.Config{Workers: 2, Runner: gated})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep/part" {
+				arrived.Add(1)
+			}
+			s.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			start()
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		})
+		urls = append(urls, ts.URL)
+	}
+	ctl, err := New(Config{Workers: urls, Retries: 0, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	t.Cleanup(func() {
+		start()
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+	ref := serveWorker(t, server.Config{})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 10s", what)
+			}
+		}
+	}
+
+	// The first sweep has 64 points, the other three 16 each.
+	bodies := []string{`{"base": {"duration_s": 2}, "governors": ["ondemand", "energyaware"], "seed_range": [1, 32]}`}
+	for i := 0; i < 3; i++ {
+		bodies = append(bodies, fmt.Sprintf(`{"base": {"duration_s": 2}, "governors": ["ondemand", "energyaware"], "seed_range": [%d, %d]}`, 33+8*i, 40+8*i))
+	}
+	type answer struct {
+		status int
+		body   []byte
+	}
+	answers := make([]chan answer, len(bodies))
+	send := func(i int) {
+		answers[i] = make(chan answer, 1)
+		go func() {
+			resp, err := http.Post(cts.URL+"/v1/sweep", "application/json", strings.NewReader(bodies[i]))
+			if err != nil {
+				answers[i] <- answer{}
+				return
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			answers[i] <- answer{resp.StatusCode, raw}
+		}()
+	}
+	owned := make([]int, len(urls)) // the first sweep's points per worker
+	parts := 0
+	for i, body := range bodies {
+		owners := map[int]bool{}
+		for _, wi := range pointOwners(t, ctl, body) {
+			owners[wi] = true
+			if i == 0 {
+				owned[wi]++
+			}
+		}
+		parts += len(owners)
+	}
+
+	// Two of a worker's points run (and wait on the gate); the queue
+	// holds up to 8 of the rest.
+	send(0)
+	for wi, url := range urls {
+		want := fmt.Sprintf("dvfsd_queue_depth %d\n", min(8, max(0, owned[wi]-2)))
+		waitFor("the first sweep queued on worker "+strconv.Itoa(wi), func() bool {
+			_, met := getBody(t, url+"/metrics")
+			return strings.Contains(string(met), want)
+		})
+	}
+	for i := 1; i < len(bodies); i++ {
+		send(i)
+	}
+	waitFor("every part at its worker", func() bool { return arrived.Load() >= int64(min(parts, ctl.cfg.Concurrency)) })
+	time.Sleep(50 * time.Millisecond) // the last parts reach their admission
+	start()
+	for i, body := range bodies {
+		got := <-answers[i]
+		if got.status != http.StatusOK {
+			t.Fatalf("sweep %d: status %d: %s", i, got.status, got.body)
+		}
+		if resp, want := post(t, ref.URL+"/v1/sweep", body); resp.StatusCode != http.StatusOK || !bytes.Equal(got.body, want) {
+			t.Fatalf("sweep %d differs from a single node's (status %d):\nfleet: %.300s\nref:   %.300s", i, resp.StatusCode, got.body, want)
+		}
+	}
+}
+
+// ?strict reaches the workers on the parts: a strict fleet sweep answers
+// a single node's strict bytes, its audited points bypass the workers'
+// caches so the cache counters count none of them, and a query parameter
+// dvfsd does not know is refused before anything is dispatched.
+func TestFleetSweepStrictPassesThrough(t *testing.T) {
+	_, ctlURL, _, refURL := testFleet(t, 2, server.Config{}, Config{
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	const body = `{"base": {"duration_s": 2}, "governors": ["ondemand", "energyaware"], "seeds": [1, 2]}`
+	resp, got := post(t, ctlURL+"/v1/sweep?strict=1", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("strict fleet sweep status %d: %s", resp.StatusCode, got)
+	}
+	if _, want := post(t, refURL+"/v1/sweep?strict=1", body); !bytes.Equal(got, want) {
+		t.Fatalf("strict fleet sweep differs from single node:\nfleet: %s\nref:   %s", got, want)
+	}
+	_, met := getBody(t, ctlURL+"/metrics")
+	if hits, misses := metricSum(t, met, "dvfsctl_worker_cache_hits_total"), metricSum(t, met, "dvfsctl_worker_cache_misses_total"); hits+misses != 0 {
+		t.Fatalf("strict points counted as %d hits and %d misses, want none:\n%s", hits, misses, met)
+	}
+	dispatched := metricSum(t, met, "dvfsctl_worker_dispatches_total")
+	for _, query := range []string{"?strict=maybe", "?trace=jsonl"} {
+		if resp, raw := post(t, ctlURL+"/v1/sweep"+query, body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", query, resp.StatusCode, raw)
+		}
+	}
+	if _, met := getBody(t, ctlURL+"/metrics"); metricSum(t, met, "dvfsctl_worker_dispatches_total") != dispatched {
+		t.Fatalf("a refused query was dispatched:\n%s", met)
+	}
+}
+
+// A worker that garbles a part never corrupts the merge. One scripted
+// worker answers its parts in one of five faulty ways: cut mid-line at a
+// clean end of body, two lines swapped (each holds the wrong index), one
+// line too few, one too many, and a line that is not JSON. When the fault
+// persists through the retries, the points of its group come back as
+// error outcomes naming the worker; when only the first answer is faulty,
+// the retry succeeds. Either way the other worker's points are
+// byte-identical to a single node's, and no line of a refused part
+// reaches the merged body.
+func TestFleetSweepPartFaults(t *testing.T) {
+	faults := []struct {
+		name   string
+		mangle func(lines [][]byte) [][]byte // each line ends in its newline
+	}{
+		{"cut mid-line", func(l [][]byte) [][]byte {
+			last := l[len(l)-1]
+			return append(l[:len(l)-1], last[:len(last)/2])
+		}},
+		{"wrong index", func(l [][]byte) [][]byte {
+			l[0], l[1] = l[1], l[0]
+			return l
+		}},
+		{"one line too few", func(l [][]byte) [][]byte { return l[:len(l)-1] }},
+		{"one line too many", func(l [][]byte) [][]byte { return append(l, l[len(l)-1]) }},
+		{"not JSON", func(l [][]byte) [][]byte {
+			l[0] = append(l[0][:len(l[0])-2:len(l[0])-2], '\n') // drops the closing brace
+			return l
+		}},
+	}
+	var fault, faulty atomic.Int64 // which fault; how many answers it garbles
+	const victim = 0
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s := server.New(server.Config{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i != victim || r.URL.Path != "/v1/sweep/part" || faulty.Add(-1) < 0 {
+				s.Handler().ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, r)
+			for k, v := range rec.Header() {
+				if k != "Content-Length" {
+					w.Header()[k] = v
+				}
+			}
+			lines := bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
+			lines = lines[:len(lines)-1] // the empty tail after the last newline
+			w.WriteHeader(rec.Code)
+			w.Write(bytes.Join(faults[fault.Load()].mangle(lines), nil))
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		})
+		urls = append(urls, ts.URL)
+	}
+	ctl, err := New(Config{
+		Workers: urls, Retries: 1, Backoff: time.Millisecond, EjectAfter: 1000, ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctl.Handler())
+	t.Cleanup(func() {
+		cts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ctl.Shutdown(ctx)
+	})
+	ref := serveWorker(t, server.Config{})
+
+	// The ring hashes the workers' random ports, so search for a sweep
+	// whose points reach both workers, two or more of them the victim's.
+	body := ""
+	var owners []int
+	for seed := 1; body == ""; seed++ {
+		if seed > 64 {
+			t.Fatal("no sweep routed two points to one worker and one to the other")
+		}
+		b := fmt.Sprintf(`{"base": {"duration_s": 2}, "governors": ["ondemand", "energyaware"], "seeds": [%d, %d, %d, %d]}`, seed, seed+100, seed+200, seed+300)
+		owners = pointOwners(t, ctl, b)
+		count := [2]int{}
+		for _, wi := range owners {
+			count[wi]++
+		}
+		if count[victim] >= 2 && count[1-victim] >= 1 {
+			body = b
+		}
+	}
+	refResp, refBody := post(t, ref.URL+"/v1/sweep", body)
+	if refResp.StatusCode != http.StatusOK {
+		t.Fatalf("ref sweep status %d: %s", refResp.StatusCode, refBody)
+	}
+	var refSweep server.SweepBody
+	if err := json.Unmarshal(refBody, &refSweep); err != nil {
+		t.Fatal(err)
+	}
+
+	for fi, f := range faults {
+		fault.Store(int64(fi))
+		for _, persistent := range []bool{true, false} {
+			faulty.Store(1)
+			if persistent {
+				faulty.Store(1 << 30)
+			}
+			resp, got := post(t, cts.URL+"/v1/sweep", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s (persistent %v): status %d: %s", f.name, persistent, resp.StatusCode, got)
+			}
+			if !persistent {
+				if !bytes.Equal(got, refBody) {
+					t.Fatalf("%s, then a clean retry: fleet sweep differs from single node:\nfleet: %s\nref:   %s", f.name, got, refBody)
+				}
+				continue
+			}
+			var sw server.SweepBody
+			if err := json.Unmarshal(got, &sw); err != nil || len(sw.Outcomes) != len(owners) {
+				t.Fatalf("%s: merged body does not decode to %d outcomes: %v\n%s", f.name, len(owners), err, got)
+			}
+			want := server.SweepBody{Count: len(owners), Outcomes: slices.Clone(refSweep.Outcomes)}
+			for i, wi := range owners {
+				if wi != victim {
+					continue
+				}
+				o := sw.Outcomes[i]
+				if o.Run != nil || !strings.Contains(o.Error, urls[victim]) || !strings.Contains(o.Error, "malformed answer") {
+					t.Fatalf("%s: point %d of the faulty worker's group: %+v, want an error naming %s", f.name, i, o, urls[victim])
+				}
+				want.Outcomes[i] = server.SweepOutcome{Index: i, Error: o.Error}
+			}
+			wantBody, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantBody = append(wantBody, '\n'); !bytes.Equal(got, wantBody) {
+				t.Fatalf("%s: merged body is not the single node's with the faulty group's points as errors:\nfleet: %s\nwant:  %s", f.name, got, wantBody)
+			}
+		}
+	}
+}
+
 const cohortReq = `{"base": {"duration_s": 6}, "viewers": 24, "shards": 6, "rollup_s": 5, "seed": 7}`
 
 // summaryOf parses the last NDJSON line of a cohort response.
@@ -423,8 +801,10 @@ func TestFleet429CarryThroughClamped(t *testing.T) {
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != "overloaded" {
 		t.Fatalf("envelope = %s", raw)
 	}
-	if got := hits.Load(); got < 4 { // 2 points × (1 try + 1 retry)
-		t.Fatalf("worker saw %d attempts, want ≥4 (retry budget not honored)", got)
+	// One worker owns both points, so the sweep is one part, tried
+	// 1 + Retries times.
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("worker saw %d attempts, want exactly 1 + Retries = 2 for the sweep's one part", got)
 	}
 }
 
@@ -599,20 +979,29 @@ func TestProbeNotBlockedBySaturatedWorker(t *testing.T) {
 	}
 	waitFor("worker B ejected by its failing probe", 10*time.Second, func() bool { return !ctl.workers[1].alive.Load() })
 
-	// With B ejected, every point of the sweep routes to A.
-	status := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(cts.URL+"/v1/sweep", "application/json",
-			strings.NewReader(`{"base": {"duration_s": 2}, "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]}`))
-		if err != nil {
-			status <- 0
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		status <- resp.StatusCode
-	}()
+	// With B ejected, every point of a sweep routes to A, and each sweep
+	// is one part: Concurrency sweeps at once hold every connection. Once
+	// released, the parts' 16 points each, none cached, all land on A's
+	// queue at once, and every point must still run.
 	limit := int64(ctl.cfg.Concurrency)
+	type answer struct {
+		status int
+		body   string
+	}
+	answers := make(chan answer, limit)
+	for i := int64(0); i < limit; i++ {
+		go func() {
+			resp, err := http.Post(cts.URL+"/v1/sweep", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"base": {"duration_s": 2}, "seed_range": [%d, %d]}`, 16*i+1, 16*i+16)))
+			if err != nil {
+				answers <- answer{}
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			answers <- answer{resp.StatusCode, string(body)}
+		}()
+	}
 	waitFor("Concurrency dispatches held on worker A", 10*time.Second, func() bool { return held.Load() == limit })
 
 	bDown.Store(false)
@@ -621,8 +1010,14 @@ func TestProbeNotBlockedBySaturatedWorker(t *testing.T) {
 		t.Fatalf("worker A saw %d dispatches while saturated, want %d", n, limit)
 	}
 	free()
-	if code := <-status; code != http.StatusOK {
-		t.Fatalf("sweep after release: status %d", code)
+	for i := int64(0); i < limit; i++ {
+		a := <-answers
+		if a.status != http.StatusOK {
+			t.Fatalf("sweep after release: status %d: %s", a.status, a.body)
+		}
+		if strings.Contains(a.body, `"error"`) {
+			t.Fatalf("sweep after release: an error outcome: %.300s", a.body)
+		}
 	}
 }
 
@@ -641,12 +1036,12 @@ func serveWorker(t *testing.T, cfg server.Config) *httptest.Server {
 }
 
 // Sweep bodies at the edges of the wire form. The controller must answer
-// each exactly as a single node does, except for a seed 0, which the
-// per-run wire form cannot express and the controller refuses whether it
-// is listed or spanned by a seed_range. The two wide ranges overflowed
-// the sweep's size count and then exhausted memory or panicked in the
+// each exactly as a single node does. The two wide ranges overflowed the
+// sweep's size count and then exhausted memory or panicked in the
 // expansion; the top pair made the seed loop wrap and never end; an
-// empty nets entry, wifi to a single node, ran the default net.
+// empty nets entry, wifi to a single node, ran the default net; and a
+// seed 0, listed or spanned by a seed_range, runs seed 0 because the
+// workers expand the sweep themselves.
 func TestFleetSweepWireEdges(t *testing.T) {
 	_, ctlURL, _, refURL := testFleet(t, 2, server.Config{}, Config{
 		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
@@ -659,9 +1054,9 @@ func TestFleetSweepWireEdges(t *testing.T) {
 		{"whole seed space", `{"base": {"duration_s": 2}, "seed_range": [-9223372036854775808, 9223372036854775807]}`, http.StatusBadRequest, 0},
 		{"half the seed space", `{"base": {"duration_s": 2}, "seed_range": [-4611686018427387904, 4611686018427387904]}`, http.StatusBadRequest, 0},
 		{"top of the seed space", `{"base": {"duration_s": 2}, "seed_range": [9223372036854775806, 9223372036854775807]}`, http.StatusOK, 2},
-		{"seed_range from 0", `{"base": {"duration_s": 2}, "seed_range": [0, 1]}`, http.StatusBadRequest, 0},
-		{"seed_range across 0", `{"base": {"duration_s": 2}, "seed_range": [-1, 1]}`, http.StatusBadRequest, 0},
-		{"listed seed 0", `{"base": {"duration_s": 2}, "seeds": [0, 1]}`, http.StatusBadRequest, 0},
+		{"seed_range from 0", `{"base": {"duration_s": 2}, "seed_range": [0, 1]}`, http.StatusOK, 2},
+		{"seed_range across 0", `{"base": {"duration_s": 2}, "seed_range": [-1, 1]}`, http.StatusOK, 3},
+		{"listed seed 0", `{"base": {"duration_s": 2}, "seeds": [0, 1]}`, http.StatusOK, 2},
 		{"empty nets entry", `{"base": {"duration_s": 2}, "nets": ["", "lte"]}`, http.StatusOK, 2},
 	}
 	for _, tc := range cases {

@@ -59,13 +59,11 @@ func FuzzDecodeRunRequest(f *testing.F) {
 	})
 }
 
-// FuzzSweepRequest pins the sweep expansion's counting contract and its
-// wire spelling: Size, which the handlers check against the cap before
-// anything is materialised, counts exactly the configs Configs produces,
-// and each config's wire point, Point(cfg), resolves to the config's own
-// ConfigKey — the property the dvfsctl controller's byte-identical sweeps
-// rest on. Configs materialises every point, so like the handlers the
-// target only calls it under a cap.
+// FuzzSweepRequest pins the sweep expansion's counting contract: Size,
+// which the handlers check against the cap before anything is
+// materialised, counts exactly the configs Configs produces. Configs
+// materialises every point, so like the handlers the target only calls
+// it under a cap.
 func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"base": {}, "seed_range": [-9223372036854775808, 9223372036854775807]}`))
 	f.Add([]byte(`{"base": {}, "seed_range": [-4611686018427387904, 4611686018427387904]}`))
@@ -94,18 +92,90 @@ func FuzzSweepRequest(f *testing.F) {
 		if int64(len(cfgs)) != size {
 			t.Fatalf("Size() = %d but Configs() yields %d", size, len(cfgs))
 		}
-		for i, cfg := range cfgs {
-			if cfg.Seed == 0 {
-				continue // the wire form reads seed 0 as the default seed
+	})
+}
+
+// FuzzSweepPartRequest holds the /v1/sweep/part body — a whole sweep
+// request nested beside the points a worker should run — to the contract
+// of a run body, and the controller's nesting to losing nothing:
+//
+//   - as a part body, the bytes either decode or fail with an error
+//     wrapping ErrBadRequest; a decoded part whose sweep expands has its
+//     point list refused, with ErrInvalidConfig, exactly when the list is
+//     empty, names a point twice, or names one below 0 or at or past the
+//     sweep's size (checkPoints, which the sweep path runs before it
+//     prepares, admits or queues anything);
+//   - as a sweep body that decodes and expands, the part SweepPartBody
+//     nests it into decodes, and its points have the ConfigKeys the whole
+//     sweep's Configs() gives at those indexes.
+//
+// Like the handlers, the target expands only under a cap.
+func FuzzSweepPartRequest(f *testing.F) {
+	f.Add([]byte(`{"sweep": {"base": {"duration_s": 5}, "governors": ["ondemand", "energyaware"], "seeds": [1, 2]}, "points": [3, 0]}`))
+	f.Add([]byte(`{"sweep": {"base": {}}, "points": []}`))
+	f.Add([]byte(`{"sweep": {"base": {}, "seeds": [1, 2]}, "points": [1, 1]}`))
+	f.Add([]byte(`{"sweep": {"base": {}}, "points": [-1]}`))
+	f.Add([]byte(`{"sweep": {"base": {}, "seeds": [1, 2]}, "points": [2]}`))
+	f.Add([]byte(`{"sweep": {"base": {}, "seed_range": [0, 3]}, "points": [0]}`))
+	f.Add([]byte(`{"sweep": {"base": {}}, "points": [0], "shards": [0]}`))
+	f.Add([]byte(`{"sweep": {"base": {}}, "points": [0]} trailing`))
+	f.Add([]byte(`{"points": [0]}`))
+	f.Add([]byte(`{"base": {"net": "lte"}, "nets": ["", "umts"], "seeds": [0, 3]}`))
+	f.Add([]byte(`{"base": {"net": "trace", "bw_trace": ` + validTraceJSON + `, "duration_s": 1}, "seeds": [1, 2]}`))
+	f.Add([]byte(` {"base": {"duration_s": 5}, "governors": ["oracle"]}` + "\n"))
+	f.Add([]byte(`{"base": {}}}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if part, err := DecodeSweepPartRequest(bytes.NewReader(body)); err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("decode error %v does not wrap ErrBadRequest", err)
 			}
-			got, err := req.Point(cfg).Config()
-			if err != nil {
-				t.Fatalf("point %d does not resolve though Configs() does: %v", i, err)
+		} else if part.Sweep.Size() <= 4096 {
+			if cfgs, err := part.Sweep.Configs(); err == nil {
+				invalid := len(part.Points) == 0
+				seen := map[int]bool{}
+				for _, p := range part.Points {
+					invalid = invalid || p < 0 || p >= len(cfgs) || seen[p]
+					seen[p] = true
+				}
+				err := checkPoints(part.Points, len(cfgs))
+				if invalid != (err != nil) {
+					t.Fatalf("points %v of a %d-point sweep: invalid %v, but checkPoints says %v", part.Points, len(cfgs), invalid, err)
+				}
+				if err != nil && !errors.Is(err, experiments.ErrInvalidConfig) {
+					t.Fatalf("checkPoints error %v does not wrap ErrInvalidConfig", err)
+				}
 			}
-			gotKey, _ := experiments.ConfigKey(got)
-			wantKey, _ := experiments.ConfigKey(cfg)
-			if gotKey != wantKey {
-				t.Fatalf("point %d resolves to key %s, Configs()[%d] to %s", i, gotKey, i, wantKey)
+		}
+
+		sweep, err := DecodeSweepRequest(bytes.NewReader(body))
+		if err != nil || sweep.Size() > 1024 {
+			return
+		}
+		cfgs, err := sweep.Configs()
+		if err != nil {
+			return
+		}
+		var points []int // every other point, last first
+		for i := len(cfgs) - 1; i >= 0; i -= 2 {
+			points = append(points, i)
+		}
+		part, err := DecodeSweepPartRequest(bytes.NewReader(SweepPartBody(body, points)))
+		if err != nil {
+			t.Fatalf("the part nesting an accepted sweep body does not decode: %v", err)
+		}
+		if !slices.Equal(part.Points, points) {
+			t.Fatalf("the part names points %v, want %v", part.Points, points)
+		}
+		partCfgs, err := part.Sweep.Configs()
+		if err != nil || len(partCfgs) != len(cfgs) {
+			t.Fatalf("the nested sweep expands to %d points (%v), the sweep to %d", len(partCfgs), err, len(cfgs))
+		}
+		for _, p := range points {
+			got, _ := experiments.ConfigKey(partCfgs[p])
+			want, _ := experiments.ConfigKey(cfgs[p])
+			if got != want {
+				t.Fatalf("point %d: the part runs key %s, the sweep %s", p, got, want)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"videodvfs/internal/cohort"
 	"videodvfs/internal/cpu"
@@ -297,19 +298,6 @@ func (r SweepRequest) Size() int64 {
 	return int64(size)
 }
 
-// Point spells one expanded config of the sweep as the per-run request a
-// dvfsctl controller dispatches for it: the base request with the swept
-// axes — governor, net, device, title, rung and seed — named from cfg, one
-// of Configs' results. It resolves to cfg's ConfigKey unless cfg's seed
-// is 0, which the per-run wire form reads as "the default seed".
-func (r SweepRequest) Point(cfg experiments.RunConfig) RunRequest {
-	p := r.Base
-	p.Governor, p.Net = string(cfg.Governor), string(cfg.Net)
-	p.Device, p.Title, p.Rung = cfg.Device.Name, cfg.Title.Name, cfg.Rung.Name
-	p.Seed = cfg.Seed
-	return p
-}
-
 // Configs expands the sweep into concrete validated RunConfigs.
 func (r SweepRequest) Configs() ([]experiments.RunConfig, error) {
 	base, err := r.Base.Config()
@@ -463,18 +451,78 @@ type CohortPartRequest struct {
 	Shards []int `json:"shards"`
 }
 
+// SweepPartRequest is the wire form of a partial sweep: the whole sweep's
+// request plus the expansion indexes of the points this worker should
+// run. Every worker in a fleet-sharded sweep receives the same sweep and
+// a disjoint point set, as with CohortPartRequest.
+type SweepPartRequest struct {
+	// Sweep is the whole sweep's request, exactly as a /v1/sweep body.
+	Sweep SweepRequest `json:"sweep"`
+	// Points names the expansion indexes to run (non-empty, distinct,
+	// each in [0, Size())); the answer holds one line per point, in this
+	// order.
+	Points []int `json:"points"`
+}
+
+// SweepPartBody is the /v1/sweep/part body asking for points of the sweep
+// whose /v1/sweep body is sweep. The sweep nests as the client sent it, so
+// a worker decodes exactly the bytes a single node would, and the part is
+// never longer than that body plus its index list: the cap a worker puts
+// on parts (Server.sweepPartBytes) admits every sweep MaxBodyBytes does.
+// Re-encoding the decoded request could grow it (a 1e20 spells out as 21
+// digits).
+func SweepPartBody(sweep []byte, points []int) []byte {
+	body := make([]byte, 0, len(sweep)+32+8*len(points))
+	body = append(body, `{"sweep":`...)
+	body = append(body, sweep...)
+	body = append(body, `,"points":[`...)
+	for i, p := range points {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = strconv.AppendInt(body, int64(p), 10)
+	}
+	return append(body, "]}"...)
+}
+
+// checkPoints refuses a part's point list before anything runs: it must
+// name at least one point, none twice, and each in [0, n). Errors wrap
+// experiments.ErrInvalidConfig.
+func checkPoints(points []int, n int) error {
+	if len(points) == 0 {
+		return fmt.Errorf("server: %w: the part names no point", experiments.ErrInvalidConfig)
+	}
+	seen := make([]bool, n)
+	for _, p := range points {
+		if p < 0 || p >= n {
+			return fmt.Errorf("server: %w: point %d outside the sweep's %d", experiments.ErrInvalidConfig, p, n)
+		}
+		if seen[p] {
+			return fmt.Errorf("server: %w: point %d named twice", experiments.ErrInvalidConfig, p)
+		}
+		seen[p] = true
+	}
+	return nil
+}
+
 // decodeStrict unmarshals exactly one JSON value from r into v, rejecting
-// unknown fields and trailing non-whitespace. Errors wrap ErrBadRequest.
+// unknown fields and trailing data. Errors wrap ErrBadRequest.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: %w: %w", ErrBadRequest, err)
 	}
-	if dec.More() {
+	// Decoder.More reports no more data at a stray '}' or ']', so `{}}`
+	// would pass it; only a clean end of input after one more token does.
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
 		return fmt.Errorf("server: %w: trailing data after JSON body", ErrBadRequest)
+	default:
+		return fmt.Errorf("server: %w: trailing data after JSON body: %w", ErrBadRequest, err)
 	}
-	return nil
 }
 
 // DecodeRunRequest parses one RunRequest from r (strict mode: unknown
@@ -489,6 +537,14 @@ func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 // rules as DecodeRunRequest.
 func DecodeSweepRequest(r io.Reader) (SweepRequest, error) {
 	var req SweepRequest
+	err := decodeStrict(r, &req)
+	return req, err
+}
+
+// DecodeSweepPartRequest parses one SweepPartRequest from r under the
+// same strict rules as DecodeRunRequest.
+func DecodeSweepPartRequest(r io.Reader) (SweepPartRequest, error) {
+	var req SweepPartRequest
 	err := decodeStrict(r, &req)
 	return req, err
 }

@@ -131,6 +131,7 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/sweep/part", s.handleSweepPart)
 	mux.HandleFunc("POST /v1/cohort", s.handleCohort)
 	mux.HandleFunc("POST /v1/cohort/part", s.handleCohortPart)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
@@ -538,7 +539,8 @@ func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg exp
 
 // SweepBody is the response of one sweep, from dvfsd or the dvfsctl
 // controller alike: per-point outcomes in expansion order, each either a
-// run body (shared with the single-run cache) or an error string.
+// run body (shared with the single-run cache) or an error string. Both
+// write it through WriteSweep, which splices the outcome objects.
 type SweepBody struct {
 	Count    int            `json:"count"`
 	Outcomes []SweepOutcome `json:"outcomes"`
@@ -551,6 +553,131 @@ type SweepOutcome struct {
 	Error string          `json:"error,omitempty"`
 }
 
+// sweepOutcome is the outcome object of sweep point index: its run body
+// spliced in as stored, or its error. The bytes are json.Marshal's for
+// the SweepOutcome: a run body is already compact, HTML-escaped JSON
+// (json.Marshal wrote it), which is what RawMessage's marshalling would
+// make of it.
+func sweepOutcome(index int, run []byte, err error) []byte {
+	if err != nil {
+		o, _ := json.Marshal(SweepOutcome{Index: index, Error: err.Error()}) // an int and a string: cannot fail
+		return o
+	}
+	o := make([]byte, 0, len(run)+32)
+	o = append(o, `{"index":`...)
+	o = strconv.AppendInt(o, int64(index), 10)
+	o = append(o, `,"run":`...)
+	o = append(o, run...)
+	return append(o, '}')
+}
+
+// WriteSweep answers 200 with the sweep body {"count":N,"outcomes":[…]}
+// whose outcomes are the given outcome objects, in order, spliced
+// verbatim: dvfsd's /v1/sweep and the dvfsctl controller's merge both
+// answer through it. The bytes are WriteJSON's for the SweepBody they
+// decode to, but no run body is decoded or re-encoded on the way.
+func WriteSweep(w http.ResponseWriter, outcomes [][]byte) {
+	n := len(`{"count":,"outcomes":[]}`+"\n") + 20 + len(outcomes)
+	for _, o := range outcomes {
+		n += len(o)
+	}
+	body := make([]byte, 0, n)
+	body = append(body, `{"count":`...)
+	body = strconv.AppendInt(body, int64(len(outcomes)), 10)
+	body = append(body, `,"outcomes":[`...)
+	for i, o := range outcomes {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, o...)
+	}
+	body = append(body, "]}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// sweep runs the points of req that pick chooses from its expansion, in
+// pick's order: the one path of /v1/sweep (allPoints) and /v1/sweep/part
+// (the part's checked list). The sweep is bounded as a whole (the sweep
+// cap, prepare on every point), and every point is submitted blocking
+// under the request's context. With bounce, the sweep is admitted once
+// first: if the queue is already full it bounces before anything is
+// queued, the backpressure /v1/sweep gives its clients. A part does not
+// bounce, its points wait for queue space: the controller sending it
+// already bounds its requests in flight and the time each may take, and
+// a part turned away while another part's points fill the queue would
+// fail points that a moment later would have been queued. It returns
+// each point's outcome object (sweepOutcome) and how many points the
+// cache served as hits and as misses, coalesced ones counted with the
+// misses.
+func (s *Server) sweep(r *http.Request, req SweepRequest, pick func(n int) ([]int, error), bounce bool) (outcomes [][]byte, hits, misses int, err error) {
+	if size := req.Size(); size > int64(s.cfg.MaxSweepRuns) {
+		return nil, 0, 0, fmt.Errorf("server: %w: sweep expands to %d runs, cap is %d",
+			experiments.ErrInvalidConfig, size, s.cfg.MaxSweepRuns)
+	}
+	cfgs, err := req.Configs()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	points, err := pick(len(cfgs))
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	strict, err := QueryBool(r, "strict")
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for i := range cfgs {
+		if err := s.prepare(&cfgs[i]); err != nil {
+			return nil, 0, 0, err
+		}
+		// Strict points are uncacheable (ConfigKey), so each one below
+		// takes the compute path — audited runs never come from the cache.
+		cfgs[i].Strict = strict
+	}
+	// A bouncing sweep is admitted once, whole: if the queue is already
+	// full, bounce now rather than half-queueing a batch.
+	if bounce && s.pool.QueueDepth() >= s.pool.Capacity() {
+		return nil, 0, 0, ErrOverloaded
+	}
+	queued := func(task func()) error { return s.pool.SubmitCtx(r.Context(), task) }
+	outcomes = make([][]byte, len(points))
+	served := make([]cacheOutcome, len(points))
+	var wg sync.WaitGroup
+	for k, i := range points {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, outcome, err := s.runCached(cfgs[i], queued)
+			if err == nil {
+				served[k] = outcome
+			}
+			outcomes[k] = sweepOutcome(i, body, err)
+		}()
+	}
+	wg.Wait()
+	for _, o := range served {
+		switch o {
+		case cacheHit:
+			hits++
+		case cacheMiss, cacheCoalesced:
+			misses++
+		}
+	}
+	return outcomes, hits, misses, nil
+}
+
+// allPoints picks every point of an n-point sweep, in expansion order.
+func allPoints(n int) ([]int, error) {
+	points := make([]int, n)
+	for i := range points {
+		points[i] = i
+	}
+	return points, nil
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.gate.Admit(w, "sweep") {
 		return
@@ -560,53 +687,61 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if size := req.Size(); size > int64(s.cfg.MaxSweepRuns) {
-		s.fail(w, fmt.Errorf("server: %w: sweep expands to %d runs, cap is %d",
-			experiments.ErrInvalidConfig, size, s.cfg.MaxSweepRuns))
-		return
-	}
-	cfgs, err := req.Configs()
+	outcomes, _, _, err := s.sweep(r, req, allPoints, true)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	strict, err := QueryBool(r, "strict")
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	for i := range cfgs {
-		if err := s.prepare(&cfgs[i]); err != nil {
-			s.fail(w, err)
-			return
-		}
-		// Strict points are uncacheable (ConfigKey), so each one below
-		// takes the compute path — audited runs never come from the cache.
-		cfgs[i].Strict = strict
-	}
-	// Admission is decided once for the whole sweep: if the queue is
-	// already full, bounce now rather than half-queueing a batch.
-	if s.pool.QueueDepth() >= s.pool.Capacity() {
-		s.fail(w, ErrOverloaded)
-		return
-	}
-	queued := func(task func()) error { return s.pool.SubmitCtx(r.Context(), task) }
-	outcomes := make([]SweepOutcome, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if body, _, err := s.runCached(cfg, queued); err != nil {
-				outcomes[i] = SweepOutcome{Index: i, Error: err.Error()}
-			} else {
-				outcomes[i] = SweepOutcome{Index: i, Run: body}
-			}
-		}()
-	}
-	wg.Wait()
 	s.loadHeaders(w)
-	WriteJSON(w, http.StatusOK, SweepBody{Count: len(outcomes), Outcomes: outcomes})
+	WriteSweep(w, outcomes)
+}
+
+// sweepPartBytes caps a /v1/sweep/part body: any sweep body MaxBodyBytes
+// admits, nested by SweepPartBody, with the longest point list a sweep
+// within the sweep cap can name.
+func (s *Server) sweepPartBytes() int64 {
+	index := len(strconv.Itoa(s.cfg.MaxSweepRuns)) + 1 // digits and a comma
+	return MaxBodyBytes + int64(len(`{"sweep":,"points":[]}`)) + int64(s.cfg.MaxSweepRuns)*int64(index)
+}
+
+// handleSweepPart runs the named points of a sweep, the worker side of a
+// fleet-sharded sweep (DESIGN.md §13), through the same path as
+// /v1/sweep, except that its points wait for queue space instead of
+// bouncing off a full queue. It answers with one NDJSON line per point,
+// in the order the part names them, each line the outcome object a
+// single node's sweep body holds for that point, so the controller
+// splices the lines into its merge as they are. Instead of
+// X-Dvfsd-Cache, the X-Dvfsd-Cache-Points header counts the points the
+// cache served: "hits=H misses=M".
+func (s *Server) handleSweepPart(w http.ResponseWriter, r *http.Request) {
+	if !s.gate.Admit(w, "sweep-part") {
+		return
+	}
+	req, err := DecodeSweepPartRequest(http.MaxBytesReader(w, r.Body, s.sweepPartBytes()))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	outcomes, hits, misses, err := s.sweep(r, req.Sweep, func(n int) ([]int, error) {
+		return req.Points, checkPoints(req.Points, n)
+	}, false)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	n := len(outcomes)
+	for _, o := range outcomes {
+		n += len(o)
+	}
+	body := make([]byte, 0, n)
+	for _, o := range outcomes {
+		body = append(append(body, o...), '\n')
+	}
+	s.loadHeaders(w)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.Header().Set("X-Dvfsd-Cache-Points", fmt.Sprintf("hits=%d misses=%d", hits, misses))
+	w.Write(body)
 }
 
 // ---- cohort endpoint ----

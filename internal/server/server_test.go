@@ -199,13 +199,15 @@ func mustGet(t *testing.T, url string) *http.Response {
 }
 
 // fullServer starts a one-worker, one-slot service whose scripted runs
-// block until the test ends, and fills it: one run on the worker, one
-// parked in the queue. Every later admission bounces.
-func fullServer(t *testing.T) *httptest.Server {
+// block until release is called or the test ends, and fills it: one run
+// on the worker, one parked in the queue. Every later admission bounces.
+func fullServer(t *testing.T) (ts *httptest.Server, release func()) {
 	t.Helper()
 	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
 	started := make(chan struct{}, 16)
-	_, ts := newTestServer(t, Config{
+	_, ts = newTestServer(t, Config{
 		Workers: 1,
 		Queue:   1,
 		Runner: func(cfg experiments.RunConfig) (experiments.RunResult, error) {
@@ -214,7 +216,7 @@ func fullServer(t *testing.T) *httptest.Server {
 			return experiments.RunResult{SimEnd: cfg.Duration}, nil
 		},
 	})
-	t.Cleanup(func() { close(gate) }) // before the server's cleanup drains the pool
+	t.Cleanup(release) // before the server's cleanup drains the pool
 
 	// Occupy the worker, then the single queue slot. Distinct seeds keep
 	// the requests from coalescing in the cache instead of queueing.
@@ -233,7 +235,7 @@ func fullServer(t *testing.T) *httptest.Server {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if m := string(readAll(t, mustGet(t, ts.URL+"/metrics"))); strings.Contains(m, "dvfsd_queue_depth 1") {
-			return ts
+			return ts, release
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("second request never reached the queue")
@@ -244,7 +246,7 @@ func fullServer(t *testing.T) *httptest.Server {
 
 // A full queue must bounce with 429 + Retry-After, not block or drop.
 func TestQueueFull429(t *testing.T) {
-	ts := fullServer(t)
+	ts, _ := fullServer(t)
 	resp := postJSON(t, ts.URL+"/v1/run", `{"duration_s": 5, "seed": 99}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full-queue request got %d, want 429: %s", resp.StatusCode, readAll(t, resp))
@@ -484,6 +486,43 @@ func TestSweepRoundTrip(t *testing.T) {
 	readAll(t, single)
 }
 
+// The sweep body splices stored run bodies instead of re-encoding them;
+// its bytes must still be exactly what marshalling the SweepBody they
+// decode to writes, error outcomes included.
+func TestSweepBodySplicesMarshalBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Runner: func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		if cfg.Seed == 2 {
+			return experiments.RunResult{}, fmt.Errorf("scripted <failure> & co for seed %d", cfg.Seed)
+		}
+		return experiments.Run(cfg)
+	}})
+	resp := postJSON(t, ts.URL+"/v1/sweep", `{"base": {"duration_s": 4}, "governors": ["ondemand", "energyaware"], "seeds": [1, 2, 3]}`)
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	var sw SweepBody
+	if err := json.Unmarshal(raw, &sw); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, o := range sw.Outcomes {
+		if o.Error != "" {
+			failed++
+		}
+	}
+	if sw.Count != 6 || failed != 2 {
+		t.Fatalf("want 6 outcomes, 2 of them errors: %s", raw)
+	}
+	want, err := json.Marshal(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(raw, want) {
+		t.Fatalf("served sweep body differs from its marshalled SweepBody:\nserved:    %s\nmarshaled: %s", raw, want)
+	}
+}
+
 // runSweepOutcomes posts one sweep and returns the raw per-point run
 // bodies — the exact bytes the content-addressed cache stores.
 func runSweepOutcomes(t *testing.T, url, req string) []json.RawMessage {
@@ -647,6 +686,10 @@ func TestBadRequests(t *testing.T) {
 		{"malformed JSON", "/v1/run", `{"duration`, http.StatusBadRequest, CodeBadRequest},
 		{"unknown field", "/v1/run", `{"durations": 5}`, http.StatusBadRequest, CodeBadRequest},
 		{"trailing garbage", "/v1/run", `{} {}`, http.StatusBadRequest, CodeBadRequest},
+		{"stray closing brace", "/v1/run", `{"duration_s": 5}}`, http.StatusBadRequest, CodeBadRequest},
+		{"stray closing bracket", "/v1/sweep", `{"base": {}} ]`, http.StatusBadRequest, CodeBadRequest},
+		{"sweep part unknown field", "/v1/sweep/part", `{"sweep": {}, "points": [0], "shards": [0]}`, http.StatusBadRequest, CodeBadRequest},
+		{"sweep part bad sweep", "/v1/sweep/part", `{"sweep": {"nets": ["5g"]}, "points": [0]}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"unknown governor", "/v1/run", `{"governor": "warpdrive"}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"unknown device", "/v1/run", `{"device": "mainframe"}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"unknown net", "/v1/run", `{"net": "5g"}`, http.StatusBadRequest, CodeInvalidConfig},

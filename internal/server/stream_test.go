@@ -5,16 +5,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"videodvfs/internal/cohort"
+	"videodvfs/internal/experiments"
 	"videodvfs/internal/sim"
 )
 
@@ -237,6 +240,168 @@ func TestCohortPartEndpoint(t *testing.T) {
 	postBad()
 }
 
+// On a full queue a sweep bounces with 429, while a sweep part's points
+// wait for queue space: the controller sending parts bounds them itself,
+// and the part answers every point once the queue drains.
+func TestSweepPartWaitsForQueue(t *testing.T) {
+	ts, release := fullServer(t)
+	const sweepBody = `{"base": {"duration_s": 5}, "seeds": [11, 12]}`
+	resp := postJSON(t, ts.URL+"/v1/sweep", sweepBody)
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("sweep on a full queue: status %d, want 429: %s", resp.StatusCode, raw)
+	}
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sweep/part", "application/json",
+			bytes.NewReader(SweepPartBody([]byte(sweepBody), []int{1, 0})))
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		answered <- answer{resp.StatusCode, raw, err}
+	}()
+	select {
+	case a := <-answered:
+		t.Fatalf("part on a full queue answered before the queue drained: status %d: %s", a.status, a.body)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	a := <-answered
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("part after the queue drained: status %d, %v: %s", a.status, a.err, a.body)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(a.body), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], `{"index":1,"run":`) || !strings.HasPrefix(lines[1], `{"index":0,"run":`) {
+		t.Fatalf("part after the queue drained: want runs for points 1 and 0:\n%s", a.body)
+	}
+}
+
+// The sweep-part endpoint is the worker side of a fleet-sharded sweep:
+// each line of a part is, byte for byte, the outcome object a single
+// node's sweep body holds for that point, in the order the part names
+// the points; the X-Dvfsd-Cache-Points header counts the points the
+// cache served; and a bad point list is refused before anything runs.
+func TestSweepPartEndpoint(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Config{Runner: func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		runs.Add(1)
+		return experiments.Run(cfg)
+	}})
+	_, ref := newTestServer(t, Config{})
+	const sweepBody = `{"base": {"duration_s": 4}, "governors": ["ondemand", "energyaware"], "seeds": [1, 2]}`
+
+	resp := postJSON(t, ref.URL+"/v1/sweep", sweepBody)
+	refRaw := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, refRaw)
+	}
+	var refBody struct {
+		Outcomes []json.RawMessage `json:"outcomes"`
+	}
+	if err := json.Unmarshal(refRaw, &refBody); err != nil || len(refBody.Outcomes) != 4 {
+		t.Fatalf("sweep body: %v\n%s", err, refRaw)
+	}
+
+	fetch := func(points []int, wantCache string) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/sweep/part", string(SweepPartBody([]byte(sweepBody), points)))
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("part %v: status %d: %s", points, resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get("X-Dvfsd-Cache-Points"); got != wantCache {
+			t.Fatalf("part %v: X-Dvfsd-Cache-Points = %q, want %q", points, got, wantCache)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("part %v: Content-Type %q", points, ct)
+		}
+		if resp.Header.Get("X-Dvfsd-Queue-Depth") == "" {
+			t.Fatal("part response missing X-Dvfsd-Queue-Depth load header")
+		}
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		if len(lines) != len(points)+1 || len(lines[len(points)]) != 0 {
+			t.Fatalf("part %v: want %d newline-terminated lines:\n%s", points, len(points), raw)
+		}
+		for k, p := range points {
+			if got := bytes.TrimSuffix(lines[k], []byte("\n")); !bytes.Equal(got, refBody.Outcomes[p]) {
+				t.Fatalf("part %v line %d differs from the single node's outcome %d:\npart: %s\nref:  %s", points, k, p, got, refBody.Outcomes[p])
+			}
+		}
+	}
+	fetch([]int{3, 0}, "hits=0 misses=2")
+	fetch([]int{1, 2}, "hits=0 misses=2")
+	fetch([]int{0, 1, 2, 3}, "hits=4 misses=0")
+	fetch([]int{2}, "hits=1 misses=0")
+
+	before := runs.Load()
+	for _, points := range []string{`[]`, `[4]`, `[1, 1]`, `[-1]`, `null`} {
+		resp := postJSON(t, ts.URL+"/v1/sweep/part", `{"sweep": `+sweepBody+`, "points": `+points+`}`)
+		raw := readAll(t, resp)
+		var eb Envelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &eb) != nil || eb.Error.Code != CodeInvalidConfig {
+			t.Errorf("points %s: status %d, want 400 %s (%s)", points, resp.StatusCode, CodeInvalidConfig, raw)
+		}
+	}
+	// The bad lists name points of a fresh sweep, so any run they
+	// started would be a miss the runner sees.
+	fresh := `{"base": {"duration_s": 4}, "seeds": [7, 8]}`
+	for _, points := range []string{`[2]`, `[0, 0]`} {
+		resp := postJSON(t, ts.URL+"/v1/sweep/part", `{"sweep": `+fresh+`, "points": `+points+`}`)
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("points %s of a fresh sweep: status %d, want 400", points, resp.StatusCode)
+		}
+	}
+	if n := runs.Load(); n != before {
+		t.Fatalf("refused point lists ran %d simulations", n-before)
+	}
+}
+
+// A part's body cap admits every sweep body a node admits, nested with
+// the longest point list the sweep cap allows, and nothing longer.
+func TestSweepPartBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxSweepRuns: 16})
+	seeds := make([]string, 16)
+	points := make([]int, 16)
+	for i := range seeds {
+		seeds[i], points[i] = strconv.Itoa(i+1), i
+	}
+	sweep := []byte(`{"base": {"duration_s": 1}, "seeds": [` + strings.Join(seeds, ", ") + `]}`)
+	sweep = append(sweep, bytes.Repeat([]byte(" "), MaxBodyBytes-len(sweep))...)
+
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("a %d-byte sweep: status %d: %.200s", len(sweep), resp.StatusCode, raw)
+	}
+	part := SweepPartBody(sweep, points)
+	resp, err = http.Post(ts.URL+"/v1/sweep/part", "application/json", bytes.NewReader(part))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK || bytes.Count(raw, []byte("\n")) != 16 {
+		t.Fatalf("the part nesting a %d-byte sweep with all 16 points: status %d: %.200s", len(sweep), resp.StatusCode, raw)
+	}
+	over := append(append([]byte(nil), part[:len(part)-1]...), bytes.Repeat([]byte(" "), 64)...)
+	over = append(over, '}')
+	resp, err = http.Post(ts.URL+"/v1/sweep/part", "application/json", bytes.NewReader(over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a part %d bytes over the cap: status %d, want 413: %.200s", len(over)-len(part), resp.StatusCode, raw)
+	}
+}
+
 // A traced run ends by the streaming failure rule. Turned away before its
 // first byte, it gets what an untraced run gets: 429, a positive integer
 // Retry-After, an overloaded envelope and a count on /metrics. Failing
@@ -244,7 +409,7 @@ func TestCohortPartEndpoint(t *testing.T) {
 // failure's own code.
 func TestRunTraceFailureRule(t *testing.T) {
 	t.Run("full queue", func(t *testing.T) {
-		ts := fullServer(t)
+		ts, _ := fullServer(t)
 		resp := postJSON(t, ts.URL+"/v1/run?trace=jsonl", `{"duration_s": 5, "seed": 99}`)
 		raw := readAll(t, resp)
 		if resp.StatusCode != http.StatusTooManyRequests {
