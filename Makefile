@@ -60,9 +60,9 @@ bench-e2e:
 
 # Ten seconds of coverage-guided fuzzing per untrusted-input parser
 # (the sweep part's point list and nesting included) and the fleet's
-# cohort-part merge, plus the event engine against its
-# reference model (checked-in seeds live
-# under */testdata/fuzz). Native fuzzing allows one -fuzz target per
+# cohort-part merge, plus the event engine and the content address
+# (built-in device hash states) against their reference models (checked-in
+# seeds live under */testdata/fuzz). Native fuzzing allows one -fuzz target per
 # invocation, hence the separate runs.
 FUZZTIME ?= 10s
 fuzz-short:
@@ -71,6 +71,7 @@ fuzz-short:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunConfigValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunConfigInvariants$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzSessionReset$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzConfigKey$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/player -run '^$$' -fuzz '^FuzzForecastSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime $(FUZZTIME)
@@ -109,19 +110,22 @@ bench:
 # run and a cohort step from the root package, the event engine on a
 # run's and a cohort shard's traffic, one per queue regime (DESIGN.md §8),
 # from internal/sim, and the stream generator, one rendition and the
-# four-rung ladder a memo miss generates, from internal/video. With them
+# four-rung ladder a memo miss generates, from internal/video, and the
+# content address dvfsctl routes and dvfsd looks up every run by
+# (BenchmarkConfigKey: the default config and a midrange sweep point),
+# from internal/experiments. With them
 # runs BenchmarkHostSpeed, a fixed kernel that calls no model code:
 # benchgate scales the time gate by its ratio to the baseline's, so a
 # host running slower than when the baseline was pinned does not fail
 # unchanged code. benchgate matches benchmarks by name, so one output
-# file holds all three packages.
+# file holds all four packages.
 # 2 s samples keep the best-of-run minimum (what benchgate compares)
 # inside ~3% run-to-run on a shared box; 1 s samples do not. Pin and gate
 # both run at one CPU: above one, the cohort step's per-step worker
 # goroutines make its allocs/op vary by a few between processes, and the
 # gate allows no allocs/op increase.
-GATE_BENCH = BenchmarkHostSpeed$$|BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$
-GATE_PKGS = . ./internal/sim ./internal/video
+GATE_BENCH = BenchmarkHostSpeed$$|BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$|BenchmarkConfigKey$$
+GATE_PKGS = . ./internal/sim ./internal/video ./internal/experiments
 GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
 # The cohort step's gated allocs/op come from a second, fixed-iteration

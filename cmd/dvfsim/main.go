@@ -45,7 +45,7 @@ func run(args []string) error {
 		resName      = fs.String("res", "720p", "pinned resolution (fixed ABR): 360p, 480p, 720p, 1080p")
 		titleName    = fs.String("title", "sports", "content profile: news, sports, animation")
 		net          = fs.String("net", "const8", "network: wifi, const8, lte, umts, trace")
-		bwTracePath  = fs.String("trace-file", "", "bandwidth trace JSONL (from dvfsstress play) replayed with -net trace")
+		bwTracePath  = fs.String("trace-file", "", "bandwidth trace JSONL (from dvfsstress play or tracegen -kind bandwidth) replayed with -net trace")
 		abrName      = fs.String("abr", "fixed", "ABR: fixed, rate, bba")
 		duration     = fs.Float64("duration", 60, "content length in seconds")
 		seed         = fs.Int64("seed", 1, "random seed")

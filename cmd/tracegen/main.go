@@ -1,20 +1,22 @@
-// Command tracegen emits workload traces as CSV: per-frame video decode
-// traces (index, type, pts, bits, cycles) or piecewise-constant bandwidth
-// traces (start_s, bps).
+// Command tracegen emits workload traces: per-frame video decode traces
+// as CSV (index, type, pts, bits, cycles), or a Markov-modulated bandwidth
+// link as the bandwidth-trace JSONL that dvfsim replays with -net trace
+// (netsim.WriteTrace's format). The file replays at the generated rates
+// up to the end of its last sample; a link that ends in an outage writes
+// no sample for it, so that tail replays at the last non-zero rate.
 //
 // Usage:
 //
 //	tracegen -kind video -title sports -res 720p -duration 60 -seed 1
-//	tracegen -kind bandwidth -net lte -duration 300 -seed 1 -out lte.csv
+//	tracegen -kind bandwidth -net lte -duration 300 -seed 1 -out lte.jsonl
+//	dvfsim -net trace -trace-file lte.jsonl -duration 60
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/sim"
@@ -74,39 +76,53 @@ func run(args []string) error {
 		}
 		return video.WriteTrace(w, stream)
 	case "bandwidth":
-		var states []netsim.MarkovState
-		switch *net {
-		case "lte":
-			states = netsim.LTEStates()
-		case "umts":
-			states = netsim.UMTSStates()
-		default:
-			return fmt.Errorf("unknown bandwidth profile %q", *net)
-		}
-		tr, err := netsim.GenMarkovTrace(states, dur, sim.Stream(*seed, "bw/"+*net))
+		steps, err := markovSteps(*net, dur, *seed)
 		if err != nil {
 			return err
 		}
-		return writeBandwidth(w, tr)
+		return netsim.WriteTrace(w, replayTrace(steps, dur))
 	default:
 		return fmt.Errorf("unknown trace kind %q", *kind)
 	}
 }
 
-func writeBandwidth(w io.Writer, tr netsim.Steps) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"start_s", "bps"}); err != nil {
-		return err
+// markovSteps draws the named profile's Markov link over dur, from the
+// stream a run of that network draws its own link from.
+func markovSteps(net string, dur sim.Time, seed int64) (netsim.Steps, error) {
+	var states []netsim.MarkovState
+	switch net {
+	case "lte":
+		states = netsim.LTEStates()
+	case "umts":
+		states = netsim.UMTSStates()
+	default:
+		return netsim.Steps{}, fmt.Errorf("unknown bandwidth profile %q", net)
 	}
-	for _, st := range tr.Trace {
-		rec := []string{
-			strconv.FormatFloat(st.Start.Seconds(), 'g', 17, 64),
-			strconv.FormatFloat(st.Bps, 'g', 17, 64),
+	return netsim.GenMarkovTrace(states, dur, sim.Stream(seed, "bw/"+net))
+}
+
+// replayTrace turns a step link into a recorded trace that replays at the
+// same rates over the span its samples cover: one sample per non-zero
+// step, carrying the bytes the step delivers (rate × length / 8, the last
+// step ending at dur), all in fetch 0. An outage step writes no sample,
+// so it becomes a gap inside the one fetch, which netsim.Trace replays at
+// rate 0. A trailing outage is no gap: netsim.Trace holds the last
+// sample's rate after it.
+func replayTrace(steps netsim.Steps, dur sim.Time) netsim.Trace {
+	var tr netsim.Trace
+	for i, st := range steps.Trace {
+		if st.Bps == 0 {
+			continue
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		end := dur
+		if i+1 < len(steps.Trace) {
+			end = steps.Trace[i+1].Start
 		}
+		tr.Samples = append(tr.Samples, netsim.TraceSample{
+			Start: st.Start,
+			End:   end,
+			Bytes: st.Bps * (end - st.Start).Seconds() / 8,
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return tr
 }

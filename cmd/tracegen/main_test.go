@@ -3,12 +3,18 @@ package main
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"videodvfs/internal/experiments"
+	"videodvfs/internal/netsim"
+	"videodvfs/internal/sim"
 )
 
 // TestMain runs the test binary as tracegen itself when TRACEGEN_AS_MAIN
@@ -41,18 +47,103 @@ func TestVideoTraceToFile(t *testing.T) {
 	}
 }
 
+// readBandwidth generates a bandwidth trace file and loads it the way
+// dvfsim's -trace-file does.
+func readBandwidth(t *testing.T, args ...string) netsim.Trace {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "bw.jsonl")
+	if err := run(append([]string{"-kind", "bandwidth", "-out", out}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := netsim.ReadTrace(f)
+	if err != nil {
+		t.Fatalf("generated trace does not load: %v", err)
+	}
+	return tr
+}
+
 func TestBandwidthTraceToFile(t *testing.T) {
 	for _, net := range []string{"lte", "umts"} {
-		out := filepath.Join(t.TempDir(), net+".csv")
-		if err := run([]string{"-kind", "bandwidth", "-net", net, "-duration", "60", "-out", out}); err != nil {
-			t.Fatalf("%s: %v", net, err)
+		tr := readBandwidth(t, "-net", net, "-duration", "60")
+		if tr.Fetches() != 1 {
+			t.Fatalf("%s: trace spans %d fetches, want 1", net, tr.Fetches())
 		}
-		data, err := os.ReadFile(out)
+		if end := tr.Duration(); end > 60*sim.Second {
+			t.Fatalf("%s: trace ends at %v, after the requested 60 s", net, end)
+		}
+	}
+}
+
+// A generated link, written and read back, replays at the rates the
+// Markov process drew over the span its samples cover: in a step at the
+// step's rate, in an outage at 0. An outage that ends the link writes no
+// sample, and netsim.Trace holds the last sample's rate after the last
+// sample, so that tail replays at the last non-zero step's rate (LTE seed
+// 8 ends so). A short run over each file plays with the invariant
+// checker armed.
+func TestBandwidthTraceReplaysGeneratedRates(t *testing.T) {
+	const dur = 120 * sim.Second
+	for _, tc := range []struct {
+		net          string
+		seed         int64
+		endsInOutage bool
+	}{{"lte", 4, false}, {"umts", 11, false}, {"lte", 8, true}} {
+		tr := readBandwidth(t, "-net", tc.net, "-duration", "120", "-seed", strconv.FormatInt(tc.seed, 10))
+		steps, err := markovSteps(tc.net, dur, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(string(data), "start_s,bps\n") {
-			t.Fatalf("%s: bad header", net)
+		if final := steps.Trace[len(steps.Trace)-1]; (final.Bps == 0) != tc.endsInOutage {
+			t.Fatalf("%s seed %d: link ends in an outage: %v, want %v", tc.net, tc.seed, final.Bps == 0, tc.endsInOutage)
+		}
+		outages := 0
+		first, last := tr.Samples[0].Start, tr.Duration()
+		lastRate, _ := tr.Rate(tr.Samples[len(tr.Samples)-1].Start)
+		for i, st := range steps.Trace {
+			end := dur
+			if i+1 < len(steps.Trace) {
+				end = steps.Trace[i+1].Start
+			}
+			if st.Bps == 0 {
+				outages++
+			}
+			for _, at := range []sim.Time{st.Start, (st.Start + end) / 2, end - (end-st.Start)/1e6} {
+				if at < first {
+					continue
+				}
+				got, _ := tr.Rate(at)
+				want, _ := steps.Rate(at)
+				if at >= last {
+					// The trailing outage: generated at 0, replayed at the
+					// last sample's rate.
+					if want != 0 || got != lastRate {
+						t.Fatalf("%s seed %d: after the last sample, at %v s, replay rate %v and generated %v; want %v and 0",
+							tc.net, tc.seed, at.Seconds(), got, want, lastRate)
+					}
+					continue
+				}
+				if math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("%s seed %d: replay rate at %v s = %v, generated %v", tc.net, tc.seed, at.Seconds(), got, want)
+				}
+			}
+		}
+		if outages == 0 || len(tr.Samples) != len(steps.Trace)-outages {
+			t.Fatalf("%s seed %d: %d samples for %d steps with %d outages; want one sample per non-zero step and some outage",
+				tc.net, tc.seed, len(tr.Samples), len(steps.Trace), outages)
+		}
+
+		cfg := experiments.DefaultRunConfig()
+		cfg.Net = experiments.NetTrace
+		cfg.BWTrace = &tr
+		cfg.Duration = 10 * sim.Second
+		cfg.Strict = true
+		if _, err := experiments.Run(cfg); err != nil {
+			t.Fatalf("%s seed %d: replaying the generated trace: %v", tc.net, tc.seed, err)
 		}
 	}
 }

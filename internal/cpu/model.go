@@ -190,16 +190,31 @@ func DeviceEfficient() Model {
 	}
 }
 
+// builtins lists each built-in model's name and constructor, in Devices
+// order, so a lookup by name builds only the model it returns.
+var builtins = []struct {
+	name  string
+	build func() Model
+}{
+	{"flagship", DeviceFlagship},
+	{"midrange", DeviceMidrange},
+	{"efficient", DeviceEfficient},
+}
+
 // Devices returns all built-in device models.
 func Devices() []Model {
-	return []Model{DeviceFlagship(), DeviceMidrange(), DeviceEfficient()}
+	out := make([]Model, len(builtins))
+	for i, b := range builtins {
+		out[i] = b.build()
+	}
+	return out
 }
 
 // DeviceByName returns the built-in model with the given name.
 func DeviceByName(name string) (Model, error) {
-	for _, m := range Devices() {
-		if m.Name == name {
-			return m, nil
+	for _, b := range builtins {
+		if b.name == name {
+			return b.build(), nil
 		}
 	}
 	return Model{}, fmt.Errorf("cpu: unknown device model %q", name)

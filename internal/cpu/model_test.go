@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"videodvfs/internal/sim"
@@ -15,13 +16,37 @@ func TestDevicesValidate(t *testing.T) {
 	}
 }
 
+// For each built-in name, DeviceByName returns that model in a table no
+// other call shares; an unknown name is an error, not a zero model.
 func TestDeviceByName(t *testing.T) {
-	m, err := DeviceByName("flagship")
-	if err != nil || m.Name != "flagship" {
-		t.Fatalf("DeviceByName(flagship) = %v, %v", m.Name, err)
-	}
-	if _, err := DeviceByName("toaster"); err == nil {
-		t.Fatal("want error for unknown device")
+	for _, tc := range []struct {
+		name string
+		want func() Model
+	}{
+		{"flagship", DeviceFlagship},
+		{"midrange", DeviceMidrange},
+		{"efficient", DeviceEfficient},
+		{"toaster", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := DeviceByName(tc.name)
+			if tc.want == nil {
+				if err == nil || m.Name != "" || m.OPPs != nil {
+					t.Fatalf("DeviceByName(%q) = %+v, %v; want an error and no model", tc.name, m, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.want(); m.Name != tc.name || !reflect.DeepEqual(m, want) {
+				t.Fatalf("DeviceByName(%q) = %+v, want %+v", tc.name, m, want)
+			}
+			m.OPPs[0].FreqHz = 1
+			if again, _ := DeviceByName(tc.name); again.OPPs[0].FreqHz == 1 {
+				t.Fatal("DeviceByName returned a table shared across calls")
+			}
+		})
 	}
 }
 
