@@ -25,11 +25,14 @@ test:
 	$(GO) test -race ./...
 
 # The memory discipline gate (DESIGN.md §8, §12): advancing the untraced
-# simulation in steady state must allocate nothing, and a cohort shard
-# must let go of each viewer as it finishes.
+# simulation in steady state must allocate nothing, a recycled core must
+# queue and run its jobs, a background backlog included, without
+# allocating, and a cohort shard must let go of each viewer as it
+# finishes.
 alloc-budget:
 	$(GO) test ./internal/experiments -run TestRunLoopAllocBudget -count 1
 	$(GO) test ./internal/sim -run TestEngineScheduleFireAllocFree -count 1
+	$(GO) test ./internal/cpu -run TestCoreJobPathAllocFree -count 1
 	$(GO) test ./internal/cohort -run TestShardReleasesFinishedViewers -count 1
 
 # The fleet end-to-end battery, -count 1 so it always re-executes: a
@@ -109,8 +112,10 @@ bench:
 # The pinned hot-path benchmarks the gate and the baseline agree on: a
 # run and a cohort step from the root package, the event engine on a
 # run's and a cohort shard's traffic, one per queue regime (DESIGN.md §8),
-# from internal/sim, and the stream generator, one rendition and the
-# four-rung ladder a memo miss generates, from internal/video, and the
+# from internal/sim, the CPU core's job path on a recycled core
+# (BenchmarkCoreJobThroughput) from internal/cpu, the stream generator,
+# one rendition and the four-rung ladder a memo miss generates, from
+# internal/video, and the
 # content address dvfsctl routes and dvfsd looks up every run by
 # (BenchmarkConfigKey: the default config and a midrange sweep point),
 # from internal/experiments. With them
@@ -118,14 +123,14 @@ bench:
 # benchgate scales the time gate by its ratio to the baseline's, so a
 # host running slower than when the baseline was pinned does not fail
 # unchanged code. benchgate matches benchmarks by name, so one output
-# file holds all four packages.
+# file holds all five packages.
 # 2 s samples keep the best-of-run minimum (what benchgate compares)
 # inside ~3% run-to-run on a shared box; 1 s samples do not. Pin and gate
 # both run at one CPU: above one, the cohort step's per-step worker
 # goroutines make its allocs/op vary by a few between processes, and the
 # gate allows no allocs/op increase.
-GATE_BENCH = BenchmarkHostSpeed$$|BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$|BenchmarkConfigKey$$
-GATE_PKGS = . ./internal/sim ./internal/video ./internal/experiments
+GATE_BENCH = BenchmarkHostSpeed$$|BenchmarkRunNoTrace$$|BenchmarkRunReset$$|BenchmarkCohortStep$$|BenchmarkEngineRunShape$$|BenchmarkEngineCohortShape$$|BenchmarkGenerate$$|BenchmarkGenerateLadder$$|BenchmarkConfigKey$$|BenchmarkCoreJobThroughput$$
+GATE_PKGS = . ./internal/sim ./internal/cpu ./internal/video ./internal/experiments
 GATE_FLAGS = -benchmem -benchtime 2s -count 5 -cpu 1
 
 # The cohort step's gated allocs/op come from a second, fixed-iteration

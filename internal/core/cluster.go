@@ -69,8 +69,8 @@ func (g *ClusterGovernor) FramesOnBig() int { return g.framesOnBig }
 // Submit implements decode.Submitter: decode jobs follow the route chosen
 // at DecodeStart; everything else (network stack, UI) runs little, as
 // vendor energy-aware schedulers place them.
-func (g *ClusterGovernor) Submit(j *cpu.Job) error {
-	if j != nil && j.Priority == cpu.PrioDecode {
+func (g *ClusterGovernor) Submit(j cpu.Job) error {
+	if j.Priority == cpu.PrioDecode {
 		return g.route.Submit(j)
 	}
 	return g.little.Submit(j)

@@ -73,20 +73,19 @@ func TestClusterSubmitRouting(t *testing.T) {
 	g := warmCluster(t, big, little, 10e6)
 	// Decode goes to the current route (little after a light frame).
 	g.DecodeStart(0, pFrame(0, 10e6), sim.Second, 4, 8)
-	if err := g.Submit(&cpu.Job{Cycles: 1e6, Priority: cpu.PrioDecode, Tag: "decode"}); err != nil {
+	if err := g.Submit(cpu.Job{Cycles: 1e6, Priority: cpu.PrioDecode}); err != nil {
 		t.Fatal(err)
 	}
 	// Background always goes little.
-	if err := g.Submit(&cpu.Job{Cycles: 1e6, Priority: cpu.PrioBackground, Tag: "bg"}); err != nil {
+	if err := g.Submit(cpu.Job{Cycles: 1e6, Priority: cpu.PrioBackground}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	littleCycles := little.CyclesByTag()
-	if littleCycles["decode"] != 1e6 || littleCycles["bg"] != 1e6 {
-		t.Fatalf("little cycles = %v, want decode+bg routed there", littleCycles)
+	if dec, bg := little.Cycles(cpu.PrioDecode), little.Cycles(cpu.PrioBackground); dec != 1e6 || bg != 1e6 {
+		t.Fatalf("little ran %v decode and %v background cycles, want decode+bg routed there", dec, bg)
 	}
-	if big.CyclesByTag()["decode"] != 0 {
-		t.Fatal("big should have no decode work")
+	if big.Cycles(cpu.PrioDecode) != 0 || big.Cycles(cpu.PrioBackground) != 0 {
+		t.Fatal("big should have no decode or background work")
 	}
 }
 

@@ -22,86 +22,65 @@ const (
 	PrioBackground
 )
 
-// Job is a unit of CPU work measured in cycles.
+// Job is a unit of CPU work measured in cycles. The core queues jobs by
+// value, so submitting one allocates nothing.
 type Job struct {
 	// Cycles is the demand; must be positive.
 	Cycles float64
-	// Priority selects the queue (see Priority).
+	// Priority selects the queue (see Priority) and the completed-cycle
+	// total the job counts toward (see Core.Cycles).
 	Priority Priority
-	// Tag labels the job in accounting (e.g. "decode", "net").
-	Tag string
-	// OnStart, if set, runs when the job begins executing.
-	OnStart func(now sim.Time)
 	// OnDone, if set, runs when the job completes.
 	OnDone func(now sim.Time)
-
-	// pool, when non-nil, receives the job back after completion (see
-	// JobPool). Steady-state submitters recycle jobs instead of
-	// allocating one per submission.
-	pool *JobPool
 }
 
-// JobPool recycles Job structs so steady-state submitters allocate
-// nothing: Get a job, fill its fields, Submit it, and the core returns it
-// to the pool after OnDone runs. The simulation is single-threaded, so the
-// pool needs no locking. Jobs taken from a pool must not be retained after
-// their OnDone callback returns.
-type JobPool struct {
-	free []*Job
-}
+// minJobRing is a job ring's first size.
+const minJobRing = 16
 
-// Get returns a job with zeroed fields, reusing a recycled one if
-// available.
-func (p *JobPool) Get() *Job {
-	if n := len(p.free); n > 0 {
-		j := p.free[n-1]
-		p.free = p.free[:n-1]
-		return j
-	}
-	return &Job{pool: p}
-}
-
-// put clears the job's fields and returns it to the free list.
-func (p *JobPool) put(j *Job) {
-	j.Cycles = 0
-	j.Priority = 0
-	j.Tag = ""
-	j.OnStart = nil
-	j.OnDone = nil
-	p.free = append(p.free, j)
-}
-
-// jobQueue is a FIFO with a read cursor: Pop advances head instead of
-// re-slicing, so the backing array is reused once drained and steady-state
-// queueing allocates nothing.
+// jobQueue is a FIFO ring of jobs. A full ring doubles, unwrapping into
+// the new array, so a queue that has reached its depth allocates nothing
+// more. Every emptied slot is cleared, so no finished or dropped job's
+// OnDone stays reachable through the ring.
 type jobQueue struct {
-	buf  []*Job
+	buf  []Job
 	head int
+	n    int
 }
 
-func (q *jobQueue) push(j *Job) { q.buf = append(q.buf, j) }
+func (q *jobQueue) push(j Job) {
+	if q.n == len(q.buf) {
+		buf := make([]Job, max(2*len(q.buf), minJobRing))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = j
+	q.n++
+}
 
-func (q *jobQueue) pop() *Job {
+func (q *jobQueue) pop() Job {
 	j := q.buf[q.head]
-	q.buf[q.head] = nil
+	q.buf[q.head] = Job{}
 	q.head++
 	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
 		q.head = 0
 	}
+	q.n--
 	return j
 }
 
-func (q *jobQueue) len() int { return len(q.buf) - q.head }
-
-// tagCycles is one job tag's completed-cycle total.
-type tagCycles struct {
-	tag    string
-	cycles float64
+// clear drops every queued job, keeping the ring.
+func (q *jobQueue) clear() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
 }
 
 type runningJob struct {
-	job       *Job
+	job       Job
 	remaining float64
 	resumedAt sim.Time
 }
@@ -128,10 +107,8 @@ type Core struct {
 	totalBusy sim.Time
 	busySince sim.Time
 	busy      bool
-	// cyclesByTag is per-tag completed cycles in first-seen order (hot
-	// path), sized for the pipeline's three tags: decode, net and
-	// background. CyclesByTag converts to a map at the reporting boundary.
-	cyclesByTag []tagCycles
+	// cycles is the completed cycles per priority.
+	cycles [PrioBackground + 1]float64
 
 	onPower func(now sim.Time, watts float64)
 	onOPP   func(now sim.Time, idx int)
@@ -157,23 +134,21 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		eng:         eng,
-		model:       model,
-		capIdx:      model.MaxIdx(),
-		cyclesByTag: make([]tagCycles, 0, 3),
-		freqDwell:   make([]sim.Time, len(model.OPPs)),
+		eng:       eng,
+		model:     model,
+		capIdx:    model.MaxIdx(),
+		freqDwell: make([]sim.Time, len(model.OPPs)),
 	}
 	c.completeFn = c.complete
 	return c, nil
 }
 
 // Reset rewinds the core to the state NewCore would construct for model,
-// keeping its allocations: queue backing arrays, the dwell table (when the
-// OPP count matches), the per-tag accounting table, and the pre-bound
-// completion callback all survive. Queued and in-flight jobs are returned
-// to their pools so recycled submitters find them again; listeners and the
-// tracer are dropped (the next run re-registers its own); the cpuidle
-// model is disabled until EnableCStates is called again. A pending
+// keeping its allocations: the job rings, the dwell table (when the OPP
+// count matches), and the pre-bound completion callback all survive.
+// Queued and in-flight jobs are dropped, their slots cleared; listeners
+// and the tracer are dropped (the next run re-registers its own); the
+// cpuidle model is disabled until EnableCStates is called again. A pending
 // completion is canceled, so a core rewound on an engine that keeps
 // running retires nothing of the old run.
 func (c *Core) Reset(model Model) error {
@@ -182,18 +157,7 @@ func (c *Core) Reset(model Model) error {
 	}
 	c.eng.Cancel(c.doneEv)
 	for p := range c.queues {
-		q := &c.queues[p]
-		for q.len() > 0 {
-			j := q.pop()
-			if j.pool != nil {
-				j.pool.put(j)
-			}
-		}
-	}
-	if c.running {
-		if j := c.current.job; j != nil && j.pool != nil {
-			j.pool.put(j)
-		}
+		c.queues[p].clear()
 	}
 	c.model = model
 	c.oppIdx = 0
@@ -205,7 +169,7 @@ func (c *Core) Reset(model Model) error {
 	c.totalBusy = 0
 	c.busySince = 0
 	c.busy = false
-	c.cyclesByTag = c.cyclesByTag[:0]
+	c.cycles = [PrioBackground + 1]float64{}
 	c.onPower = nil
 	c.onOPP = nil
 	c.tracer = nil
@@ -240,7 +204,7 @@ func (c *Core) Busy() bool { return c.busy }
 func (c *Core) QueueLen() int {
 	n := 0
 	for p := range c.queues {
-		n += c.queues[p].len()
+		n += c.queues[p].n
 	}
 	return n
 }
@@ -287,14 +251,8 @@ func (c *Core) BusyTime() sim.Time {
 	return t
 }
 
-// CyclesByTag returns cumulative completed cycles grouped by job tag.
-func (c *Core) CyclesByTag() map[string]float64 {
-	out := make(map[string]float64, len(c.cyclesByTag))
-	for _, tc := range c.cyclesByTag {
-		out[tc.tag] = tc.cycles
-	}
-	return out
-}
+// Cycles returns the cumulative cycles completed by jobs of priority p.
+func (c *Core) Cycles(p Priority) float64 { return c.cycles[p] }
 
 // Transitions returns the number of OPP changes so far.
 func (c *Core) Transitions() int { return c.transitions }
@@ -321,23 +279,13 @@ func (c *Core) FreqResidencyInto(out map[int]sim.Time) {
 
 // Submit enqueues a job. Jobs with non-positive cycles complete
 // immediately.
-func (c *Core) Submit(j *Job) error {
-	if j == nil {
-		return fmt.Errorf("cpu: nil job")
-	}
+func (c *Core) Submit(j Job) error {
 	if j.Priority < PrioDecode || j.Priority > PrioBackground {
-		return fmt.Errorf("cpu: job %q has invalid priority %d", j.Tag, j.Priority)
+		return fmt.Errorf("cpu: job has invalid priority %d", j.Priority)
 	}
 	if j.Cycles <= 0 {
-		now := c.eng.Now()
-		if j.OnStart != nil {
-			j.OnStart(now)
-		}
 		if j.OnDone != nil {
-			j.OnDone(now)
-		}
-		if j.pool != nil {
-			j.pool.put(j)
+			j.OnDone(c.eng.Now())
 		}
 		return nil
 	}
@@ -420,14 +368,11 @@ func (c *Core) rearmCompletion() {
 }
 
 func (c *Core) dispatch() {
-	var next *Job
-	for p := range c.queues {
-		if c.queues[p].len() > 0 {
-			next = c.queues[p].pop()
-			break
-		}
+	p := 0
+	for p < len(c.queues) && c.queues[p].n == 0 {
+		p++
 	}
-	if next == nil {
+	if p == len(c.queues) {
 		if c.busy {
 			now := c.eng.Now()
 			c.totalBusy += now - c.busySince
@@ -448,6 +393,7 @@ func (c *Core) dispatch() {
 		}
 		return
 	}
+	next := c.queues[p].pop()
 	now := c.eng.Now()
 	if !c.busy {
 		if c.idle != nil {
@@ -474,37 +420,19 @@ func (c *Core) dispatch() {
 	}
 	c.current = runningJob{job: next, remaining: next.Cycles, resumedAt: start}
 	c.running = true
-	if next.OnStart != nil {
-		next.OnStart(now)
-	}
 	c.rearmCompletion()
 }
 
 func (c *Core) complete() {
 	job := c.current.job
-	c.addCycles(job.Tag, job.Cycles)
+	c.cycles[job.Priority] += job.Cycles
 	c.current = runningJob{}
 	c.running = false
 	c.doneEv = sim.Event{}
 	if job.OnDone != nil {
 		job.OnDone(c.eng.Now())
 	}
-	if job.pool != nil {
-		job.pool.put(job)
-	}
 	c.dispatch()
-}
-
-// addCycles credits completed cycles to a tag, appending the tag the
-// first time it is seen.
-func (c *Core) addCycles(tag string, cycles float64) {
-	for i := range c.cyclesByTag {
-		if c.cyclesByTag[i].tag == tag {
-			c.cyclesByTag[i].cycles += cycles
-			return
-		}
-	}
-	c.cyclesByTag = append(c.cyclesByTag, tagCycles{tag: tag, cycles: cycles})
 }
 
 // UtilSampler computes windowed utilization the way cpufreq samplers do:

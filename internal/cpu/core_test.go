@@ -34,7 +34,7 @@ func newTestCore(t *testing.T, latency sim.Time) (*sim.Engine, *Core) {
 func TestJobCompletionTime(t *testing.T) {
 	eng, core := newTestCore(t, 0)
 	var done sim.Time
-	if err := core.Submit(&Job{Cycles: 5e8, Tag: "t", OnDone: func(now sim.Time) { done = now }}); err != nil {
+	if err := core.Submit(Job{Cycles: 5e8, OnDone: func(now sim.Time) { done = now }}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -46,8 +46,8 @@ func TestJobCompletionTime(t *testing.T) {
 func TestJobsRunFIFOWithinPriority(t *testing.T) {
 	eng, core := newTestCore(t, 0)
 	var order []string
-	mk := func(name string) *Job {
-		return &Job{Cycles: 1e6, Tag: name, Priority: PrioDecode,
+	mk := func(name string) Job {
+		return Job{Cycles: 1e6, Priority: PrioDecode,
 			OnDone: func(sim.Time) { order = append(order, name) }}
 	}
 	for _, n := range []string{"a", "b", "c"} {
@@ -65,15 +65,15 @@ func TestPriorityOrdering(t *testing.T) {
 	eng, core := newTestCore(t, 0)
 	var order []string
 	// Submit a running job first so the queue builds up behind it.
-	if err := core.Submit(&Job{Cycles: 1e6, Tag: "head", Priority: PrioDecode,
+	if err := core.Submit(Job{Cycles: 1e6, Priority: PrioDecode,
 		OnDone: func(sim.Time) { order = append(order, "head") }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Submit(&Job{Cycles: 1e6, Tag: "bg", Priority: PrioBackground,
+	if err := core.Submit(Job{Cycles: 1e6, Priority: PrioBackground,
 		OnDone: func(sim.Time) { order = append(order, "bg") }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Submit(&Job{Cycles: 1e6, Tag: "dec", Priority: PrioDecode,
+	if err := core.Submit(Job{Cycles: 1e6, Priority: PrioDecode,
 		OnDone: func(sim.Time) { order = append(order, "dec") }}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPriorityOrdering(t *testing.T) {
 func TestZeroCycleJobCompletesInline(t *testing.T) {
 	eng, core := newTestCore(t, 0)
 	ran := false
-	if err := core.Submit(&Job{Cycles: 0, Tag: "z", OnDone: func(sim.Time) { ran = true }}); err != nil {
+	if err := core.Submit(Job{Cycles: 0, OnDone: func(sim.Time) { ran = true }}); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -100,18 +100,20 @@ func TestZeroCycleJobCompletesInline(t *testing.T) {
 
 func TestSubmitErrors(t *testing.T) {
 	_, core := newTestCore(t, 0)
-	if err := core.Submit(nil); err == nil {
-		t.Fatal("want error for nil job")
+	for _, p := range []Priority{-1, PrioBackground + 1, 99} {
+		if err := core.Submit(Job{Cycles: 1, Priority: p}); err == nil {
+			t.Fatalf("want error for invalid priority %d", p)
+		}
 	}
-	if err := core.Submit(&Job{Cycles: 1, Priority: Priority(99)}); err == nil {
-		t.Fatal("want error for invalid priority")
+	if core.QueueLen() != 0 || core.Busy() {
+		t.Fatal("a rejected job must not be queued")
 	}
 }
 
 func TestFrequencyChangeMidJob(t *testing.T) {
 	eng, core := newTestCore(t, 0)
 	var done sim.Time
-	if err := core.Submit(&Job{Cycles: 2e9, Tag: "t", OnDone: func(now sim.Time) { done = now }}); err != nil {
+	if err := core.Submit(Job{Cycles: 2e9, OnDone: func(now sim.Time) { done = now }}); err != nil {
 		t.Fatal(err)
 	}
 	// At t=0.5 s, 0.5e9 of 2e9 cycles retired at 1 GHz; the remaining
@@ -126,7 +128,7 @@ func TestFrequencyChangeMidJob(t *testing.T) {
 func TestFrequencyChangeWithTransitionStall(t *testing.T) {
 	eng, core := newTestCore(t, 10*sim.Millisecond)
 	var done sim.Time
-	if err := core.Submit(&Job{Cycles: 2e9, Tag: "t", OnDone: func(now sim.Time) { done = now }}); err != nil {
+	if err := core.Submit(Job{Cycles: 2e9, OnDone: func(now sim.Time) { done = now }}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Schedule(500*sim.Millisecond, func() { core.SetOPP(1) })
@@ -158,7 +160,7 @@ func TestSetOPPClampsAndIgnoresNoop(t *testing.T) {
 
 func TestBusyTimeAccounting(t *testing.T) {
 	eng, core := newTestCore(t, 0)
-	if err := core.Submit(&Job{Cycles: 3e8, Tag: "t"}); err != nil { // 0.3 s at 1 GHz
+	if err := core.Submit(Job{Cycles: 3e8}); err != nil { // 0.3 s at 1 GHz
 		t.Fatal(err)
 	}
 	eng.Schedule(150*sim.Millisecond, func() {
@@ -181,7 +183,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 func TestUtilSamplerWindow(t *testing.T) {
 	eng, core := newTestCore(t, 0)
 	s := NewUtilSampler(core)
-	if err := core.Submit(&Job{Cycles: 5e8, Tag: "t"}); err != nil { // busy 0–0.5 s
+	if err := core.Submit(Job{Cycles: 5e8}); err != nil { // busy 0–0.5 s
 		t.Fatal(err)
 	}
 	var u1, u2 float64
@@ -204,7 +206,7 @@ func TestPowerCallbackSequence(t *testing.T) {
 	}
 	var trace []sample
 	core.OnPower(func(now sim.Time, w float64) { trace = append(trace, sample{now, w}) })
-	if err := core.Submit(&Job{Cycles: 1e9, Tag: "t"}); err != nil {
+	if err := core.Submit(Job{Cycles: 1e9}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -239,21 +241,27 @@ func TestFreqResidencySumsToElapsed(t *testing.T) {
 	}
 }
 
+// TestCyclesByTag checks that each priority's completed-cycle total holds
+// exactly its own jobs' cycles.
 func TestCyclesByTag(t *testing.T) {
 	eng, core := newTestCore(t, 0)
-	if err := core.Submit(&Job{Cycles: 1e6, Tag: "decode"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.Submit(&Job{Cycles: 2e6, Tag: "decode"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.Submit(&Job{Cycles: 5e5, Tag: "net", Priority: PrioNetwork}); err != nil {
-		t.Fatal(err)
+	for _, j := range []Job{
+		{Cycles: 1e6, Priority: PrioDecode},
+		{Cycles: 5e5, Priority: PrioNetwork},
+		{Cycles: 2e6, Priority: PrioDecode},
+		{Cycles: 2.5e5, Priority: PrioBackground},
+		{Cycles: 0, Priority: PrioBackground}, // completes inline, runs nothing
+	} {
+		if err := core.Submit(j); err != nil {
+			t.Fatal(err)
+		}
 	}
 	eng.Run()
-	got := core.CyclesByTag()
-	if got["decode"] != 3e6 || got["net"] != 5e5 {
-		t.Fatalf("cycles by tag = %v", got)
+	want := [...]float64{PrioDecode: 3e6, PrioNetwork: 5e5, PrioBackground: 2.5e5}
+	for p, w := range want {
+		if got := core.Cycles(Priority(p)); got != w {
+			t.Fatalf("priority %d ran %v cycles, want %v", p, got, w)
+		}
 	}
 }
 
@@ -276,7 +284,7 @@ func TestCompletionTimeProperty(t *testing.T) {
 		}
 		core.SetOPP(opp)
 		var done sim.Time
-		if err := core.Submit(&Job{Cycles: cycles, Tag: "p", OnDone: func(now sim.Time) { done = now }}); err != nil {
+		if err := core.Submit(Job{Cycles: cycles, OnDone: func(now sim.Time) { done = now }}); err != nil {
 			return false
 		}
 		eng.Run()
@@ -301,7 +309,7 @@ func TestLoadGenProducesExpectedUtilization(t *testing.T) {
 	if util < 0.005 || util > 0.02 {
 		t.Fatalf("background util = %.4f, want ≈0.01", util)
 	}
-	if core.CyclesByTag()[loadTag] == 0 {
+	if core.Cycles(PrioBackground) == 0 {
 		t.Fatal("no background cycles recorded")
 	}
 }
@@ -315,18 +323,18 @@ func TestLoadGenRestartKeepsOneTickChain(t *testing.T) {
 	gen := StartLoadGen(eng, core, sim.Stream(1, "bgload"))
 	eng.RunUntil(sim.Second)
 	gen.Restart()
-	before := core.CyclesByTag()[loadTag]
+	before := core.Cycles(PrioBackground)
 	const window = 10 * sim.Second
 	eng.RunUntil(eng.Now() + window)
-	got := core.CyclesByTag()[loadTag] - before
+	got := core.Cycles(PrioBackground) - before
 	want := loadMeanCycles * float64(window/loadPeriod)
 	if math.Abs(got-want) > 0.2*want {
 		t.Fatalf("%.3g background cycles in %v after a restart, want ≈%.3g (one tick chain)", got, window, want)
 	}
 	gen.Stop()
-	end := core.CyclesByTag()[loadTag]
+	end := core.Cycles(PrioBackground)
 	eng.RunUntil(eng.Now() + window)
-	if after := core.CyclesByTag()[loadTag]; after > end+loadMeanCycles*5 {
+	if after := core.Cycles(PrioBackground); after > end+loadMeanCycles*5 {
 		t.Fatalf("a stopped generator kept submitting: %.3g cycles after Stop", after-end)
 	}
 }
@@ -336,7 +344,7 @@ func TestLoadGenRestartKeepsOneTickChain(t *testing.T) {
 // core, where it would retire the next job early.
 func TestCoreResetCancelsWhatItScheduled(t *testing.T) {
 	eng, core := newTestCore(t, 0)
-	if err := core.Submit(&Job{Cycles: 1e9, Tag: "old"}); err != nil {
+	if err := core.Submit(Job{Cycles: 1e9}); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(100 * sim.Millisecond)
@@ -345,7 +353,7 @@ func TestCoreResetCancelsWhatItScheduled(t *testing.T) {
 	}
 	start := eng.Now()
 	doneAt := sim.Time(-1)
-	if err := core.Submit(&Job{Cycles: 2e9, Tag: "new", OnDone: func(now sim.Time) { doneAt = now }}); err != nil {
+	if err := core.Submit(Job{Cycles: 2e9, OnDone: func(now sim.Time) { doneAt = now }}); err != nil {
 		t.Fatal(err)
 	}
 	want := start + 2*sim.Second // 2e9 cycles at 1 GHz
@@ -357,7 +365,11 @@ func TestCoreResetCancelsWhatItScheduled(t *testing.T) {
 	if math.Abs(float64(doneAt-want)) > 1e-9 {
 		t.Fatalf("new job done at %v, want %v", doneAt, want)
 	}
-	if cyc := core.CyclesByTag(); cyc["old"] != 0 || cyc["new"] != 2e9 {
-		t.Fatalf("cycles by tag after the reset = %v, want only the new job's 2e9", cyc)
+	var total float64
+	for p := PrioDecode; p <= PrioBackground; p++ {
+		total += core.Cycles(p)
+	}
+	if total != 2e9 || core.Cycles(PrioDecode) != 2e9 {
+		t.Fatalf("%v cycles run after the reset (%v at decode priority), want only the new job's 2e9", total, core.Cycles(PrioDecode))
 	}
 }

@@ -48,7 +48,7 @@ func (d *Domain) SetOPP(idx int) {
 
 // Submit places the job on an idle core if any, else on the core with the
 // shortest queue.
-func (d *Domain) Submit(j *Job) error {
+func (d *Domain) Submit(j Job) error {
 	best := d.cores[0]
 	for _, c := range d.cores {
 		if !c.Busy() && c.QueueLen() == 0 {

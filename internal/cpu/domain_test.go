@@ -44,7 +44,7 @@ func TestDomainParallelExecution(t *testing.T) {
 	// single core would need 2 s.
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
-		if err := d.Submit(&Job{Cycles: 1e9, Tag: "p", OnDone: func(now sim.Time) { done = append(done, now) }}); err != nil {
+		if err := d.Submit(Job{Cycles: 1e9, OnDone: func(now sim.Time) { done = append(done, now) }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,13 +63,13 @@ func TestDomainLeastLoadedPlacement(t *testing.T) {
 	eng, d := newDomain(t, 2)
 	// Saturate core selection: 4 equal jobs → 2 per core.
 	for i := 0; i < 4; i++ {
-		if err := d.Submit(&Job{Cycles: 5e8, Tag: "lb"}); err != nil {
+		if err := d.Submit(Job{Cycles: 5e8}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eng.Run()
 	for i, c := range d.Cores() {
-		if got := c.CyclesByTag()["lb"]; got != 1e9 {
+		if got := c.Cycles(PrioDecode); got != 1e9 {
 			t.Fatalf("core %d ran %.2g cycles, want 1e9 (balanced)", i, got)
 		}
 	}
@@ -83,7 +83,7 @@ func TestDomainAggregatedPower(t *testing.T) {
 	}
 	var last float64
 	d.OnPower(func(_ sim.Time, w float64) { last = w })
-	if err := d.Submit(&Job{Cycles: 1e8, Tag: "x"}); err != nil {
+	if err := d.Submit(Job{Cycles: 1e8}); err != nil {
 		t.Fatal(err)
 	}
 	// One busy (1.0) + one idle (0.1).
@@ -99,7 +99,7 @@ func TestDomainAggregatedPower(t *testing.T) {
 func TestDomainBusyTimeAggregates(t *testing.T) {
 	eng, d := newDomain(t, 2)
 	for i := 0; i < 2; i++ {
-		if err := d.Submit(&Job{Cycles: 1e9, Tag: "b"}); err != nil {
+		if err := d.Submit(Job{Cycles: 1e9}); err != nil {
 			t.Fatal(err)
 		}
 	}

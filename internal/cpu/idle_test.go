@@ -51,7 +51,7 @@ func TestEnableCStatesRejectsBusyCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Submit(&Job{Cycles: 1e9, Tag: "x"}); err != nil {
+	if err := core.Submit(Job{Cycles: 1e9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.EnableCStates(); err == nil {
@@ -70,7 +70,7 @@ func TestMenuGovernorDeepensAfterLongIdles(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		at := sim.Time(i) * 100 * sim.Millisecond
 		eng.At(at, func() {
-			_ = core.Submit(&Job{Cycles: 1e6, Tag: "tick"})
+			_ = core.Submit(Job{Cycles: 1e6})
 		})
 	}
 	var lastState string
@@ -88,7 +88,7 @@ func TestMenuGovernorStaysShallowForShortIdles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 1200 * sim.Microsecond
 		eng.At(at, func() {
-			_ = core.Submit(&Job{Cycles: 1e6, Tag: "tick"})
+			_ = core.Submit(Job{Cycles: 1e6})
 		})
 	}
 	var state string
@@ -103,7 +103,7 @@ func TestDeepIdleCutsPower(t *testing.T) {
 	eng, core := idleRig(t)
 	// Teach long idles, then compare idle power against clock gating.
 	eng.At(100*sim.Millisecond, func() {
-		_ = core.Submit(&Job{Cycles: 1e6, Tag: "t"})
+		_ = core.Submit(Job{Cycles: 1e6})
 	})
 	var deepPower float64
 	eng.At(200*sim.Millisecond, func() { deepPower = core.Power() })
@@ -118,10 +118,10 @@ func TestDeepIdleCutsPower(t *testing.T) {
 func TestWakeupPaysExitLatency(t *testing.T) {
 	eng, core := idleRig(t)
 	// Train to power-collapse (1 ms exit latency).
-	eng.At(100*sim.Millisecond, func() { _ = core.Submit(&Job{Cycles: 1e6, Tag: "a"}) })
+	eng.At(100*sim.Millisecond, func() { _ = core.Submit(Job{Cycles: 1e6}) })
 	var done sim.Time
 	eng.At(300*sim.Millisecond, func() {
-		_ = core.Submit(&Job{Cycles: 1e6, Tag: "b", OnDone: func(now sim.Time) { done = now }})
+		_ = core.Submit(Job{Cycles: 1e6, OnDone: func(now sim.Time) { done = now }})
 	})
 	eng.Run()
 	// 1e6 cycles at 1 GHz = 1 ms, plus the 1 ms power-collapse exit.
@@ -133,7 +133,7 @@ func TestWakeupPaysExitLatency(t *testing.T) {
 
 func TestIdleStateResidencyAccounting(t *testing.T) {
 	eng, core := idleRig(t)
-	eng.At(50*sim.Millisecond, func() { _ = core.Submit(&Job{Cycles: 1e6, Tag: "t"}) })
+	eng.At(50*sim.Millisecond, func() { _ = core.Submit(Job{Cycles: 1e6}) })
 	eng.At(200*sim.Millisecond, func() { eng.Stop() })
 	eng.Run()
 	res := core.IdleStateResidency()

@@ -13,8 +13,6 @@ const (
 	loadMeanCycles = 0.5e6
 	// loadCV is the coefficient of variation of job demand.
 	loadCV = 0.5
-	// loadTag labels the jobs in CPU accounting.
-	loadTag = "background"
 )
 
 // loadSize is the job-demand distribution, solved once for the process
@@ -31,10 +29,9 @@ type LoadGen struct {
 	rng    *sim.RNG
 	next   sim.Event // the pending tick
 	subErr error
-	// fire is the pre-bound tick callback and pool recycles submitted
-	// jobs, so a running generator allocates nothing per job.
+	// fire is the pre-bound tick callback, so a running generator
+	// allocates nothing per job.
 	fire func()
-	pool JobPool
 }
 
 // StartLoadGen begins submitting jobs immediately and until Stop.
@@ -46,10 +43,10 @@ func StartLoadGen(eng *sim.Engine, core *Core, rng *sim.RNG) *LoadGen {
 }
 
 // Restart rewinds a stopped (or abandoned) generator to the state
-// StartLoadGen would construct and arms the first tick, keeping the job
-// pool and pre-bound callback. A tick still pending is canceled first, so
-// a generator restarted on an engine that keeps running has one tick
-// chain. The caller reseeds the RNG if draw-for-draw reproducibility with
+// StartLoadGen would construct and arms the first tick, keeping the
+// pre-bound callback. A tick still pending is canceled first, so a
+// generator restarted on an engine that keeps running has one tick chain.
+// The caller reseeds the RNG if draw-for-draw reproducibility with
 // a fresh generator is required.
 func (g *LoadGen) Restart() {
 	g.eng.Cancel(g.next)
@@ -63,11 +60,7 @@ func (g *LoadGen) arm() {
 }
 
 func (g *LoadGen) tick() {
-	j := g.pool.Get()
-	j.Cycles = loadSize.Draw(g.rng)
-	j.Priority = PrioBackground
-	j.Tag = loadTag
-	if err := g.core.Submit(j); err != nil && g.subErr == nil {
+	if err := g.core.Submit(Job{Cycles: loadSize.Draw(g.rng), Priority: PrioBackground}); err != nil && g.subErr == nil {
 		g.subErr = err
 	}
 	g.arm()

@@ -28,10 +28,9 @@ func TestCoreConservationUnderRandomDVFS(t *testing.T) {
 			wantCycles += cycles
 			at := sim.Time(rng.Uniform(0, 0.5))
 			eng.At(at, func() {
-				_ = core.Submit(&Job{
+				_ = core.Submit(Job{
 					Cycles:   cycles,
 					Priority: PrioDecode,
-					Tag:      "p",
 					OnDone:   func(sim.Time) { doneOrder = append(doneOrder, i) },
 				})
 			})
@@ -46,7 +45,7 @@ func TestCoreConservationUnderRandomDVFS(t *testing.T) {
 		if len(doneOrder) != n {
 			return false
 		}
-		got := core.CyclesByTag()["p"]
+		got := core.Cycles(PrioDecode)
 		return math.Abs(got-wantCycles) < 1e-6*wantCycles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -71,7 +70,7 @@ func TestCoreBusyTimeMatchesAnalytic(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			c := rng.Uniform(1e6, 1e8)
 			total += c
-			_ = core.Submit(&Job{Cycles: c, Tag: "b"})
+			_ = core.Submit(Job{Cycles: c})
 		}
 		eng.Run()
 		want := total / freq
@@ -111,7 +110,7 @@ func TestCorePowerAlwaysInTable(t *testing.T) {
 			eng.At(at, func() { core.SetOPP(idx) })
 		default:
 			c := rng.Uniform(1e5, 1e7)
-			eng.At(at, func() { _ = core.Submit(&Job{Cycles: c, Tag: "x"}) })
+			eng.At(at, func() { _ = core.Submit(Job{Cycles: c}) })
 		}
 	}
 	eng.Run()

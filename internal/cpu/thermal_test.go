@@ -21,7 +21,7 @@ func thermalRig(t *testing.T) (*sim.Engine, *Core) {
 func saturate(eng *sim.Engine, core *Core) {
 	var feed func(sim.Time)
 	feed = func(sim.Time) {
-		_ = core.Submit(&Job{Cycles: 1e8, Tag: "burn", OnDone: feed})
+		_ = core.Submit(Job{Cycles: 1e8, OnDone: feed})
 	}
 	feed(0)
 }

@@ -39,7 +39,7 @@ type Hooks interface {
 // Submitter runs CPU jobs — a single core or a big.LITTLE cluster router.
 type Submitter interface {
 	// Submit enqueues the job for execution.
-	Submit(j *cpu.Job) error
+	Submit(j cpu.Job) error
 }
 
 // NopHooks is an embeddable no-op Hooks implementation.
@@ -159,7 +159,6 @@ type Decoder struct {
 	curFrame    video.Frame
 	curDeadline sim.Time
 	doneFn      func(now sim.Time)
-	pool        cpu.JobPool
 
 	discardBelow int
 	deadlineOf   func(f video.Frame) sim.Time
@@ -192,12 +191,12 @@ func New(eng *sim.Engine, core Submitter, queueCap int, deadlineOf func(f video.
 
 // Reset rewinds the decoder to the state New would construct for
 // (queueCap, hooks), keeping its allocations: the span array (its frame
-// references dropped), the decoded ring, the job pool, and the pre-bound
-// completion callback survive, as do the deadlineOf function and the
-// OnReady callback wired at construction (they belong to the owning
-// player, which outlives the reset). The owning engine and submitter must
-// be reset alongside; an in-flight decode job is simply forgotten here
-// (its pooled CPU job is returned by the core's own reset).
+// references dropped), the decoded ring, and the pre-bound completion
+// callback survive, as do the deadlineOf function and the OnReady callback
+// wired at construction (they belong to the owning player, which outlives
+// the reset). The owning engine and submitter must be reset alongside; an
+// in-flight decode job is simply forgotten here (the core's own reset
+// drops it).
 func (d *Decoder) Reset(queueCap int, hooks Hooks) error {
 	if queueCap < 1 {
 		return fmt.Errorf("decode: queue capacity %d < 1", queueCap)
@@ -340,12 +339,7 @@ func (d *Decoder) maybeStart() {
 	d.curFrame = f
 	d.curDeadline = d.deadlineOf(f)
 	d.hooks.DecodeStart(d.eng.Now(), f, d.curDeadline, d.ready.len(), d.cap)
-	j := d.pool.Get()
-	j.Cycles = f.Cycles
-	j.Priority = cpu.PrioDecode
-	j.Tag = "decode"
-	j.OnDone = d.doneFn
-	if err := d.core.Submit(j); err != nil {
+	if err := d.core.Submit(cpu.Job{Cycles: f.Cycles, Priority: cpu.PrioDecode, OnDone: d.doneFn}); err != nil {
 		d.inFlight = false
 		if d.subErr == nil {
 			d.subErr = err

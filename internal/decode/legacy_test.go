@@ -61,7 +61,6 @@ type decoderLegacy struct {
 	curFrame    video.Frame
 	curDeadline sim.Time
 	doneFn      func(now sim.Time)
-	pool        cpu.JobPool
 
 	discardBelow int
 	deadlineOf   func(f video.Frame) sim.Time
@@ -94,12 +93,11 @@ func newDecoderLegacy(eng *sim.Engine, core Submitter, queueCap int, deadlineOf 
 
 // Reset rewinds the decoder to the state New would construct for
 // (queueCap, hooks), keeping its allocations: both frame-queue backing
-// arrays, the job pool, and the pre-bound completion callback survive, as
-// do the deadlineOf function and the OnReady callback wired at
-// construction (they belong to the owning player, which outlives the
-// reset). The owning engine and submitter must be reset alongside; an
-// in-flight decode job is simply forgotten here (its pooled CPU job is
-// returned by the core's own reset).
+// arrays and the pre-bound completion callback survive, as do the
+// deadlineOf function and the OnReady callback wired at construction (they
+// belong to the owning player, which outlives the reset). The owning
+// engine and submitter must be reset alongside; an in-flight decode job is
+// simply forgotten here (the core's own reset drops it).
 func (d *decoderLegacy) Reset(queueCap int, hooks Hooks) error {
 	if queueCap < 1 {
 		return fmt.Errorf("decode: queue capacity %d < 1", queueCap)
@@ -211,12 +209,7 @@ func (d *decoderLegacy) maybeStart() {
 	d.curFrame = f
 	d.curDeadline = d.deadlineOf(f)
 	d.hooks.DecodeStart(d.eng.Now(), f, d.curDeadline, d.ready.len(), d.cap)
-	j := d.pool.Get()
-	j.Cycles = f.Cycles
-	j.Priority = cpu.PrioDecode
-	j.Tag = "decode"
-	j.OnDone = d.doneFn
-	if err := d.core.Submit(j); err != nil {
+	if err := d.core.Submit(cpu.Job{Cycles: f.Cycles, Priority: cpu.PrioDecode, OnDone: d.doneFn}); err != nil {
 		d.inFlight = false
 		if d.subErr == nil {
 			d.subErr = err
@@ -286,7 +279,7 @@ type scriptSubmitter struct {
 	evs    []sim.Event
 }
 
-func (s *scriptSubmitter) Submit(j *cpu.Job) error {
+func (s *scriptSubmitter) Submit(j cpu.Job) error {
 	k := s.n
 	s.n++
 	if k == s.failAt {

@@ -10,7 +10,7 @@ import (
 )
 
 // Session is a reusable simulation arena: an owned engine plus one
-// Viewer — the full per-device simulator (CPU core with its job pools,
+// Viewer — the full per-device simulator (CPU core with its job rings,
 // radio, downloader, player, energy meter, background load generator,
 // energy-aware governor) — whose parts are rewound in place by Reset
 // instead of being reconstructed per run. Stream and bandwidth tables are

@@ -32,7 +32,7 @@ func (r *rig) periodicLoad(period sim.Time, cycles float64, n int) {
 			r.eng.Stop()
 			return
 		}
-		if err := r.core.Submit(&cpu.Job{Cycles: cycles, Tag: "load"}); err != nil {
+		if err := r.core.Submit(cpu.Job{Cycles: cycles}); err != nil {
 			panic(err)
 		}
 		r.eng.Schedule(period, func() { step(i + 1) })
@@ -230,7 +230,7 @@ func TestInteractiveHoldsMinSampleTime(t *testing.T) {
 	defer g.Detach()
 	// One burst, then silence. Frequency must stay raised for at least
 	// minSampleTime after the raise.
-	if err := r.core.Submit(&cpu.Job{Cycles: 60e6, Tag: "burst"}); err != nil {
+	if err := r.core.Submit(cpu.Job{Cycles: 60e6}); err != nil {
 		t.Fatal(err)
 	}
 	var raisedAt, droppedAt sim.Time

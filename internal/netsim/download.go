@@ -51,8 +51,6 @@ type Downloader struct {
 	chunkFn  func() // mid-stream chunk completed
 	finishFn func() // final chunk completed
 
-	pool cpu.JobPool
-
 	onActive func(now sim.Time, active bool)
 }
 
@@ -77,8 +75,8 @@ func NewDownloader(eng *sim.Engine, bw Bandwidth, radio *Radio, core *cpu.Core) 
 }
 
 // Reset rewinds the downloader to the state NewDownloader would construct
-// for bw, keeping its allocations: the fetch queue backing array, the job
-// pool, and the pre-bound streaming callbacks survive. The activity
+// for bw, keeping its allocations: the fetch queue backing array and the
+// pre-bound streaming callbacks survive. The activity
 // listener is dropped (the next run re-registers its own). An in-flight
 // fetch's pending event is canceled, so the downloader can be rewound on
 // an engine that keeps running; its radio and core are reset alongside.
@@ -229,11 +227,7 @@ func (d *Downloader) chargeCPU(cycles float64) {
 	if d.core == nil || cycles <= 0 {
 		return
 	}
-	j := d.pool.Get()
-	j.Cycles = cycles
-	j.Priority = cpu.PrioNetwork
-	j.Tag = "net"
-	if err := d.core.Submit(j); err != nil && d.subErr == nil {
+	if err := d.core.Submit(cpu.Job{Cycles: cycles, Priority: cpu.PrioNetwork}); err != nil && d.subErr == nil {
 		d.subErr = err
 	}
 }

@@ -249,7 +249,7 @@ func TestDownloaderChargesNetworkCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	got := core.CyclesByTag()["net"]
+	got := core.Cycles(cpu.PrioNetwork)
 	want := 5e6 * cyclesPerBit
 	if math.Abs(got-want) > 1e-3*want {
 		t.Fatalf("net cycles = %v, want %v", got, want)

@@ -184,10 +184,10 @@ func (s *Session) configure(renditions []*video.Stream, cfg Config) error {
 // Reset rewinds the session to the state NewSession would construct for
 // (renditions, cfg), keeping its allocations: segment tables for unchanged
 // streams, the completion-callback list's backing array, the decoder (and
-// its queues and job pool), and every pre-bound callback survive. A
-// pending display tick is canceled. The core and fetcher the session was
-// built over must be reset alongside by the caller; the fetcher's activity
-// listener is re-registered here since a fetcher reset drops it.
+// its queues), and every pre-bound callback survive. A pending display
+// tick is canceled. The core and fetcher the session was built over must
+// be reset alongside by the caller; the fetcher's activity listener is
+// re-registered here since a fetcher reset drops it.
 func (s *Session) Reset(renditions []*video.Stream, cfg Config) error {
 	if err := s.configure(renditions, cfg); err != nil {
 		return err
