@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
+.PHONY: check fmt vet build test examples alloc-budget fleet-e2e stress-e2e bench-e2e fuzz-short strict golden trace-golden bench bench-compare bench-baseline bench-gate profile
 
 # The full local gate: formatting, vet, build, race-enabled tests
 # (includes the golden regression suite and the parallel/serial
-# equivalence test), the zero-allocation budget for the steady-state run
-# loop, the fleet and wire-level stress end-to-end batteries, the
-# benchmark module, and the evaluation rebuilt with invariants armed
-# (strict). That is every correctness step CI runs except the time-boxed
+# equivalence test), every example run to completion, the
+# zero-allocation budget for the steady-state run loop, the fleet and
+# wire-level stress end-to-end batteries, the benchmark module, and the
+# evaluation rebuilt with invariants armed (strict). That is every correctness step CI runs except the time-boxed
 # fuzz-short and the host-sensitive bench-gate.
-check: fmt vet build test alloc-budget fleet-e2e stress-e2e bench-e2e strict
+check: fmt vet build test examples alloc-budget fleet-e2e stress-e2e bench-e2e strict
 
 # Fails, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -23,6 +23,14 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# Build and run every program under examples/; a non-zero exit fails the
+# target. Their tables are for a reader and go to /dev/null.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # The memory discipline gate (DESIGN.md §8, §12): advancing the untraced
 # simulation in steady state must allocate nothing, a recycled core must

@@ -164,17 +164,16 @@ func run(args []string) error {
 		if *timelinePath != "" || *traceOut != "" {
 			return fmt.Errorf("-timeline and -trace are per-run and incompatible with -viewers")
 		}
-		ccfg := videodvfs.NewCohort(
-			videodvfs.WithBase(cfg),
-			videodvfs.WithViewers(*viewers),
-			videodvfs.WithArrivalProcess(videodvfs.CohortArrival{
-				Kind:       videodvfs.ArrivalKind(*arrival),
-				Window:     videodvfs.Time(*arrivalWin) * videodvfs.Second,
-				RatePerSec: *arrivalRate,
-			}),
-			videodvfs.WithRollupPeriod(videodvfs.Time(*rollup)*videodvfs.Second),
-			videodvfs.WithShards(*shards),
-		)
+		ccfg := videodvfs.DefaultCohort()
+		ccfg.Base = cfg
+		ccfg.Viewers = *viewers
+		ccfg.Arrival = videodvfs.CohortArrival{
+			Kind:       videodvfs.ArrivalKind(*arrival),
+			Window:     videodvfs.Time(*arrivalWin) * videodvfs.Second,
+			RatePerSec: *arrivalRate,
+		}
+		ccfg.Rollup = videodvfs.Time(*rollup) * videodvfs.Second
+		ccfg.Shards = *shards
 		if *cellMbps != 0 {
 			ccfg.Cell = &videodvfs.CohortCell{
 				CapacityMbps:  *cellMbps,

@@ -29,10 +29,9 @@ func run() error {
 		fmt.Printf("%-12s %9s %9s %7s %8s %9s\n",
 			"governor", "cpu (J)", "mean GHz", "drops", "drop %", "startup s")
 		for _, gov := range videodvfs.Governors() {
-			cfg := videodvfs.NewSession(
-				videodvfs.WithGovernor(gov),
-				videodvfs.WithRung(rung),
-			)
+			cfg := videodvfs.DefaultSession()
+			cfg.Governor = gov
+			cfg.Rung = rung
 			out, err := videodvfs.Run(cfg)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", gov, res, err)

@@ -28,12 +28,11 @@ func run() error {
 	for _, gov := range []videodvfs.Governor{
 		videodvfs.GovInteractive, videodvfs.GovOndemand, videodvfs.GovEnergyAware,
 	} {
-		cfg := videodvfs.NewSession(
-			videodvfs.WithGovernor(gov),
-			videodvfs.WithNet(videodvfs.NetLTE),
-			videodvfs.WithABR(videodvfs.ABRBBA),
-			videodvfs.WithDuration(120*videodvfs.Second),
-		)
+		cfg := videodvfs.DefaultSession()
+		cfg.Governor = gov
+		cfg.Net = videodvfs.NetLTE
+		cfg.ABR = videodvfs.ABRBBA
+		cfg.Duration = 120 * videodvfs.Second
 		out, err := videodvfs.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", gov, err)

@@ -21,16 +21,15 @@ func main() {
 func run() error {
 	// 60 seconds of 720p sports over a steady 8 Mbps link on a
 	// flagship-class device.
-	baseline, err := videodvfs.Run(videodvfs.NewSession(
-		videodvfs.WithGovernor(videodvfs.GovOndemand),
-	))
+	cfg := videodvfs.DefaultSession()
+	cfg.Governor = videodvfs.GovOndemand
+	baseline, err := videodvfs.Run(cfg)
 	if err != nil {
 		return err
 	}
 
-	ours, err := videodvfs.Run(videodvfs.NewSession(
-		videodvfs.WithGovernor(videodvfs.GovEnergyAware),
-	))
+	cfg.Governor = videodvfs.GovEnergyAware
+	ours, err := videodvfs.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,8 @@ func run() error {
 	for _, margin := range []float64{0, 0.05, 0.15, 0.30, 0.50} {
 		pol := videodvfs.DefaultPolicy()
 		pol.Margin = margin
-		cfg := videodvfs.NewSession(videodvfs.WithPolicy(pol))
+		cfg := videodvfs.DefaultSession()
+		cfg.Policy = pol
 		out, err := videodvfs.Run(cfg)
 		if err != nil {
 			return err
@@ -36,9 +37,7 @@ func run() error {
 	fmt.Println("\ndecode-ahead buffer sweep (margin 0.15)")
 	fmt.Printf("%8s %9s %7s\n", "frames", "cpu (J)", "drops")
 	for _, depth := range []int{1, 2, 4, 8, 16} {
-		// Fields without a dedicated option are set directly on the
-		// returned config.
-		cfg := videodvfs.NewSession()
+		cfg := videodvfs.DefaultSession()
 		cfg.DecodedQueueCap = depth
 		out, err := videodvfs.Run(cfg)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"videodvfs/internal/campaign"
 	"videodvfs/internal/cpu"
-	"videodvfs/internal/stats"
 	"videodvfs/internal/video"
 )
 
@@ -139,87 +138,6 @@ func (s Sweep) Expand() []RunConfig {
 				}
 			}
 		}
-	}
-	return out
-}
-
-// Run expands the sweep and executes it through the campaign pool.
-func (s Sweep) Run(workers int) []Outcome {
-	return RunAll(s.Expand(), workers)
-}
-
-// AxisStat aggregates one metric over every successful run sharing one
-// axis value.
-type AxisStat struct {
-	// Axis names the swept dimension ("governor", "net", "device",
-	// "title", "rung", "seed").
-	Axis string
-	// Value is the axis value the runs share.
-	Value string
-	// N counts the successful runs aggregated.
-	N int
-	// Mean, Std, Min, Max summarize the metric over those runs.
-	Mean, Std, Min, Max float64
-}
-
-// Aggregate folds outcomes into per-axis-value statistics of metric.
-// Only axes the sweep actually varies (≥2 values) produce rows; rows
-// follow axis declaration order, then the axis list's order. Failed runs
-// are skipped.
-func (s Sweep) Aggregate(outs []Outcome, metric func(RunResult) float64) []AxisStat {
-	type axis struct {
-		name   string
-		values []string
-		of     func(RunConfig) string
-	}
-	axes := []axis{
-		{"governor", strSlice(s.Governors, func(g GovernorID) string { return string(g) }),
-			func(c RunConfig) string { return string(c.Governor) }},
-		{"net", strSlice(s.Nets, func(n NetKind) string { return string(n) }),
-			func(c RunConfig) string { return string(c.Net) }},
-		{"device", strSlice(s.Devices, func(d cpu.Model) string { return d.Name }),
-			func(c RunConfig) string { return c.Device.Name }},
-		{"title", strSlice(s.Titles, func(t video.Title) string { return t.Name }),
-			func(c RunConfig) string { return c.Title.Name }},
-		{"rung", strSlice(s.Rungs, func(r video.Resolution) string { return r.Name }),
-			func(c RunConfig) string { return c.Rung.Name }},
-		{"seed", strSlice(s.Seeds, func(s int64) string { return fmt.Sprintf("%d", s) }),
-			func(c RunConfig) string { return fmt.Sprintf("%d", c.Seed) }},
-	}
-	var rows []AxisStat
-	for _, ax := range axes {
-		if len(ax.values) < 2 {
-			continue
-		}
-		acc := make(map[string]*stats.Online, len(ax.values))
-		for _, v := range ax.values {
-			acc[v] = &stats.Online{}
-		}
-		for _, o := range outs {
-			if o.Err != nil {
-				continue
-			}
-			if online, ok := acc[ax.of(o.Config)]; ok {
-				online.Add(metric(o.Result))
-			}
-		}
-		for _, v := range ax.values {
-			online := acc[v]
-			rows = append(rows, AxisStat{
-				Axis: ax.name, Value: v, N: online.N(),
-				Mean: online.Mean(), Std: online.Std(),
-				Min: online.Min(), Max: online.Max(),
-			})
-		}
-	}
-	return rows
-}
-
-// strSlice maps a typed axis list to its string labels.
-func strSlice[T any](in []T, label func(T) string) []string {
-	out := make([]string, len(in))
-	for i, v := range in {
-		out[i] = label(v)
 	}
 	return out
 }

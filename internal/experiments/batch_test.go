@@ -140,50 +140,3 @@ func TestSweepExpand(t *testing.T) {
 		t.Errorf("axis-free sweep = %+v, want exactly the base config", single)
 	}
 }
-
-// TestSweepAggregate checks the fold on synthetic outcomes: only axes
-// with ≥2 values produce rows, failed runs are skipped, and the stats
-// match hand computation.
-func TestSweepAggregate(t *testing.T) {
-	s := Sweep{
-		Base:      shortBase(),
-		Governors: []GovernorID{GovOndemand, GovEnergyAware},
-		Seeds:     []int64{1, 2},
-	}
-	cfgs := s.Expand()
-	outs := make([]Outcome, len(cfgs))
-	// CPUJ by (governor, seed): ondemand → 10, 20; energyaware → 4, 6.
-	vals := []float64{10, 20, 4, 6}
-	for i := range outs {
-		outs[i] = Outcome{Index: i, Config: cfgs[i], Result: RunResult{CPUJ: vals[i]}}
-	}
-	rows := s.Aggregate(outs, func(r RunResult) float64 { return r.CPUJ })
-	// Two axes vary (governor, seed) with two values each → four rows.
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4: %+v", len(rows), rows)
-	}
-	od := rows[0]
-	if od.Axis != "governor" || od.Value != "ondemand" || od.N != 2 {
-		t.Fatalf("row 0 = %+v, want governor/ondemand over 2 runs", od)
-	}
-	if od.Mean != 15 || od.Min != 10 || od.Max != 20 {
-		t.Errorf("ondemand stats = mean %v min %v max %v, want 15/10/20", od.Mean, od.Min, od.Max)
-	}
-	// Sample std of {10, 20} is √50.
-	if math.Abs(od.Std-math.Sqrt(50)) > 1e-9 {
-		t.Errorf("ondemand std = %v, want %v", od.Std, math.Sqrt(50))
-	}
-	if ea := rows[1]; ea.Value != "energyaware" || ea.Mean != 5 {
-		t.Errorf("row 1 = %+v, want energyaware mean 5", ea)
-	}
-	if sd := rows[2]; sd.Axis != "seed" || sd.Value != "1" || sd.Mean != 7 {
-		t.Errorf("row 2 = %+v, want seed/1 mean 7 (of 10 and 4)", sd)
-	}
-
-	// A failed run drops out of every aggregate.
-	outs[1].Err = errors.New("boom")
-	rows = s.Aggregate(outs, func(r RunResult) float64 { return r.CPUJ })
-	if od := rows[0]; od.N != 1 || od.Mean != 10 {
-		t.Errorf("after failure, ondemand = %+v, want N 1 mean 10", od)
-	}
-}

@@ -95,7 +95,7 @@ func TestCanonicalConfigUncacheable(t *testing.T) {
 		t.Fatal("OnSample config reported cacheable")
 	}
 	cfg = DefaultRunConfig()
-	cfg.Tracer = trace.NewCollector()
+	cfg.Tracer = trace.Nop{}
 	if _, ok := ConfigKey(cfg); ok {
 		t.Fatal("traced config reported cacheable")
 	}

@@ -35,40 +35,21 @@ func stressConfigs() []RunConfig {
 	return out
 }
 
-// TestEnergyClosureStress cross-checks the collector's per-component
-// energy integral against the meter at 1e-9 relative — three orders
-// tighter than the PR 2 check — across the stress matrix, with the
-// invariant checker armed on the same runs. Both sides integrate the
-// identical piecewise-constant power signal with the same arithmetic, so
-// any wider gap is a bookkeeping bug, not float noise.
+// TestEnergyClosureStress runs the stress matrix strict. The invariant
+// checker integrates each component's power events and fails the run
+// unless the integral matches the energy meter within 1e-9 × max(|x|, 1)
+// (energy-closure), alongside its residency and frame-accounting rules.
+// Both sides integrate the identical piecewise-constant power signal
+// with the same arithmetic, so any wider gap is a bookkeeping bug, not
+// float noise.
 func TestEnergyClosureStress(t *testing.T) {
-	relClose := func(a, b float64) bool {
-		if b == 0 {
-			return a == 0
-		}
-		d := (a - b) / b
-		return d > -1e-9 && d < 1e-9
-	}
 	for _, cfg := range stressConfigs() {
 		cfg := cfg
 		name := string(cfg.Governor) + "/" + cfg.Device.Name + "/" + string(cfg.Net)
 		t.Run(name, func(t *testing.T) {
-			col := trace.NewCollector()
-			cfg.Tracer = col
 			cfg.Strict = true
-			res, err := Run(cfg)
-			if err != nil {
+			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
-			}
-			m := col.Finalize(res.SimEnd)
-			for _, c := range []struct {
-				comp   string
-				meterJ float64
-			}{{"cpu", res.CPUJ}, {"radio", res.RadioJ}, {"display", res.DisplayJ}} {
-				if !relClose(m.EnergyJ[c.comp], c.meterJ) {
-					t.Errorf("%s: collector %.12f J, meter %.12f J (Δrel > 1e-9)",
-						c.comp, m.EnergyJ[c.comp], c.meterJ)
-				}
 			}
 		})
 	}

@@ -1,11 +1,10 @@
 // Package stats provides the small statistics toolkit the simulator and the
-// experiment harness share: online moments, percentiles, histograms,
-// exponentially weighted averages, and time-weighted averages of
-// piecewise-constant signals.
+// experiment harness share: online moments, percentiles, exponentially
+// weighted averages, time-weighted averages of piecewise-constant
+// signals, and mergeable quantile sketches.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -231,78 +230,3 @@ func (w *TimeWeighted) Mean() float64 {
 
 // Integral returns ∫ value dt over the observed span.
 func (w *TimeWeighted) Integral() float64 { return w.weighted }
-
-// Histogram counts samples in equal-width bins over [lo, hi); samples
-// outside the range land in the edge bins but are also tallied as
-// under/over so range misconfiguration is visible. NaN samples are counted
-// separately and excluded from the bins entirely.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-	under  int
-	over   int
-	nans   int
-}
-
-// NewHistogram returns a histogram with nbins equal-width bins spanning
-// [lo, hi). nbins must be positive and hi > lo.
-func NewHistogram(lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("histogram: nbins %d must be positive", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("histogram: hi %v must exceed lo %v", hi, lo)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, nbins)}, nil
-}
-
-// Add folds x into the histogram.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		h.nans++
-		return
-	}
-	// Pick the bin by value comparison first and only convert in-range
-	// samples: for ±Inf (and any float beyond int range) the float→int
-	// conversion result is implementation-specific per the Go spec, so an
-	// Inf sample must never reach it.
-	var i int
-	switch {
-	case x < h.lo:
-		h.under++
-		i = 0
-	case x >= h.hi:
-		h.over++
-		i = len(h.bins) - 1
-	default:
-		i = int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i >= len(h.bins) {
-			// Guard float rounding at the top edge (x just below hi can
-			// still scale to nbins).
-			i = len(h.bins) - 1
-		}
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// N returns the number of samples binned (NaNs excluded).
-func (h *Histogram) N() int { return h.n }
-
-// Under returns how many samples fell below lo (clamped into bin 0).
-func (h *Histogram) Under() int { return h.under }
-
-// Over returns how many samples fell at or above hi (clamped into the last
-// bin).
-func (h *Histogram) Over() int { return h.over }
-
-// NaNs returns how many NaN samples were rejected.
-func (h *Histogram) NaNs() int { return h.nans }
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}

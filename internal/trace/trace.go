@@ -2,7 +2,9 @@
 // Tracer interface receiving typed events from every simulated subsystem
 // (governor decisions, frame decode lifecycle, OPP and C-state
 // transitions, RRC state changes, ABR rung switches, buffer and power
-// samples) plus a Collector that rolls a stream up into per-run Metrics.
+// samples) and one serializer, JSONLSink. The stream's one accountant is
+// the invariant checker (internal/invariant), which integrates it against
+// the engine's own counters on strict runs.
 //
 // Emission is allocation-free by construction: events are small value
 // structs passed to concrete interface methods (no boxing), and every
@@ -12,10 +14,10 @@
 //
 // Determinism: the simulation engine is single-threaded and all model
 // randomness derives from the run seed, so the event stream — order,
-// timestamps, and payloads — is a pure function of the RunConfig. Sinks
-// format floats with strconv's shortest round-trip representation, making
-// JSONL and CSV output byte-identical across same-seed runs, platforms,
-// and worker counts. The golden test in this package pins that contract.
+// timestamps, and payloads — is a pure function of the RunConfig. The sink
+// formats floats with strconv's shortest round-trip representation, making
+// JSONL output byte-identical across same-seed runs, platforms, and
+// worker counts. The golden test in this package pins that contract.
 package trace
 
 import (

@@ -62,10 +62,6 @@ type (
 	// BatchOutcome pairs one RunConfig with its result or error in a
 	// batch.
 	BatchOutcome = experiments.Outcome
-	// Sweep expands a config template over axis lists and seed sets.
-	Sweep = experiments.Sweep
-	// AxisStat aggregates one metric over the runs sharing an axis value.
-	AxisStat = experiments.AxisStat
 	// Stream is an exact frame-by-frame video trace (RunConfig.Trace).
 	Stream = video.Stream
 	// BWTrace is a recorded bandwidth trace (RunConfig.BWTrace) replayed
@@ -82,19 +78,14 @@ type (
 	// ABR is a typed adaptation-algorithm identifier; see ParseABR.
 	ABR = experiments.ABRID
 	// Tracer receives a run's structured event stream; see RunConfig.Tracer
-	// and the sink constructors NewJSONLTracer / NewCSVTracer.
+	// and the sink constructor NewJSONLTracer.
 	Tracer = trace.Tracer
 	// TraceSink is a Tracer bound to an output that must be closed after
 	// the run to flush buffered events.
 	TraceSink = trace.Sink
-	// TraceCollector accumulates an event stream into TraceMetrics
-	// in-memory; see NewTraceCollector.
-	TraceCollector = trace.Collector
-	// TraceMetrics is the per-run rollup a TraceCollector produces.
-	TraceMetrics = trace.Metrics
 	// Violation is a broken simulator invariant reported by a strict run
-	// (WithInvariants / RunConfig.Strict): the rule, the virtual time, and
-	// the observed vs expected values. Unwrap with errors.As.
+	// (RunConfig.Strict): the rule, the virtual time, and the observed vs
+	// expected values. Unwrap with errors.As.
 	Violation = invariant.Violation
 )
 
@@ -143,7 +134,7 @@ const (
 )
 
 // Bandwidth-forecast kinds accepted by RunConfig.Forecast; requires a
-// low-water mark (WithLowWater / RunConfig.LowWaterSec).
+// low-water mark (RunConfig.LowWaterSec).
 const (
 	// ForecastNone disables forecasting: the player keeps the reactive
 	// low-water burst trigger.
@@ -166,20 +157,11 @@ const (
 	Minute = sim.Minute
 )
 
-// Devices returns the built-in CPU models (flagship, midrange, efficient).
-func Devices() []Device { return cpu.Devices() }
-
 // DeviceByName returns a built-in CPU model.
 func DeviceByName(name string) (Device, error) { return cpu.DeviceByName(name) }
 
-// Titles returns the built-in content profiles (news, sports, animation).
-func Titles() []Title { return video.Titles() }
-
 // TitleByName returns a built-in content profile.
 func TitleByName(name string) (Title, error) { return video.TitleByName(name) }
-
-// Resolutions returns the standard ladder (360p–1080p).
-func Resolutions() []Resolution { return video.Resolutions() }
 
 // ResolutionByName returns a standard resolution.
 func ResolutionByName(name string) (Resolution, error) { return video.ResolutionByName(name) }
@@ -199,9 +181,6 @@ func GovernorNames() []string {
 	return out
 }
 
-// ABRs returns every adaptation algorithm Run accepts, in report order.
-func ABRs() []ABR { return experiments.ABRIDs() }
-
 // ParseGovernor validates a governor name from an untrusted source
 // (flags, config files). Unknown names return an error matching
 // ErrUnknownGovernor.
@@ -212,17 +191,10 @@ func ParseGovernor(name string) (Governor, error) { return experiments.ParseGove
 // ErrUnknownABR.
 func ParseABR(name string) (ABR, error) { return experiments.ParseABRID(name) }
 
-// Nets returns every network profile Run accepts, in report order.
-func Nets() []NetKind { return experiments.NetKinds() }
-
 // ParseNet validates a network-profile name from an untrusted source.
 // The empty string parses as NetWiFi (Run's default); unknown names
 // return an error matching ErrUnknownNet.
 func ParseNet(name string) (NetKind, error) { return experiments.ParseNetKind(name) }
-
-// Forecasts returns every non-empty forecast kind Run accepts, in report
-// order.
-func Forecasts() []ForecastKind { return experiments.ForecastKinds() }
 
 // ParseForecast validates a forecast-kind name from an untrusted source.
 // The empty string parses as ForecastNone (forecasting off, Run's
@@ -233,11 +205,13 @@ func ParseForecast(name string) (ForecastKind, error) { return experiments.Parse
 var (
 	// ErrUnknownGovernor reports a governor name outside Governors().
 	ErrUnknownGovernor = experiments.ErrUnknownGovernor
-	// ErrUnknownABR reports an ABR name outside ABRs().
+	// ErrUnknownABR reports an ABR name outside the ABR constants.
 	ErrUnknownABR = experiments.ErrUnknownABR
-	// ErrUnknownNet reports a network-profile name outside Nets().
+	// ErrUnknownNet reports a network-profile name outside the Net
+	// constants.
 	ErrUnknownNet = experiments.ErrUnknownNet
-	// ErrUnknownForecast reports a forecast-kind name outside Forecasts().
+	// ErrUnknownForecast reports a forecast-kind name outside the
+	// Forecast constants.
 	ErrUnknownForecast = experiments.ErrUnknownForecast
 	// ErrInvalidConfig reports a RunConfig rejected by validation before
 	// any simulation state was built.
@@ -257,43 +231,20 @@ func WriteBWTrace(w io.Writer, t BWTrace) error { return netsim.WriteTrace(w, t)
 // output. Close it after the run to flush.
 func NewJSONLTracer(w io.Writer) TraceSink { return trace.NewJSONL(w) }
 
-// NewCSVTracer returns a tracer serializing events to a single flat CSV
-// table on w (one header; event-inapplicable cells left empty). Close it
-// after the run to flush.
-func NewCSVTracer(w io.Writer) TraceSink { return trace.NewCSV(w) }
-
-// NewTraceCollector returns an in-memory tracer that rolls the event
-// stream up into TraceMetrics: per-OPP residency, decode-latency
-// histogram, prediction-error quantiles, and an energy-by-component
-// timeline. Call Finalize(res.SimEnd) after the run.
-func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
-
 // DefaultPolicy returns the paper-default tuning of the energy-aware
 // governor.
 func DefaultPolicy() PolicyConfig { return core.DefaultConfig() }
 
 // DefaultSession returns the evaluation's base case: flagship device,
 // energy-aware governor, 720p sports over a constant 8 Mbps link, 60 s.
+// A run is configured by assigning fields of the returned RunConfig.
 func DefaultSession() RunConfig { return experiments.DefaultRunConfig() }
 
 // Run executes one streaming simulation. Internally it draws a recycled
-// simulation arena from a pool (see Session), so back-to-back runs skip
-// reconstruction; results are bit-identical to a fresh simulator's.
+// simulation arena (an internal experiments.Session) from a pool, so
+// back-to-back runs skip reconstruction; results are bit-identical to a
+// fresh simulator's.
 func Run(cfg RunConfig) (RunResult, error) { return experiments.Run(cfg) }
-
-// Arena is a reusable simulation arena: one full simulator instance
-// whose parts are rewound in place between runs instead of being
-// reconstructed. A caller that holds an Arena and a RunResult across
-// calls — a sweep loop, a daemon worker — runs allocation-free after the
-// first two uses, while producing results and traces byte-identical to a
-// fresh simulator's. An Arena is single-goroutine. (Internally this is
-// experiments.Session; the facade names it Arena because NewSession here
-// is the RunConfig builder.)
-type Arena = experiments.Session
-
-// NewArena returns an empty arena; the simulator is built on the first
-// RunInto and recycled by every later one.
-func NewArena() *Arena { return experiments.NewSession() }
 
 // ErrHorizonExceeded reports a session still incomplete when the
 // simulation horizon cut the run off; distinguish it with errors.Is.
@@ -311,9 +262,6 @@ func RunAll(cfgs []RunConfig, workers int) []BatchOutcome {
 	return experiments.RunAll(cfgs, workers)
 }
 
-// SeedRange returns the seeds lo..hi inclusive, for Sweep.Seeds.
-func SeedRange(lo, hi int64) []int64 { return experiments.SeedRange(lo, hi) }
-
 // RunCluster simulates a streaming session on a big.LITTLE device
 // (flagship big + efficient little). With clusterAware set, the
 // cluster-extension governor places decode work across both domains;
@@ -322,18 +270,6 @@ func SeedRange(lo, hi int64) []int64 { return experiments.SeedRange(lo, hi) }
 func RunCluster(res Resolution, dur Time, seed int64, clusterAware bool) (ClusterResult, error) {
 	return experiments.RunCluster(res, dur, seed, clusterAware)
 }
-
-// ConfigKey returns the hex SHA-256 content address of cfg's canonical
-// serialization — the identity dvfsd's result cache stores runs under
-// (DESIGN.md §9). Two configs share a key iff Run would produce the same
-// result for both. The second return is false for uncacheable configs
-// (a frame Trace, an OnSample callback, or a Tracer attached).
-func ConfigKey(cfg RunConfig) (string, bool) { return experiments.ConfigKey(cfg) }
-
-// CanonicalConfig returns the deterministic byte serialization that
-// ConfigKey hashes, for debugging cache identity: one key=value line per
-// result-determining field, in a fixed order.
-func CanonicalConfig(cfg RunConfig) ([]byte, bool) { return experiments.CanonicalConfig(cfg) }
 
 // ExperimentIDs lists the reproducible tables and figures in report order.
 func ExperimentIDs() []string { return experiments.IDs() }

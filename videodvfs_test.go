@@ -2,7 +2,6 @@ package videodvfs
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -19,15 +18,6 @@ func TestFacadeRun(t *testing.T) {
 }
 
 func TestFacadeCatalogs(t *testing.T) {
-	if len(Devices()) != 3 {
-		t.Fatalf("devices = %d", len(Devices()))
-	}
-	if len(Titles()) != 3 {
-		t.Fatalf("titles = %d", len(Titles()))
-	}
-	if len(Resolutions()) != 4 {
-		t.Fatalf("resolutions = %d", len(Resolutions()))
-	}
 	if len(ExperimentIDs()) != 30 {
 		t.Fatalf("experiments = %d", len(ExperimentIDs()))
 	}
@@ -54,12 +44,19 @@ func TestFacadeLookups(t *testing.T) {
 	if err := DefaultPolicy().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if err := DefaultSession().Validate(); err != nil {
+		t.Fatalf("default session fails Validate: %v", err)
+	}
 }
 
 func TestFacadeBatch(t *testing.T) {
-	sweep := Sweep{Base: DefaultSession(), Seeds: SeedRange(1, 3)}
-	sweep.Base.Duration = 10 * Second
-	outs := RunAll(sweep.Expand(), 2)
+	cfgs := make([]RunConfig, 3)
+	for i := range cfgs {
+		cfgs[i] = DefaultSession()
+		cfgs[i].Duration = 10 * Second
+		cfgs[i].Seed = int64(i + 1)
+	}
+	outs := RunAll(cfgs, 2)
 	if len(outs) != 3 {
 		t.Fatalf("got %d outcomes, want 3", len(outs))
 	}
@@ -70,10 +67,6 @@ func TestFacadeBatch(t *testing.T) {
 		if o.Config.Seed != int64(i+1) {
 			t.Fatalf("outcome %d carries seed %d — order lost", i, o.Config.Seed)
 		}
-	}
-	rows := sweep.Aggregate(outs, func(r RunResult) float64 { return r.CPUJ })
-	if len(rows) != 3 || rows[0].Axis != "seed" {
-		t.Fatalf("aggregate rows = %+v, want one per seed", rows)
 	}
 }
 
@@ -93,48 +86,24 @@ func TestFacadeParse(t *testing.T) {
 	if len(Governors()) != len(GovernorNames()) {
 		t.Fatal("Governors and GovernorNames disagree")
 	}
-	if len(ABRs()) == 0 {
-		t.Fatal("no ABR algorithms listed")
-	}
 }
 
-func TestFacadeSessionOptions(t *testing.T) {
-	cfg := NewSession(
-		WithGovernor(GovOracle),
-		WithNet(NetLTE),
-		WithABR(ABRBBA),
-		WithDuration(30*Second),
-		WithSeed(7),
-	)
-	if cfg.Governor != GovOracle || cfg.Net != NetLTE || cfg.ABR != ABRBBA ||
-		cfg.Duration != 30*Second || cfg.Seed != 7 {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
-	// Any session built purely from options must pass validation.
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("option-built session fails Validate: %v", err)
-	}
-	if cfg := NewSession(WithHorizon(5 * Minute)); cfg.Horizon != 5*Minute {
-		t.Fatalf("WithHorizon not applied: %+v", cfg)
-	}
-	// No options → exactly the default session, which validates.
-	if !reflect.DeepEqual(NewSession(), DefaultSession()) {
-		t.Fatal("NewSession() should equal DefaultSession()")
-	}
-	if err := DefaultSession().Validate(); err != nil {
-		t.Fatalf("default session fails Validate: %v", err)
-	}
+// with returns DefaultSession with set applied.
+func with(set func(*RunConfig)) RunConfig {
+	cfg := DefaultSession()
+	set(&cfg)
+	return cfg
 }
 
 // Validate must reject each malformed knob with an error wrapping
 // ErrInvalidConfig, before Run builds any simulation state.
 func TestFacadeValidateRejections(t *testing.T) {
 	cases := map[string]RunConfig{
-		"unknown governor": NewSession(WithGovernor("warpdrive")),
-		"unknown abr":      NewSession(WithABR("mpc")),
-		"unknown net":      NewSession(WithNet("carrier-pigeon")),
-		"zero duration":    NewSession(WithDuration(0)),
-		"negative dur":     NewSession(WithDuration(-10 * Second)),
+		"unknown governor": with(func(c *RunConfig) { c.Governor = "warpdrive" }),
+		"unknown abr":      with(func(c *RunConfig) { c.ABR = "mpc" }),
+		"unknown net":      with(func(c *RunConfig) { c.Net = "carrier-pigeon" }),
+		"zero duration":    with(func(c *RunConfig) { c.Duration = 0 }),
+		"negative dur":     with(func(c *RunConfig) { c.Duration = -10 * Second }),
 	}
 	for name, cfg := range cases {
 		err := cfg.Validate()
@@ -147,41 +116,17 @@ func TestFacadeValidateRejections(t *testing.T) {
 		}
 	}
 	// Parse-level sentinels stay distinguishable through the wrap.
-	if err := NewSession(WithGovernor("warpdrive")).Validate(); !errors.Is(err, ErrUnknownGovernor) {
+	if err := cases["unknown governor"].Validate(); !errors.Is(err, ErrUnknownGovernor) {
 		t.Errorf("governor rejection lost ErrUnknownGovernor: %v", err)
 	}
-	if err := NewSession(WithABR("mpc")).Validate(); !errors.Is(err, ErrUnknownABR) {
+	if err := cases["unknown abr"].Validate(); !errors.Is(err, ErrUnknownABR) {
 		t.Errorf("abr rejection lost ErrUnknownABR: %v", err)
 	}
 }
 
-// ConfigKey/CanonicalConfig are the daemon's cache identity (DESIGN.md
-// §9): stable across calls, sensitive to every knob, refused when the
-// config carries callbacks.
-func TestFacadeConfigKey(t *testing.T) {
-	a, ok := ConfigKey(DefaultSession())
-	if !ok || len(a) != 64 {
-		t.Fatalf("ConfigKey = %q, %v", a, ok)
-	}
-	if b, _ := ConfigKey(DefaultSession()); b != a {
-		t.Fatalf("key unstable: %q vs %q", a, b)
-	}
-	if c, _ := ConfigKey(NewSession(WithSeed(2))); c == a {
-		t.Fatal("seed change did not change the key")
-	}
-	canon, _ := CanonicalConfig(DefaultSession())
-	if len(canon) == 0 {
-		t.Fatal("canonical form empty")
-	}
-	cfg := DefaultSession()
-	cfg.OnSample = func(Time, float64, float64, float64) {}
-	if _, ok := ConfigKey(cfg); ok {
-		t.Fatal("config with a callback reported cacheable")
-	}
-}
-
 func TestFacadeInvalidConfig(t *testing.T) {
-	cfg := NewSession(WithGovernor("warpdrive"))
+	cfg := DefaultSession()
+	cfg.Governor = "warpdrive"
 	_, err := Run(cfg)
 	if !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("want ErrInvalidConfig, got %v", err)
