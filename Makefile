@@ -35,13 +35,15 @@ examples:
 # The memory discipline gate (DESIGN.md §8, §12): advancing the untraced
 # simulation in steady state must allocate nothing, a recycled core must
 # queue and run its jobs, a background backlog included, without
-# allocating, and a cohort shard must let go of each viewer as it
-# finishes.
+# allocating, a cohort shard must let go of each viewer as it finishes,
+# and a viewer on air must hold at most 32 KB of live heap over 300 s of
+# content (it held about 148 KB while it kept a per-frame prediction-error
+# log and its own copy of every rendition's segment table).
 alloc-budget:
 	$(GO) test ./internal/experiments -run TestRunLoopAllocBudget -count 1
 	$(GO) test ./internal/sim -run TestEngineScheduleFireAllocFree -count 1
 	$(GO) test ./internal/cpu -run TestCoreJobPathAllocFree -count 1
-	$(GO) test ./internal/cohort -run TestShardReleasesFinishedViewers -count 1
+	$(GO) test ./internal/cohort -run 'TestShardReleasesFinishedViewers|TestViewerLiveHeapBudget' -count 1
 
 # The fleet end-to-end battery, -count 1 so it always re-executes: a
 # dvfsctl controller over real httptest dvfsd workers (byte-identical

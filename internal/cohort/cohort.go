@@ -116,7 +116,10 @@ type Config struct {
 	// res points at a per-shard scratch result that is REUSED for the
 	// next viewer — copy what you keep. Shards run on concurrent
 	// workers, so OnViewer must be safe for concurrent use. Setting it
-	// makes the cohort uncacheable.
+	// makes the cohort uncacheable, and it keeps every energy-aware
+	// viewer's per-frame prediction-error log (res.Pred.RelErr), whose
+	// memory grows with content length; without OnViewer no viewer keeps
+	// one.
 	OnViewer func(viewer int, res *experiments.RunResult, err error)
 	// OnRollup, if set, receives the merged aggregate snapshot at every
 	// rollup barrier (single goroutine, in time order). Setting it

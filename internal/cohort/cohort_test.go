@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,6 +391,102 @@ func TestShardReleasesFinishedViewers(t *testing.T) {
 		if p := sh.eng.Pending(); p >= sh.total {
 			t.Errorf("shard %d: %d events still pending after its last viewer finished, for %d viewers", sh.idx, p, sh.total)
 		}
+	}
+}
+
+// liveHeapPerViewerBudget bounds what one viewer on air holds at a rollup
+// barrier. A viewer that logged every frame's prediction error and cut
+// its own copy of every rendition's segment table held about 148 KB over
+// 300 s of content, and that grew with the content; one that keeps
+// neither holds about 12 KB, whatever the content length.
+const liveHeapPerViewerBudget = 32 << 10
+
+// A cohort viewer's memory must not grow with its content: 100
+// energy-aware viewers streaming 300 s of BBA over LTE, so every rung of
+// the ladder is segmented, are measured on air at the first rollup
+// barrier. The memo is warmed first by a one-viewer cohort, so the
+// generated inputs are in the baseline, not in the viewers' share.
+func TestViewerLiveHeapBudget(t *testing.T) {
+	const viewers = 100
+	base := experiments.DefaultRunConfig()
+	base.ABR, base.Net, base.Duration = experiments.ABRBBA, experiments.NetLTE, 300*sim.Second
+	cohort := func(n int, onRollup func(Rollup), cancel <-chan struct{}) error {
+		_, err := Run(Config{Base: base, Viewers: n, Shards: 1, Rollup: 10 * sim.Second,
+			OnRollup: onRollup, Cancel: cancel})
+		return err
+	}
+	warm := make(chan struct{})
+	close(warm)
+	if err := cohort(1, nil, warm); !errors.Is(err, experiments.ErrCanceled) {
+		t.Fatalf("warm-up cohort: %v, want it canceled", err)
+	}
+
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	baseline := ms.HeapAlloc
+	var perViewer float64
+	cancel := make(chan struct{})
+	onRollup := func(r Rollup) {
+		if r.Active != viewers {
+			t.Errorf("%d viewers on air at the %v barrier, want %d", r.Active, r.T, viewers)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		perViewer = (float64(ms.HeapAlloc) - float64(baseline)) / viewers
+		close(cancel)
+	}
+	if err := cohort(viewers, onRollup, cancel); !errors.Is(err, experiments.ErrCanceled) {
+		t.Fatalf("measured cohort: %v, want it canceled", err)
+	}
+	t.Logf("live heap per viewer on air: %.1f KB", perViewer/1024)
+	if perViewer > liveHeapPerViewerBudget {
+		t.Errorf("each viewer on air holds %.1f KB of live heap, budget %d KB", perViewer/1024, liveHeapPerViewerBudget>>10)
+	}
+}
+
+// A cohort's outcome must not depend on whether OnViewer watches it:
+// observing keeps each energy-aware viewer's prediction-error log, which
+// no aggregate reads, so the Result is byte for byte the same.
+func TestResultIndependentOfOnViewer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		config func(func(Rollup)) Config
+	}{
+		{"golden", goldenConfig},
+		{"crowded", crowdedConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, err := Run(tc.config(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var logged atomic.Int64
+			cfg := tc.config(nil)
+			cfg.OnViewer = func(_ int, r *experiments.RunResult, err error) {
+				if err == nil && r.Pred != nil && len(r.Pred.RelErr) > 0 {
+					logged.Add(1)
+				}
+			}
+			observed, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := json.Marshal(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(observed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("result without OnViewer:\n%s\nwith OnViewer:\n%s", a, b)
+			}
+			if n := logged.Load(); n == 0 || n != int64(observed.Completed) {
+				t.Errorf("%d of %d completed viewers handed OnViewer a prediction-error log", n, observed.Completed)
+			}
+		})
 	}
 }
 

@@ -88,6 +88,9 @@ func (sh *shard) admit(i int) *member {
 			sh.eng.Cancel(m.cut)
 			sh.collect(i, m.v)
 		},
+		// The aggregates fold energy and QoE only, so a viewer's
+		// per-frame prediction-error log has a reader only in OnViewer.
+		NoErrorLog: sh.cfg.OnViewer == nil,
 	}
 	if sh.cfg.Cell != nil {
 		// A sector's state is made when its first viewer arrives: the

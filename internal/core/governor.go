@@ -169,6 +169,7 @@ type Governor struct {
 	predOK  bool
 
 	predStats   PredictionStats
+	noErrLog    bool // SkipErrorLog: score predictions, log no per-frame error
 	boostFrames int
 	lowFrames   int
 }
@@ -210,6 +211,7 @@ func (g *Governor) Reset(cfg Config) error {
 	g.period = 0
 	g.predIdx, g.predVal, g.predOK = 0, 0, false
 	g.predStats = PredictionStats{RelErr: g.predStats.RelErr[:0]}
+	g.noErrLog = false
 	g.boostFrames = 0
 	g.lowFrames = 0
 	return nil
@@ -271,17 +273,25 @@ func (g *Governor) SetTracer(tr trace.Tracer) { g.tracer = tr }
 // PredStats returns predictor-accuracy statistics for the run.
 func (g *Governor) PredStats() PredictionStats { return g.predStats }
 
+// SkipErrorLog stops the governor logging each frame's relative
+// prediction error until the next Reset. PredStats still counts N and
+// Underestimates, but its RelErr stays empty and StreamInfo sizes no log:
+// the log holds a float per frame, so it grows with content length, and a
+// caller that never reads it need not hold it. No decision changes.
+func (g *Governor) SkipErrorLog() { g.noErrLog = true }
+
 // BoostFrames returns how many frames ran at forced top frequency
 // (startup, cold predictor, or missed slack).
 func (g *Governor) BoostFrames() int { return g.boostFrames }
 
 // StreamInfo implements player.SessionHooks: learn the frame period and
-// pre-size the per-frame error log so the decode loop never regrows it.
+// pre-size the per-frame error log, unless SkipErrorLog turned it off, so
+// the decode loop never regrows it.
 func (g *Governor) StreamInfo(fps float64, totalFrames int) {
 	if fps > 0 {
 		g.period = sim.Time(1 / fps)
 	}
-	if totalFrames > cap(g.predStats.RelErr) {
+	if !g.noErrLog && totalFrames > cap(g.predStats.RelErr) {
 		relErr := make([]float64, len(g.predStats.RelErr), totalFrames)
 		copy(relErr, g.predStats.RelErr)
 		g.predStats.RelErr = relErr
@@ -346,7 +356,7 @@ func (g *Governor) DecodeEnd(_ sim.Time, f video.Frame, _ sim.Time, measuredCycl
 		if measuredCycles > pred {
 			g.predStats.Underestimates++
 		}
-		if measuredCycles > 0 {
+		if measuredCycles > 0 && !g.noErrLog {
 			rel := pred - measuredCycles
 			if rel < 0 {
 				rel = -rel

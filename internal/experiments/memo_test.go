@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -136,6 +137,91 @@ func TestRenditionsSharedAcrossRequestShapes(t *testing.T) {
 	}
 	if hevc := resolve(RunConfig{Rung: video.R720p, Codec: "hevc"}); hevc[0] == fixed[0] {
 		t.Fatal("a fixed HEVC run shares the H.264 rendition")
+	}
+}
+
+// TestMemoizedRenditionCarriesSegmentTable checks that a memoized
+// rendition carries its segment table at the player's default duration:
+// Segmentize's table, handed to every run as one backing array and
+// charged to the memo with the frames. Another duration gets a table of
+// its own.
+func TestMemoizedRenditionCarriesSegmentTable(t *testing.T) {
+	defer setInputBudget(inputBudget)()
+	cfg := DefaultRunConfig()
+	cfg.ABR, cfg.Duration, cfg.Seed = ABRBBA, 12*sim.Second, 4242
+	first, _, err := buildRenditions(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := buildRenditions(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var charged int64
+	for i, r := range first {
+		want, err := video.Segmentize(r, sharedSegmentDur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Segments(sharedSegmentDur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rung %d: the shared table differs from Segmentize's", i)
+		}
+		if again[i] != r {
+			t.Fatalf("rung %d: the second lookup missed the memo", i)
+		}
+		if reread, _ := again[i].Segments(sharedSegmentDur); &reread[0] != &got[0] {
+			t.Fatalf("rung %d: a second run got another table", i)
+		}
+		own, err := r.Segments(sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &own[0] == &got[0] || len(own) != 12 {
+			t.Fatalf("rung %d: a 1 s run got %d segments, shared: %v", i, len(own), &own[0] == &got[0])
+		}
+		charged += int64(cap(r.Frames))*frameBytes + int64(cap(got))*segmentBytes
+	}
+	if st := InputMemoStats(); st.Entries != len(first) || st.Bytes != charged {
+		t.Fatalf("memo holds %d entries of %d B, want %d of %d B (frames and segment tables)",
+			st.Entries, st.Bytes, len(first), charged)
+	}
+}
+
+// TestSharedSegmentTableFirstUseRace starts runs that race on their
+// inputs' first use: each misses the memo, generates its renditions and
+// cuts their tables, and either copy may be kept. Under -race they share
+// nothing mutable, and each result equals a run served from the memo.
+func TestSharedSegmentTableFirstUseRace(t *testing.T) {
+	defer setInputBudget(inputBudget)()
+	cfg := DefaultRunConfig()
+	cfg.ABR, cfg.Net, cfg.Duration, cfg.Seed = ABRBBA, NetLTE, 10*sim.Second, 4343
+	const runs = 4
+	results := make([]RunResult, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Run(cfg)
+		}(i)
+	}
+	wg.Wait()
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(results[i], want) {
+			t.Fatalf("run %d, racing on first use, differs from a memoized run", i)
+		}
 	}
 }
 

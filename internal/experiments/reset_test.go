@@ -185,6 +185,59 @@ func TestViewerMatchesSessionAcrossResetConfigs(t *testing.T) {
 	}
 }
 
+// TestViewerWithoutErrorLog plays one config on two viewers, one built
+// with NoErrorLog as a cohort builds it when no OnViewer reads results:
+// its governor keeps no per-frame error log at all, its result counts the
+// same predictions, and once the logging viewer's Pred.RelErr is cleared
+// the two results are DeepEqual.
+func TestViewerWithoutErrorLog(t *testing.T) {
+	cfg := DefaultRunConfig()
+	cfg.ABR, cfg.Net, cfg.Duration = ABRBBA, NetLTE, 20*sim.Second
+	cfg.Strict = true
+	play := func(opts ViewerOptions) (RunResult, *Viewer) {
+		t.Helper()
+		eng := sim.NewEngine()
+		var (
+			v    *Viewer
+			res  RunResult
+			ferr error
+			done bool
+		)
+		opts.OnDone = func() {
+			done = true
+			ferr = v.Finish(&res)
+		}
+		v, err := NewViewer(eng, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Start()
+		eng.RunUntil(v.Deadline())
+		if !done || ferr != nil {
+			t.Fatalf("viewer finished %v: %v", done, ferr)
+		}
+		return res, v
+	}
+	logged, lv := play(ViewerOptions{})
+	bare, bv := play(ViewerOptions{NoErrorLog: true})
+	if c := cap(bv.ea.PredStats().RelErr); c != 0 {
+		t.Fatalf("a viewer without an error log holds a %d-entry log", c)
+	}
+	if c := cap(lv.ea.PredStats().RelErr); c < logged.QoE.TotalFrames {
+		t.Fatalf("the logging viewer sized its log for %d of %d frames", c, logged.QoE.TotalFrames)
+	}
+	if bare.Pred == nil || bare.Pred.N == 0 || bare.Pred.RelErr != nil {
+		t.Fatalf("a viewer without an error log reports %+v", bare.Pred)
+	}
+	if logged.Pred == nil || len(logged.Pred.RelErr) != logged.Pred.N {
+		t.Fatalf("the logging viewer scored %d frames and logged %d", logged.Pred.N, len(logged.Pred.RelErr))
+	}
+	logged.Pred.RelErr = nil
+	if !reflect.DeepEqual(logged, bare) {
+		t.Fatalf("results differ beyond the log\nlogged: %+v\nbare:   %+v", logged, bare)
+	}
+}
+
 // TestSessionResetSameConfigRepeat pins the tightest reuse contract: the
 // same config rerun on one arena is bit-identical run after run (the
 // dvfsd/campaign steady state), including the recycled-result-struct path.

@@ -393,25 +393,35 @@ type input struct {
 }
 
 // inputBudget is the memo's byte budget. It covers every shipped working
-// set: run-sweep's pool of 16 content seeds holds 6.9 MB of inputs, and
-// the whole 30-experiment evaluation 2.3 MB.
+// set: run-sweep's pool of 16 content seeds holds about 7.1 MB of inputs,
+// and the whole 30-experiment evaluation 2.4 MB.
 const inputBudget = 32 << 20
 
-// Bytes an input is charged: a rendition its frame array, a Markov trace
-// its step array. The headers around them are noise beside these.
+// Bytes an input is charged: a rendition its frame array and its shared
+// segment table, a Markov trace its step array. The headers around them
+// are noise beside these.
 const (
-	frameBytes = int64(unsafe.Sizeof(video.Frame{}))
-	stepBytes  = int64(unsafe.Sizeof(netsim.Step{}))
+	frameBytes   = int64(unsafe.Sizeof(video.Frame{}))
+	segmentBytes = int64(unsafe.Sizeof(video.Segment{}))
+	stepBytes    = int64(unsafe.Sizeof(netsim.Step{}))
 )
 
+// sharedSegmentDur is the segment duration whose table a memoized
+// rendition carries: the player's default, which every run without a
+// SegmentDur override plays.
+var sharedSegmentDur = player.DefaultConfig().SegmentDur
+
 // inputs memoizes generated run inputs across runs, cohort viewers and
-// dvfsd requests. Inputs are immutable after generation: sessions
-// segmentize renditions into subslices that decoders read in place, and
+// dvfsd requests. Inputs are immutable after generation: a rendition
+// carries one segment table, cut at sharedSegmentDur before the memo
+// stores it, which every session at that duration reads (a session at
+// another duration cuts its own), decoders read frames in place, and
 // bandwidth traces are only read. Sharing them between concurrent runs is
 // therefore safe and changes no output; it only removes the setup cost of
-// regenerating them. Eviction drops the memo's reference only, so a run
-// still holding an evicted input keeps it, and a later miss regenerates
-// an identical one.
+// regenerating and re-cutting them, and a viewer's private copy of every
+// table. Eviction drops the memo's reference only, so a run still holding
+// an evicted input keeps it, and a later miss regenerates an identical
+// one.
 var inputs = inputMemo{lru: lru.New[inputKey, input](inputBudget)}
 
 // inputMemo is a byte-bounded LRU of generated inputs plus its traffic
@@ -609,7 +619,8 @@ func buildRenditions(cfg RunConfig, buf []*video.Stream) ([]*video.Stream, abr.A
 }
 
 // rendition returns the stream video.Generate synthesizes for (spec, dur,
-// seed), from the input memo when it holds it.
+// seed), with its segment table at sharedSegmentDur, from the input memo
+// when it holds it.
 func rendition(spec video.Spec, dur sim.Time, seed int64) (*video.Stream, error) {
 	key := inputKey{spec: spec, dur: dur, seed: seed}
 	if cached, ok := inputs.load(key); ok {
@@ -619,7 +630,8 @@ func rendition(spec video.Spec, dur sim.Time, seed int64) (*video.Stream, error)
 	if err != nil {
 		return nil, err
 	}
-	inputs.store(key, input{stream: s}, int64(cap(s.Frames))*frameBytes)
+	segs := s.ShareSegments(sharedSegmentDur)
+	inputs.store(key, input{stream: s}, int64(cap(s.Frames))*frameBytes+int64(cap(segs))*segmentBytes)
 	return s, nil
 }
 

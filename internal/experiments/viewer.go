@@ -18,8 +18,9 @@ import (
 )
 
 // ViewerOptions customizes how a viewer plugs into state it does not
-// own: a cohort's shared cells, or a real network. All fields are
-// optional; the zero value wires a viewer exactly like a standalone Run.
+// own: a cohort's shared cells, a real network, or a cohort that reads
+// no per-viewer result. All fields are optional; the zero value wires a
+// viewer exactly like a standalone Run.
 type ViewerOptions struct {
 	// WrapBandwidth, if set, decorates the viewer's resolved bandwidth
 	// model before the downloader sees it. The cohort's cell-congestion
@@ -41,6 +42,12 @@ type ViewerOptions struct {
 	// real HTTP. The viewer still builds its radio and downloader, which
 	// then carry no traffic.
 	Fetcher player.Fetcher
+	// NoErrorLog, if set, keeps an energy-aware viewer's governor from
+	// logging each frame's prediction error (core.Governor.SkipErrorLog):
+	// the result's Pred still counts N and Underestimates, but its RelErr
+	// stays nil. The log holds a float per frame, so it grows with content
+	// length; a cohort sets this when nothing reads its viewers' results.
+	NoErrorLog bool
 }
 
 // Viewer is one streaming session's full per-device component set —
@@ -254,6 +261,9 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 	if err := v.attachGovernor(cfg, tr); err != nil {
 		return err
 	}
+	if opts.NoErrorLog && v.ea != nil {
+		v.ea.SkipErrorLog()
+	}
 
 	bw, rrcCfg, err := buildBandwidth(cfg)
 	if err != nil {
@@ -307,9 +317,9 @@ func (v *Viewer) reset(cfg RunConfig, chk *invariant.Checker, tr trace.Tracer, o
 		v.bgActive = true
 	}
 
-	// The player copies what it needs out of the rendition list (its
-	// segment tables), so the list lives on the stack: one slot per
-	// default-ladder rung.
+	// The player keeps what it needs out of the rendition list (each
+	// stream and its segment table), so the list lives on the stack: one
+	// slot per default-ladder rung.
 	var buf [4]*video.Stream
 	renditions, algo, err := buildRenditions(cfg, buf[:0])
 	if err != nil {
@@ -671,7 +681,8 @@ func (v *Viewer) collectResult(res *RunResult) {
 		// (A cluster-aware pair runs the rule inside its cluster
 		// governor and has no v.ea.) Copy the stats out: the governor's
 		// RelErr backing array is recycled by the next reset, so the
-		// result must own its slice.
+		// result must own its slice. A NoErrorLog viewer logged nothing,
+		// so nothing is copied and RelErr stays nil.
 		st := v.ea.PredStats()
 		if res.Pred == nil {
 			res.Pred = new(core.PredictionStats)

@@ -77,9 +77,10 @@ type Session struct {
 	activityFn func(now sim.Time, active bool)
 }
 
-// segTable is one rendition's segment table plus the stream (by pointer)
-// and segment duration it was cut from, so Reset can keep the table when a
-// recycled session replays the same immutable stream. The stamp lives with
+// segTable is one rendition's segment table, the stream's shared one or
+// the session's own, plus the stream (by pointer) and segment duration it
+// was cut from, so Reset can keep the table when a recycled session
+// replays the same immutable stream. The stamp lives with
 // the table it describes: the rendition count can shrink and grow back
 // across resets, and a stale entry resurfacing from the slice's backing
 // array must not pass the check on the strength of a stamp some other
@@ -127,6 +128,8 @@ func NewSession(eng *sim.Engine, core decode.Submitter, fet Fetcher, renditions 
 // hooks, bitrate table, and per-rung segment tables, reusing any segment
 // table whose source stream and segment duration are unchanged (streams
 // are immutable after generation, so identity implies identical segments).
+// A stream that carries its own table at cfg.SegmentDur lends it, read-only
+// (video.Stream.Segments); otherwise the session cuts its own.
 func (s *Session) configure(renditions []*video.Stream, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -170,7 +173,7 @@ func (s *Session) configure(renditions []*video.Stream, cfg Config) error {
 		if t.src == r && t.dur == cfg.SegmentDur {
 			continue
 		}
-		segs, err := video.Segmentize(r, cfg.SegmentDur)
+		segs, err := r.Segments(cfg.SegmentDur)
 		if err != nil {
 			t.src = nil
 			return fmt.Errorf("player: rendition %d: %w", i, err)

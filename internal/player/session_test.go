@@ -372,6 +372,42 @@ func TestSessionResetCancelsWhatItScheduled(t *testing.T) {
 	}
 }
 
+// Every session at a stream's shared segment duration reads the stream's
+// own table and plays exactly as a session that cut its own; a session
+// at another duration cuts a table of its own, and a reset back to the
+// shared duration picks the shared table up again.
+func TestSessionsShareStreamSegmentTable(t *testing.T) {
+	shared := flatStream(30, 10, 1e6, 1e6)
+	table := shared.ShareSegments(DefaultConfig().SegmentDur)
+	plain := flatStream(30, 10, 1e6, 1e6)
+	var played []Metrics
+	for i, stream := range []*video.Stream{shared, shared, plain} {
+		eng, core := singleOPPCore(t, 1e9)
+		s := runSession(t, eng, core, 10e6, stream, DefaultConfig())
+		if got := s.segments[0].segs; (&got[0] == &table[0]) != (stream == shared) {
+			t.Fatalf("session %d: reads the shared table: %v, want %v", i, &got[0] == &table[0], stream == shared)
+		}
+		played = append(played, s.Metrics())
+	}
+	if played[0] != played[1] || played[0] != played[2] || !played[0].Completed {
+		t.Fatalf("sessions over the shared table played %+v and %+v, over their own %+v", played[0], played[1], played[2])
+	}
+
+	cfg := DefaultConfig()
+	cfg.SegmentDur = sim.Second
+	eng, core := singleOPPCore(t, 1e9)
+	s := runSession(t, eng, core, 10e6, shared, cfg)
+	if got := s.segments[0].segs; &got[0] == &table[0] || len(got) != 10 {
+		t.Fatalf("a 1 s session reads %d segments, shared: %v", len(got), &got[0] == &table[0])
+	}
+	if err := s.Reset([]*video.Stream{shared}, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.segments[0].segs; &got[0] != &table[0] {
+		t.Fatal("a session reset to the shared duration keeps a table of its own")
+	}
+}
+
 // recordingABR captures every State the session feeds the ABR, delegating
 // the decision to the wrapped algorithm.
 type recordingABR struct {

@@ -34,7 +34,7 @@ func Segmentize(s *Stream, segDur sim.Time) ([]Segment, error) {
 	if framesPerSeg < 1 {
 		framesPerSeg = 1
 	}
-	var segs []Segment
+	segs := make([]Segment, 0, (len(s.Frames)+framesPerSeg-1)/framesPerSeg)
 	for off := 0; off < len(s.Frames); off += framesPerSeg {
 		end := off + framesPerSeg
 		if end > len(s.Frames) {
@@ -54,4 +54,29 @@ func Segmentize(s *Stream, segDur sim.Time) ([]Segment, error) {
 		})
 	}
 	return segs, nil
+}
+
+// ShareSegments cuts s into segments of segDur and keeps the table on the
+// stream, so every session that segments s at segDur reads this one table
+// (Segments) instead of cutting its own. It returns the table, whose bytes
+// an owner may charge with the frames. Call it before s is shared: the
+// table is read-only after. A stream Segmentize cannot cut keeps no table,
+// and Segments reports the error.
+func (s *Stream) ShareSegments(segDur sim.Time) []Segment {
+	segs, err := Segmentize(s, segDur)
+	if err != nil {
+		return nil
+	}
+	s.segs, s.segDur = segs, segDur
+	return segs
+}
+
+// Segments returns s's segment table at segDur: the stream's shared table
+// when ShareSegments cut it at segDur, which the caller must not modify,
+// and otherwise a new Segmentize table the caller owns.
+func (s *Stream) Segments(segDur sim.Time) ([]Segment, error) {
+	if s.segs != nil && segDur == s.segDur {
+		return s.segs, nil
+	}
+	return Segmentize(s, segDur)
 }

@@ -124,12 +124,17 @@ func DefaultBitrate(r Resolution) float64 {
 }
 
 // Stream is a fully generated sequence of frames plus the spec that
-// produced it.
+// produced it. Streams are immutable once shared.
 type Stream struct {
 	// Spec is the generation recipe.
 	Spec Spec
 	// Frames are in presentation order with monotonically increasing PTS.
 	Frames []Frame
+
+	// segs is the stream's own segment table at segDur (ShareSegments),
+	// read-only once the stream is shared.
+	segs   []Segment
+	segDur sim.Time
 }
 
 // Duration returns the presentation span of the stream.

@@ -3,6 +3,7 @@ package video
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -368,6 +369,59 @@ func TestSegmentizeErrors(t *testing.T) {
 		t.Fatal("want error for zero segment duration")
 	}
 	if _, err := Segmentize(&Stream{Spec: spec}, sim.Second); err == nil {
+		t.Fatal("want error for empty stream")
+	}
+}
+
+// A stream's shared segment table is Segmentize's table, handed out
+// as the same backing array at its own duration; any other duration, and
+// a stream that never shared one, gets a fresh table of its own.
+func TestShareSegments(t *testing.T) {
+	spec := DefaultSpec(TitleNews, R480p)
+	s := genOrFatal(t, spec, 9*sim.Second, 3)
+	plain := genOrFatal(t, spec, 9*sim.Second, 3)
+	want, err := Segmentize(s, 2*sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := s.ShareSegments(2 * sim.Second)
+	if !reflect.DeepEqual(shared, want) || cap(shared) != len(want) {
+		t.Fatalf("shared table (%d segments, cap %d) differs from Segmentize's %d", len(shared), cap(shared), len(want))
+	}
+	for i := 0; i < 2; i++ {
+		got, err := s.Segments(2 * sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != &shared[0] || len(got) != len(shared) {
+			t.Fatalf("call %d: the 2 s table is not the shared one", i)
+		}
+	}
+	for _, src := range []*Stream{s, plain} {
+		other, err := src.Segments(sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := src.Segments(sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Segmentize(src, sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(other, want) || &other[0] == &again[0] || &other[0] == &shared[0] {
+			t.Fatal("a 1 s table is not a fresh Segmentize table")
+		}
+	}
+	if a, _ := plain.Segments(2 * sim.Second); &a[0] == &shared[0] {
+		t.Fatal("a stream that shared no table hands out another stream's")
+	}
+	empty := &Stream{Spec: spec}
+	if empty.ShareSegments(2*sim.Second) != nil {
+		t.Fatal("an empty stream shared a table")
+	}
+	if _, err := empty.Segments(2 * sim.Second); err == nil {
 		t.Fatal("want error for empty stream")
 	}
 }
